@@ -33,7 +33,12 @@ from .errors import (
     UndefinedPolarizationError,
 )
 from .fitting import CURVE_FIT_INIT, fit_polarization_curve
-from .lindblad import SchedulePropagator, initial_mixed_state, write_trajectory_csv
+from .lindblad import (
+    CycleEngine,
+    SchedulePropagator,
+    initial_mixed_state,
+    write_trajectory_csv,
+)
 from .params import RelaxationRates, SystemParams
 from .polarization import polarization_of_state
 from .presets import Preset, format_presets, get_preset
@@ -293,9 +298,7 @@ def _cmd_sweep_field_ani(args: argparse.Namespace) -> int:
 def _cmd_ramsey(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     delta = args.delta if args.delta is not None else ex.predicted_resonance(preset)
-    schedule = preset.schedule(delta) + preset.readout_tail()
-    prop = SchedulePropagator(preset.system, preset.rates, frame_delta=delta)
-    rho = prop.propagate(initial_mixed_state(), schedule)
+    rho = CycleEngine(preset).full_state(delta)
     model = rm.ramsey_model(
         preset.system,
         args.manifold,
@@ -355,19 +358,25 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
 
 
 def _read_curve(path: str) -> list[tuple[float, float]]:
+    """(detuning, P) rows of a CSV file; only its first row may be a header."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
     pairs = []
-    for row in rows:
-        if len(row) < 2:
+    for line, row in enumerate(rows, start=1):
+        if not row:
             continue
         try:
-            pairs.append((float(row[0]), float(row[1])))
-        except ValueError:
-            continue  # header or comment row
+            pair = (float(row[0]), float(row[1]))
+        except (ValueError, IndexError):
+            if line == 1:
+                continue
+            raise ConfigError(f"{path} line {line}: not a (detuning, P) row") from None
+        if not all(np.isfinite(pair)):
+            raise ConfigError(f"{path} line {line}: non-finite value")
+        pairs.append(pair)
     if not pairs:
         raise ConfigError(f"no numeric (detuning, P) rows in {path}")
     return pairs
@@ -394,14 +403,14 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
     f_rel, azz_mag, a_ani = report.params
     sign = -1.0 if preset.system.a_zz < 0 else 1.0
     fitted_preset = preset.with_system(a_zz=sign * azz_mag, a_ani=a_ani)
+    model_p = CycleEngine(fitted_preset).polarizations(
+        [delta - f_rel for delta, _ in pairs], args.n
+    )
     with open(out / "fitted.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["delta_hz", "P_data", "P_fit"])
-        for delta, value in pairs:
-            model_p = ex.sequence_polarization(
-                fitted_preset, delta - f_rel, n_cycles=args.n
-            )
-            writer.writerow([repr(delta), repr(value), repr(model_p)])
+        for (delta, value), p_fit in zip(pairs, model_p):
+            writer.writerow([repr(delta), repr(value), repr(float(p_fit))])
     (out / "plot.gp").write_text(
         "set datafile separator ','\n"
         "set terminal pngcairo size 900,600\n"

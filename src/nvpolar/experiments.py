@@ -1,10 +1,12 @@
 """Parameter sweeps of the polarization sequence.
 
-Every sweep point propagates the full density matrix through the standard
-schedule plus the terminal relaxation train and records the readout
-polarization. Points are pure functions of (preset, grid), so sweeps can fan
-out over a process pool; results are always assembled by grid index and the
-CSV bytes do not depend on the worker count.
+Every sweep is a set of detuning grids, one per parameter set, and each grid
+goes through lindblad.CycleEngine: the standard schedule plus the terminal
+relaxation train, evaluated in batches of lindblad.CHUNK detunings, ending in
+the readout polarization. With workers > 1 those batches fan out over a
+process pool. Batch boundaries depend only on the grid and every point is
+computed independently of its batch, so the CSV bytes do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import numpy as np
 
 from .eigensystem import eigen_system
 from .errors import ConfigError
-from .lindblad import SchedulePropagator, initial_mixed_state
-from .polarization import polarization_of_state
+from .lindblad import CHUNK, CycleEngine
 from .presets import Preset
 
 #: Default grid steps; the coefficient tables give none, so these are
@@ -143,23 +144,36 @@ def sequence_polarization(
     n_cycles: int | None = None,
 ) -> float:
     """Readout polarization after the full sequence at one drive detuning."""
-    schedule = preset.schedule(delta, n_cycles=n_cycles) + preset.readout_tail()
-    prop = SchedulePropagator(preset.system, preset.rates, frame_delta=delta)
-    rho = prop.propagate(initial_mixed_state(), schedule)
-    return polarization_of_state(rho).p
+    return float(CycleEngine(preset).polarizations([delta], n_cycles)[0])
 
 
-def _eval_task(task: tuple[Preset, float, int | None]) -> float:
-    preset, delta, n_cycles = task
-    return sequence_polarization(preset, delta, n_cycles=n_cycles)
+def _eval_task(task: tuple[Preset, tuple[float, ...], int | None]) -> np.ndarray:
+    preset, deltas, n_cycles = task
+    return CycleEngine(preset).polarizations(deltas, n_cycles)
 
 
-def _run_tasks(tasks: list[tuple[Preset, float, int | None]], workers: int) -> list[float]:
-    if workers <= 1 or len(tasks) <= 1:
-        return [_eval_task(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * workers))
+def _evaluate(
+    jobs: list[tuple[Preset, tuple[float, ...]]],
+    n_cycles: int | None,
+    workers: int,
+) -> list[np.ndarray]:
+    """Polarization over the detuning grid of every (preset, grid) job.
+
+    With workers > 1 each grid is cut into CHUNK-point tasks for the pool;
+    the engine cuts it at the same points when it runs in this process.
+    """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    tasks = [
+        (preset, deltas[i : i + CHUNK], n_cycles)
+        for preset, deltas in jobs
+        for i in range(0, len(deltas), CHUNK)
+    ]
+    if workers == 1 or len(tasks) <= 1:
+        return [CycleEngine(preset).polarizations(d, n_cycles) for preset, d in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_eval_task, tasks, chunksize=chunk))
+        flat = np.concatenate(list(pool.map(_eval_task, tasks)))
+    return np.split(flat, np.cumsum([len(d) for _, d in jobs])[:-1])
 
 
 def predicted_resonance(preset: Preset) -> float:
@@ -195,8 +209,7 @@ def sweep_detuning(
     if deltas is None:
         deltas = grid(-1e6, 1e6, DELTA_STEP)
     values = tuple(float(d) for d in deltas)
-    tasks = [(preset, d, n_cycles) for d in values]
-    p = np.array(_run_tasks(tasks, workers))
+    (p,) = _evaluate([(preset, values)], n_cycles, workers)
     axis = SweepAxis("delta", "hz", values)
     return SweepResult((axis,), p, _base_metadata(preset, "detuning", n_cycles))
 
@@ -210,8 +223,8 @@ def sweep_repetitions(
     """Polarization after each complete cycle 0..n_max at fixed detuning.
 
     With delta None, the drive is placed at the |P|-maximizing detuning of a
-    standard detuning sweep. The cycles are propagated incrementally, so the
-    cost is one sequence regardless of n_max.
+    standard detuning sweep. The cycle map is applied repeatedly, with the
+    readout tail applied after each cycle count.
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")
@@ -219,20 +232,11 @@ def sweep_repetitions(
         base = sweep_detuning(preset)
         delta = base.axes[0].values[int(np.argmax(np.abs(base.p)))]
     delta = float(delta)
-    cycle = preset.schedule(delta, n_cycles=1)
-    tail = preset.readout_tail()
-    prop = SchedulePropagator(preset.system, preset.rates, frame_delta=delta)
-    values = []
-    rho = initial_mixed_state()
-    for n in range(n_max + 1):
-        if n > 0:
-            rho = prop.propagate(rho, cycle)
-        relaxed = prop.propagate(rho, tail)
-        values.append(polarization_of_state(relaxed).p)
+    values = CycleEngine(preset).buildup(delta, n_max)
     axis = SweepAxis("n_cycles", "count", tuple(float(n) for n in range(n_max + 1)))
     meta = _base_metadata(preset, "repetitions")
     meta["delta_hz"] = delta
-    return SweepResult((axis,), np.array(values), meta)
+    return SweepResult((axis,), values, meta)
 
 
 def _max_over_inner(
@@ -242,20 +246,12 @@ def _max_over_inner(
     workers: int,
 ) -> np.ndarray:
     """Signed P of largest magnitude over a detuning window per outer point."""
-    inner_counts = []
-    tasks: list[tuple[Preset, float, int | None]] = []
-    for preset, center in presets_and_centers:
-        inner = grid(center - inner_halfwidth, center + inner_halfwidth, inner_step)
-        inner_counts.append(len(inner))
-        tasks.extend((preset, d, None) for d in inner)
-    flat = _run_tasks(tasks, workers)
-    out = np.empty(len(presets_and_centers))
-    pos = 0
-    for i, count in enumerate(inner_counts):
-        window = np.array(flat[pos : pos + count])
-        out[i] = window[int(np.argmax(np.abs(window)))]
-        pos += count
-    return out
+    jobs = [
+        (preset, grid(center - inner_halfwidth, center + inner_halfwidth, inner_step))
+        for preset, center in presets_and_centers
+    ]
+    windows = _evaluate(jobs, None, workers)
+    return np.array([w[int(np.argmax(np.abs(w)))] for w in windows])
 
 
 def sweep_field(
@@ -301,12 +297,8 @@ def sweep_ani_detuning(
         deltas = grid(-600e3, 600e3, DELTA_STEP)
     ani = tuple(float(a) for a in ani_values)
     dts = tuple(float(d) for d in deltas)
-    tasks = []
-    for a in ani:
-        q = preset.with_system(a_ani=a)
-        tasks.extend((q, d, None) for d in dts)
-    flat = _run_tasks(tasks, workers)
-    p = np.array(flat).reshape(len(ani), len(dts))
+    jobs = [(preset.with_system(a_ani=a), dts) for a in ani]
+    p = np.array(_evaluate(jobs, None, workers)).reshape(len(ani), len(dts))
     axes = (SweepAxis("a_ani", "hz", ani), SweepAxis("delta", "hz", dts))
     return SweepResult(axes, p, _base_metadata(preset, "ani-detuning"))
 

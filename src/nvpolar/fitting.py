@@ -16,8 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, FitModelError
-from .lindblad import SchedulePropagator, initial_mixed_state
-from .polarization import polarization_of_state
+from .lindblad import CycleEngine
 from .presets import Preset
 
 #: Forward-difference step: relative per parameter, with an absolute floor so
@@ -250,25 +249,10 @@ def fit_polarization_curve(
     observed = np.array([v for _, v in pairs])
     sign = -1.0 if preset.system.a_zz < 0 else 1.0
 
-    rho0 = initial_mixed_state()
-    tail = preset.readout_tail()
-    propagators: dict[tuple[float, float], SchedulePropagator] = {}
-
     def forward(x: np.ndarray) -> np.ndarray:
         f_rel, azz_mag, a_ani = (float(v) for v in x)
-        key = (azz_mag, a_ani)
-        prop = propagators.get(key)
-        if prop is None:
-            q = preset.with_system(a_zz=sign * azz_mag, a_ani=a_ani)
-            prop = SchedulePropagator(q.system, q.rates)
-            if len(propagators) > 8:
-                propagators.clear()
-            propagators[key] = prop
-        out = np.empty(len(deltas))
-        for i, d in enumerate(deltas):
-            schedule = preset.schedule(d - f_rel, n_cycles=n_cycles) + tail
-            out[i] = polarization_of_state(prop.propagate(rho0, schedule)).p
-        return out
+        q = preset.with_system(a_zz=sign * azz_mag, a_ani=a_ani)
+        return CycleEngine(q).polarizations(deltas - f_rel, n_cycles)
 
     problem = FitProblem(
         model=forward,

@@ -11,9 +11,19 @@ Unit conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+
+
+def _require_finite(params) -> None:
+    """Raise ConfigError naming the first NaN or infinite field."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        values = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +50,7 @@ class SystemParams:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.a_ani < 0:
             raise ConfigError(f"a_ani must be >= 0, got {self.a_ani}")
         if self.b_z < 0:
@@ -88,6 +99,7 @@ class RelaxationRates:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gamma_d", _four(self.gamma_d))
+        _require_finite(self)
         if self.gamma_gl < 0 or self.n_th < 0 or self.gamma_n_gl < 0:
             raise ConfigError("rates must be non-negative")
         if any(g < 0 for g in self.gamma_d):

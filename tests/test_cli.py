@@ -299,3 +299,50 @@ def test_numerical_failures_exit_3(capsys, monkeypatch, exc, expected_code, cate
     assert code == expected_code
     assert err.startswith(f"error: {category}:")
     assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("field,value", [("b_z", "NaN"), ("a_ani", "inf")])
+def test_non_finite_config_exits_2(tmp_path, capsys, field, value):
+    path = inline_config(tmp_path)
+    doc = json.loads(open(path).read())
+    doc["system"][field] = value
+    open(path, "w").write(json.dumps(doc))
+    out_dir = tmp_path / "nan"
+    code, _, err = run(
+        ["sweep-detuning", *SMALL_SWEEP, "--config", path, "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: config:")
+    assert field in err
+    assert not (out_dir / "data.csv").exists()
+
+
+def test_non_finite_rate_exits_2(tmp_path, capsys):
+    path = inline_config(tmp_path, rates={"gamma_gl": float("inf")})
+    code, _, err = run(["sweep-n", "--n", "0", "--delta", "0", "--config", path], capsys)
+    assert code == 2
+    assert "gamma_gl" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(tmp_path, capsys, workers):
+    code, _, err = run(
+        ["sweep-detuning", *SMALL_SWEEP, "--workers", workers,
+         "--out", str(tmp_path / "w")],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: config: workers")
+
+
+@pytest.mark.parametrize("bad_row", ["1e5,oops", "2e5", "nan,0.5", "3e5,inf"])
+def test_fit_curve_rejects_bad_rows(tmp_path, capsys, bad_row):
+    data = tmp_path / "curve.csv"
+    rows = ["delta_hz,P"] + [f"{d:.1f},0.5" for d in range(0, 400000, 40000)]
+    rows.insert(4, bad_row)
+    data.write_text("\n".join(rows) + "\n")
+    code, _, err = run(["fit-curve", str(data), "--out", str(tmp_path / "fit")], capsys)
+    assert code == 2
+    assert err.startswith("error: config:")
+    assert "line 5" in err

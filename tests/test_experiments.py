@@ -190,3 +190,11 @@ def test_sweep_result_shape_validation():
         ex.SweepResult((axis,), np.zeros(3), {})
     with pytest.raises(ConfigError):
         ex.SweepAxis("x", "hz", ())
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweeps_reject_worker_counts_below_one(table_a1, workers):
+    with pytest.raises(ConfigError, match="workers"):
+        ex.sweep_detuning(table_a1, (1e5,), workers=workers)
+    with pytest.raises(ConfigError, match="workers"):
+        ex.sweep_field(table_a1, (520.0,), inner_step=3e5, workers=workers)
