@@ -35,10 +35,8 @@ from .lindblad import (
     DRIVE_SCALE,
     SchedulePropagator,
     build_channels,
-    evolve_schedule,
     initial_mixed_state,
     liouvillian,
-    propagate_segment,
     validate_density_matrix,
     write_trajectory_csv,
 )
@@ -102,10 +100,8 @@ __all__ = [
     "DRIVE_SCALE",
     "SchedulePropagator",
     "build_channels",
-    "evolve_schedule",
     "initial_mixed_state",
     "liouvillian",
-    "propagate_segment",
     "validate_density_matrix",
     "write_trajectory_csv",
     "Preset",

@@ -50,20 +50,8 @@ OUT_ENV = "NVPOLAR_OUT"
 
 _SYSTEM_KEYS = {"d", "gamma_e", "gamma_c", "b_z", "a_zz", "a_ani", "phi"}
 _RATE_KEYS = {"gamma_gl", "n_th", "gamma_d", "gamma_n_gl"}
-_INLINE_KEYS = {
-    "schema",
-    "name",
-    "system",
-    "rates",
-    "omega",
-    "t_mw_ns",
-    "n_cycles",
-    "t_gl_ns",
-    "chop_on_ns",
-    "chop_off_ns",
-    "chop_reps",
-    "rest_ns",
-}
+_INT_KEYS = ("t_mw_ns", "n_cycles", "t_gl_ns", "chop_on_ns", "chop_off_ns", "chop_reps", "rest_ns")
+_INLINE_KEYS = {"schema", "name", "system", "rates", "omega", *_INT_KEYS}
 
 
 def _load_config(path: str) -> Preset:
@@ -117,28 +105,30 @@ def _inline_preset(doc: dict) -> Preset:
         raise ConfigError("'rates' must be an object")
     if set(rate_doc) - _RATE_KEYS:
         raise ConfigError(f"unknown rate keys: {sorted(set(rate_doc) - _RATE_KEYS)}")
-    if "gamma_d" in rate_doc:
-        rate_doc = dict(rate_doc, gamma_d=tuple(rate_doc["gamma_d"]))
+    system = SystemParams(**{k: _number(float, k, v) for k, v in sys_doc.items()})
     try:
-        system = SystemParams(**{k: float(v) for k, v in sys_doc.items()})
+        if "gamma_d" in rate_doc:
+            rate_doc = dict(rate_doc, gamma_d=tuple(rate_doc["gamma_d"]))
         rates = RelaxationRates(**rate_doc)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config field: {exc}") from exc
-    chop = {
-        key: int(doc[key])
-        for key in ("t_gl_ns", "chop_on_ns", "chop_off_ns", "chop_reps", "rest_ns")
-        if key in doc
-    }
+    ints = {key: _number(int, key, doc[key]) for key in _INT_KEYS if key in doc}
     return Preset(
         name=str(doc.get("name", "custom")),
         description="user configuration",
         system=system,
         rates=rates,
-        omega=float(doc["omega"]),
-        t_mw_ns=int(doc["t_mw_ns"]),
-        n_cycles=int(doc["n_cycles"]),
-        **chop,
+        omega=_number(float, "omega", doc["omega"]),
+        **ints,
     )
+
+
+def _number(kind: type, key: str, value):
+    """kind(value), or ConfigError naming the config key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
 
 def _resolve_preset(args: argparse.Namespace) -> Preset:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +37,9 @@ ANI_STEP = 12.5e3
 #: the drive detuning at every grid point. Centered on the eigen-predicted
 #: resonance, +-600 kHz covers both driven lines at every field of interest.
 INNER_HALFWIDTH = 600e3
+
+#: Most points one grid axis may hold.
+MAX_GRID_POINTS = 10**6
 
 _METADATA_SCHEMA = "nvpolar-sweep/1"
 
@@ -125,13 +129,22 @@ def content_hash(doc: dict) -> str:
 
 
 def grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
-    """Closed uniform grid from lo to hi (hi included when step divides)."""
+    """Closed uniform grid from lo to hi (hi included when step divides).
+
+    Raises:
+        ConfigError: A non-finite bound or step, a step <= 0, hi < lo, or
+            more than MAX_GRID_POINTS points (checked before allocating).
+    """
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ConfigError(f"grid bounds and step must be finite, got {lo}, {hi}, {step}")
     if step <= 0:
         raise ConfigError("grid step must be positive")
     if hi < lo:
         raise ConfigError("grid upper bound below lower bound")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return tuple(lo + k * step for k in range(count))
+    steps = np.floor((hi - lo) / step + 1e-9)
+    if not steps < MAX_GRID_POINTS:
+        raise ConfigError(f"grid of {steps + 1:.3g} points exceeds {MAX_GRID_POINTS}")
+    return tuple(lo + k * step for k in range(int(steps) + 1))
 
 
 # -- point evaluation ---------------------------------------------------------

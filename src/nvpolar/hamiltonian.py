@@ -35,13 +35,7 @@ def static_hamiltonian(p: SystemParams) -> np.ndarray:
     return h
 
 
-def rotating_hamiltonian(
-    p: SystemParams,
-    delta: float,
-    omega: float,
-    *,
-    full_drive: bool = False,
-) -> np.ndarray:
+def rotating_hamiltonian(p: SystemParams, delta: float, omega: float) -> np.ndarray:
     """Hamiltonian in the frame rotating with the drive (6x6, Hz).
 
     The drive carrier D + gamma_e B_z + delta is removed from the driven
@@ -55,13 +49,11 @@ def rotating_hamiltonian(
         p: System parameters.
         delta: Drive detuning from the bare 0 <-> +1 transition (Hz).
         omega: Rabi amplitude multiplying S_x (Hz).
-        full_drive: Keep the non-secular 0 <-> -1 coupling as a static term.
-            Only useful to demonstrate that its effect is negligible.
     """
     ops = spin_operators()
     h = static_hamiltonian(p) - (p.electron_carrier + delta) * ops.p_plus1
     if omega != 0.0:
-        h = h + omega * (ops.s_x if full_drive else ops.s_x_driven)
+        h = h + omega * ops.s_x_driven
     return h
 
 

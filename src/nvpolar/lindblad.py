@@ -15,15 +15,16 @@ Two propagators share this generator. SchedulePropagator takes any schedule
 and propagates the full 6x6 density matrix segment by segment, exponentiating
 every distinct segment once per schedule; it is the reference path and the
 one that samples trajectories. CycleEngine computes the standard polarization
-sequence for a whole grid of drive detunings at once, on the {m_s = 0, +1}
-block that the sequence never leaves (see its docstring).
+sequence for a whole grid of drive detunings at once: it slices the
+{m_s = 0, +1} block, which the sequence never leaves, out of the same 6-level
+generators and exponentiates only that block (see its docstring).
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Literal, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -39,11 +40,18 @@ from .schedule import PulseSegment, Schedule, chopped_laser_train
 if TYPE_CHECKING:
     from .presets import Preset
 
-OpticalVariant = Literal["driven", "printed", "both"]
-Subspace = Literal["full", "driven"]
-
-#: Indices of the {m_s = 0, +1} sub-block used by the reduced mode.
+#: Indices of the {m_s = 0, +1} block that the drive and the laser act on.
 DRIVEN_INDICES = (0, 1, 2, 3)
+
+#: Row-major vec indices of the driven block's 4x4 entries in a 6x6 matrix.
+_BLOCK = np.array([i * DIM + j for i in DRIVEN_INDICES for j in DRIVEN_INDICES])
+
+#: (ground, excited) basis-index pairs of the optical channels, which pump
+#: only the driven 0 <-> +1 transition, one pair per nuclear state.
+_OPTICAL_PAIRS = (
+    (basis_index(0, True), basis_index(+1, True)),
+    (basis_index(0, False), basis_index(+1, False)),
+)
 
 #: A segment's mw_rabi is the Rabi (flop) frequency of the driven transition.
 #: The drive term is (mw_rabi / sqrt 2) * S_x, whose 0 <-> +1 matrix element
@@ -88,31 +96,8 @@ def validate_density_matrix(
         raise NumericalError(f"negative eigenvalue {lowest:.3e}")
 
 
-def _optical_pairs(variant: OpticalVariant) -> list[tuple[int, int]]:
-    """(ground, excited) basis-index pairs for the optical channels."""
-    driven = [
-        (basis_index(0, True), basis_index(+1, True)),
-        (basis_index(0, False), basis_index(+1, False)),
-    ]
-    printed = [
-        (basis_index(0, True), basis_index(-1, True)),
-        (basis_index(0, False), basis_index(-1, False)),
-    ]
-    if variant == "driven":
-        return driven
-    if variant == "printed":
-        return printed
-    if variant == "both":
-        return driven + printed
-    raise ConfigError(f"unknown optical variant {variant!r}")
-
-
 def build_channels(
-    rates: RelaxationRates,
-    p: SystemParams,
-    *,
-    laser_on: bool,
-    optical: OpticalVariant = "driven",
+    rates: RelaxationRates, p: SystemParams, *, laser_on: bool
 ) -> list[np.ndarray]:
     """Collapse operators active for one segment (zero-rate channels omitted).
 
@@ -120,7 +105,7 @@ def build_channels(
     manifold at gamma_gl (1 + n_th) with the reverse channel at gamma_gl n_th,
     and symmetric nuclear cross-relaxation between the two m_s = 0 states
     (both carry the laser in their rate definitions). The dephasing projectors
-    on the four driven-subspace eigenstates are generic and stay active in
+    on the four driven-block eigenstates are generic and stay active in
     every segment.
     """
     ops: list[np.ndarray] = []
@@ -132,7 +117,7 @@ def build_channels(
     if laser_on:
         down = rates.gamma_gl * (1.0 + rates.n_th)
         up = rates.gamma_gl * rates.n_th
-        for g_idx, e_idx in _optical_pairs(optical):
+        for g_idx, e_idx in _OPTICAL_PAIRS:
             if down > 0:
                 op = np.zeros((DIM, DIM), dtype=complex)
                 op[g_idx, e_idx] = np.sqrt(down)
@@ -147,7 +132,7 @@ def build_channels(
             ops.append(amp * np.outer(psi1, psi2.conj()))
             ops.append(amp * np.outer(psi2, psi1.conj()))
 
-    # Dephasing targets the driven subspace: psi_1, psi_2 and the lower and
+    # Dephasing targets the driven block: psi_1, psi_2 and the lower and
     # upper m_s = +1 eigenstates (columns 4 and 5).
     for rate, col in zip(rates.gamma_d, (0, 1, 4, 5)):
         if rate > 0:
@@ -193,27 +178,11 @@ class SchedulePropagator:
     """
 
     def __init__(
-        self,
-        p: SystemParams,
-        rates: RelaxationRates,
-        *,
-        frame_delta: float | None = None,
-        optical: OpticalVariant = "driven",
-        subspace: Subspace = "full",
-        full_drive: bool = False,
+        self, p: SystemParams, rates: RelaxationRates, *, frame_delta: float | None = None
     ) -> None:
-        if subspace not in ("full", "driven"):
-            raise ConfigError(f"unknown subspace {subspace!r}")
-        if subspace == "driven" and optical != "driven":
-            raise ConfigError(
-                "the reduced subspace cannot host optical channels on m_s = -1"
-            )
         self.params = p
         self.rates = rates
         self.frame_delta = frame_delta
-        self.optical: OpticalVariant = optical
-        self.subspace: Subspace = subspace
-        self.full_drive = full_drive
         self._propagators: dict[tuple, np.ndarray] = {}
         self._generators: dict[tuple, np.ndarray] = {}
 
@@ -242,16 +211,8 @@ class SchedulePropagator:
         if gen is None:
             delta = seg.mw_delta if seg.mw_on else frame_delta
             omega = seg.mw_rabi * DRIVE_SCALE if seg.mw_on else 0.0
-            h = rotating_hamiltonian(
-                self.params, delta, omega, full_drive=self.full_drive
-            )
-            channels = build_channels(
-                self.rates, self.params, laser_on=seg.laser_on, optical=self.optical
-            )
-            if self.subspace == "driven":
-                idx = np.array(DRIVEN_INDICES)
-                h = h[np.ix_(idx, idx)]
-                channels = [op[np.ix_(idx, idx)] for op in channels]
+            h = rotating_hamiltonian(self.params, delta, omega)
+            channels = build_channels(self.rates, self.params, laser_on=seg.laser_on)
             gen = liouvillian(h, channels)
             self._generators[key] = gen
         return gen
@@ -270,27 +231,6 @@ class SchedulePropagator:
         return prop
 
     # -- state handling -----------------------------------------------------
-
-    def _to_vec(self, rho: np.ndarray) -> np.ndarray:
-        if self.subspace == "driven":
-            idx = np.array(DRIVEN_INDICES)
-            minus_pop = float(np.sum(np.abs(np.diag(rho)[4:])))
-            if minus_pop > 1e-9:
-                raise NumericalError(
-                    "reduced subspace requested but m_s = -1 holds population"
-                )
-            rho = rho[np.ix_(idx, idx)]
-        return np.ascontiguousarray(rho, dtype=complex).reshape(-1)
-
-    def _from_vec(self, vec: np.ndarray) -> np.ndarray:
-        n = len(DRIVEN_INDICES) if self.subspace == "driven" else DIM
-        rho = vec.reshape(n, n)
-        if self.subspace == "driven":
-            full = np.zeros((DIM, DIM), dtype=complex)
-            idx = np.array(DRIVEN_INDICES)
-            full[np.ix_(idx, idx)] = rho
-            rho = full
-        return rho
 
     @staticmethod
     def _guard(rho: np.ndarray) -> np.ndarray:
@@ -312,12 +252,12 @@ class SchedulePropagator:
     def propagate(self, rho: np.ndarray, schedule: Schedule) -> np.ndarray:
         """Final state after the whole schedule."""
         frame = self._resolve_frame(schedule)
-        vec = self._to_vec(rho)
+        vec = np.ascontiguousarray(rho, dtype=complex).reshape(-1)
         for seg in schedule:
             if seg.duration_ns == 0:
                 continue
             vec = self.segment_propagator(seg, frame) @ vec
-        return self._guard(self._from_vec(vec))
+        return self._guard(vec.reshape(DIM, DIM))
 
     def trajectory(
         self,
@@ -332,15 +272,15 @@ class SchedulePropagator:
         (plus t = 0 and the final time), splitting segments as needed.
         """
         frame = self._resolve_frame(schedule)
-        vec = self._to_vec(rho)
-        out: list[tuple[int, np.ndarray]] = [(0, self._from_vec(vec).copy())]
+        vec = np.ascontiguousarray(rho, dtype=complex).reshape(-1)
+        out: list[tuple[int, np.ndarray]] = [(0, vec.reshape(DIM, DIM).copy())]
         t = 0
         if sample_ns is None:
             for seg in schedule:
                 if seg.duration_ns > 0:
                     vec = self.segment_propagator(seg, frame) @ vec
                 t += seg.duration_ns
-                out.append((t, self._guard(self._from_vec(vec))))
+                out.append((t, self._guard(vec.reshape(DIM, DIM))))
             return out
         if sample_ns <= 0:
             raise ConfigError("sample_ns must be positive")
@@ -353,9 +293,9 @@ class SchedulePropagator:
                 t += step
                 remaining -= step
                 if t % sample_ns == 0:
-                    out.append((t, self._guard(self._from_vec(vec))))
+                    out.append((t, self._guard(vec.reshape(DIM, DIM))))
         if out[-1][0] != t:
-            out.append((t, self._guard(self._from_vec(vec))))
+            out.append((t, self._guard(vec.reshape(DIM, DIM))))
         return out
 
 
@@ -369,7 +309,8 @@ class CycleEngine:
 
     * With the rotating-wave drive and the optical channels of the driven
       transition, nothing couples the {m_s = 0, +1} block to m_s = -1, so
-      the 4-level (16-dim Liouville) block is propagated on its own.
+      the 16 rows and columns of that block are sliced out of each 6-level
+      generator and the 16-dim block is propagated on its own.
     * delta enters every generator only as the frame term delta K, with
       K = i 2 pi (P+ kron I - I kron P+^T) diagonal. K commutes with the
       laser and rest generators, whose propagators are therefore
@@ -385,28 +326,34 @@ class CycleEngine:
     """
 
     def __init__(self, preset: "Preset") -> None:
-        ref = SchedulePropagator(preset.system, preset.rates, subspace="driven")
+        ref = SchedulePropagator(preset.system, preset.rates)
+
+        def generator(seg: PulseSegment) -> np.ndarray:
+            return ref.segment_generator(seg)[np.ix_(_BLOCK, _BLOCK)]
+
+        def propagator(seg: PulseSegment) -> np.ndarray:
+            return expm(generator(seg) * (seg.duration_ns * 1e-9))
+
         # One on/off pair of the train (none for zero reps), validated as such.
         pair = chopped_laser_train(
             preset.chop_on_ns, preset.chop_off_ns, min(preset.chop_reps, 1)
         )
-        chop = np.eye(len(DRIVEN_INDICES) ** 2, dtype=complex)
+        chop = np.eye(len(_BLOCK), dtype=complex)
         for seg in pair:
-            chop = ref.segment_propagator(seg) @ chop
+            chop = propagator(seg) @ chop
         chop = np.linalg.matrix_power(chop, preset.chop_reps)
-        self._rest = ref.segment_propagator(PulseSegment(preset.rest_ns))
+        self._rest = propagator(PulseSegment(preset.rest_ns))
         # The readout tail (chop train, rest) is also the cycle's pre-pulse part.
         self._tail = self._rest @ chop
         self._tail_s = (pair.duration_ns * preset.chop_reps + preset.rest_ns) * 1e-9
         self._rest_s = preset.rest_ns * 1e-9
         pulse = PulseSegment(preset.t_mw_ns, mw_on=True, mw_rabi=preset.omega)
-        self._mw = ref.segment_generator(pulse)
+        self._mw = generator(pulse)
         self._mw_s = preset.t_mw_ns * 1e-9
         p_plus = np.real(np.diag(spin_operators().p_plus1))[list(DRIVEN_INDICES)]
         self._k_diag = 2j * np.pi * np.subtract.outer(p_plus, p_plus).reshape(-1)
-        self._rho0 = ref._to_vec(initial_mixed_state())
+        self._rho0 = initial_mixed_state().reshape(-1)[_BLOCK]
         self._n_cycles = preset.n_cycles
-        self._ref = ref
 
     def _phases(self, deltas: np.ndarray, seconds: float) -> np.ndarray:
         """diag(exp(delta K t)) per detuning, shape (n, 16)."""
@@ -469,7 +416,9 @@ class CycleEngine:
 
     def full_state(self, delta: float, n_cycles: int | None = None) -> np.ndarray:
         """6x6 density matrix after the sequence; its m_s = -1 block is zero."""
-        return self._ref._from_vec(self.states([delta], n_cycles)[0].reshape(-1))
+        vec = np.zeros(DIM * DIM, dtype=complex)
+        vec[_BLOCK] = self.states([delta], n_cycles)[0].reshape(-1)
+        return vec.reshape(DIM, DIM)
 
 
 def _apply(maps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -489,36 +438,6 @@ def _checked(vecs: np.ndarray) -> np.ndarray:
     if not drift <= _HERM_DRIFT_FAIL:
         raise NumericalError(f"propagation drift {drift:.3e} exceeds 1e-9")
     return rho
-
-
-def propagate_segment(
-    rho: np.ndarray,
-    seg: PulseSegment,
-    p: SystemParams,
-    rates: RelaxationRates,
-    **kwargs,
-) -> np.ndarray:
-    """Evolve rho through a single segment (convenience wrapper)."""
-    prop = SchedulePropagator(p, rates, **kwargs)
-    return prop.propagate(rho, Schedule((seg,)))
-
-
-def evolve_schedule(
-    rho0: np.ndarray,
-    schedule: Schedule,
-    p: SystemParams,
-    rates: RelaxationRates,
-    *,
-    sample_ns: int | None = None,
-    **kwargs,
-) -> list[tuple[int, np.ndarray]]:
-    """Propagate rho0 through a schedule, returning sampled states.
-
-    Returns [(0, rho0)] for an empty schedule. See
-    SchedulePropagator.trajectory for the sampling rules.
-    """
-    prop = SchedulePropagator(p, rates, **kwargs)
-    return prop.trajectory(rho0, schedule, sample_ns=sample_ns)
 
 
 def write_trajectory_csv(

@@ -84,7 +84,7 @@ class RelaxationRates:
         gamma_gl: Optical pumping rate while the laser is on.
         n_th: Thermal occupation; scales the upward channel by n_th and the
             downward one by 1 + n_th. Zero suppresses upward channels entirely.
-        gamma_d: Four dephasing rates, one per driven-subspace eigenstate
+        gamma_d: Four dephasing rates, one per driven-block eigenstate
             (both m_s = 0 states, then lower and upper m_s = +1 eigenstates).
         gamma_n_gl: Nuclear cross-relaxation rate between the two m_s = 0
             states, applied in both directions.

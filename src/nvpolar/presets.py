@@ -9,6 +9,7 @@ their fitted-coupling defaults and are listed in ``swept``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -55,20 +56,17 @@ class Preset:
     rest_ns: int = 100
     swept: tuple[str, ...] = ()
 
-    def schedule(
-        self,
-        delta: float,
-        *,
-        n_cycles: int | None = None,
-        t_mw_ns: int | None = None,
-        omega: float | None = None,
-    ) -> Schedule:
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.omega):
+            raise ConfigError(f"omega must be finite, got {self.omega}")
+
+    def schedule(self, delta: float, *, n_cycles: int | None = None) -> Schedule:
         """Standard polarization sequence at drive detuning delta."""
         return standard_polarization_schedule(
             delta,
-            self.omega if omega is None else omega,
+            self.omega,
             self.n_cycles if n_cycles is None else n_cycles,
-            self.t_mw_ns if t_mw_ns is None else t_mw_ns,
+            self.t_mw_ns,
             chop_on_ns=self.chop_on_ns,
             chop_off_ns=self.chop_off_ns,
             chop_reps=self.chop_reps,
@@ -134,28 +132,21 @@ TABLE_A1_FIT = _register(
     )
 )
 
+# The cycle-count and field campaigns share the fit campaign's physics.
 TABLE_A1_N = _register(
-    Preset(
+    dataclasses.replace(
+        TABLE_A1_FIT,
         name="table-a1-n",
         description="polarization vs cycle count at fixed detuning",
-        system=_base_system(FIT_A_ZZ, FIT_A_ANI),
-        rates=RelaxationRates(),
-        omega=294.1176e3,
-        t_mw_ns=1700,
-        n_cycles=6,
         swept=("n_cycles",),
     )
 )
 
 TABLE_A1_FIELD = _register(
-    Preset(
+    dataclasses.replace(
+        TABLE_A1_FIT,
         name="table-a1-field",
         description="maximum polarization vs axial magnetic field",
-        system=_base_system(FIT_A_ZZ, FIT_A_ANI),
-        rates=RelaxationRates(),
-        omega=294.1176e3,
-        t_mw_ns=1700,
-        n_cycles=6,
         swept=("b_z",),
     )
 )

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
-from nvpolar.lindblad import SchedulePropagator
+from nvpolar.hamiltonian import rotating_hamiltonian
+from nvpolar.lindblad import DRIVE_SCALE, SchedulePropagator, build_channels, liouvillian
+from nvpolar.operators import spin_operators
+from nvpolar.params import RelaxationRates, SystemParams
 from nvpolar.schedule import PulseSegment, Schedule
 
 
@@ -37,6 +41,29 @@ def rk4_schedule(
             continue
         gen = prop.segment_generator(seg, frame)
         vec = rk4_propagate(gen, vec, seg.duration_ns * 1e-9, dt_s)
+    return vec.reshape(rho.shape)
+
+
+def full_drive_propagate(
+    p: SystemParams, rates: RelaxationRates, rho: np.ndarray, schedule: Schedule
+) -> np.ndarray:
+    """Propagate with the whole S_x drive, its 0 <-> -1 half included.
+
+    The rotating-wave propagator keeps only the 0 <-> +1 half of the drive;
+    this oracle keeps the other half as a static term, in the same frame and
+    with the same channels, so the two differ by exactly what RWA drops.
+    """
+    frame = next((seg.mw_delta for seg in schedule if seg.mw_on), 0.0)
+    s_x = spin_operators().s_x
+    vec = np.ascontiguousarray(rho, dtype=complex).reshape(-1)
+    for seg in schedule:
+        if seg.duration_ns == 0:
+            continue
+        h = rotating_hamiltonian(p, seg.mw_delta if seg.mw_on else frame, 0.0)
+        if seg.mw_on:
+            h = h + seg.mw_rabi * DRIVE_SCALE * s_x
+        gen = liouvillian(h, build_channels(rates, p, laser_on=seg.laser_on))
+        vec = expm(gen * (seg.duration_ns * 1e-9)) @ vec
     return vec.reshape(rho.shape)
 
 

@@ -259,6 +259,7 @@ def test_named_preset_config(tmp_path, capsys):
         {"preset": "table-a1-fit"},  # alongside inline system
         {"system": {"d": 2.87e9, "bogus_key": 1.0}},
         {"rates": {"bogus_rate": 1.0}},
+        {"rates": {"gamma_d": ["x", 0.0, 0.0, 0.0]}},
         {"extra_top_level": True},
     ],
 )
@@ -301,11 +302,20 @@ def test_numerical_failures_exit_3(capsys, monkeypatch, exc, expected_code, cate
     assert "\n" not in err.strip()
 
 
-@pytest.mark.parametrize("field,value", [("b_z", "NaN"), ("a_ani", "inf")])
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("b_z", "NaN"),
+        ("a_ani", "inf"),
+        ("b_z", "oops"),
+        ("t_mw_ns", "x"),
+        ("omega", float("nan")),
+    ],
+)
 def test_non_finite_config_exits_2(tmp_path, capsys, field, value):
     path = inline_config(tmp_path)
     doc = json.loads(open(path).read())
-    doc["system"][field] = value
+    (doc["system"] if field in doc["system"] else doc)[field] = value
     open(path, "w").write(json.dumps(doc))
     out_dir = tmp_path / "nan"
     code, _, err = run(
@@ -323,6 +333,19 @@ def test_non_finite_rate_exits_2(tmp_path, capsys):
     code, _, err = run(["sweep-n", "--n", "0", "--delta", "0", "--config", path], capsys)
     assert code == 2
     assert "gamma_gl" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--min=nan"], ["--step", "nan"], ["--max", "inf"], ["--step", "1e-300"]]
+)
+def test_bad_grid_exits_2(tmp_path, capsys, flags):
+    code, _, err = run(
+        ["sweep-detuning", *SMALL_SWEEP, *flags, "--out", str(tmp_path / "g")],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: config: grid")
+    assert not (tmp_path / "g" / "data.csv").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

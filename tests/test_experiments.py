@@ -1,6 +1,7 @@
 """Sweep drivers, polarization readout, and result serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,10 +43,31 @@ def test_grid_is_closed_and_uniform():
 
 
 def test_grid_rejects_bad_ranges():
+    for lo, hi, step in [
+        (1.0, 0.0, 0.1),
+        (0.0, 1.0, 0.0),
+        (np.nan, 1.0, 0.1),
+        (0.0, np.inf, 0.1),
+        (0.0, 1.0, np.nan),
+        (-1e308, 1e308, 1.0),
+    ]:
+        with pytest.raises(ConfigError):
+            ex.grid(lo, hi, step)
+
+
+def test_grid_rejects_oversized_counts_before_allocating(monkeypatch):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="exceeds"):
+            ex.grid(0.0, 1.0, 1e-300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    monkeypatch.setattr(ex, "MAX_GRID_POINTS", 5)
+    assert len(ex.grid(0.0, 4.0, 1.0)) == 5
     with pytest.raises(ConfigError):
-        ex.grid(1.0, 0.0, 0.1)
-    with pytest.raises(ConfigError):
-        ex.grid(0.0, 1.0, 0.0)
+        ex.grid(0.0, 5.0, 1.0)
 
 
 def test_sequence_polarization_reference_value(table_a1):

@@ -75,8 +75,6 @@ def test_rotating_frame_drive_elements():
     assert abs(h[0, 2] - expected) < 1e-9
     assert abs(h[1, 3] - expected) < 1e-9
     assert abs(h[0, 4]) < 1e-15 and abs(h[1, 5]) < 1e-15
-    full = rotating_hamiltonian(p, 3e5, omega, full_drive=True)
-    assert abs(full[0, 4] - expected) < 1e-9
 
 
 def test_rotating_frame_driven_block_detuning():

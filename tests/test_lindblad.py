@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from helpers import random_density_matrix, random_schedule, rk4_schedule
+from helpers import (
+    full_drive_propagate,
+    random_density_matrix,
+    random_schedule,
+    rk4_schedule,
+)
 from scipy.linalg import expm
 
 from nvpolar.errors import NumericalError
@@ -10,7 +15,6 @@ from nvpolar.lindblad import (
     DIM,
     SchedulePropagator,
     build_channels,
-    evolve_schedule,
     initial_mixed_state,
     liouvillian,
     validate_density_matrix,
@@ -183,33 +187,16 @@ def test_polarization_is_independent_of_phi(table_a1):
     assert max(values) - min(values) < 1e-8
 
 
-def test_reduced_subspace_agrees_with_full(table_a1):
-    schedule = table_a1.schedule(3.2e5, n_cycles=2) + table_a1.readout_tail()
-    full = SchedulePropagator(table_a1.system, table_a1.rates)
-    reduced = SchedulePropagator(table_a1.system, table_a1.rates, subspace="driven")
-    p_full = polarization_of_state(full.propagate(initial_mixed_state(), schedule)).p
-    p_red = polarization_of_state(reduced.propagate(initial_mixed_state(), schedule)).p
-    assert abs(p_full - p_red) < 1e-4
-
-
-def test_reduced_subspace_rejects_populated_minus_manifold(table_a1):
-    prop = SchedulePropagator(table_a1.system, table_a1.rates, subspace="driven")
-    rho = np.zeros((DIM, DIM), dtype=complex)
-    rho[4, 4] = 1.0
-    with pytest.raises(NumericalError):
-        prop.propagate(rho, Schedule((PulseSegment(10),)))
-
-
 def test_full_drive_leakage_is_negligible(table_a1):
     """Keeping the counter-rotating 0 <-> -1 coupling changes nothing visible."""
     schedule = table_a1.schedule(3.2e5, n_cycles=1) + table_a1.readout_tail()
     rwa = SchedulePropagator(table_a1.system, table_a1.rates)
-    full = SchedulePropagator(table_a1.system, table_a1.rates, full_drive=True)
     p_rwa = polarization_of_state(rwa.propagate(initial_mixed_state(), schedule)).p
-    p_full = polarization_of_state(full.propagate(initial_mixed_state(), schedule)).p
-    assert abs(p_rwa - p_full) < 2e-5
-    minus = full.propagate(initial_mixed_state(), schedule)
-    assert float(np.real(minus[4, 4] + minus[5, 5])) < 1e-6
+    full = full_drive_propagate(
+        table_a1.system, table_a1.rates, initial_mixed_state(), schedule
+    )
+    assert abs(p_rwa - polarization_of_state(full).p) < 2e-5
+    assert float(np.real(full[4, 4] + full[5, 5])) < 1e-6
 
 
 def test_no_drive_keeps_polarization_at_zero(table_a1):
@@ -217,17 +204,6 @@ def test_no_drive_keeps_polarization_at_zero(table_a1):
     prop = SchedulePropagator(table_a1.system, table_a1.rates, frame_delta=0.0)
     rho = prop.propagate(initial_mixed_state(), schedule)
     assert abs(polarization_of_state(rho).p) < 1e-9
-
-
-def test_evolve_schedule_matches_propagator(table_a1):
-    schedule = table_a1.schedule(2e5, n_cycles=1)
-    via_class = SchedulePropagator(table_a1.system, table_a1.rates).propagate(
-        initial_mixed_state(), schedule
-    )
-    trajectory = evolve_schedule(
-        initial_mixed_state(), schedule, table_a1.system, table_a1.rates
-    )
-    assert np.max(np.abs(via_class - trajectory[-1][1])) < 1e-12
 
 
 def test_trajectory_sampling_grid(table_a1):
