@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -105,30 +106,48 @@ def _inline_preset(doc: dict) -> Preset:
         raise ConfigError("'rates' must be an object")
     if set(rate_doc) - _RATE_KEYS:
         raise ConfigError(f"unknown rate keys: {sorted(set(rate_doc) - _RATE_KEYS)}")
-    system = SystemParams(**{k: _number(float, k, v) for k, v in sys_doc.items()})
-    try:
-        if "gamma_d" in rate_doc:
-            rate_doc = dict(rate_doc, gamma_d=tuple(rate_doc["gamma_d"]))
-        rates = RelaxationRates(**rate_doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config field: {exc}") from exc
-    ints = {key: _number(int, key, doc[key]) for key in _INT_KEYS if key in doc}
+    system = SystemParams(**{k: _number(k, v) for k, v in sys_doc.items()})
+    for key, value in rate_doc.items():
+        values = value if key == "gamma_d" else [value]
+        if not isinstance(values, list):
+            raise ConfigError(f"gamma_d must be a list of numbers, got {value!r}")
+        for v in values:
+            _number(key, v)
+    rates = RelaxationRates(**rate_doc)
+    ints = {key: _integer(key, doc[key]) for key in _INT_KEYS if key in doc}
     return Preset(
         name=str(doc.get("name", "custom")),
         description="user configuration",
         system=system,
         rates=rates,
-        omega=_number(float, "omega", doc["omega"]),
+        omega=_number("omega", doc["omega"]),
         **ints,
     )
 
 
-def _number(kind: type, key: str, value):
-    """kind(value), or ConfigError naming the config key."""
+def _number(key: str, value) -> float:
+    """A JSON number as a float, or ConfigError naming the config key.
+
+    Strings and bools are refused, not converted.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return float(value)
+    except OverflowError as exc:
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+
+
+def _integer(key: str, value) -> int:
+    """An int or an integral float as an int, or ConfigError naming the key.
+
+    A fractional value is refused rather than truncated, and a bool too.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
 def _resolve_preset(args: argparse.Namespace) -> Preset:
@@ -150,14 +169,6 @@ def _out_dir(command: str, flag: str | None) -> Path:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {root}: {exc}") from exc
     return root
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    doc = dict(doc)
-    doc["config_hash"] = ex.content_hash(doc)
-    path.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _plot_xy(csv_name: str, xlabel: str, ylabel: str, ycol: int = 2) -> str:
@@ -317,9 +328,9 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
         "dt_s": args.dt,
         "polarization_model": model.polarization(),
     }
-    _write_json(out / "metadata.json", base)
+    ex.write_json(out / "metadata.json", base)
     for name, est in (("fit_spectrum.json", spectral), ("fit_time.json", time_fit)):
-        _write_json(
+        ex.write_json(
             out / name,
             {
                 "schema": "nvpolar-ramsey-fit/1",
@@ -379,7 +390,7 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
         pairs, preset, n_cycles=args.n, budget=args.budget
     )
     out = _out_dir("fit-curve", args.out)
-    _write_json(
+    ex.write_json(
         out / "report.json",
         {
             "schema": "nvpolar-fit/1",
@@ -434,7 +445,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     )
     out = _out_dir("trajectory", args.out)
     write_trajectory_csv(trajectory, out / "trajectory.csv")
-    _write_json(
+    ex.write_json(
         out / "metadata.json",
         {
             "command": "trajectory",
@@ -462,7 +473,13 @@ def _cmd_list_presets(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; main() never mutates it.
+
+    A process that calls main() many times (a test run, an embedding
+    program) builds it once; one command-line call builds it once anyway.
+    """
     parser = argparse.ArgumentParser(
         prog="nvpolar",
         description=(

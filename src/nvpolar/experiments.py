@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -84,22 +85,13 @@ class SweepResult:
 
     def write_csv(self, path: str | Path) -> None:
         """1-D sweeps as (x, P); 2-D sweeps as long-form (x, y, P)."""
+        columns = [[_cell(v, ax) for v in ax.values] for ax in self.axes]
+        cells = itertools.product(*columns)
+        p = np.asarray(self.p, dtype=float).reshape(-1).tolist()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([ax.header for ax in self.axes] + ["P"])
-            if self.ndim == 1:
-                for x, value in zip(self.axes[0].values, self.p):
-                    writer.writerow([_cell(x, self.axes[0]), repr(float(value))])
-            else:
-                for i, x in enumerate(self.axes[0].values):
-                    for j, y in enumerate(self.axes[1].values):
-                        writer.writerow(
-                            [
-                                _cell(x, self.axes[0]),
-                                _cell(y, self.axes[1]),
-                                repr(float(self.p[i, j])),
-                            ]
-                        )
+            writer.writerows([*row, repr(value)] for row, value in zip(cells, p))
 
     def write_metadata(self, path: str | Path) -> None:
         """JSON sidecar with the resolved configuration and its content hash."""
@@ -109,16 +101,21 @@ class SweepResult:
             {"name": ax.name, "unit": ax.unit, "count": len(ax.values), "values": list(ax.values)}
             for ax in self.axes
         ]
-        doc["config_hash"] = content_hash(doc)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, doc)
 
 
 def _cell(value: float, axis: SweepAxis) -> str:
     if axis.unit == "count":
         return repr(int(value))
     return repr(float(value))
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write doc plus its config_hash as indented, key-sorted JSON, in one call."""
+    doc = dict(doc, config_hash=content_hash(doc))
+    Path(path).write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def content_hash(doc: dict) -> str:

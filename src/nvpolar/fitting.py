@@ -109,7 +109,7 @@ def _evaluate(model, x: np.ndarray, data: np.ndarray) -> np.ndarray:
         raise ConfigError(
             f"model output shape {out.shape} does not match data {data.shape}"
         )
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise FitModelError(f"model returned non-finite values at {x.tolist()}")
     return out - data
 
@@ -159,12 +159,15 @@ def least_squares(problem: FitProblem) -> FitReport:
         jtr = jac.T @ residual
         scale = np.diag(jtj).copy()
         scale[scale <= 0] = 1.0
+        damping = np.diag(scale)
+        rhs = -jtr
         stepped = False
         while budget.spend():
+            normal = jtj + lam * damping
             try:
-                delta = np.linalg.solve(jtj + lam * np.diag(scale), -jtr)
+                delta = np.linalg.solve(normal, rhs)
             except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(jtj + lam * np.diag(scale), -jtr, rcond=None)[0]
+                delta = np.linalg.lstsq(normal, rhs, rcond=None)[0]
             trial = np.clip(x + delta, lo, hi)
             trial_residual = _evaluate(problem.model, trial, data)
             trial_cost = float(trial_residual @ trial_residual)

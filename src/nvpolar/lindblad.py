@@ -403,15 +403,23 @@ class CycleEngine:
     def buildup(self, delta: float, n_max: int) -> np.ndarray:
         """Readout polarization after 0..n_max cycles at one detuning.
 
-        Entry n equals polarizations([delta], n) bit for bit.
+        The states after successive cycles are read out CHUNK at a time,
+        through one stacked tail matmul and one drift check per block; each
+        slice is the same 16x16 product as in states(), so entry n equals
+        polarizations([delta], n) bit for bit.
         """
         cycle, tail = self.maps([delta])
-        vec = self._rho0[None]
         values = []
-        for n in range(n_max + 1):
-            if n > 0:
-                vec = _apply(cycle, vec)
-            values.append(polarization_of_state(_checked(_apply(tail, vec))[0]).p)
+        vec = self._rho0[None]
+        for start in range(0, n_max + 1, CHUNK):
+            block = np.empty((min(CHUNK, n_max + 1 - start), len(self._rho0)), dtype=complex)
+            for i in range(len(block)):
+                if start + i > 0:
+                    vec = _apply(cycle, vec)
+                block[i] = vec[0]
+            tails = np.broadcast_to(tail, (len(block), *tail.shape[1:]))
+            rhos = _checked(_apply(tails, block))
+            values += [polarization_of_state(rho).p for rho in rhos]
         return np.array(values)
 
     def full_state(self, delta: float, n_cycles: int | None = None) -> np.ndarray:

@@ -476,17 +476,22 @@ def fit_time_domain(
 
 def write_signal_csv(path, t: np.ndarray, s: np.ndarray) -> None:
     """Write a (time_ns, signal) fringe record."""
-    lines = ["time_ns,signal"]
-    for ti, si in zip(t, s):
-        lines.append(f"{repr(float(ti * 1e9))},{repr(float(si))}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    times = (np.asarray(t, dtype=float) * 1e9).tolist()
+    _write_pairs(path, "time_ns,signal", times, np.asarray(s, dtype=float).tolist())
 
 
 def write_spectrum_csv(path, spectrum: Spectrum) -> None:
     """Write a (frequency_hz, magnitude) spectrum."""
-    lines = ["frequency_hz,magnitude"]
-    for f, m in zip(spectrum.frequencies, spectrum.magnitude):
-        lines.append(f"{repr(float(f))},{repr(float(m))}")
+    _write_pairs(
+        path,
+        "frequency_hz,magnitude",
+        spectrum.frequencies.tolist(),
+        spectrum.magnitude.tolist(),
+    )
+
+
+def _write_pairs(path, header: str, xs: list[float], ys: list[float]) -> None:
+    """Write a two-column CSV with LF line ends, formatted first, in one call."""
+    lines = [header] + [f"{x!r},{y!r}" for x, y in zip(xs, ys)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

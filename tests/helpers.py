@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import csv
+import json
+
 import numpy as np
 from scipy.linalg import expm
 
+from nvpolar.experiments import content_hash
 from nvpolar.hamiltonian import rotating_hamiltonian
 from nvpolar.lindblad import DRIVE_SCALE, SchedulePropagator, build_channels, liouvillian
 from nvpolar.operators import spin_operators
@@ -94,3 +98,64 @@ def random_schedule(rng: np.random.Generator) -> Schedule:
                 )
             )
     return Schedule(tuple(segments))
+
+
+# -- row-by-row artifact writers ------------------------------------------------
+# The per-row formatting the artifact writers replaced; the writers must keep
+# producing these bytes.
+
+
+def rowwise_sweep_csv(result, path) -> None:
+    """SweepResult.write_csv through csv.writer, one row at a time (CRLF)."""
+
+    def cell(value, axis):
+        return repr(int(value)) if axis.unit == "count" else repr(float(value))
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([ax.header for ax in result.axes] + ["P"])
+        if result.ndim == 1:
+            for x, value in zip(result.axes[0].values, result.p):
+                writer.writerow([cell(x, result.axes[0]), repr(float(value))])
+        else:
+            for i, x in enumerate(result.axes[0].values):
+                for j, y in enumerate(result.axes[1].values):
+                    writer.writerow(
+                        [
+                            cell(x, result.axes[0]),
+                            cell(y, result.axes[1]),
+                            repr(float(result.p[i, j])),
+                        ]
+                    )
+
+
+def rowwise_sweep_metadata(result, path) -> None:
+    """SweepResult.write_metadata through a streaming json.dump."""
+    doc = dict(result.metadata)
+    doc["schema"] = "nvpolar-sweep/1"
+    doc["axes"] = [
+        {"name": ax.name, "unit": ax.unit, "count": len(ax.values), "values": list(ax.values)}
+        for ax in result.axes
+    ]
+    doc["config_hash"] = content_hash(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def rowwise_signal_csv(path, t, s) -> None:
+    """ramsey.write_signal_csv, formatting one sample at a time (LF)."""
+    lines = ["time_ns,signal"]
+    for ti, si in zip(t, s):
+        lines.append(f"{repr(float(ti * 1e9))},{repr(float(si))}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def rowwise_spectrum_csv(path, spectrum) -> None:
+    """ramsey.write_spectrum_csv, formatting one bin at a time (LF)."""
+    lines = ["frequency_hz,magnitude"]
+    for f, m in zip(spectrum.frequencies, spectrum.magnitude):
+        lines.append(f"{repr(float(f))},{repr(float(m))}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

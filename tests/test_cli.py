@@ -1,8 +1,13 @@
 """Command-line interface: artifacts, exit codes, and configuration."""
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvpolar import cli
 from nvpolar.errors import FitModelError, NumericalError, UndefinedPolarizationError
@@ -58,6 +63,21 @@ def test_version_and_usage(capsys):
     assert code == 2
     code, _, _ = run(["sweep-detuning", "--no-such-flag"], capsys)
     assert code == 2
+
+
+def test_parser_is_built_once_and_keeps_no_parsed_values(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    first, second = tmp_path / "first", tmp_path / "second"
+    code, _, _ = run(
+        ["sweep-n", "--n", "3", "--delta", "123457", "--out", str(first)], capsys
+    )
+    assert code == 0
+    code, _, _ = run(["sweep-n", "--out", str(second)], capsys)
+    assert code == 0
+    assert len((first / "data.csv").read_text().splitlines()) == 1 + 4
+    assert len((second / "data.csv").read_text().splitlines()) == 1 + 21
+    meta = json.loads((second / "metadata.json").read_text())
+    assert meta["delta_hz"] != 123457.0
 
 
 def test_list_presets(capsys):
@@ -326,6 +346,99 @@ def test_non_finite_config_exits_2(tmp_path, capsys, field, value):
     assert err.startswith("error: config:")
     assert field in err
     assert not (out_dir / "data.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("t_mw_ns", 1700.9, "t_mw_ns must be an integer, got 1700.9"),
+        ("n_cycles", 2.7, "n_cycles must be an integer, got 2.7"),
+        ("n_cycles", True, "n_cycles must be an integer, got True"),
+        ("chop_reps", "17", "chop_reps must be an integer, got '17'"),
+        ("rest_ns", float("inf"), "rest_ns must be an integer, got inf"),
+        ("b_z", True, "b_z must be a number, got True"),
+        ("b_z", "520", "b_z must be a number, got '520'"),
+        ("omega", False, "omega must be a number, got False"),
+    ],
+)
+def test_config_numbers_of_the_wrong_kind_exit_2(tmp_path, capsys, field, value, message):
+    path = inline_config(tmp_path)
+    doc = json.loads(open(path).read())
+    (doc["system"] if field in doc["system"] else doc)[field] = value
+    open(path, "w").write(json.dumps(doc))
+    code, _, err = run(["sweep-n", "--n", "0", "--delta", "0", "--config", path], capsys)
+    assert code == 2
+    assert err == f"error: config: {message}\n"
+
+
+def test_rates_of_the_wrong_kind_exit_2(tmp_path, capsys):
+    for rates in (
+        {"gamma_gl": True},
+        {"gamma_d": [0.0, False, 0.0, 0.0]},
+        {"gamma_d": "0000"},
+        {"gamma_d": 5.0},
+        {"n_th": "0"},
+    ):
+        path = inline_config(tmp_path, rates=rates)
+        code, _, err = run(["sweep-n", "--n", "0", "--delta", "0", "--config", path], capsys)
+        assert code == 2
+        assert err.startswith("error: config:")
+
+
+def test_integral_float_config_integers_run(tmp_path, capsys):
+    path = inline_config(tmp_path, t_mw_ns=1700.0, n_cycles=2.0)
+    out_dir = tmp_path / "integral"
+    code, _, _ = run(
+        ["sweep-n", "--n", "0", "--delta", "0", "--config", path, "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 0
+    preset = json.loads((out_dir / "metadata.json").read_text())["preset"]
+    assert (preset["t_mw_ns"], preset["n_cycles"]) == (1700, 2)
+    assert isinstance(preset["t_mw_ns"], int)
+
+
+_FIELDS = sorted(cli._SYSTEM_KEYS) + sorted(cli._RATE_KEYS) + ["omega", *cli._INT_KEYS]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    field=st.sampled_from(_FIELDS),
+    value=st.one_of(
+        st.integers(-10, 3000),
+        st.floats(-1e4, 1e4),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.text(max_size=8),
+        st.booleans(),
+        st.floats(0.0, 1e4).filter(lambda v: not v.is_integer()),
+    ),
+)
+def test_config_validation_property(tmp_path_factory, field, value):
+    """Any one inline value: no traceback, and a bad value is a config error."""
+    tmp_path = tmp_path_factory.mktemp("prop")
+    doc = json.loads(open(inline_config(tmp_path)).read())
+    if field in cli._SYSTEM_KEYS:
+        doc["system"][field] = value
+    elif field in cli._RATE_KEYS:
+        doc["rates"][field] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["sweep-n", "--n", "0", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+    assert code in (0, 2, 3)
+    bad = (
+        field == "gamma_d"  # a list of four rates, never a scalar
+        or isinstance(value, (str, bool))
+        or not math.isfinite(value)
+        or (field in cli._INT_KEYS and not float(value).is_integer())
+    )
+    if bad:
+        assert code == 2
+        assert err.getvalue().startswith("error: config:")
 
 
 def test_non_finite_rate_exits_2(tmp_path, capsys):

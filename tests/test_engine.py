@@ -77,6 +77,17 @@ def test_results_do_not_depend_on_the_batch(fig4_preset):
         assert buildup[n] == engine.polarizations([deltas[5]], n)[0]
 
 
+@pytest.mark.parametrize("delta", [2.9e5, -1.23456e5])
+def test_buildup_is_bit_equal_to_per_count_calls(fig4_preset, delta):
+    """Across CHUNK boundaries, each read-out block matches one call per n."""
+    n_max = 2 * lindblad.CHUNK + 2
+    engine = CycleEngine(fig4_preset)
+    buildup = engine.buildup(delta, n_max)
+    assert len(buildup) == n_max + 1
+    for n in range(n_max + 1):
+        assert buildup[n] == engine.polarizations([delta], n)[0]
+
+
 def test_full_state_embeds_the_driven_block(table_a1):
     rho = CycleEngine(table_a1).full_state(3.2e5)
     lindblad.validate_density_matrix(rho)
@@ -101,6 +112,25 @@ def test_engine_rejects_nan_maps(table_a1, monkeypatch):
     monkeypatch.setattr(lindblad, "expm", _nan_expm)
     with pytest.raises(NumericalError):
         CycleEngine(table_a1).polarizations([3.2e5])
+
+
+def test_buildup_rejects_nan_maps(table_a1, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(lindblad, "expm", _nan_expm)
+        with pytest.raises(NumericalError):
+            CycleEngine(table_a1).buildup(3.2e5, 3)
+    # A NaN cycle map that got past the maps' trace check: the drift check
+    # of the read-out block still refuses it.
+    engine = CycleEngine(table_a1)
+    maps = engine.maps
+
+    def nan_cycle(deltas):
+        cycle, tail = maps(deltas)
+        return np.full_like(cycle, np.nan), tail
+
+    monkeypatch.setattr(engine, "maps", nan_cycle)
+    with pytest.raises(NumericalError, match="drift nan"):
+        engine.buildup(3.2e5, lindblad.CHUNK + 1)
 
 
 def test_nan_state_exits_3(tmp_path, capsys, monkeypatch):

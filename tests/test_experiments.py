@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import rowwise_sweep_csv, rowwise_sweep_metadata
 
 from nvpolar import experiments as ex
 from nvpolar.errors import ConfigError, UndefinedPolarizationError
@@ -146,6 +147,29 @@ def test_sweep_metadata_hash_tracks_configuration(table_a1, tmp_path):
     assert ha == hb
     assert ha != hc
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def _writer_cases(table_a1):
+    """Sweeps of each axis kind, with awkward floats in every column."""
+    odd = (-0.0, 1.0 / 3.0, -2.5e-300, 6.02e23, 320000.0)
+    yield ex.SweepResult(
+        (ex.SweepAxis("delta", "hz", odd),), np.array(odd[::-1]), {"sweep": "detuning"}
+    )
+    yield ex.sweep_repetitions(table_a1, 3, delta=3.2e5)
+    axes = (ex.SweepAxis("a_ani", "hz", odd[:2]), ex.SweepAxis("delta", "hz", odd))
+    yield ex.SweepResult(axes, np.arange(10.0).reshape(2, 5) / 7.0, {"sweep": "ani"})
+
+
+def test_writers_match_the_row_by_row_formatting(table_a1, tmp_path):
+    for k, result in enumerate(_writer_cases(table_a1)):
+        got, want = tmp_path / f"got{k}", tmp_path / f"want{k}"
+        result.write_csv(got)
+        rowwise_sweep_csv(result, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().endswith(b"\r\n")
+        result.write_metadata(got)
+        rowwise_sweep_metadata(result, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_worker_pool_is_deterministic(table_a1, tmp_path):

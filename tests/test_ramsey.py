@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import rowwise_signal_csv, rowwise_spectrum_csv
 
 from nvpolar import ramsey as rm
 from nvpolar.eigensystem import eigen_system
@@ -266,3 +267,18 @@ def test_csv_writers(table_a1, tmp_path):
     lines = spec.read_text().strip().split("\n")
     assert lines[0] == "frequency_hz,magnitude"
     assert len(lines) == len(spectrum.frequencies) + 1
+
+
+def test_csv_writers_match_the_row_by_row_formatting(table_a1, tmp_path):
+    model = rm.ramsey_model(table_a1.system, 1, populations=(0.8, 0.2))
+    t, s = rm.synthesize_ramsey(model, DURATION, DT)
+    spectrum = rm.fft_spectrum(s, DT)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    for write, reference, args in (
+        (rm.write_signal_csv, rowwise_signal_csv, (t, s)),
+        (rm.write_spectrum_csv, rowwise_spectrum_csv, (spectrum,)),
+    ):
+        write(got, *args)
+        reference(want, *args)
+        assert got.read_bytes() == want.read_bytes()
+        assert b"\r" not in got.read_bytes()
