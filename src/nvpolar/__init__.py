@@ -17,12 +17,7 @@ from .errors import (
 )
 from .params import RelaxationRates, SystemParams
 from .operators import DIM, SpinOperators, basis_index, spin_operators
-from .hamiltonian import (
-    dipolar_tensor,
-    hyperfine_from_geometry,
-    rotating_hamiltonian,
-    static_hamiltonian,
-)
+from .hamiltonian import rotating_hamiltonian, static_hamiltonian
 from .eigensystem import EigenSystem, eigen_system, mixing_angles
 from .schedule import (
     PulseSegment,
@@ -37,7 +32,6 @@ from .lindblad import (
     build_channels,
     initial_mixed_state,
     liouvillian,
-    validate_density_matrix,
     write_trajectory_csv,
 )
 from .presets import Preset, get_preset, preset_names
@@ -64,7 +58,6 @@ from .ramsey import (
     fft_spectrum,
     fit_lorentzian_pair,
     fit_time_domain,
-    gaussian_linewidth,
     ramsey_model,
     synthesize_ramsey,
 )
@@ -84,8 +77,6 @@ __all__ = [
     "SpinOperators",
     "basis_index",
     "spin_operators",
-    "dipolar_tensor",
-    "hyperfine_from_geometry",
     "rotating_hamiltonian",
     "static_hamiltonian",
     "EigenSystem",
@@ -102,7 +93,6 @@ __all__ = [
     "build_channels",
     "initial_mixed_state",
     "liouvillian",
-    "validate_density_matrix",
     "write_trajectory_csv",
     "Preset",
     "get_preset",
@@ -127,7 +117,6 @@ __all__ = [
     "fft_spectrum",
     "fit_lorentzian_pair",
     "fit_time_domain",
-    "gaussian_linewidth",
     "ramsey_model",
     "synthesize_ramsey",
     "FitProblem",

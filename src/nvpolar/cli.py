@@ -198,6 +198,17 @@ def _plot_map(csv_name: str, xlabel: str, ylabel: str) -> str:
     )
 
 
+def _write_sweep(
+    command: str, args: argparse.Namespace, result: ex.SweepResult, plot: str
+) -> Path:
+    """Write a sweep's data.csv, metadata.json and plot.gp; return the directory."""
+    out = _out_dir(command, args.out)
+    result.write_csv(out / "data.csv")
+    result.write_metadata(out / "metadata.json")
+    (out / "plot.gp").write_text(plot)
+    return out
+
+
 def _report_extreme(result: ex.SweepResult) -> tuple[float, float]:
     idx = int(np.argmax(np.abs(result.p)))
     return float(result.axes[0].values[idx]), float(result.p[idx])
@@ -210,10 +221,9 @@ def _cmd_sweep_detuning(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     deltas = ex.grid(args.min, args.max, args.step)
     result = ex.sweep_detuning(preset, deltas, n_cycles=args.n, workers=args.workers)
-    out = _out_dir("sweep-detuning", args.out)
-    result.write_csv(out / "data.csv")
-    result.write_metadata(out / "metadata.json")
-    (out / "plot.gp").write_text(_plot_xy("data.csv", "drive detuning (Hz)", "P"))
+    out = _write_sweep(
+        "sweep-detuning", args, result, _plot_xy("data.csv", "drive detuning (Hz)", "P")
+    )
     at, best = _report_extreme(result)
     print(f"wrote {out} ({len(result.p)} points); peak P = {best:+.4f} at {at:+.0f} Hz")
     return 0
@@ -222,10 +232,9 @@ def _cmd_sweep_detuning(args: argparse.Namespace) -> int:
 def _cmd_sweep_n(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     result = ex.sweep_repetitions(preset, args.n, delta=args.delta)
-    out = _out_dir("sweep-n", args.out)
-    result.write_csv(out / "data.csv")
-    result.write_metadata(out / "metadata.json")
-    (out / "plot.gp").write_text(_plot_xy("data.csv", "completed cycles", "P"))
+    out = _write_sweep(
+        "sweep-n", args, result, _plot_xy("data.csv", "completed cycles", "P")
+    )
     print(
         f"wrote {out} ({len(result.p)} points); "
         f"P({args.n}) = {float(result.p[-1]):+.4f} "
@@ -244,10 +253,9 @@ def _cmd_sweep_field(args: argparse.Namespace) -> int:
         inner_step=args.inner_step,
         workers=args.workers,
     )
-    out = _out_dir("sweep-field", args.out)
-    result.write_csv(out / "data.csv")
-    result.write_metadata(out / "metadata.json")
-    (out / "plot.gp").write_text(_plot_xy("data.csv", 'field B_z (G)', "best P"))
+    out = _write_sweep(
+        "sweep-field", args, result, _plot_xy("data.csv", "field B_z (G)", "best P")
+    )
     at, best = _report_extreme(result)
     print(f"wrote {out} ({len(result.p)} points); peak P = {best:+.4f} at {at:.0f} G")
     return 0
@@ -258,14 +266,14 @@ def _cmd_sweep_ani(args: argparse.Namespace) -> int:
     ani = ex.grid(args.min, args.max, args.step)
     deltas = ex.grid(args.delta_min, args.delta_max, args.delta_step)
     result = ex.sweep_ani_detuning(preset, ani, deltas, workers=args.workers)
-    out = _out_dir("sweep-ani", args.out)
-    result.write_csv(out / "data.csv")
-    result.write_metadata(out / "metadata.json")
+    out = _write_sweep(
+        "sweep-ani",
+        args,
+        result,
+        _plot_map("data.csv", "transverse coupling (Hz)", "drive detuning (Hz)"),
+    )
     reduced = ex.max_trace(result, axis=0)
     reduced.write_csv(out / "max.csv")
-    (out / "plot.gp").write_text(
-        _plot_map("data.csv", "transverse coupling (Hz)", "drive detuning (Hz)")
-    )
     at, best = _report_extreme(reduced)
     print(
         f"wrote {out} ({result.p.size} points); "
@@ -286,11 +294,11 @@ def _cmd_sweep_field_ani(args: argparse.Namespace) -> int:
         inner_step=args.inner_step,
         workers=args.workers,
     )
-    out = _out_dir("sweep-field-ani", args.out)
-    result.write_csv(out / "data.csv")
-    result.write_metadata(out / "metadata.json")
-    (out / "plot.gp").write_text(
-        _plot_map("data.csv", "field B_z (G)", "transverse coupling (Hz)")
+    out = _write_sweep(
+        "sweep-field-ani",
+        args,
+        result,
+        _plot_map("data.csv", "field B_z (G)", "transverse coupling (Hz)"),
     )
     print(f"wrote {out} ({result.p.size} points)")
     return 0

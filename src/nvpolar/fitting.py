@@ -24,18 +24,21 @@ from .presets import Preset
 JACOBIAN_REL_STEP = 1e-6
 JACOBIAN_ABS_FLOOR = 1.0
 
+#: The fit stops once an accepted step is this small relative to the
+#: parameter vector, or once the squared-residual norm falls to RESIDUAL_TOL.
+STEP_TOL = 1e-10
+RESIDUAL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FitProblem:
-    """A least-squares problem: model, data, start point, bounds, stopping.
+    """A least-squares problem: model, data, start point, bounds, budget.
 
     Attributes:
         model: Maps a parameter vector to a predicted vector (len(data)).
         data: Observed values.
         init: Initial parameter vector, already within bounds.
         bounds: Per-parameter (lo, hi) pairs; None means unbounded.
-        step_tol: Relative accepted-step size below which the fit stops.
-        residual_tol: Squared-residual norm below which the fit stops.
         budget: Maximum number of model evaluations.
     """
 
@@ -43,8 +46,6 @@ class FitProblem:
     data: np.ndarray
     init: np.ndarray
     bounds: tuple[tuple[float, float], ...] | None = None
-    step_tol: float = 1e-10
-    residual_tol: float = 1e-12
     budget: int = 500
 
     def lo_hi(self) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +149,7 @@ def least_squares(problem: FitProblem) -> FitReport:
     last_jac: np.ndarray | None = None
 
     while True:
-        if cost <= problem.residual_tol:
+        if cost <= RESIDUAL_TOL:
             converged, message = True, "residual tolerance reached"
             break
         jac = _jacobian(problem.model, x, data, residual, budget)
@@ -176,7 +177,7 @@ def least_squares(problem: FitProblem) -> FitReport:
                 x, residual, cost = trial, trial_residual, trial_cost
                 lam = max(lam / 3.0, 1e-12)
                 stepped = True
-                if step_size <= problem.step_tol * (float(np.linalg.norm(x)) + problem.step_tol):
+                if step_size <= STEP_TOL * (float(np.linalg.norm(x)) + STEP_TOL):
                     converged, message = True, "step tolerance reached"
                 break
             lam = min(lam * 10.0, 1e12)

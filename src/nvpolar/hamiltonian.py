@@ -1,4 +1,4 @@
-"""Secular Hamiltonians in the lab and rotating frames, plus dipolar geometry.
+"""Secular Hamiltonians in the lab and rotating frames.
 
 All matrix elements are cyclic frequencies in Hz. The secular lab-frame
 Hamiltonian is
@@ -13,7 +13,6 @@ nuclear states inside the m_s = +-1 manifolds only.
 from __future__ import annotations
 
 import numpy as np
-from scipy import constants
 
 from .operators import spin_operators
 from .params import SystemParams
@@ -56,50 +55,3 @@ def rotating_hamiltonian(p: SystemParams, delta: float, omega: float) -> np.ndar
         h = h + omega * ops.s_x_driven
     return h
 
-
-def dipolar_tensor(r_nm: np.ndarray, p: SystemParams) -> np.ndarray:
-    """Point-dipole hyperfine tensor for a nucleus at displacement r (3x3, Hz).
-
-    A_ij = -K (3 r_i r_j / r^2 - delta_ij) with
-    K = mu0 h gamma_e gamma_c / (4 pi r^3) and the gyromagnetic ratios
-    converted from Hz/G to Hz/T.
-
-    Args:
-        r_nm: Displacement vector in nm, NV axis along z.
-        p: System parameters (supplies the gyromagnetic ratios).
-
-    Raises:
-        ValueError: If the displacement has zero length.
-    """
-    r = np.asarray(r_nm, dtype=float)
-    if r.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {r.shape}")
-    norm = np.linalg.norm(r)
-    if norm == 0.0:
-        raise ValueError("displacement vector must have nonzero length")
-    rhat = r / norm
-    r_m = norm * 1e-9
-    k = (
-        constants.mu_0
-        * constants.h
-        * (p.gamma_e * 1e4)
-        * (p.gamma_c * 1e4)
-        / (4.0 * np.pi * r_m**3)
-    )
-    return -k * (3.0 * np.outer(rhat, rhat) - np.eye(3))
-
-
-def hyperfine_from_geometry(
-    r_nm: np.ndarray, p: SystemParams
-) -> tuple[float, float, float]:
-    """Secular hyperfine parameters (a_zz, a_ani, phi) from a lattice vector.
-
-    a_zz is the zz tensor component, a_ani the magnitude of the (zx, zy)
-    column and phi its azimuth. phi is returned as 0 when a_ani vanishes.
-    """
-    a = dipolar_tensor(r_nm, p)
-    a_zz = a[2, 2]
-    a_zx, a_zy = a[2, 0], a[2, 1]
-    a_ani = float(np.hypot(a_zx, a_zy))
-    phi = float(np.arctan2(a_zy, a_zx)) if a_ani > 0.0 else 0.0
-    return float(a_zz), a_ani, phi

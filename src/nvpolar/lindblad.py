@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .eigensystem import eigen_system
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, UndefinedPolarizationError
 from .hamiltonian import rotating_hamiltonian
 from .operators import DIM, basis_index, spin_operators
 from .params import RelaxationRates, SystemParams
@@ -73,27 +73,6 @@ def initial_mixed_state() -> np.ndarray:
     rho = np.zeros((DIM, DIM), dtype=complex)
     rho[0, 0] = rho[1, 1] = 0.5
     return rho
-
-
-def validate_density_matrix(
-    rho: np.ndarray,
-    *,
-    herm_tol: float = 1e-9,
-    trace_tol: float = 1e-9,
-    positivity_tol: float = 1e-9,
-) -> None:
-    """Raise NumericalError if rho is not a valid 6x6 density matrix."""
-    if rho.shape != (DIM, DIM):
-        raise NumericalError(f"density matrix must be {DIM}x{DIM}, got {rho.shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
-        raise NumericalError(f"Hermiticity violated by {herm:.3e}")
-    trace = abs(np.trace(rho) - 1.0)
-    if trace > trace_tol:
-        raise NumericalError(f"trace deviates from 1 by {trace:.3e}")
-    lowest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
-    if lowest < -positivity_tol:
-        raise NumericalError(f"negative eigenvalue {lowest:.3e}")
 
 
 def build_channels(
@@ -472,6 +451,6 @@ def write_trajectory_csv(
                     row.append(repr(float(np.imag(rho[i, j]))))
             try:
                 row.append(repr(polarization_of_state(rho).p))
-            except Exception:
+            except UndefinedPolarizationError:
                 row.append("")
             writer.writerow(row)

@@ -17,8 +17,6 @@ import numpy as np
 
 DIM = 6
 
-BASIS_LABELS = ("0,up", "0,dn", "+1,up", "+1,dn", "-1,up", "-1,dn")
-
 # Electron level order within the 3-dimensional factor.
 ELECTRON_ORDER = (0, +1, -1)
 
@@ -39,7 +37,6 @@ class SpinOperators:
     i_z: np.ndarray
     i_plus: np.ndarray
     i_minus: np.ndarray
-    identity: np.ndarray
     p_zero: np.ndarray
     p_plus1: np.ndarray
     p_minus1: np.ndarray
@@ -76,7 +73,6 @@ def spin_operators() -> SpinOperators:
         i_z=_frozen(kron(e1, nz).astype(complex)),
         i_plus=_frozen(kron(e1, nplus).astype(complex)),
         i_minus=_frozen(kron(e1, nminus).astype(complex)),
-        identity=_frozen(np.eye(DIM, dtype=complex)),
         p_zero=_frozen(kron(e0, n1).astype(complex)),
         p_plus1=_frozen(kron(ep, n1).astype(complex)),
         p_minus1=_frozen(kron(em, n1).astype(complex)),

@@ -82,7 +82,7 @@ class Preset:
         equals the conserved nuclear polarization of the final state.
         """
         train = chopped_laser_train(self.chop_on_ns, self.chop_off_ns, self.chop_reps)
-        return train + Schedule((PulseSegment(self.rest_ns),), label="rest")
+        return train + Schedule((PulseSegment(self.rest_ns),))
 
     def with_system(self, **changes) -> "Preset":
         """Copy of this preset with SystemParams fields replaced."""

@@ -255,13 +255,6 @@ def fft_spectrum(
     return Spectrum(frequencies, amplitudes)
 
 
-def gaussian_linewidth(t2_star: float) -> float:
-    """FWHM (Hz) of the spectral line set by the Gaussian envelope."""
-    if t2_star <= 0:
-        raise ConfigError("t2_star must be positive")
-    return 2.0 * np.sqrt(np.log(2.0)) / (np.pi * t2_star)
-
-
 @dataclass(frozen=True)
 class PolarizationEstimate:
     """A polarization recovered from a fitted line pair.
@@ -279,17 +272,29 @@ class PolarizationEstimate:
     report: FitReport
 
 
-def _assign_up_down(
-    manifold: int, values: tuple[tuple[float, float], tuple[float, float]]
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Order (frequency, weight) pairs as (up-line, down-line).
+def _estimate(
+    manifold: int,
+    lines: tuple[tuple[float, float], tuple[float, float]],
+    report: FitReport,
+    what: str,
+) -> PolarizationEstimate:
+    """Polarization from two fitted (frequency, weight) lines.
 
     In the m_s = -1 manifold the nuclear-up line sits above the down line;
     in m_s = +1 the order flips because the hyperfine shift enters with the
     opposite sign relative to the nuclear Zeeman term.
     """
-    lo, hi = sorted(values, key=lambda fv: fv[0])
-    return (hi, lo) if manifold == -1 else (lo, hi)
+    lo, hi = sorted(lines, key=lambda fv: fv[0])
+    (f_up, w_up), (f_down, w_down) = (hi, lo) if manifold == -1 else (lo, hi)
+    total = w_up + w_down
+    if total < POPULATION_FLOOR:
+        raise UndefinedPolarizationError(f"fitted {what} vanish")
+    return PolarizationEstimate(
+        p=float((w_up - w_down) / total),
+        frequency_up=float(f_up),
+        frequency_down=float(f_down),
+        report=report,
+    )
 
 
 def fit_lorentzian_pair(
@@ -376,20 +381,8 @@ def fit_lorentzian_pair(
         message="; ".join(messages),
     )
     a1, f1, g1, a2, f2, g2 = report.params
-    area1 = np.pi * a1 * g1
-    area2 = np.pi * a2 * g2
-    (f_up, area_up), (f_down, area_down) = _assign_up_down(
-        manifold, ((f1, area1), (f2, area2))
-    )
-    total = area_up + area_down
-    if total < POPULATION_FLOOR:
-        raise UndefinedPolarizationError("fitted line areas vanish")
-    return PolarizationEstimate(
-        p=float((area_up - area_down) / total),
-        frequency_up=float(f_up),
-        frequency_down=float(f_down),
-        report=report,
-    )
+    lines = ((f1, np.pi * a1 * g1), (f2, np.pi * a2 * g2))
+    return _estimate(manifold, lines, report, "line areas")
 
 
 def _height_near(spectrum: Spectrum, frequency: float) -> float:
@@ -404,15 +397,14 @@ def fit_time_domain(
     freq_guesses: tuple[float, float],
     *,
     manifold: int,
-    t2_star_guess: float = T2_STAR,
     budget: int = 900,
 ) -> PolarizationEstimate:
     """Fit a two-tone damped cosine directly to the time record.
 
     The model is two cosines with free amplitude, frequency, and phase under
-    one shared Gaussian envelope with a free decay time. Polarization is the
-    normalized amplitude difference with the same line-ordering rule as the
-    spectral fit.
+    one shared Gaussian envelope with a free decay time, started at T2_STAR.
+    Polarization is the normalized amplitude difference with the same
+    line-ordering rule as the spectral fit.
 
     Raises:
         FitConvergenceError: The fit spent its budget without converging.
@@ -439,9 +431,9 @@ def fit_time_domain(
             + a2 * np.cos(2.0 * np.pi * fb * t + p2)
         )
 
-    init = np.array([scale / 2.0, f1, 0.0, scale / 2.0, f2, 0.0, t2_star_guess])
+    init = np.array([scale / 2.0, f1, 0.0, scale / 2.0, f2, 0.0, T2_STAR])
     drift = 0.4 * separation
-    span = float(t[-1] - t[0]) if len(t) > 1 else t2_star_guess
+    span = float(t[-1] - t[0]) if len(t) > 1 else T2_STAR
     bounds = (
         (0.0, 4.0 * scale),
         (f1 - drift, f1 + drift),
@@ -449,7 +441,7 @@ def fit_time_domain(
         (0.0, 4.0 * scale),
         (f2 - drift, f2 + drift),
         (-np.pi, np.pi),
-        (span / len(t), 100.0 * t2_star_guess),
+        (span / len(t), 100.0 * T2_STAR),
     )
     report = least_squares(
         FitProblem(model=model, data=s, init=init, bounds=bounds, budget=budget)
@@ -460,18 +452,7 @@ def fit_time_domain(
             f"without converging: {report.message}"
         )
     a1, fa, _, a2, fb, _, _ = report.params
-    (f_up, amp_up), (f_down, amp_down) = _assign_up_down(
-        manifold, ((fa, a1), (fb, a2))
-    )
-    total = amp_up + amp_down
-    if total < POPULATION_FLOOR:
-        raise UndefinedPolarizationError("fitted amplitudes vanish")
-    return PolarizationEstimate(
-        p=float((amp_up - amp_down) / total),
-        frequency_up=float(f_up),
-        frequency_down=float(f_down),
-        report=report,
-    )
+    return _estimate(manifold, ((fa, a1), (fb, a2)), report, "amplitudes")
 
 
 def write_signal_csv(path, t: np.ndarray, s: np.ndarray) -> None:

@@ -2,14 +2,13 @@
 
 A schedule is an ordered tuple of segments; within each segment the laser
 gate, microwave detuning, and Rabi amplitude are constant. Durations are
-integer nanoseconds so that schedules serialize exactly.
+integer nanoseconds, so segments with equal controls compare (and cache)
+equal.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator
 
 from .errors import ConfigError
@@ -52,7 +51,6 @@ class Schedule:
     """An ordered pulse sequence."""
 
     segments: tuple[PulseSegment, ...] = ()
-    label: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -68,62 +66,7 @@ class Schedule:
         return sum(s.duration_ns for s in self.segments)
 
     def __add__(self, other: "Schedule") -> "Schedule":
-        return Schedule(self.segments + other.segments, label=self.label)
-
-    def repeated(self, times: int) -> "Schedule":
-        if times < 0:
-            raise ConfigError("repeat count must be >= 0")
-        return Schedule(self.segments * times, label=self.label)
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "segments": [
-                {
-                    "duration_ns": s.duration_ns,
-                    "laser": s.laser_on,
-                    "mw": (
-                        {"delta_hz": s.mw_delta, "rabi_hz": s.mw_rabi}
-                        if s.mw_on
-                        else None
-                    ),
-                }
-                for s in self.segments
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Schedule":
-        try:
-            segments = []
-            for row in data["segments"]:
-                mw = row.get("mw")
-                segments.append(
-                    PulseSegment(
-                        duration_ns=row["duration_ns"],
-                        laser_on=bool(row.get("laser", False)),
-                        mw_on=mw is not None,
-                        mw_delta=float(mw["delta_hz"]) if mw else 0.0,
-                        mw_rabi=float(mw["rabi_hz"]) if mw else 0.0,
-                    )
-                )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed schedule data: {exc}") from exc
-        return cls(tuple(segments), label=str(data.get("label", "")))
-
-    def to_json(self, path: str | Path | None = None) -> str:
-        text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            Path(path).write_text(text + "\n")
-        return text
-
-    @classmethod
-    def from_json(cls, text: str) -> "Schedule":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "Schedule":
-        return cls.from_json(Path(path).read_text())
+        return Schedule(self.segments + other.segments)
 
 
 def chopped_laser_train(on_ns: int, off_ns: int, reps: int) -> Schedule:
@@ -139,7 +82,7 @@ def chopped_laser_train(on_ns: int, off_ns: int, reps: int) -> Schedule:
         pair = [PulseSegment(on_ns, laser_on=True)]
         if off_ns > 0:
             pair.append(PulseSegment(off_ns))
-    return Schedule(tuple(pair) * reps, label="chopped-laser-train")
+    return Schedule(tuple(pair) * reps)
 
 
 def standard_polarization_schedule(
@@ -168,29 +111,7 @@ def standard_polarization_schedule(
             PulseSegment(rest_ns),
         )
     )
-    return Schedule(cycle * n_cycles, label="polarization")
-
-
-def validate(schedule: Schedule) -> list[str]:
-    """Return human-readable warnings (never raises).
-
-    Flags zero-duration segments, segments that gate laser and microwave
-    simultaneously, and microwave segments whose area deviates from a pi
-    pulse (rabi * duration != 1/2).
-    """
-    warnings: list[str] = []
-    for i, seg in enumerate(schedule):
-        if seg.duration_ns == 0:
-            warnings.append(f"segment {i}: zero duration")
-        if seg.laser_on and seg.mw_on:
-            warnings.append(f"segment {i}: laser and microwave overlap")
-        if seg.mw_on and seg.mw_rabi > 0:
-            area = seg.mw_rabi * seg.duration_ns * 1e-9
-            if abs(area - 0.5) > 1e-3:
-                warnings.append(
-                    f"segment {i}: microwave area {area:.4f} is not a pi pulse"
-                )
-    return warnings
+    return Schedule(cycle * n_cycles)
 
 
 __all__ = [
@@ -198,5 +119,4 @@ __all__ = [
     "Schedule",
     "chopped_laser_train",
     "standard_polarization_schedule",
-    "validate",
 ]

@@ -8,12 +8,31 @@ import json
 import numpy as np
 from scipy.linalg import expm
 
+from nvpolar.errors import NumericalError
 from nvpolar.experiments import content_hash
 from nvpolar.hamiltonian import rotating_hamiltonian
 from nvpolar.lindblad import DRIVE_SCALE, SchedulePropagator, build_channels, liouvillian
-from nvpolar.operators import spin_operators
+from nvpolar.operators import DIM, spin_operators
 from nvpolar.params import RelaxationRates, SystemParams
 from nvpolar.schedule import PulseSegment, Schedule
+
+
+def validate_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> None:
+    """Raise NumericalError unless rho is a 6x6 density matrix to within tol.
+
+    Checks Hermiticity, unit trace and the lowest eigenvalue.
+    """
+    if rho.shape != (DIM, DIM):
+        raise NumericalError(f"density matrix must be {DIM}x{DIM}, got {rho.shape}")
+    herm = np.max(np.abs(rho - rho.conj().T))
+    if herm > tol:
+        raise NumericalError(f"Hermiticity violated by {herm:.3e}")
+    trace = abs(np.trace(rho) - 1.0)
+    if trace > tol:
+        raise NumericalError(f"trace deviates from 1 by {trace:.3e}")
+    lowest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+    if lowest < -tol:
+        raise NumericalError(f"negative eigenvalue {lowest:.3e}")
 
 
 def rk4_propagate(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from helpers import validate_density_matrix
 from hypothesis import strategies as st
 
 from nvpolar import cli
@@ -90,7 +91,7 @@ def test_buildup_is_bit_equal_to_per_count_calls(fig4_preset, delta):
 
 def test_full_state_embeds_the_driven_block(table_a1):
     rho = CycleEngine(table_a1).full_state(3.2e5)
-    lindblad.validate_density_matrix(rho)
+    validate_density_matrix(rho)
     assert not np.any(rho[4:, :]) and not np.any(rho[:, 4:])
     schedule = table_a1.schedule(3.2e5) + table_a1.readout_tail()
     prop = SchedulePropagator(table_a1.system, table_a1.rates, frame_delta=3.2e5)

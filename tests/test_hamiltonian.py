@@ -1,14 +1,9 @@
-"""Lab-frame and rotating-frame Hamiltonians and the dipolar geometry."""
+"""Lab-frame and rotating-frame Hamiltonians."""
 
 import numpy as np
 
 from nvpolar.eigensystem import eigen_system
-from nvpolar.hamiltonian import (
-    dipolar_tensor,
-    hyperfine_from_geometry,
-    rotating_hamiltonian,
-    static_hamiltonian,
-)
+from nvpolar.hamiltonian import rotating_hamiltonian, static_hamiltonian
 from nvpolar.params import SystemParams
 
 
@@ -103,35 +98,3 @@ def test_rotating_frame_preserves_intra_manifold_splittings():
         assert abs((vals_m[1] - vals_m[0]) - es.splitting_minus) < 1e-10 * max(
             1.0, abs(es.splitting_minus)
         )
-
-
-def test_dipolar_tensor_axial_values():
-    """On-axis coupling is -2K with K about 19.85 kHz at 1 nm."""
-    p = SystemParams()
-    a_on = dipolar_tensor(np.array([0.0, 0.0, 1.0]), p)
-    a_perp = dipolar_tensor(np.array([1.0, 0.0, 0.0]), p)
-    assert abs(a_on[2, 2] / a_perp[2, 2] + 2.0) < 1e-12
-    assert abs(-a_on[2, 2] / 2.0 - 19.853e3) < 0.01 * 19.853e3
-    # Distance scaling r^-3.
-    a_far = dipolar_tensor(np.array([0.0, 0.0, 2.0]), p)
-    assert abs(a_on[2, 2] / a_far[2, 2] - 8.0) < 1e-9
-    assert np.allclose(a_on, a_on.T)
-    assert abs(np.trace(a_on)) < 1e-9
-
-
-def test_dipolar_magic_angle_kills_azz():
-    p = SystemParams()
-    theta_m = np.arccos(1.0 / np.sqrt(3.0))
-    r = np.array([np.sin(theta_m), 0.0, np.cos(theta_m)])
-    a_zz, a_ani, _ = hyperfine_from_geometry(r, p)
-    assert abs(a_zz) < 1e-6 * a_ani
-
-
-def test_hyperfine_from_geometry_phi():
-    p = SystemParams()
-    a_zz, a_ani, phi = hyperfine_from_geometry(np.array([0.5, 0.5, 1.0]), p)
-    assert a_ani > 0.0
-    # The -K prefactor flips the (zx, zy) column opposite to the azimuth.
-    assert abs(phi + 3.0 * np.pi / 4.0) < 1e-12
-    on_axis = hyperfine_from_geometry(np.array([0.0, 0.0, 1.0]), p)
-    assert on_axis[1] < 1e-9 and on_axis[2] == 0.0

@@ -1,5 +1,7 @@
 """Master-equation generator, channels, and segment propagation."""
 
+import csv
+
 import numpy as np
 import pytest
 from helpers import (
@@ -7,9 +9,11 @@ from helpers import (
     random_density_matrix,
     random_schedule,
     rk4_schedule,
+    validate_density_matrix,
 )
 from scipy.linalg import expm
 
+from nvpolar import lindblad
 from nvpolar.errors import NumericalError
 from nvpolar.lindblad import (
     DIM,
@@ -17,7 +21,7 @@ from nvpolar.lindblad import (
     build_channels,
     initial_mixed_state,
     liouvillian,
-    validate_density_matrix,
+    write_trajectory_csv,
 )
 from nvpolar.params import RelaxationRates, SystemParams
 from nvpolar.polarization import polarization_of_state
@@ -236,3 +240,24 @@ def test_validate_density_matrix_rejects_bad_inputs():
     negative[1, 1] = 1.1
     with pytest.raises(NumericalError):
         validate_density_matrix(negative)
+
+
+def test_trajectory_csv_leaves_p_empty_without_readout_population(tmp_path):
+    """A state with no m_s = 0 population gets an empty P cell, not a value."""
+    parked = np.zeros((DIM, DIM), dtype=complex)
+    parked[2, 2] = parked[3, 3] = 0.5
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv([(0, initial_mixed_state()), (10, parked)], path)
+    with open(path, newline="") as fh:
+        header, mixed, empty = csv.reader(fh)
+    assert header[-1] == "P" and mixed[-1] == "0.0"
+    assert empty[0] == "10" and empty[-1] == "" and len(empty) == len(header)
+
+
+def test_trajectory_csv_raises_other_readout_errors(tmp_path, monkeypatch):
+    def broken(rho):
+        raise ValueError("not a readout failure")
+
+    monkeypatch.setattr(lindblad, "polarization_of_state", broken)
+    with pytest.raises(ValueError):
+        write_trajectory_csv([(0, initial_mixed_state())], tmp_path / "t.csv")

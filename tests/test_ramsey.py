@@ -214,13 +214,8 @@ def test_linewidth_matches_envelope(table_a1):
         return f1 + (half - m1) / (m2 - m1) * (f2 - f1)
 
     fwhm = crossing(+1) - crossing(-1)
-    assert abs(fwhm - rm.gaussian_linewidth(rm.T2_STAR)) < spectrum.bin_width
-
-
-def test_gaussian_linewidth_formula():
-    assert abs(rm.gaussian_linewidth(2e-6) - 265010.36) < 1.0
-    with pytest.raises(ConfigError):
-        rm.gaussian_linewidth(0.0)
+    envelope_fwhm = 2.0 * np.sqrt(np.log(2.0)) / (np.pi * rm.T2_STAR)
+    assert abs(fwhm - envelope_fwhm) < spectrum.bin_width
 
 
 def test_fit_guess_validation(table_a1):

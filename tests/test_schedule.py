@@ -1,4 +1,4 @@
-"""Pulse schedule construction, serialization, and validation."""
+"""Pulse schedule construction."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from nvpolar.schedule import (
     Schedule,
     chopped_laser_train,
     standard_polarization_schedule,
-    validate,
 )
 
 
@@ -59,47 +58,6 @@ def test_schedule_concatenation_and_repeat():
     combined = a + b
     assert len(combined) == len(a) + 1
     assert combined.duration_ns == a.duration_ns + 50
-    assert (b.repeated(3)).duration_ns == 150
-    with pytest.raises(ConfigError):
-        b.repeated(-1)
-
-
-def test_json_round_trip_is_exact():
-    schedule = standard_polarization_schedule(
-        -1.23456789e5, 2.941176e5, 3, 1700
-    ) + Schedule((PulseSegment(7),), label="tail")
-    text = schedule.to_json()
-    back = Schedule.from_json(text)
-    assert back == schedule
-    assert back.to_json() == text
-
-
-def test_json_file_round_trip(tmp_path):
-    schedule = standard_polarization_schedule(1e5, 25e3, 1, 20000)
-    path = tmp_path / "schedule.json"
-    schedule.to_json(path)
-    assert Schedule.from_json_file(path) == schedule
-
-
-def test_validate_flags_non_pi_pulses():
-    good = standard_polarization_schedule(0.0, 294.1176470588e3, 1, 1700)
-    assert validate(good) == []
-    weak = standard_polarization_schedule(0.0, 200e3, 1, 1700)
-    warnings = validate(weak)
-    assert len(warnings) == 1
-    assert "pi pulse" in warnings[0]
-
-
-def test_validate_flags_overlap_and_zero_duration():
-    bad = Schedule(
-        (
-            PulseSegment(0),
-            PulseSegment(10, laser_on=True, mw_on=True, mw_rabi=1e5),
-        )
-    )
-    warnings = validate(bad)
-    assert any("zero duration" in w for w in warnings)
-    assert any("overlap" in w for w in warnings)
 
 
 def test_bundled_drives_are_exact_pi_pulses():
@@ -107,5 +65,3 @@ def test_bundled_drives_are_exact_pi_pulses():
     for omega, t_ns in ((1.0 / (2 * 1700e-9), 1700), (25e3, 20000)):
         area = omega * t_ns * 1e-9
         assert abs(area - 0.5) < 1e-12
-    schedule = standard_polarization_schedule(0.0, 25e3, 4, 20000)
-    assert validate(schedule) == []
