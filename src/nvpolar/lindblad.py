@@ -18,16 +18,19 @@ one that samples trajectories. CycleEngine computes the standard polarization
 sequence for a whole grid of drive detunings at once: it slices the
 {m_s = 0, +1} block, which the sequence never leaves, out of the same 6-level
 generators and exponentiates only that block (see its docstring).
+
+Both exponentiate with expm, a NumPy scaling-and-squaring Padé exponential
+that takes one matrix or a stack, so the package needs no SciPy at runtime.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .eigensystem import eigen_system
 from .errors import ConfigError, NumericalError, UndefinedPolarizationError
@@ -136,13 +139,100 @@ def liouvillian(h: np.ndarray, channels: Iterable[np.ndarray]) -> np.ndarray:
     if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
         raise ValueError("Hamiltonian must be Hermitian")
     eye = np.eye(n)
-    gen = -1j * 2.0 * np.pi * (np.kron(h, eye) - np.kron(eye, h.T))
+    gen = -1j * 2.0 * np.pi * (_kron(h, eye) - _kron(eye, h.T))
     for op in channels:
         op = np.asarray(op, dtype=complex)
         opdag_op = op.conj().T @ op
-        gen = gen + np.kron(op, op.conj())
-        gen = gen - 0.5 * (np.kron(opdag_op, eye) + np.kron(eye, opdag_op.T))
+        gen = gen + _kron(op, op.conj())
+        gen = gen - 0.5 * (_kron(opdag_op, eye) + _kron(eye, opdag_op.T))
     return gen
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices, as one broadcast product (same bits)."""
+    n, m = len(a), len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+
+
+# -- matrix exponential ----------------------------------------------------------
+
+#: Higham's theta_13: the largest 1-norm for which the [13/13] Padé
+#: approximant of exp has a backward error below the unit roundoff of double
+#: precision (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3).
+_THETA_13 = 5.371920351148152
+
+#: Coefficients b_0 .. b_13 of the [13/13] Padé approximant of exp, as rows
+#: (b_2j+1, b_2j): the coefficients of a^2j in U / a and in V.
+_PADE_PAIRS = np.array(
+    (
+        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0,
+        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+        16380.0, 182.0, 1.0,
+    )
+).reshape(-1, 2)[:, ::-1].reshape(7, 2, 1, 1, 1)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of one (n, n) matrix or of each slice of a (k, n, n) stack.
+
+    Scaling and squaring with the [13/13] Padé approximant (Higham, SIAM J.
+    Matrix Anal. Appl. 26(4), 2005). Each slice takes its scaling s from its
+    own 1-norm and is squared its own s times, so a slice's result does not
+    depend on the stack it came in: it has the bits of a call on that slice
+    alone. A slice with a non-finite entry comes out all NaN, and one whose
+    squarings overflow comes out non-finite without a warning; the callers'
+    drift checks turn either into a NumericalError.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim == 2:
+        return expm(a[None])[0]
+    norms = np.abs(a).sum(axis=-2).max(axis=-1).tolist()
+    scalings = [
+        math.ceil(math.log2(norm / _THETA_13)) if _THETA_13 < norm < math.inf else 0
+        for norm in norms
+    ]
+    x = a * np.ldexp(1.0, -np.array(scalings))[:, None, None]
+    bad = [i for i, norm in enumerate(norms) if not math.isfinite(norm)]
+    x[bad] = 0.0
+    x = _pade13(x)
+    for j in range(max(scalings, default=0)):
+        sel = [i for i, s in enumerate(scalings) if s > j]
+        if len(sel) == len(x):
+            x = x @ x
+        else:
+            y = x[sel]
+            x[sel] = y @ y
+    x[bad] = np.nan
+    return x
+
+
+def _pade13(a: np.ndarray) -> np.ndarray:
+    """[13/13] Padé approximant (V - U)^-1 (V + U) of exp, slice by slice.
+
+    U / a and V are sums of the same even powers of a, so they are
+    accumulated side by side, in place, in one array of two rows.
+    """
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    wv = _PADE_PAIRS[6] * a6
+    wv += _PADE_PAIRS[5] * a4
+    wv += _PADE_PAIRS[4] * a2
+    wv = a6 @ wv
+    wv += _PADE_PAIRS[3] * a6
+    wv += _PADE_PAIRS[2] * a4
+    wv += _PADE_PAIRS[1] * a2
+    del a2, a4, a6
+    n = a.shape[-1]
+    diagonal = wv.reshape(wv.shape[:-2] + (n * n,))[..., :: n + 1]
+    diagonal += _PADE_PAIRS[0, ..., 0]
+    u = a @ wv[0]
+    v = wv[1]
+    w = v + u
+    v -= u
+    return np.linalg.solve(v, w)
 
 
 class SchedulePropagator:
@@ -293,9 +383,10 @@ class CycleEngine:
     * delta enters every generator only as the frame term delta K, with
       K = i 2 pi (P+ kron I - I kron P+^T) diagonal. K commutes with the
       laser and rest generators, whose propagators are therefore
-      exponentiated once per preset at delta = 0 and shifted by the phases
-      exp(delta K t). K is built from the projector: the difference of two
-      generators would lose ~1e-6 to the 4.3 GHz carrier cancellation.
+      exponentiated once per preset at delta = 0, in one stacked expm call,
+      and shifted by the phases exp(delta K t). K is built from the
+      projector: the difference of two generators would lose ~1e-6 to the
+      4.3 GHz carrier cancellation.
     * The microwave generators G(0) + delta K of a batch are exponentiated
       in one stacked expm call, which treats every slice on its own.
 
@@ -310,18 +401,19 @@ class CycleEngine:
         def generator(seg: PulseSegment) -> np.ndarray:
             return ref.segment_generator(seg)[np.ix_(_BLOCK, _BLOCK)]
 
-        def propagator(seg: PulseSegment) -> np.ndarray:
-            return expm(generator(seg) * (seg.duration_ns * 1e-9))
-
-        # One on/off pair of the train (none for zero reps), validated as such.
+        # One on/off pair of the train (none for zero reps), validated as such,
+        # and the rest, exponentiated in one stacked call.
         pair = chopped_laser_train(
             preset.chop_on_ns, preset.chop_off_ns, min(preset.chop_reps, 1)
         )
+        segments = (*pair, PulseSegment(preset.rest_ns))
+        *chop_props, self._rest = expm(
+            np.stack([generator(seg) * (seg.duration_ns * 1e-9) for seg in segments])
+        )
         chop = np.eye(len(_BLOCK), dtype=complex)
-        for seg in pair:
-            chop = propagator(seg) @ chop
+        for prop in chop_props:
+            chop = prop @ chop
         chop = np.linalg.matrix_power(chop, preset.chop_reps)
-        self._rest = propagator(PulseSegment(preset.rest_ns))
         # The readout tail (chop train, rest) is also the cycle's pre-pulse part.
         self._tail = self._rest @ chop
         self._tail_s = (pair.duration_ns * preset.chop_reps + preset.rest_ns) * 1e-9

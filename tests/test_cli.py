@@ -322,6 +322,25 @@ def test_numerical_failures_exit_3(capsys, monkeypatch, exc, expected_code, cate
     assert "\n" not in err.strip()
 
 
+# b_z = 1e306 makes inf * 0 in the Hamiltonian, which numpy warns about.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("field,value", [("b_z", 1e306), ("a_zz", 1e300)])
+def test_overflowing_config_exits_3(tmp_path, capsys, field, value):
+    """Finite values whose generators overflow fail as numerical errors."""
+    path = inline_config(tmp_path)
+    doc = json.loads(open(path).read())
+    doc["system"][field] = value
+    open(path, "w").write(json.dumps(doc))
+    out_dir = tmp_path / "overflow"
+    code, _, err = run(
+        ["sweep-n", "--n", "2", "--delta", "0", "--config", path, "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 3
+    assert err.startswith("error: numerical:")
+    assert not (out_dir / "data.csv").exists()
+
+
 @pytest.mark.parametrize(
     "field,value",
     [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from helpers import validate_density_matrix
 from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
 
 from nvpolar import cli
 from nvpolar import experiments as ex
@@ -12,7 +13,7 @@ from nvpolar import lindblad
 from nvpolar.errors import NumericalError
 from nvpolar.lindblad import CycleEngine, SchedulePropagator, initial_mixed_state
 from nvpolar.polarization import polarization_of_state
-from nvpolar.presets import get_preset
+from nvpolar.presets import get_preset, preset_names
 
 #: Largest |P_engine - P_reference| accepted anywhere.
 DP_TOL = 1e-9
@@ -36,6 +37,17 @@ def test_engine_matches_reference(name, a_ani, n_cycles):
     got = CycleEngine(preset).polarizations(deltas, n_cycles)
     for delta, p in zip(deltas, got):
         assert abs(p - reference_p(preset, delta, n_cycles)) <= DP_TOL
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_engine_matches_the_scipy_expm_path(name, monkeypatch):
+    """lindblad.expm against scipy's, through the whole engine."""
+    preset = get_preset(name)
+    deltas = np.linspace(-1e6, 5e6, 61)
+    got = {n: CycleEngine(preset).polarizations(deltas, n) for n in (0, 1, 6, 60)}
+    monkeypatch.setattr(lindblad, "expm", scipy_expm)
+    for n, p in got.items():
+        assert np.max(np.abs(p - CycleEngine(preset).polarizations(deltas, n))) <= DP_TOL
 
 
 def test_engine_default_cycle_count_is_the_presets(fig4_preset):

@@ -11,12 +11,14 @@ from helpers import (
     rk4_schedule,
     validate_density_matrix,
 )
-from scipy.linalg import expm
+from scipy.linalg import expm as scipy_expm
 
 from nvpolar import lindblad
 from nvpolar.errors import NumericalError
+from nvpolar.hamiltonian import rotating_hamiltonian
 from nvpolar.lindblad import (
     DIM,
+    DRIVE_SCALE,
     SchedulePropagator,
     build_channels,
     initial_mixed_state,
@@ -25,6 +27,7 @@ from nvpolar.lindblad import (
 )
 from nvpolar.params import RelaxationRates, SystemParams
 from nvpolar.polarization import polarization_of_state
+from nvpolar.presets import get_preset, preset_names
 from nvpolar.schedule import PulseSegment, Schedule, standard_polarization_schedule
 
 A_ZZ = -686.5546e3
@@ -73,6 +76,68 @@ def test_liouvillian_rejects_non_hermitian():
         liouvillian(np.array([[0.0, 1.0], [0.0, 0.0]]), [])
 
 
+@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("laser_on", [True, False])
+def test_kron_is_bit_equal_to_numpy_on_liouvillian_operands(name, laser_on):
+    preset = get_preset(name)
+    h = rotating_hamiltonian(preset.system, 3.2e5, preset.omega * DRIVE_SCALE)
+    channels = build_channels(preset.rates, preset.system, laser_on=laser_on)
+    assert len(channels) == (2 if laser_on else 0)
+    eye = np.eye(DIM)
+    pairs = [(h, eye), (eye, h.T)]
+    for op in channels:
+        opdag_op = op.conj().T @ op
+        pairs += [(op, op.conj()), (opdag_op, eye), (eye, opdag_op.T)]
+    for a, b in pairs:
+        assert lindblad._kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
+def _generator(rng, n_levels: int, norm: float) -> np.ndarray:
+    """A random Lindblad generator on n_levels states, scaled to a 1-norm."""
+    h = rng.normal(size=(n_levels, n_levels)) + 1j * rng.normal(size=(n_levels, n_levels))
+    ops = [
+        rng.normal(size=(n_levels, n_levels)) + 1j * rng.normal(size=(n_levels, n_levels))
+        for _ in range(2)
+    ]
+    gen = liouvillian((h + h.conj().T) / 2.0, ops)
+    return gen * (norm / np.abs(gen).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("n_levels", [4, 6])
+def test_expm_matches_scipy(n_levels):
+    """16- and 36-dim generators with 1-norms from 1e-3 to 1e3."""
+    rng = np.random.default_rng(11)
+    for norm in np.logspace(-3, 3, 19):
+        gen = _generator(rng, n_levels, norm)
+        want = scipy_expm(gen)
+        err = np.max(np.abs(lindblad.expm(gen) - want)) / np.max(np.abs(want))
+        assert err <= 1e-12, (norm, err)
+
+
+def test_expm_stack_is_bit_equal_to_per_slice_calls():
+    """Slices scaled and squared 0 to 8 times, and a zero slice, in one stack."""
+    rng = np.random.default_rng(12)
+    norms = [0.0, 1e-3, 0.5, 4.0, 30.0, 1e3, 0.02, 4.5]
+    stack = np.stack([_generator(rng, 4, norm) for norm in norms])
+    got = lindblad.expm(stack)
+    assert np.max(np.abs(got[0] - np.eye(16))) <= 1e-15
+    for gen, slice_ in zip(stack, got):
+        assert slice_.tobytes() == lindblad.expm(gen).tobytes()
+    assert lindblad.expm(stack[5:6])[0].tobytes() == got[5].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_expm_turns_non_finite_input_into_non_finite_output(bad):
+    """An overflowing config reaches expm like this (see test_cli); no raise."""
+    good = _generator(np.random.default_rng(13), 4, 1.0)
+    gen = good.copy()
+    gen[3, 5] = bad
+    assert not np.all(np.isfinite(lindblad.expm(gen)))
+    got = lindblad.expm(np.stack([gen, good]))
+    assert not np.all(np.isfinite(got[0]))
+    assert got[1].tobytes() == lindblad.expm(good).tobytes()
+
+
 def test_table_rates_give_two_laser_channels():
     chans_on = build_channels(_rates(), _system(), laser_on=True)
     chans_off = build_channels(_rates(), _system(), laser_on=False)
@@ -117,7 +182,7 @@ def test_two_level_decay_follows_exponential():
     rho[0, 0] = 0.4
     rho[0, 2] = rho[2, 0] = 0.1
     for t in (10e-9, 100e-9, 400e-9):
-        out = (expm(gen * t) @ rho.reshape(-1)).reshape(DIM, DIM)
+        out = (scipy_expm(gen * t) @ rho.reshape(-1)).reshape(DIM, DIM)
         assert abs(out[2, 2] - 0.6 * np.exp(-gamma * t)) < 1e-12
         assert abs(out[0, 2] - 0.1 * np.exp(-gamma * t / 2.0)) < 1e-12
         assert abs(np.trace(out) - 1.0) < 1e-12

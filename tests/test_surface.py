@@ -1,5 +1,7 @@
 """The public names that callers and the benchmark's layer tracer look up."""
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +17,16 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 @pytest.mark.parametrize("module", [nvpolar, schedule], ids=lambda m: m.__name__)
 def test_all_names_resolve(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only; scipy is a test and benchmark oracle."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nvpolar.__file__).parent.parent))
+    code = "import sys, nvpolar.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.fixture
