@@ -19,12 +19,7 @@ from .params import RelaxationRates, SystemParams
 from .operators import DIM, SpinOperators, basis_index, spin_operators
 from .hamiltonian import rotating_hamiltonian, static_hamiltonian
 from .eigensystem import EigenSystem, eigen_system, mixing_angles
-from .schedule import (
-    PulseSegment,
-    Schedule,
-    chopped_laser_train,
-    standard_polarization_schedule,
-)
+from .schedule import PulseSegment, Schedule, chopped_laser_train
 from .polarization import PolarizationResult, polarization_of_state
 from .lindblad import (
     DRIVE_SCALE,
@@ -85,7 +80,6 @@ __all__ = [
     "PulseSegment",
     "Schedule",
     "chopped_laser_train",
-    "standard_polarization_schedule",
     "PolarizationResult",
     "polarization_of_state",
     "DRIVE_SCALE",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -33,7 +34,7 @@ from .errors import (
     NumericalError,
     UndefinedPolarizationError,
 )
-from .fitting import CURVE_FIT_INIT, fit_polarization_curve
+from .fitting import CURVE_FIT_INIT, curve_model, fit_polarization_curve
 from .lindblad import (
     CycleEngine,
     SchedulePropagator,
@@ -49,8 +50,8 @@ CONFIG_SCHEMA = "nvpolar-run/1"
 #: Environment variable naming the default output root directory.
 OUT_ENV = "NVPOLAR_OUT"
 
-_SYSTEM_KEYS = {"d", "gamma_e", "gamma_c", "b_z", "a_zz", "a_ani", "phi"}
-_RATE_KEYS = {"gamma_gl", "n_th", "gamma_d", "gamma_n_gl"}
+_SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemParams)}
+_RATE_KEYS = {f.name for f in dataclasses.fields(RelaxationRates)}
 _INT_KEYS = ("t_mw_ns", "n_cycles", "t_gl_ns", "chop_on_ns", "chop_off_ns", "chop_reps", "rest_ns")
 _INLINE_KEYS = {"schema", "name", "system", "rates", "omega", *_INT_KEYS}
 
@@ -210,7 +211,7 @@ def _write_sweep(
 
 
 def _report_extreme(result: ex.SweepResult) -> tuple[float, float]:
-    idx = int(np.argmax(np.abs(result.p)))
+    idx = ex.peak(result.p)
     return float(result.axes[0].values[idx]), float(result.p[idx])
 
 
@@ -272,7 +273,7 @@ def _cmd_sweep_ani(args: argparse.Namespace) -> int:
         result,
         _plot_map("data.csv", "transverse coupling (Hz)", "drive detuning (Hz)"),
     )
-    reduced = ex.max_trace(result, axis=0)
+    reduced = ex.max_trace(result)
     reduced.write_csv(out / "max.csv")
     at, best = _report_extreme(reduced)
     print(
@@ -307,7 +308,7 @@ def _cmd_sweep_field_ani(args: argparse.Namespace) -> int:
 def _cmd_ramsey(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     delta = args.delta if args.delta is not None else ex.predicted_resonance(preset)
-    rho = CycleEngine(preset).full_state(delta)
+    rho = CycleEngine(preset).states([delta])[0]
     model = rm.ramsey_model(
         preset.system,
         args.manifold,
@@ -345,7 +346,7 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
                 "p": est.p,
                 "frequency_up_hz": est.frequency_up,
                 "frequency_down_hz": est.frequency_down,
-                "report": json.loads(est.report.to_json()),
+                "report": est.report.to_dict(),
             },
         )
     (out / "plot.gp").write_text(
@@ -406,15 +407,11 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
             "data_file": str(args.data),
             "n_points": len(pairs),
             "init": list(CURVE_FIT_INIT),
-            "report": json.loads(report.to_json()),
+            "report": report.to_dict(),
         },
     )
     f_rel, azz_mag, a_ani = report.params
-    sign = -1.0 if preset.system.a_zz < 0 else 1.0
-    fitted_preset = preset.with_system(a_zz=sign * azz_mag, a_ani=a_ani)
-    model_p = CycleEngine(fitted_preset).polarizations(
-        [delta - f_rel for delta, _ in pairs], args.n
-    )
+    model_p = curve_model(preset, report.params, [delta for delta, _ in pairs], args.n)
     with open(out / "fitted.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["delta_hz", "P_data", "P_fit"])

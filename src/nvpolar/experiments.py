@@ -147,6 +147,11 @@ def grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
 # -- point evaluation ---------------------------------------------------------
 
 
+def peak(p: np.ndarray) -> int:
+    """The package's one peak-pick rule: the index of the largest |P|, the first on a tie."""
+    return int(np.argmax(np.abs(p)))
+
+
 def sequence_polarization(
     preset: Preset,
     delta: float,
@@ -240,7 +245,7 @@ def sweep_repetitions(
         raise ConfigError("n_max must be >= 0")
     if delta is None:
         base = sweep_detuning(preset)
-        delta = base.axes[0].values[int(np.argmax(np.abs(base.p)))]
+        delta = base.axes[0].values[peak(base.p)]
     delta = float(delta)
     values = CycleEngine(preset).buildup(delta, n_max)
     axis = SweepAxis("n_cycles", "count", tuple(float(n) for n in range(n_max + 1)))
@@ -249,19 +254,29 @@ def sweep_repetitions(
     return SweepResult((axis,), values, meta)
 
 
-def _max_over_inner(
-    presets_and_centers: list[tuple[Preset, float]],
+def _best_in_windows(
+    preset: Preset,
+    kind: str,
+    cells: list[Preset],
     inner_halfwidth: float,
     inner_step: float,
     workers: int,
-) -> np.ndarray:
-    """Signed P of largest magnitude over a detuning window per outer point."""
+) -> tuple[np.ndarray, dict]:
+    """Signed P of largest |P| in each cell's detuning window, and the metadata.
+
+    The resonances move with the cell's parameters, so each cell gets its own
+    window centered on its eigen-predicted line position.
+    """
+    centers = [predicted_resonance(q) for q in cells]
     jobs = [
-        (preset, grid(center - inner_halfwidth, center + inner_halfwidth, inner_step))
-        for preset, center in presets_and_centers
+        (q, grid(c - inner_halfwidth, c + inner_halfwidth, inner_step))
+        for q, c in zip(cells, centers)
     ]
-    windows = _evaluate(jobs, None, workers)
-    return np.array([w[int(np.argmax(np.abs(w)))] for w in windows])
+    p = np.array([w[peak(w)] for w in _evaluate(jobs, None, workers)])
+    meta = _base_metadata(preset, kind)
+    meta["inner_halfwidth_hz"] = inner_halfwidth
+    meta["inner_step_hz"] = inner_step
+    return p, meta
 
 
 def sweep_field(
@@ -272,25 +287,13 @@ def sweep_field(
     inner_step: float = DELTA_STEP,
     workers: int = 1,
 ) -> SweepResult:
-    """Best polarization vs axial field, re-optimizing the detuning per field.
-
-    The resonances move with B_z, so each field gets its own detuning window
-    centered on the eigen-predicted line position; the recorded value is the
-    signed P of largest magnitude in that window.
-    """
+    """Best polarization vs axial field, re-optimizing the detuning per field."""
     if b_values is None:
         b_values = grid(450.0, 850.0, FIELD_STEP)
     values = tuple(float(b) for b in b_values)
-    pts = []
-    for b in values:
-        q = preset.with_system(b_z=b)
-        pts.append((q, predicted_resonance(q)))
-    p = _max_over_inner(pts, inner_halfwidth, inner_step, workers)
-    axis = SweepAxis("b_z", "gauss", values)
-    meta = _base_metadata(preset, "field")
-    meta["inner_halfwidth_hz"] = inner_halfwidth
-    meta["inner_step_hz"] = inner_step
-    return SweepResult((axis,), p, meta)
+    cells = [preset.with_system(b_z=b) for b in values]
+    p, meta = _best_in_windows(preset, "field", cells, inner_halfwidth, inner_step, workers)
+    return SweepResult((SweepAxis("b_z", "gauss", values),), p, meta)
 
 
 def sweep_ani_detuning(
@@ -329,36 +332,16 @@ def sweep_field_ani(
         ani_values = grid(0.0, 400e3, 50e3)
     bs = tuple(float(b) for b in b_values)
     ani = tuple(float(a) for a in ani_values)
-    pts = []
-    for b in bs:
-        for a in ani:
-            q = preset.with_system(b_z=b, a_ani=a)
-            pts.append((q, predicted_resonance(q)))
-    p = _max_over_inner(pts, inner_halfwidth, inner_step, workers).reshape(len(bs), len(ani))
+    cells = [preset.with_system(b_z=b, a_ani=a) for b in bs for a in ani]
+    p, meta = _best_in_windows(preset, "field-ani", cells, inner_halfwidth, inner_step, workers)
     axes = (SweepAxis("b_z", "gauss", bs), SweepAxis("a_ani", "hz", ani))
-    meta = _base_metadata(preset, "field-ani")
-    meta["inner_halfwidth_hz"] = inner_halfwidth
-    meta["inner_step_hz"] = inner_step
-    return SweepResult(axes, p, meta)
+    return SweepResult(axes, p.reshape(len(bs), len(ani)), meta)
 
 
-def max_trace(sweep: SweepResult, axis: int = 0) -> SweepResult:
-    """Reduce a 2-D sweep to the per-row extremum of |P|, sign retained.
-
-    Args:
-        sweep: 2-D sweep result.
-        axis: Index of the axis to keep (the other one is reduced).
-    """
+def max_trace(sweep: SweepResult) -> SweepResult:
+    """Reduce a 2-D sweep to the signed P of largest |P| in each row (see peak)."""
     if sweep.ndim != 2:
         raise ConfigError("max_trace needs a 2-D sweep")
-    if axis not in (0, 1):
-        raise ConfigError("axis must be 0 or 1")
-    reduce_axis = 1 - axis
-    idx = np.argmax(np.abs(sweep.p), axis=reduce_axis)
-    if axis == 0:
-        values = sweep.p[np.arange(sweep.p.shape[0]), idx]
-    else:
-        values = sweep.p[idx, np.arange(sweep.p.shape[1])]
-    meta = dict(sweep.metadata)
-    meta["reduced_axis"] = sweep.axes[reduce_axis].name
-    return SweepResult((sweep.axes[axis],), np.asarray(values), meta)
+    values = np.array([row[peak(row)] for row in sweep.p])
+    meta = dict(sweep.metadata, reduced_axis=sweep.axes[1].name)
+    return SweepResult((sweep.axes[0],), values, meta)

@@ -9,7 +9,7 @@ the ones spent on Jacobian columns.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -78,8 +78,9 @@ class FitReport:
     message: str
     warnings: tuple[str, ...] = ()
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        """JSON-ready form; NaN uncertainties become None."""
+        return {
             "params": list(self.params),
             "residual_norm": self.residual_norm,
             "n_evaluations": self.n_evaluations,
@@ -88,7 +89,6 @@ class FitReport:
             "message": self.message,
             "warnings": list(self.warnings),
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 class _Budget:
@@ -185,8 +185,6 @@ def least_squares(problem: FitProblem) -> FitReport:
                 converged, message = True, "no descent direction below damping limit"
                 break
         if converged or not stepped:
-            if not stepped and not converged and budget.used >= budget.limit:
-                message = "evaluation budget exhausted"
             break
 
     uncertainties = _uncertainties(last_jac, cost, len(data), len(x))
@@ -223,6 +221,24 @@ CURVE_FIT_BOUNDS = ((-200e3, 200e3), (100e3, 2e6), (0.0, 1e6))
 UNCERTAINTY_FLAG = 0.2
 
 
+def curve_model(
+    preset: Preset,
+    params: Sequence[float],
+    deltas: Sequence[float],
+    n_cycles: int | None = None,
+) -> np.ndarray:
+    """Readout P at each detuning for fitted (f_rel, |A_zz|, A_ani).
+
+    The sequence runs at delta - f_rel with the couplings replaced. The
+    axial coupling takes the preset's sign, so a fit works on its magnitude
+    and never crosses the sign boundary.
+    """
+    f_rel, azz_mag, a_ani = (float(v) for v in params)
+    sign = -1.0 if preset.system.a_zz < 0 else 1.0
+    q = preset.with_system(a_zz=sign * azz_mag, a_ani=a_ani)
+    return CycleEngine(q).polarizations(np.asarray(deltas, dtype=float) - f_rel, n_cycles)
+
+
 def fit_polarization_curve(
     data: Sequence[tuple[float, float]],
     preset: Preset,
@@ -233,11 +249,8 @@ def fit_polarization_curve(
 ) -> FitReport:
     """Recover (f_rel, |A_zz|, A_ani) from a polarization-vs-detuning curve.
 
-    The forward model is the full sequence simulation evaluated at each
-    shifted detuning delta - f_rel. The fit works on the magnitude of the
-    axial coupling with the preset's sign applied, so the optimizer never
-    crosses the sign boundary. Warnings flag parameters whose estimated
-    relative uncertainty exceeds 20%.
+    The forward model is curve_model, the full sequence simulation. Warnings
+    flag parameters whose estimated relative uncertainty exceeds 20%.
 
     Args:
         data: (delta_hz, P) pairs; at least 10 points.
@@ -251,15 +264,8 @@ def fit_polarization_curve(
         raise ConfigError(f"need at least 10 data points, got {len(pairs)}")
     deltas = np.array([d for d, _ in pairs])
     observed = np.array([v for _, v in pairs])
-    sign = -1.0 if preset.system.a_zz < 0 else 1.0
-
-    def forward(x: np.ndarray) -> np.ndarray:
-        f_rel, azz_mag, a_ani = (float(v) for v in x)
-        q = preset.with_system(a_zz=sign * azz_mag, a_ani=a_ani)
-        return CycleEngine(q).polarizations(deltas - f_rel, n_cycles)
-
     problem = FitProblem(
-        model=forward,
+        model=lambda x: curve_model(preset, x, deltas, n_cycles),
         data=observed,
         init=np.array(init, dtype=float),
         bounds=CURVE_FIT_BOUNDS,
@@ -274,13 +280,5 @@ def fit_polarization_curve(
         if np.isnan(sigma) or sigma / scale > UNCERTAINTY_FLAG:
             warnings.append(f"{name} uncertainty exceeds {UNCERTAINTY_FLAG:.0%}")
     if warnings:
-        report = FitReport(
-            params=report.params,
-            residual_norm=report.residual_norm,
-            n_evaluations=report.n_evaluations,
-            converged=report.converged,
-            uncertainties=report.uncertainties,
-            message=report.message,
-            warnings=tuple(warnings),
-        )
+        report = dataclasses.replace(report, warnings=tuple(warnings))
     return report

@@ -493,12 +493,6 @@ class CycleEngine:
             values += [polarization_of_state(rho).p for rho in rhos]
         return np.array(values)
 
-    def full_state(self, delta: float, n_cycles: int | None = None) -> np.ndarray:
-        """6x6 density matrix after the sequence; its m_s = -1 block is zero."""
-        vec = np.zeros(DIM * DIM, dtype=complex)
-        vec[_BLOCK] = self.states([delta], n_cycles)[0].reshape(-1)
-        return vec.reshape(DIM, DIM)
-
 
 def _apply(maps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Apply a stack of maps (n, 16, 16) to a stack of vectors (n, 16)."""

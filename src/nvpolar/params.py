@@ -57,6 +57,9 @@ class SystemParams:
             raise ConfigError(f"b_z must be >= 0, got {self.b_z}")
         if self.gamma_e <= 0 or self.gamma_c <= 0:
             raise ConfigError("gyromagnetic ratios must be positive")
+        for name in ("electron_carrier", "nuclear_zeeman"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} overflows: {getattr(self, name)}")
 
     @property
     def nuclear_zeeman(self) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .params import RelaxationRates, SystemParams
-from .schedule import Schedule, PulseSegment, chopped_laser_train, standard_polarization_schedule
+from .schedule import Schedule, PulseSegment, chopped_laser_train
 
 #: Hyperfine couplings recovered by the detuning-curve fit (Hz). The axial
 #: component is negative so that a_zz + gamma_c * b_z ~ 0 at 520 G, which is
@@ -61,17 +61,18 @@ class Preset:
             raise ConfigError(f"omega must be finite, got {self.omega}")
 
     def schedule(self, delta: float, *, n_cycles: int | None = None) -> Schedule:
-        """Standard polarization sequence at drive detuning delta."""
-        return standard_polarization_schedule(
-            delta,
-            self.omega,
-            self.n_cycles if n_cycles is None else n_cycles,
-            self.t_mw_ns,
-            chop_on_ns=self.chop_on_ns,
-            chop_off_ns=self.chop_off_ns,
-            chop_reps=self.chop_reps,
-            rest_ns=self.rest_ns,
-        )
+        """The polarization sequence at drive detuning delta.
+
+        Each of the n_cycles cycles is the readout tail (chop train, rest)
+        followed by one microwave pulse of t_mw_ns at (delta, omega) and
+        another rest.
+        """
+        n = self.n_cycles if n_cycles is None else n_cycles
+        if n < 0:
+            raise ConfigError("n_cycles must be >= 0")
+        pulse = PulseSegment(self.t_mw_ns, mw_on=True, mw_delta=delta, mw_rabi=self.omega)
+        cycle = self.readout_tail().segments + (pulse, PulseSegment(self.rest_ns))
+        return Schedule(cycle * n)
 
     def readout_tail(self) -> Schedule:
         """Terminal relaxation train placed before reading the populations.
@@ -89,22 +90,10 @@ class Preset:
         return dataclasses.replace(self, system=dataclasses.replace(self.system, **changes))
 
     def to_dict(self) -> dict:
-        """JSON-ready flat description (used by sweep metadata)."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "system": dataclasses.asdict(self.system),
-            "rates": dataclasses.asdict(self.rates),
-            "omega_hz": self.omega,
-            "t_mw_ns": self.t_mw_ns,
-            "n_cycles": self.n_cycles,
-            "t_gl_ns": self.t_gl_ns,
-            "chop_on_ns": self.chop_on_ns,
-            "chop_off_ns": self.chop_off_ns,
-            "chop_reps": self.chop_reps,
-            "rest_ns": self.rest_ns,
-            "swept": list(self.swept),
-        }
+        """JSON-ready description (used by sweep metadata), omega as omega_hz."""
+        doc = dataclasses.asdict(self)
+        doc["omega_hz"] = doc.pop("omega")
+        return doc
 
 
 def _base_system(a_zz: float, a_ani: float) -> SystemParams:

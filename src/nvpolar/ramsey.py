@@ -15,12 +15,14 @@ Zeeman terms of the specific line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigensystem import eigen_system
 from .errors import ConfigError, FitConvergenceError, UndefinedPolarizationError
+from .experiments import MAX_GRID_POINTS
 from .fitting import FitProblem, FitReport, least_squares
 from .operators import basis_index
 from .params import SystemParams
@@ -75,8 +77,8 @@ class RamseyModel:
     def __post_init__(self) -> None:
         if self.manifold not in _MANIFOLDS:
             raise ConfigError(f"manifold must be +1 or -1, got {self.manifold}")
-        if self.t2_star <= 0:
-            raise ConfigError("t2_star must be positive")
+        if not 0 < self.t2_star < math.inf:
+            raise ConfigError(f"t2_star must be positive and finite, got {self.t2_star}")
         total = 0.0
         for peak in self.peaks:
             if peak.frequency <= 0:
@@ -141,9 +143,10 @@ def ramsey_model(
 ) -> RamseyModel:
     """Build the fringe model for a given nuclear state.
 
-    Exactly one of ``rho`` (full 6x6 density matrix; its m_s = 0 diagonal is
-    used) or ``populations`` ((up, down), summing to at most one) selects the
-    nuclear weights.
+    Exactly one of ``rho`` or ``populations`` ((up, down), summing to at most
+    one) selects the nuclear weights. ``rho`` is the full 6x6 density matrix
+    or its 4x4 driven block (CycleEngine.states); either way its first two
+    diagonal entries are the m_s = 0 populations.
     """
     if (rho is None) == (populations is None):
         raise ConfigError("pass exactly one of rho or populations")
@@ -199,9 +202,17 @@ def synthesize_ramsey(
 
     Returns:
         (t, s) arrays of times (s) and signal values.
+
+    Raises:
+        ConfigError: A non-finite dt or duration, a record outside
+            MIN_SAMPLES..MAX_GRID_POINTS, or a dt that undersamples a fringe.
     """
+    if not (math.isfinite(duration) and math.isfinite(dt)):
+        raise ConfigError(f"duration and dt must be finite, got {duration}, {dt}")
     if dt <= 0:
         raise ConfigError("dt must be positive")
+    if not duration / dt <= MAX_GRID_POINTS:
+        raise ConfigError(f"record of {duration / dt:.3g} samples exceeds {MAX_GRID_POINTS}")
     n = int(round(duration / dt))
     if n < MIN_SAMPLES:
         raise ConfigError(f"record of {n} samples is too short (need {MIN_SAMPLES})")

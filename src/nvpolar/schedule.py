@@ -85,38 +85,8 @@ def chopped_laser_train(on_ns: int, off_ns: int, reps: int) -> Schedule:
     return Schedule(tuple(pair) * reps)
 
 
-def standard_polarization_schedule(
-    delta: float,
-    omega: float,
-    n_cycles: int,
-    t_mw_ns: int,
-    *,
-    chop_on_ns: int = 30,
-    chop_off_ns: int = 60,
-    chop_reps: int = 17,
-    rest_ns: int = 100,
-) -> Schedule:
-    """The polarization sequence: n_cycles of (laser train, rest, MW, rest).
-
-    Each cycle is the chopped laser train followed by a rest, a single
-    microwave segment of t_mw_ns at (delta, omega), and another rest.
-    """
-    if n_cycles < 0:
-        raise ConfigError("n_cycles must be >= 0")
-    cycle = (
-        chopped_laser_train(chop_on_ns, chop_off_ns, chop_reps).segments
-        + (
-            PulseSegment(rest_ns),
-            PulseSegment(t_mw_ns, mw_on=True, mw_delta=delta, mw_rabi=omega),
-            PulseSegment(rest_ns),
-        )
-    )
-    return Schedule(cycle * n_cycles)
-
-
 __all__ = [
     "PulseSegment",
     "Schedule",
     "chopped_laser_train",
-    "standard_polarization_schedule",
 ]

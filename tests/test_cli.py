@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +139,19 @@ def test_sweep_n_zero_cycles(tmp_path, capsys):
     assert rows[0] == "n_cycles_count,P"
     assert len(rows) == 2
     assert rows[1].startswith("0,")
+
+
+def test_tied_peaks_resolve_to_the_first_point(tmp_path, capsys, monkeypatch):
+    """sweep-detuning's summary and sweep-n's default detuning share one rule."""
+    axis = cli.ex.SweepAxis("delta", "hz", (-3e5, 0.0, 3e5))
+    tied = cli.ex.SweepResult((axis,), np.array([-0.8, 0.1, 0.8]), {})
+    monkeypatch.setattr(cli.ex, "sweep_detuning", lambda *args, **kwargs: tied)
+    code, out, _ = run(["sweep-detuning", "--out", str(tmp_path / "d")], capsys)
+    assert code == 0
+    assert out.endswith("peak P = -0.8000 at -300000 Hz\n")
+    code, out, _ = run(["sweep-n", "--n", "0", "--out", str(tmp_path / "n")], capsys)
+    assert code == 0
+    assert out.endswith("at delta = -300000 Hz\n")
 
 
 def test_out_env_var_sets_default_root(tmp_path, capsys, monkeypatch):
@@ -322,22 +336,32 @@ def test_numerical_failures_exit_3(capsys, monkeypatch, exc, expected_code, cate
     assert "\n" not in err.strip()
 
 
-# b_z = 1e306 makes inf * 0 in the Hamiltonian, which numpy warns about.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("field,value", [("b_z", 1e306), ("a_zz", 1e300)])
-def test_overflowing_config_exits_3(tmp_path, capsys, field, value):
-    """Finite values whose generators overflow fail as numerical errors."""
+# A RuntimeWarning printed before the error line would break the one-line
+# error contract, so every such warning fails the test.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "field,value,code,category",
+    [
+        pytest.param("b_z", 1e306, 2, "config", id="b_z-1e+306"),
+        pytest.param("gamma_e", 1e306, 2, "config", id="gamma_e-1e+306"),
+        pytest.param("a_zz", 1e300, 3, "numerical", id="a_zz-1e+300"),
+    ],
+)
+def test_overflowing_config_exits_3(tmp_path, capsys, field, value, code, category):
+    """Finite values whose Zeeman terms overflow are config errors; finite
+    values whose generators overflow fail as numerical errors."""
     path = inline_config(tmp_path)
     doc = json.loads(open(path).read())
     doc["system"][field] = value
     open(path, "w").write(json.dumps(doc))
     out_dir = tmp_path / "overflow"
-    code, _, err = run(
+    got, _, err = run(
         ["sweep-n", "--n", "2", "--delta", "0", "--config", path, "--out", str(out_dir)],
         capsys,
     )
-    assert code == 3
-    assert err.startswith("error: numerical:")
+    assert got == code
+    assert err.startswith(f"error: {category}:")
+    assert "\n" not in err.strip()
     assert not (out_dir / "data.csv").exists()
 
 
@@ -478,6 +502,24 @@ def test_bad_grid_exits_2(tmp_path, capsys, flags):
     assert code == 2
     assert err.startswith("error: config: grid")
     assert not (tmp_path / "g" / "data.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--dt", "1e-300"],
+        ["--duration", "1e300"],
+        ["--duration", "inf"],
+        ["--dt", "nan"],
+        ["--t2-star", "nan"],
+    ],
+    ids=lambda flags: "=".join(flags).lstrip("-"),
+)
+def test_bad_ramsey_record_exits_2(tmp_path, capsys, flags):
+    code, _, err = run(["ramsey", *flags, "--out", str(tmp_path / "r")], capsys)
+    assert code == 2
+    assert err.startswith("error: config:")
+    assert not (tmp_path / "r" / "data.csv").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -222,12 +222,20 @@ def test_two_dimensional_sweep_and_max_trace(table_a1, tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "a_ani_hz,delta_hz,P"
     assert len(lines) == 1 + 2 * 9
-    reduced = ex.max_trace(result, axis=0)
+    reduced = ex.max_trace(result)
     assert reduced.p.shape == (2,)
     for row in range(2):
         best = result.p[row, np.argmax(np.abs(result.p[row]))]
         assert reduced.p[row] == best
     assert reduced.metadata["reduced_axis"] == "delta"
+
+
+def test_peak_takes_the_first_of_tied_magnitudes():
+    assert ex.peak(np.array([0.2, -0.7, 0.7, -0.1])) == 1
+    assert ex.peak(np.array([0.5, -0.5])) == 0
+    axes = (ex.SweepAxis("a", "hz", (0.0, 1.0)), ex.SweepAxis("d", "hz", (0.0, 1.0, 2.0)))
+    tied = ex.SweepResult(axes, np.array([[0.1, -0.6, 0.6], [0.6, 0.2, -0.6]]), {})
+    assert ex.max_trace(tied).p.tolist() == [-0.6, 0.6]
 
 
 def test_sweep_result_shape_validation():

@@ -132,7 +132,7 @@ def test_uncertainties_nan_for_degenerate_parameters():
 
 def test_report_json_round_trip():
     report = least_squares(linear_problem())
-    doc = json.loads(report.to_json())
+    doc = json.loads(json.dumps(report.to_dict()))
     assert doc["converged"] is True
     assert len(doc["params"]) == 2
     assert doc["warnings"] == []
@@ -143,7 +143,7 @@ def test_report_json_round_trip():
             init=np.array([0.4, 0.4]),
         )
     )
-    doc = json.loads(degenerate.to_json())
+    doc = json.loads(json.dumps(degenerate.to_dict()))
     assert doc["uncertainties"] == [None, None]
 
 

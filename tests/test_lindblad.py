@@ -1,6 +1,7 @@
 """Master-equation generator, channels, and segment propagation."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from nvpolar.lindblad import (
 from nvpolar.params import RelaxationRates, SystemParams
 from nvpolar.polarization import polarization_of_state
 from nvpolar.presets import get_preset, preset_names
-from nvpolar.schedule import PulseSegment, Schedule, standard_polarization_schedule
+from nvpolar.schedule import PulseSegment, Schedule
 
 A_ZZ = -686.5546e3
 A_ANI = 215.3535e3
@@ -269,7 +270,7 @@ def test_full_drive_leakage_is_negligible(table_a1):
 
 
 def test_no_drive_keeps_polarization_at_zero(table_a1):
-    schedule = standard_polarization_schedule(0.0, 0.0, 3, 1700)
+    schedule = dataclasses.replace(table_a1, omega=0.0, n_cycles=3).schedule(0.0)
     prop = SchedulePropagator(table_a1.system, table_a1.rates, frame_delta=0.0)
     rho = prop.propagate(initial_mixed_state(), schedule)
     assert abs(polarization_of_state(rho).p) < 1e-9

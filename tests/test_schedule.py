@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from nvpolar.errors import ConfigError
-from nvpolar.schedule import (
-    PulseSegment,
-    Schedule,
-    chopped_laser_train,
-    standard_polarization_schedule,
-)
+from nvpolar.schedule import PulseSegment, Schedule, chopped_laser_train
 
 
 def test_segment_validation():
@@ -37,8 +32,8 @@ def test_chopped_train_without_dark_gaps():
     assert all(seg.laser_on for seg in train)
 
 
-def test_standard_schedule_cycle_layout():
-    schedule = standard_polarization_schedule(3.2e5, 294.1176e3, 2, 1700)
+def test_standard_schedule_cycle_layout(table_a1):
+    schedule = table_a1.schedule(3.2e5, n_cycles=2)
     per_cycle = 34 + 3
     assert len(schedule) == 2 * per_cycle
     cycle = list(schedule)[:per_cycle]

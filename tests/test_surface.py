@@ -10,6 +10,8 @@ import pytest
 import nvpolar
 import nvpolar.cli  # noqa: F401  (the tracer wraps cli.main)
 from nvpolar import schedule
+from nvpolar.experiments import sequence_polarization
+from nvpolar.presets import get_preset
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -64,3 +66,16 @@ def test_tracer_wraps_every_traced_attribute_and_restores_it(layers):
     assert all(wrapped[key] is not fn for key, fn in originals.items())
     assert _traced(layers) == originals
     assert nvpolar.lindblad.expm is expm
+
+
+@pytest.mark.parametrize("n_cycles", [None, 2])
+def test_bench_reference_path_matches_the_engine(monkeypatch, n_cycles):
+    """The benchmark gate's reference_p builds its schedule from Preset.schedule."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    preset = get_preset("table-a1-fit")
+    for delta in (-325e3, 325e3):
+        ref = workloads.reference_p(preset, delta, n_cycles)
+        got = sequence_polarization(preset, delta, n_cycles=n_cycles)
+        assert abs(ref - got) <= workloads.DP_TOL
