@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -159,6 +160,12 @@ def _resolve_preset(args: argparse.Namespace) -> Preset:
     return get_preset(args.preset or "table-a1-fit")
 
 
+def _check_delta(args: argparse.Namespace) -> None:
+    """Refuse a NaN or infinite --delta as a configuration error."""
+    if args.delta is not None and not math.isfinite(args.delta):
+        raise ConfigError(f"--delta must be finite, got {args.delta}")
+
+
 def _out_dir(command: str, flag: str | None) -> Path:
     if flag:
         root = Path(flag)
@@ -232,6 +239,7 @@ def _cmd_sweep_detuning(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_n(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
+    _check_delta(args)
     result = ex.sweep_repetitions(preset, args.n, delta=args.delta)
     out = _write_sweep(
         "sweep-n", args, result, _plot_xy("data.csv", "completed cycles", "P")
@@ -307,6 +315,7 @@ def _cmd_sweep_field_ani(args: argparse.Namespace) -> int:
 
 def _cmd_ramsey(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
+    _check_delta(args)
     delta = args.delta if args.delta is not None else ex.predicted_resonance(preset)
     rho = CycleEngine(preset).states([delta])[0]
     model = rm.ramsey_model(
@@ -442,6 +451,7 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
 
 def _cmd_trajectory(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
+    _check_delta(args)
     delta = args.delta if args.delta is not None else ex.predicted_resonance(preset)
     schedule = preset.schedule(delta, n_cycles=args.n) + preset.readout_tail()
     prop = SchedulePropagator(preset.system, preset.rates, frame_delta=delta)

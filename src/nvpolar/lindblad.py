@@ -17,7 +17,10 @@ every distinct segment once per schedule; it is the reference path and the
 one that samples trajectories. CycleEngine computes the standard polarization
 sequence for a whole grid of drive detunings at once: it slices the
 {m_s = 0, +1} block, which the sequence never leaves, out of the same 6-level
-generators and exponentiates only that block (see its docstring).
+generators and exponentiates only that block (see its docstring). Its
+microwave pulse runs with the laser off, so unless dephasing channels are
+set the pulse is unitary, and its map is U kron conj(U) for the 4x4 unitary
+U of the driven block; only a dephased pulse exponentiates a 16x16 generator.
 
 Both exponentiate with expm, a NumPy scaling-and-squaring Padé exponential
 that takes one matrix or a stack, so the package needs no SciPy at runtime.
@@ -149,9 +152,11 @@ def liouvillian(h: np.ndarray, channels: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two square matrices, as one broadcast product (same bits)."""
-    n, m = len(a), len(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+    """np.kron of two square matrices, or of each pair of slices of two
+    (k, n, n) and (k, m, m) stacks, as one broadcast product (same bits)."""
+    n, m = a.shape[-1], b.shape[-1]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], n * m, n * m)
 
 
 # -- matrix exponential ----------------------------------------------------------
@@ -374,12 +379,13 @@ class CycleEngine:
     One engine serves one preset, and evaluates T C^N vec(rho_0) for every
     detuning delta of a grid, where C(delta) is the map of one cycle (chop
     train, rest, microwave pulse, rest) and T(delta) that of the readout
-    tail (chop train, rest). Three facts make this cheap and exact:
+    tail (chop train, rest). Four facts make this cheap and exact:
 
     * With the rotating-wave drive and the optical channels of the driven
-      transition, nothing couples the {m_s = 0, +1} block to m_s = -1, so
-      the 16 rows and columns of that block are sliced out of each 6-level
-      generator and the 16-dim block is propagated on its own.
+      transition, nothing couples the {m_s = 0, +1} block to m_s = -1 (the
+      Hamiltonian's part of this is checked once per engine), so the 16 rows
+      and columns of that block are sliced out of each 6-level generator and
+      the 16-dim block is propagated on its own.
     * delta enters every generator only as the frame term delta K, with
       K = i 2 pi (P+ kron I - I kron P+^T) diagonal. K commutes with the
       laser and rest generators, whose propagators are therefore
@@ -387,8 +393,15 @@ class CycleEngine:
       and shifted by the phases exp(delta K t). K is built from the
       projector: the difference of two generators would lose ~1e-6 to the
       4.3 GHz carrier cancellation.
-    * The microwave generators G(0) + delta K of a batch are exponentiated
-      in one stacked expm call, which treats every slice on its own.
+    * The laser is off during the microwave pulse, so with no dephasing
+      channel (gamma_d all zero, as in the bundled presets) the pulse is
+      unitary: its map is U kron conj(U), since vec(U rho U+) =
+      (U kron conj U) vec(rho) for row-major vec, with
+      U = exp(-2 pi i t H(delta)) and H(delta) = H(0) - delta P+ the 4x4
+      driven block. The 4x4 exponentials of a batch take one stacked expm
+      call. Only a pulse with channels exponentiates its 16x16 generators
+      G(0) + delta K, also in one stacked call.
+    * expm treats every slice of a stack on its own.
 
     Every per-detuning result is therefore independent of the batch it was
     computed in. Each batch checks that its cycle and tail maps preserve
@@ -418,11 +431,22 @@ class CycleEngine:
         self._tail = self._rest @ chop
         self._tail_s = (pair.duration_ns * preset.chop_reps + preset.rest_ns) * 1e-9
         self._rest_s = preset.rest_ns * 1e-9
-        pulse = PulseSegment(preset.t_mw_ns, mw_on=True, mw_rabi=preset.omega)
-        self._mw = generator(pulse)
         self._mw_s = preset.t_mw_ns * 1e-9
-        p_plus = np.real(np.diag(spin_operators().p_plus1))[list(DRIVEN_INDICES)]
+        block = np.ix_(DRIVEN_INDICES, DRIVEN_INDICES)
+        self._p_plus = np.real(spin_operators().p_plus1[block])
+        p_plus = np.diag(self._p_plus)
         self._k_diag = 2j * np.pi * np.subtract.outer(p_plus, p_plus).reshape(-1)
+        h = rotating_hamiltonian(preset.system, 0.0, preset.omega * DRIVE_SCALE)
+        self._h = h[block]
+        outside = [i for i in range(DIM) if i not in DRIVEN_INDICES]
+        if np.any(h[np.ix_(DRIVEN_INDICES, outside)]) or np.any(h[np.ix_(outside, DRIVEN_INDICES)]):
+            raise NumericalError("the Hamiltonian couples the driven block to m_s = -1")
+        # The 16x16 pulse generator, built only for a pulse with channels.
+        self._mw = None
+        if build_channels(preset.rates, preset.system, laser_on=False):
+            self._mw = generator(
+                PulseSegment(preset.t_mw_ns, mw_on=True, mw_rabi=preset.omega)
+            )
         self._rho0 = initial_mixed_state().reshape(-1)[_BLOCK]
         self._n_cycles = preset.n_cycles
 
@@ -434,11 +458,16 @@ class CycleEngine:
         """Cycle and tail maps, each of shape (n, 16, 16), for one batch."""
         d = np.asarray(deltas, dtype=float)
         tail = self._phases(d, self._tail_s)[:, :, None] * self._tail
-        gens = np.repeat(self._mw[None] * self._mw_s, len(d), axis=0)
-        idx = np.arange(len(self._k_diag))
-        gens[:, idx, idx] += np.multiply.outer(d * self._mw_s, self._k_diag)
-        pulse = self._rest @ expm(gens)
-        cycle = (self._phases(d, self._rest_s)[:, :, None] * pulse) @ tail
+        if self._mw is None:
+            h = self._h - np.multiply.outer(d, self._p_plus)
+            u = expm(h * (-2j * np.pi * self._mw_s))
+            pulse = _kron(u, u.conj())
+        else:
+            gens = np.repeat(self._mw[None] * self._mw_s, len(d), axis=0)
+            idx = np.arange(len(self._k_diag))
+            gens[:, idx, idx] += np.multiply.outer(d * self._mw_s, self._k_diag)
+            pulse = expm(gens)
+        cycle = (self._phases(d, self._rest_s)[:, :, None] * (self._rest @ pulse)) @ tail
         trace_row = np.eye(len(DRIVEN_INDICES)).reshape(-1)
         for name, m in (("cycle", cycle), ("tail", tail)):
             err = float(np.max(np.abs(trace_row @ m - trace_row), initial=0.0))

@@ -57,9 +57,10 @@ class SystemParams:
             raise ConfigError(f"b_z must be >= 0, got {self.b_z}")
         if self.gamma_e <= 0 or self.gamma_c <= 0:
             raise ConfigError("gyromagnetic ratios must be positive")
+        # The generators scale these by 2 pi, which must not overflow either.
         for name in ("electron_carrier", "nuclear_zeeman"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} overflows: {getattr(self, name)}")
+            if not math.isfinite(2.0 * math.pi * getattr(self, name)):
+                raise ConfigError(f"{name} overflows: 2 pi x {getattr(self, name)}")
 
     @property
     def nuclear_zeeman(self) -> float:

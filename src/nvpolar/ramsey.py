@@ -112,6 +112,8 @@ def analytic_peaks(
     """
     if manifold not in _MANIFOLDS:
         raise ConfigError(f"manifold must be +1 or -1, got {manifold}")
+    if not math.isfinite(probe_detuning):
+        raise ConfigError(f"probe detuning must be finite, got {probe_detuning}")
     es = eigen_system(p)
     carrier = p.d + manifold * p.gamma_e * p.b_z
     peaks = []
@@ -122,7 +124,7 @@ def analytic_peaks(
             frequency = probe_detuning + (
                 es.energies[col] - es.energies[origin] - carrier
             )
-            if frequency <= 0:
+            if not frequency > 0:
                 raise ConfigError(
                     "probe detuning too small: fringe frequency "
                     f"{frequency:.3e} Hz is not positive"

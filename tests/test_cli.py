@@ -344,6 +344,7 @@ def test_numerical_failures_exit_3(capsys, monkeypatch, exc, expected_code, cate
     [
         pytest.param("b_z", 1e306, 2, "config", id="b_z-1e+306"),
         pytest.param("gamma_e", 1e306, 2, "config", id="gamma_e-1e+306"),
+        pytest.param("b_z", 6e301, 2, "config", id="b_z-6e+301"),
         pytest.param("a_zz", 1e300, 3, "numerical", id="a_zz-1e+300"),
     ],
 )
@@ -519,6 +520,28 @@ def test_bad_ramsey_record_exits_2(tmp_path, capsys, flags):
     code, _, err = run(["ramsey", *flags, "--out", str(tmp_path / "r")], capsys)
     assert code == 2
     assert err.startswith("error: config:")
+    assert not (tmp_path / "r" / "data.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["sweep-n", "ramsey", "trajectory"])
+def test_non_finite_delta_exits_2(tmp_path, capsys, command, value):
+    out_dir = tmp_path / "d"
+    code, _, err = run([command, f"--delta={value}", "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert err.startswith("error: config: --delta must be finite")
+    assert "\n" not in err.strip()
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_probe_detuning_exits_2(tmp_path, capsys, value):
+    code, _, err = run(
+        ["ramsey", f"--probe-detuning={value}", "--out", str(tmp_path / "r")], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: config: probe detuning must be finite")
+    assert "\n" not in err.strip()
     assert not (tmp_path / "r" / "data.csv").exists()
 
 

@@ -1,5 +1,7 @@
 """The batched cycle-map engine against the exact 6-level reference path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from nvpolar import experiments as ex
 from nvpolar import lindblad
 from nvpolar.errors import NumericalError
 from nvpolar.lindblad import CycleEngine, SchedulePropagator, initial_mixed_state
+from nvpolar.params import RelaxationRates
 from nvpolar.polarization import polarization_of_state
 from nvpolar.presets import get_preset, preset_names
 
@@ -35,6 +38,58 @@ def test_engine_matches_reference(name, a_ani, n_cycles):
         preset = preset.with_system(a_ani=a_ani)
     deltas = [-3.2e5, -1e5, 0.0, 1.7e5, 3.2e5, 4.1e5, 5e6]
     got = CycleEngine(preset).polarizations(deltas, n_cycles)
+    for delta, p in zip(deltas, got):
+        assert abs(p - reference_p(preset, delta, n_cycles)) <= DP_TOL
+
+
+def _traced_expm(monkeypatch):
+    """Patch lindblad.expm to record the shape of every argument; return the list."""
+    shapes = []
+    expm = lindblad.expm
+
+    def traced(a):
+        shapes.append(np.shape(a))
+        return expm(a)
+
+    monkeypatch.setattr(lindblad, "expm", traced)
+    return shapes
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_unitary_pulse_is_exponentiated_as_4x4_blocks(name, monkeypatch):
+    """The bundled presets' pulses have no channels: maps() never runs a 16x16 expm."""
+    engine = CycleEngine(get_preset(name))
+    shapes = _traced_expm(monkeypatch)
+    engine.maps([-3.2e5, 0.0, 3.2e5])
+    assert shapes == [(3, 4, 4)]
+
+
+def test_engine_refuses_a_hamiltonian_that_leaves_the_block(table_a1, monkeypatch):
+    rotating_hamiltonian = lindblad.rotating_hamiltonian
+
+    def leaky(*args):
+        h = rotating_hamiltonian(*args).copy()
+        h[4, 1] = h[1, 4] = 1.0
+        return h
+
+    monkeypatch.setattr(lindblad, "rotating_hamiltonian", leaky)
+    with pytest.raises(NumericalError, match="couples the driven block"):
+        CycleEngine(table_a1)
+
+
+@pytest.mark.parametrize("name", ["table-a1-fit", "table-a1-fig4"])
+@pytest.mark.parametrize("n_cycles", [0, 1, 6])
+def test_dephased_pulse_matches_reference(name, n_cycles, monkeypatch):
+    """With dephasing the pulse is not unitary: the 16x16 branch, checked."""
+    rates = RelaxationRates(
+        gamma_gl=8e6, n_th=0.1, gamma_d=(2e5, 1e5, 3e5, 1.5e5), gamma_n_gl=1e5
+    )
+    preset = dataclasses.replace(get_preset(name), rates=rates)
+    deltas = [-3.2e5, 0.0, 1.7e5, 3.2e5, 4.1e5]
+    engine = CycleEngine(preset)
+    shapes = _traced_expm(monkeypatch)
+    got = engine.polarizations(deltas, n_cycles)
+    assert shapes == [(len(deltas), 16, 16)]
     for delta, p in zip(deltas, got):
         assert abs(p - reference_p(preset, delta, n_cycles)) <= DP_TOL
 

@@ -225,14 +225,20 @@ def test_two_dimensional_sweep_and_max_trace(table_a1, tmp_path):
     reduced = ex.max_trace(result)
     assert reduced.p.shape == (2,)
     for row in range(2):
-        best = result.p[row, np.argmax(np.abs(result.p[row]))]
-        assert reduced.p[row] == best
+        magnitude = np.abs(result.p[row])
+        first = np.flatnonzero(magnitude >= magnitude.max() - ex.PEAK_TIE)[0]
+        assert reduced.p[row] == result.p[row, first]
     assert reduced.metadata["reduced_axis"] == "delta"
 
 
 def test_peak_takes_the_first_of_tied_magnitudes():
     assert ex.peak(np.array([0.2, -0.7, 0.7, -0.1])) == 1
     assert ex.peak(np.array([0.5, -0.5])) == 0
+    # Mirror lobes that differ in the last bits tie: a later value larger by
+    # a few ulp does not win, one larger by more than PEAK_TIE does.
+    lobe = 0.8903613071224068
+    assert ex.peak(np.array([0.1, -lobe, 0.2, lobe + 4 * np.spacing(lobe)])) == 1
+    assert ex.peak(np.array([0.1, -lobe, 0.2, lobe + 2 * ex.PEAK_TIE])) == 3
     axes = (ex.SweepAxis("a", "hz", (0.0, 1.0)), ex.SweepAxis("d", "hz", (0.0, 1.0, 2.0)))
     tied = ex.SweepResult(axes, np.array([[0.1, -0.6, 0.6], [0.6, 0.2, -0.6]]), {})
     assert ex.max_trace(tied).p.tolist() == [-0.6, 0.6]
