@@ -16,7 +16,6 @@ import hashlib
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -194,6 +193,9 @@ def _evaluate(
     ]
     if workers == 1 or len(tasks) <= 1:
         return [CycleEngine(preset).polarizations(d, n_cycles) for preset, d in jobs]
+    # Imported here: loading the pool machinery slows every command's start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         flat = np.concatenate(list(pool.map(_eval_task, tasks)))
     return np.split(flat, np.cumsum([len(d) for _, d in jobs])[:-1])

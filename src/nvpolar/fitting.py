@@ -10,6 +10,7 @@ the ones spent on Jacobian columns.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -226,17 +227,21 @@ def curve_model(
     params: Sequence[float],
     deltas: Sequence[float],
     n_cycles: int | None = None,
+    *,
+    engine: Callable[[Preset], CycleEngine] = CycleEngine,
 ) -> np.ndarray:
     """Readout P at each detuning for fitted (f_rel, |A_zz|, A_ani).
 
     The sequence runs at delta - f_rel with the couplings replaced. The
     axial coupling takes the preset's sign, so a fit works on its magnitude
-    and never crosses the sign boundary.
+    and never crosses the sign boundary. engine builds the CycleEngine of
+    the coupled preset; f_rel only shifts the detunings, so an engine that
+    is reused for equal presets gives the same bits.
     """
     f_rel, azz_mag, a_ani = (float(v) for v in params)
     sign = -1.0 if preset.system.a_zz < 0 else 1.0
     q = preset.with_system(a_zz=sign * azz_mag, a_ani=a_ani)
-    return CycleEngine(q).polarizations(np.asarray(deltas, dtype=float) - f_rel, n_cycles)
+    return engine(q).polarizations(np.asarray(deltas, dtype=float) - f_rel, n_cycles)
 
 
 def fit_polarization_curve(
@@ -249,8 +254,11 @@ def fit_polarization_curve(
 ) -> FitReport:
     """Recover (f_rel, |A_zz|, A_ani) from a polarization-vs-detuning curve.
 
-    The forward model is curve_model, the full sequence simulation. Warnings
-    flag parameters whose estimated relative uncertainty exceeds 20%.
+    The forward model is curve_model, the full sequence simulation. The fit
+    keeps the engine of its last (|A_zz|, A_ani) pair, so an evaluation
+    that moves only f_rel (its Jacobian column) builds none; the engine goes
+    with the fit. Warnings flag parameters whose estimated relative
+    uncertainty exceeds 20%.
 
     Args:
         data: (delta_hz, P) pairs; at least 10 points.
@@ -264,8 +272,9 @@ def fit_polarization_curve(
         raise ConfigError(f"need at least 10 data points, got {len(pairs)}")
     deltas = np.array([d for d, _ in pairs])
     observed = np.array([v for _, v in pairs])
+    engine = functools.lru_cache(maxsize=1)(CycleEngine)
     problem = FitProblem(
-        model=lambda x: curve_model(preset, x, deltas, n_cycles),
+        model=lambda x: curve_model(preset, x, deltas, n_cycles, engine=engine),
         data=observed,
         init=np.array(init, dtype=float),
         bounds=CURVE_FIT_BOUNDS,

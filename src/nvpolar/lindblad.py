@@ -15,9 +15,10 @@ Two propagators share this generator. SchedulePropagator takes any schedule
 and propagates the full 6x6 density matrix segment by segment, exponentiating
 every distinct segment once per schedule; it is the reference path and the
 one that samples trajectories. CycleEngine computes the standard polarization
-sequence for a whole grid of drive detunings at once: it slices the
-{m_s = 0, +1} block, which the sequence never leaves, out of the same 6-level
-generators and exponentiates only that block (see its docstring). Its
+sequence for a whole grid of drive detunings at once: it builds the
+generators of the {m_s = 0, +1} block, which the sequence never leaves,
+directly from the 4x4 blocks of H and of the collapse operators, and
+exponentiates only that block (see its docstring). Its
 microwave pulse runs with the laser off, so unless dephasing channels are
 set the pulse is unitary, and its map is U kron conj(U) for the 4x4 unitary
 U of the driven block; only a dephased pulse exponentiates a 16x16 generator.
@@ -79,6 +80,13 @@ def initial_mixed_state() -> np.ndarray:
     rho = np.zeros((DIM, DIM), dtype=complex)
     rho[0, 0] = rho[1, 1] = 0.5
     return rho
+
+
+#: P+ on the driven block, the frame term delta K's diagonal
+#: K = i 2 pi (P+ kron I - I kron P+^T), and vec(rho_0) on the block.
+_P_PLUS = np.real(spin_operators().p_plus1[np.ix_(DRIVEN_INDICES, DRIVEN_INDICES)])
+_K_DIAG = 2j * np.pi * np.subtract.outer(np.diag(_P_PLUS), np.diag(_P_PLUS)).reshape(-1)
+_RHO0 = initial_mixed_state().reshape(-1)[_BLOCK]
 
 
 def build_channels(
@@ -382,10 +390,12 @@ class CycleEngine:
     tail (chop train, rest). Four facts make this cheap and exact:
 
     * With the rotating-wave drive and the optical channels of the driven
-      transition, nothing couples the {m_s = 0, +1} block to m_s = -1 (the
-      Hamiltonian's part of this is checked once per engine), so the 16 rows
-      and columns of that block are sliced out of each 6-level generator and
-      the 16-dim block is propagated on its own.
+      transition, nothing couples the {m_s = 0, +1} block to m_s = -1: each
+      engine checks that H couples no entry across the block edge and that
+      no collapse operator has an entry outside the block. The generators
+      are then built on the block, liouvillian(h[:4, :4], [c[:4, :4] ...]),
+      which gives the 16 rows and columns of SchedulePropagator's 6-level
+      generators bit for bit, and the 16-dim block is propagated on its own.
     * delta enters every generator only as the frame term delta K, with
       K = i 2 pi (P+ kron I - I kron P+^T) diagonal. K commutes with the
       laser and rest generators, whose propagators are therefore
@@ -405,14 +415,28 @@ class CycleEngine:
 
     Every per-detuning result is therefore independent of the batch it was
     computed in. Each batch checks that its cycle and tail maps preserve
-    the trace, and every final state is checked like SchedulePropagator's.
+    the trace, every final state is checked like SchedulePropagator's, and
+    a batch's polarizations are read in one polarization_of_state call.
     """
 
     def __init__(self, preset: "Preset") -> None:
-        ref = SchedulePropagator(preset.system, preset.rates)
-
-        def generator(seg: PulseSegment) -> np.ndarray:
-            return ref.segment_generator(seg)[np.ix_(_BLOCK, _BLOCK)]
+        n = len(DRIVEN_INDICES)
+        # The drive acts inside the block, so h_mw couples across its edge
+        # wherever h0 does.
+        h0 = rotating_hamiltonian(preset.system, 0.0, 0.0)
+        h_mw = rotating_hamiltonian(preset.system, 0.0, preset.omega * DRIVE_SCALE)
+        if np.any(h_mw[:n, n:]) or np.any(h_mw[n:, :n]):
+            raise NumericalError("the Hamiltonian couples the driven block to m_s = -1")
+        channels = {}
+        for laser_on in (True, False):
+            ops = build_channels(preset.rates, preset.system, laser_on=laser_on)
+            if any(np.any(op[:n, n:]) or np.any(op[n:, :]) for op in ops):
+                raise NumericalError("a collapse operator acts outside the driven block")
+            channels[laser_on] = [op[:n, :n] for op in ops]
+        # The block generators at delta = 0, keyed by the laser gate.
+        self._generators = {
+            laser_on: liouvillian(h0[:n, :n], ops) for laser_on, ops in channels.items()
+        }
 
         # One on/off pair of the train (none for zero reps), validated as such,
         # and the rest, exponentiated in one stacked call.
@@ -421,7 +445,9 @@ class CycleEngine:
         )
         segments = (*pair, PulseSegment(preset.rest_ns))
         *chop_props, self._rest = expm(
-            np.stack([generator(seg) * (seg.duration_ns * 1e-9) for seg in segments])
+            np.stack(
+                [self._generators[seg.laser_on] * (seg.duration_ns * 1e-9) for seg in segments]
+            )
         )
         chop = np.eye(len(_BLOCK), dtype=complex)
         for prop in chop_props:
@@ -432,40 +458,27 @@ class CycleEngine:
         self._tail_s = (pair.duration_ns * preset.chop_reps + preset.rest_ns) * 1e-9
         self._rest_s = preset.rest_ns * 1e-9
         self._mw_s = preset.t_mw_ns * 1e-9
-        block = np.ix_(DRIVEN_INDICES, DRIVEN_INDICES)
-        self._p_plus = np.real(spin_operators().p_plus1[block])
-        p_plus = np.diag(self._p_plus)
-        self._k_diag = 2j * np.pi * np.subtract.outer(p_plus, p_plus).reshape(-1)
-        h = rotating_hamiltonian(preset.system, 0.0, preset.omega * DRIVE_SCALE)
-        self._h = h[block]
-        outside = [i for i in range(DIM) if i not in DRIVEN_INDICES]
-        if np.any(h[np.ix_(DRIVEN_INDICES, outside)]) or np.any(h[np.ix_(outside, DRIVEN_INDICES)]):
-            raise NumericalError("the Hamiltonian couples the driven block to m_s = -1")
+        self._h = h_mw[:n, :n]
         # The 16x16 pulse generator, built only for a pulse with channels.
-        self._mw = None
-        if build_channels(preset.rates, preset.system, laser_on=False):
-            self._mw = generator(
-                PulseSegment(preset.t_mw_ns, mw_on=True, mw_rabi=preset.omega)
-            )
-        self._rho0 = initial_mixed_state().reshape(-1)[_BLOCK]
+        self._mw = liouvillian(self._h, channels[False]) if channels[False] else None
         self._n_cycles = preset.n_cycles
 
     def _phases(self, deltas: np.ndarray, seconds: float) -> np.ndarray:
         """diag(exp(delta K t)) per detuning, shape (n, 16)."""
-        return np.exp(np.multiply.outer(deltas * seconds, self._k_diag))
+        return np.exp(np.multiply.outer(deltas * seconds, _K_DIAG))
 
     def maps(self, deltas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Cycle and tail maps, each of shape (n, 16, 16), for one batch."""
         d = np.asarray(deltas, dtype=float)
         tail = self._phases(d, self._tail_s)[:, :, None] * self._tail
         if self._mw is None:
-            h = self._h - np.multiply.outer(d, self._p_plus)
+            h = self._h - np.multiply.outer(d, _P_PLUS)
             u = expm(h * (-2j * np.pi * self._mw_s))
             pulse = _kron(u, u.conj())
         else:
             gens = np.repeat(self._mw[None] * self._mw_s, len(d), axis=0)
-            idx = np.arange(len(self._k_diag))
-            gens[:, idx, idx] += np.multiply.outer(d * self._mw_s, self._k_diag)
+            idx = np.arange(len(_K_DIAG))
+            gens[:, idx, idx] += np.multiply.outer(d * self._mw_s, _K_DIAG)
             pulse = expm(gens)
         cycle = (self._phases(d, self._rest_s)[:, :, None] * (self._rest @ pulse)) @ tail
         trace_row = np.eye(len(DRIVEN_INDICES)).reshape(-1)
@@ -486,7 +499,7 @@ class CycleEngine:
         out = []
         for start in range(0, len(d), CHUNK):
             cycle, tail = self.maps(d[start : start + CHUNK])
-            vec = np.tile(self._rho0, (len(cycle), 1))
+            vec = np.tile(_RHO0, (len(cycle), 1))
             for _ in range(n):
                 vec = _apply(cycle, vec)
             out.append(_checked(_apply(tail, vec)))
@@ -496,9 +509,7 @@ class CycleEngine:
         self, deltas: Sequence[float], n_cycles: int | None = None
     ) -> np.ndarray:
         """Readout polarization after the sequence at every detuning."""
-        return np.array(
-            [polarization_of_state(rho).p for rho in self.states(deltas, n_cycles)]
-        )
+        return polarization_of_state(self.states(deltas, n_cycles)).p
 
     def buildup(self, delta: float, n_max: int) -> np.ndarray:
         """Readout polarization after 0..n_max cycles at one detuning.
@@ -510,17 +521,16 @@ class CycleEngine:
         """
         cycle, tail = self.maps([delta])
         values = []
-        vec = self._rho0[None]
+        vec = _RHO0[None]
         for start in range(0, n_max + 1, CHUNK):
-            block = np.empty((min(CHUNK, n_max + 1 - start), len(self._rho0)), dtype=complex)
+            block = np.empty((min(CHUNK, n_max + 1 - start), len(_RHO0)), dtype=complex)
             for i in range(len(block)):
                 if start + i > 0:
                     vec = _apply(cycle, vec)
                 block[i] = vec[0]
             tails = np.broadcast_to(tail, (len(block), *tail.shape[1:]))
-            rhos = _checked(_apply(tails, block))
-            values += [polarization_of_state(rho).p for rho in rhos]
-        return np.array(values)
+            values.append(polarization_of_state(_checked(_apply(tails, block))).p)
+        return np.concatenate(values) if values else np.empty(0)
 
 
 def _apply(maps: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -16,31 +16,42 @@ POPULATION_FLOOR = 1e-12
 class PolarizationResult:
     """Population contrast of the two m_s = 0 readout states.
 
+    Each field is a float for one state and an array for a stack of states.
+
     Attributes:
         p: (pop_up - pop_down) / (pop_up + pop_down), in [-1, 1].
         pop_up: Population of |0,up>.
         pop_down: Population of |0,down>.
     """
 
-    p: float
-    pop_up: float
-    pop_down: float
+    p: float | np.ndarray
+    pop_up: float | np.ndarray
+    pop_down: float | np.ndarray
 
 
 def polarization_of_state(rho: np.ndarray) -> PolarizationResult:
-    """Polarization read from the m_s = 0 diagonal of a 6x6 density matrix.
+    """Polarization read from the m_s = 0 diagonal of a density matrix.
+
+    rho is one state, (6, 6) or its (4, 4) driven block, or a stack of
+    them, (n, 6, 6) or (n, 4, 4). Every state of a stack is read with the
+    same arithmetic as a state on its own, so each value has the same bits.
 
     Raises:
-        UndefinedPolarizationError: If both readout populations are below
-            the floor (no m_s = 0 population to read out).
+        UndefinedPolarizationError: If both readout populations of a state
+            are below the floor (no m_s = 0 population to read out); the
+            message names the first such state's total.
     """
-    pop_up = float(np.real(rho[0, 0]))
-    pop_down = float(np.real(rho[1, 1]))
+    rho = np.asarray(rho)
+    pop_up = rho[..., 0, 0].real
+    pop_down = rho[..., 1, 1].real
     total = pop_up + pop_down
-    if total <= POPULATION_FLOOR:
+    below = total <= POPULATION_FLOOR
+    if below.any():
+        low = float(total[below].flat[0])
         raise UndefinedPolarizationError(
-            f"total m_s = 0 population {total:.3e} is below {POPULATION_FLOOR:.0e}"
+            f"total m_s = 0 population {low:.3e} is below {POPULATION_FLOOR:.0e}"
         )
-    return PolarizationResult(
-        p=(pop_up - pop_down) / total, pop_up=pop_up, pop_down=pop_down
-    )
+    p = (pop_up - pop_down) / total
+    if rho.ndim == 2:
+        return PolarizationResult(p=float(p), pop_up=float(pop_up), pop_down=float(pop_down))
+    return PolarizationResult(p=p, pop_up=pop_up, pop_down=pop_down)

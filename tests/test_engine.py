@@ -17,9 +17,16 @@ from nvpolar.lindblad import CycleEngine, SchedulePropagator, initial_mixed_stat
 from nvpolar.params import RelaxationRates
 from nvpolar.polarization import polarization_of_state
 from nvpolar.presets import get_preset, preset_names
+from nvpolar.schedule import PulseSegment
 
 #: Largest |P_engine - P_reference| accepted anywhere.
 DP_TOL = 1e-9
+
+#: Rates with every optional channel on: thermal re-excitation, dephasing of
+#: the four driven eigenstates and laser-driven nuclear cross-relaxation.
+DEPHASED = RelaxationRates(
+    gamma_gl=8e6, n_th=0.1, gamma_d=(2e5, 1e5, 3e5, 1.5e5), gamma_n_gl=1e5
+)
 
 
 def reference_p(preset, delta, n_cycles=None):
@@ -77,14 +84,51 @@ def test_engine_refuses_a_hamiltonian_that_leaves_the_block(table_a1, monkeypatc
         CycleEngine(table_a1)
 
 
+def test_engine_refuses_a_channel_that_leaves_the_block(table_a1, monkeypatch):
+    """The generators are built from the 4x4 blocks, so such a channel would be lost."""
+    build_channels = lindblad.build_channels
+
+    def leaky(rates, p, *, laser_on):
+        into_minus = np.zeros((6, 6), dtype=complex)
+        into_minus[4, 0] = 1e3  # |0,up> -> |-1,up>
+        return [*build_channels(rates, p, laser_on=laser_on), into_minus]
+
+    monkeypatch.setattr(lindblad, "build_channels", leaky)
+    with pytest.raises(NumericalError, match="collapse operator acts outside"):
+        CycleEngine(table_a1)
+
+
+def _reference_block(preset, seg):
+    """SchedulePropagator's 6-level generator of seg, sliced to the driven block."""
+    gen = SchedulePropagator(preset.system, preset.rates).segment_generator(seg)
+    return gen[np.ix_(lindblad._BLOCK, lindblad._BLOCK)]
+
+
+@pytest.mark.parametrize("name", ["table-a1-fit", "table-a1-fig4"])
+@pytest.mark.parametrize("rates", [None, DEPHASED], ids=["default", "dephased"])
+@pytest.mark.parametrize("laser_on", [True, False])
+def test_block_generators_are_the_reference_generators_sliced(name, rates, laser_on):
+    preset = get_preset(name)
+    if rates is not None:
+        preset = dataclasses.replace(preset, rates=rates)
+    got = CycleEngine(preset)._generators[laser_on]
+    ref = _reference_block(preset, PulseSegment(10, laser_on=laser_on))
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["table-a1-fit", "table-a1-fig4"])
+def test_dephased_pulse_generator_is_the_reference_generator_sliced(name):
+    preset = dataclasses.replace(get_preset(name), rates=DEPHASED)
+    pulse = PulseSegment(preset.t_mw_ns, mw_on=True, mw_rabi=preset.omega)
+    got = CycleEngine(preset)._mw
+    assert got.tobytes() == _reference_block(preset, pulse).tobytes()
+
+
 @pytest.mark.parametrize("name", ["table-a1-fit", "table-a1-fig4"])
 @pytest.mark.parametrize("n_cycles", [0, 1, 6])
 def test_dephased_pulse_matches_reference(name, n_cycles, monkeypatch):
     """With dephasing the pulse is not unitary: the 16x16 branch, checked."""
-    rates = RelaxationRates(
-        gamma_gl=8e6, n_th=0.1, gamma_d=(2e5, 1e5, 3e5, 1.5e5), gamma_n_gl=1e5
-    )
-    preset = dataclasses.replace(get_preset(name), rates=rates)
+    preset = dataclasses.replace(get_preset(name), rates=DEPHASED)
     deltas = [-3.2e5, 0.0, 1.7e5, 3.2e5, 4.1e5]
     engine = CycleEngine(preset)
     shapes = _traced_expm(monkeypatch)

@@ -10,7 +10,7 @@ from helpers import rowwise_sweep_csv, rowwise_sweep_metadata
 from nvpolar import experiments as ex
 from nvpolar.errors import ConfigError, UndefinedPolarizationError
 from nvpolar.eigensystem import eigen_system
-from nvpolar.lindblad import SchedulePropagator, initial_mixed_state
+from nvpolar.lindblad import CycleEngine, SchedulePropagator, initial_mixed_state
 from nvpolar.operators import spin_operators
 from nvpolar.polarization import polarization_of_state
 
@@ -29,6 +29,22 @@ def test_polarization_undefined_without_readout_population():
     rho[2, 2] = 1.0
     with pytest.raises(UndefinedPolarizationError):
         polarization_of_state(rho)
+
+
+def test_polarization_of_a_stack_is_bit_equal_to_per_state_reads(table_a1):
+    states = CycleEngine(table_a1).states(np.linspace(-6e5, 6e5, 9), 3)
+    stacked = polarization_of_state(states)
+    for field in ("p", "pop_up", "pop_down"):
+        single = np.array([getattr(polarization_of_state(rho), field) for rho in states])
+        assert getattr(stacked, field).tobytes() == single.tobytes()
+
+
+def test_polarization_of_a_stack_names_the_unreadable_state():
+    stack = np.zeros((3, 6, 6), dtype=complex)
+    stack[:, 0, 0] = (0.9, 4e-13, 0.3)
+    stack[:, 2, 2] = (0.1, 1.0 - 4e-13, 0.7)
+    with pytest.raises(UndefinedPolarizationError, match=r"population 4\.000e-13 is below"):
+        polarization_of_state(stack)
 
 
 def test_grid_is_closed_and_uniform():

@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 
 from nvpolar import experiments as ex
+from nvpolar import fitting
 from nvpolar.errors import ConfigError, FitModelError
 from nvpolar.fitting import (
+    CURVE_FIT_BOUNDS,
     CURVE_FIT_INIT,
+    JACOBIAN_ABS_FLOOR,
+    JACOBIAN_REL_STEP,
     FitProblem,
+    curve_model,
     fit_polarization_curve,
     least_squares,
 )
+from nvpolar.lindblad import CycleEngine
 
 T_GRID = np.linspace(0.0, 3.0, 25)
 
@@ -176,3 +182,42 @@ def test_curve_fit_recovers_couplings(table_a1):
     assert abs(azz_mag - true_azz) < 0.01 * true_azz
     assert abs(a_ani - true_ani) < 1e3
     assert report.warnings == ()
+
+
+def test_curve_fit_reuses_the_engine_only_when_f_rel_moves(table_a1, monkeypatch):
+    """The fit equals least_squares on plain curve_model calls, and builds one
+    engine per evaluation except where only f_rel moved (its Jacobian column)."""
+    deltas = ex.grid(-4.5e5, 4.5e5, 5e4)
+    observed = ex.sweep_detuning(table_a1, deltas).p
+    plain = least_squares(
+        FitProblem(
+            model=lambda x: curve_model(table_a1, x, deltas),
+            data=observed,
+            init=np.array(CURVE_FIT_INIT),
+            bounds=CURVE_FIT_BOUNDS,
+            budget=200,
+        )
+    )
+    params, built = [], []
+
+    def recorded(preset, x, *args, **kwargs):
+        params.append(np.array(x))
+        return curve_model(preset, x, *args, **kwargs)
+
+    init = CycleEngine.__init__
+
+    def counted(self, preset):
+        built.append(preset)
+        init(self, preset)
+
+    monkeypatch.setattr(fitting, "curve_model", recorded)
+    monkeypatch.setattr(CycleEngine, "__init__", counted)
+    report = fit_polarization_curve(list(zip(deltas, observed)), table_a1)
+    assert report == plain
+    assert len(params) == report.n_evaluations
+    moved = [not np.array_equal(x[1:], prev[1:]) for prev, x in zip(params, params[1:])]
+    assert len(built) == 1 + sum(moved) < len(params)
+    for prev, x, couplings_moved in zip(params, params[1:], moved):
+        if not couplings_moved:
+            step = JACOBIAN_REL_STEP * max(abs(prev[0]), JACOBIAN_ABS_FLOOR)
+            assert x[0] - prev[0] == pytest.approx(step, rel=1e-6)

@@ -21,14 +21,27 @@ def test_all_names_resolve(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
-def test_cli_import_loads_no_scipy():
-    """The runtime needs numpy only; scipy is a test and benchmark oracle."""
+def _loaded_by_cli_import(*prefixes: str) -> list[str]:
+    """Modules whose names start with a prefix, after a fresh `import nvpolar.cli`."""
     env = dict(os.environ, PYTHONPATH=str(Path(nvpolar.__file__).parent.parent))
-    code = "import sys, nvpolar.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, nvpolar.cli; "
+        f"print(*sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    return out.split()
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only; scipy is a test and benchmark oracle."""
+    assert _loaded_by_cli_import("scipy") == []
+
+
+def test_cli_import_loads_no_pool_machinery():
+    """The process pool is imported only when a sweep starts one."""
+    assert _loaded_by_cli_import("concurrent", "multiprocessing") == []
 
 
 @pytest.fixture
