@@ -23,7 +23,6 @@ from .schedule import PulseSegment, Schedule, chopped_laser_train
 from .polarization import PolarizationResult, polarization_of_state
 from .lindblad import (
     DRIVE_SCALE,
-    SchedulePropagator,
     build_channels,
     initial_mixed_state,
     liouvillian,
@@ -83,7 +82,6 @@ __all__ = [
     "PolarizationResult",
     "polarization_of_state",
     "DRIVE_SCALE",
-    "SchedulePropagator",
     "build_channels",
     "initial_mixed_state",
     "liouvillian",

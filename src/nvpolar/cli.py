@@ -36,12 +36,7 @@ from .errors import (
     UndefinedPolarizationError,
 )
 from .fitting import CURVE_FIT_INIT, curve_model, fit_polarization_curve
-from .lindblad import (
-    CycleEngine,
-    SchedulePropagator,
-    initial_mixed_state,
-    write_trajectory_csv,
-)
+from .lindblad import CycleEngine, write_trajectory_csv
 from .params import RelaxationRates, SystemParams
 from .polarization import polarization_of_state
 from .presets import Preset, format_presets, get_preset
@@ -53,7 +48,7 @@ OUT_ENV = "NVPOLAR_OUT"
 
 _SYSTEM_KEYS = {f.name for f in dataclasses.fields(SystemParams)}
 _RATE_KEYS = {f.name for f in dataclasses.fields(RelaxationRates)}
-_INT_KEYS = ("t_mw_ns", "n_cycles", "t_gl_ns", "chop_on_ns", "chop_off_ns", "chop_reps", "rest_ns")
+_INT_KEYS = tuple(f.name for f in dataclasses.fields(Preset) if f.type == "int")
 _INLINE_KEYS = {"schema", "name", "system", "rates", "omega", *_INT_KEYS}
 
 
@@ -453,11 +448,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     _check_delta(args)
     delta = args.delta if args.delta is not None else ex.predicted_resonance(preset)
-    schedule = preset.schedule(delta, n_cycles=args.n) + preset.readout_tail()
-    prop = SchedulePropagator(preset.system, preset.rates, frame_delta=delta)
-    trajectory = prop.trajectory(
-        initial_mixed_state(), schedule, sample_ns=args.sample_ns
-    )
+    trajectory = CycleEngine(preset).trajectory(delta, args.sample_ns, args.n)
     out = _out_dir("trajectory", args.out)
     write_trajectory_csv(trajectory, out / "trajectory.csv")
     ex.write_json(

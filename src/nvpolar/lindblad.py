@@ -13,9 +13,10 @@ in 1/s. Density matrices are vectorized row-major, so
 
 Two propagators share this generator. SchedulePropagator takes any schedule
 and propagates the full 6x6 density matrix segment by segment, exponentiating
-every distinct segment once per schedule; it is the reference path and the
-one that samples trajectories. CycleEngine computes the standard polarization
-sequence for a whole grid of drive detunings at once: it builds the
+every distinct segment once per schedule; it is the reference path that the
+engine is checked against. CycleEngine runs every command: it computes the
+standard polarization sequence for a whole grid of drive detunings at once,
+and samples the state along one sequence for the trajectory. It builds the
 generators of the {m_s = 0, +1} block, which the sequence never leaves,
 directly from the 4x4 blocks of H and of the collapse operators, and
 exponentiates only that block (see its docstring). Its
@@ -341,45 +342,6 @@ class SchedulePropagator:
             vec = self.segment_propagator(seg, frame) @ vec
         return self._guard(vec.reshape(DIM, DIM))
 
-    def trajectory(
-        self,
-        rho: np.ndarray,
-        schedule: Schedule,
-        sample_ns: int | None = None,
-    ) -> list[tuple[int, np.ndarray]]:
-        """States along the schedule.
-
-        With sample_ns None, returns the state at t = 0 and after every
-        segment. Otherwise returns the state at every multiple of sample_ns
-        (plus t = 0 and the final time), splitting segments as needed.
-        """
-        frame = self._resolve_frame(schedule)
-        vec = np.ascontiguousarray(rho, dtype=complex).reshape(-1)
-        out: list[tuple[int, np.ndarray]] = [(0, vec.reshape(DIM, DIM).copy())]
-        t = 0
-        if sample_ns is None:
-            for seg in schedule:
-                if seg.duration_ns > 0:
-                    vec = self.segment_propagator(seg, frame) @ vec
-                t += seg.duration_ns
-                out.append((t, self._guard(vec.reshape(DIM, DIM))))
-            return out
-        if sample_ns <= 0:
-            raise ConfigError("sample_ns must be positive")
-        for seg in schedule:
-            remaining = seg.duration_ns
-            while remaining > 0:
-                until_sample = sample_ns - (t % sample_ns)
-                step = min(until_sample, remaining)
-                vec = self.segment_propagator(seg, frame, duration_ns=step) @ vec
-                t += step
-                remaining -= step
-                if t % sample_ns == 0:
-                    out.append((t, self._guard(vec.reshape(DIM, DIM))))
-        if out[-1][0] != t:
-            out.append((t, self._guard(vec.reshape(DIM, DIM))))
-        return out
-
 
 class CycleEngine:
     """The standard polarization sequence over a grid of drive detunings.
@@ -417,6 +379,10 @@ class CycleEngine:
     computed in. Each batch checks that its cycle and tail maps preserve
     the trace, every final state is checked like SchedulePropagator's, and
     a batch's polarizations are read in one polarization_of_state call.
+
+    trajectory() samples the state along one sequence at one detuning for
+    the trajectory command: it steps the same block generators, each plus
+    delta K, through the preset's schedule and readout tail.
     """
 
     def __init__(self, preset: "Preset") -> None:
@@ -461,7 +427,7 @@ class CycleEngine:
         self._h = h_mw[:n, :n]
         # The 16x16 pulse generator, built only for a pulse with channels.
         self._mw = liouvillian(self._h, channels[False]) if channels[False] else None
-        self._n_cycles = preset.n_cycles
+        self._preset = preset
 
     def _phases(self, deltas: np.ndarray, seconds: float) -> np.ndarray:
         """diag(exp(delta K t)) per detuning, shape (n, 16)."""
@@ -492,7 +458,7 @@ class CycleEngine:
         self, deltas: Sequence[float], n_cycles: int | None = None
     ) -> np.ndarray:
         """Driven-block states after n_cycles cycles and the tail, (n, 4, 4)."""
-        n = self._n_cycles if n_cycles is None else n_cycles
+        n = self._preset.n_cycles if n_cycles is None else n_cycles
         if n < 0:
             raise ConfigError("n_cycles must be >= 0")
         d = np.asarray(deltas, dtype=float)
@@ -532,6 +498,51 @@ class CycleEngine:
             values.append(polarization_of_state(_checked(_apply(tails, block))).p)
         return np.concatenate(values) if values else np.empty(0)
 
+    def trajectory(
+        self, delta: float, sample_ns: int, n_cycles: int | None = None
+    ) -> list[tuple[int, np.ndarray]]:
+        """6x6 states along the sequence and its readout tail at one detuning.
+
+        Returns the state at t = 0, at every multiple of sample_ns and at the
+        end, splitting segments as needed. A segment's generator is the
+        laser-on, laser-off or pulse block generator plus delta K, and each
+        (segment kind, step) is exponentiated once. The states are checked
+        like those of states(); their m_s = -1 rows and columns are zero.
+        """
+        if sample_ns <= 0:
+            raise ConfigError("sample_ns must be positive")
+        preset = self._preset
+        schedule = preset.schedule(delta, n_cycles=n_cycles) + preset.readout_tail()
+        frame = np.diag(delta * _K_DIAG)
+        pulse = self._mw if self._mw is not None else liouvillian(self._h, ())
+        # Keyed by the segment's (mw_on, laser_on) gates.
+        generators = {(False, on): gen + frame for on, gen in self._generators.items()}
+        generators[True, False] = pulse + frame
+        props: dict[tuple, np.ndarray] = {}
+        vec, t = _RHO0, 0
+        times, vecs = [0], [vec]
+        for seg in schedule:
+            kind = (seg.mw_on, seg.laser_on)
+            remaining = seg.duration_ns
+            while remaining > 0:
+                step = min(sample_ns - t % sample_ns, remaining)
+                prop = props.get((kind, step))
+                if prop is None:
+                    prop = props[kind, step] = expm(generators[kind] * (step * 1e-9))
+                vec = prop @ vec
+                t += step
+                remaining -= step
+                if t % sample_ns == 0:
+                    times.append(t)
+                    vecs.append(vec)
+        if times[-1] != t:
+            times.append(t)
+            vecs.append(vec)
+        n = len(DRIVEN_INDICES)
+        states = np.zeros((len(vecs), DIM, DIM), dtype=complex)
+        states[:, :n, :n] = _checked(np.array(vecs))
+        return list(zip(times, states))
+
 
 def _apply(maps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Apply a stack of maps (n, 16, 16) to a stack of vectors (n, 16)."""
@@ -565,15 +576,14 @@ def write_trajectory_csv(
         for j in range(DIM):
             header += [f"rho_re_{i}{j}", f"rho_im_{i}{j}"]
     header.append("P")
+    states = np.array([rho for _, rho in trajectory], dtype=complex)
+    # Viewed as floats, each entry is its (Re, Im) pair, in column order.
+    parts = states.reshape(len(states), DIM * DIM).view(float).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for t, rho in trajectory:
-            row: list[str] = [repr(int(t))]
-            for i in range(DIM):
-                for j in range(DIM):
-                    row.append(repr(float(np.real(rho[i, j]))))
-                    row.append(repr(float(np.imag(rho[i, j]))))
+        for (t, rho), values in zip(trajectory, parts):
+            row = [repr(int(t)), *map(repr, values)]
             try:
                 row.append(repr(polarization_of_state(rho).p))
             except UndefinedPolarizationError:

@@ -67,6 +67,43 @@ def rk4_schedule(
     return vec.reshape(rho.shape)
 
 
+def reference_trajectory(
+    prop: SchedulePropagator,
+    rho: np.ndarray,
+    schedule: Schedule,
+    sample_ns: int | None = None,
+) -> list[tuple[int, np.ndarray]]:
+    """6x6 states along a schedule by segment-wise propagation.
+
+    With sample_ns None, returns the state at t = 0 and after every
+    segment. Otherwise returns the state at every multiple of sample_ns
+    (plus t = 0 and the final time), splitting segments as needed.
+    """
+    frame = prop._resolve_frame(schedule)
+    vec = np.ascontiguousarray(rho, dtype=complex).reshape(-1)
+    out: list[tuple[int, np.ndarray]] = [(0, vec.reshape(DIM, DIM).copy())]
+    t = 0
+    if sample_ns is None:
+        for seg in schedule:
+            if seg.duration_ns > 0:
+                vec = prop.segment_propagator(seg, frame) @ vec
+            t += seg.duration_ns
+            out.append((t, prop._guard(vec.reshape(DIM, DIM))))
+        return out
+    for seg in schedule:
+        remaining = seg.duration_ns
+        while remaining > 0:
+            step = min(sample_ns - (t % sample_ns), remaining)
+            vec = prop.segment_propagator(seg, frame, duration_ns=step) @ vec
+            t += step
+            remaining -= step
+            if t % sample_ns == 0:
+                out.append((t, prop._guard(vec.reshape(DIM, DIM))))
+    if out[-1][0] != t:
+        out.append((t, prop._guard(vec.reshape(DIM, DIM))))
+    return out
+
+
 def full_drive_propagate(
     p: SystemParams, rates: RelaxationRates, rho: np.ndarray, schedule: Schedule
 ) -> np.ndarray:

@@ -12,13 +12,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import random_density_matrix, random_schedule, rk4_schedule
+from helpers import (
+    random_density_matrix,
+    random_schedule,
+    reference_trajectory,
+    rk4_schedule,
+)
 from nvpolar import experiments as ex
 from nvpolar import ramsey as rm
 from nvpolar.eigensystem import eigen_system
 from nvpolar.fitting import fit_polarization_curve
 from nvpolar.hamiltonian import static_hamiltonian
-from nvpolar.lindblad import SchedulePropagator, initial_mixed_state
+from nvpolar.lindblad import CycleEngine, SchedulePropagator, initial_mixed_state
 from nvpolar.params import RelaxationRates, SystemParams
 from nvpolar.polarization import polarization_of_state
 
@@ -160,7 +165,7 @@ def test_criterion_2_intra_cycle_sawtooth(table_a1):
     falls over each laser train while the net buildup ratchets upward."""
     schedule = table_a1.schedule(3.2e5, n_cycles=3)
     prop = SchedulePropagator(table_a1.system, table_a1.rates)
-    states = prop.trajectory(initial_mixed_state(), schedule, sample_ns=None)
+    states = reference_trajectory(prop, initial_mixed_state(), schedule)
     per_cycle = len(schedule) // 3
 
     def p_at(seg_index):
@@ -248,10 +253,13 @@ def test_criterion_5_eigenvector_overlaps():
 
 
 def test_criterion_6_state_invariants(table_a1, fig4_preset):
+    """Along the reference path and along the trajectory the CLI writes."""
     for preset, n_cycles in ((table_a1, None), (fig4_preset, 1)):
         schedule = preset.schedule(3.2e5, n_cycles=n_cycles) + preset.readout_tail()
         prop = SchedulePropagator(preset.system, preset.rates)
-        for _, rho in prop.trajectory(initial_mixed_state(), schedule):
+        states = reference_trajectory(prop, initial_mixed_state(), schedule)
+        states += CycleEngine(preset).trajectory(3.2e5, 10, n_cycles)
+        for _, rho in states:
             assert abs(np.real(np.trace(rho)) - 1.0) <= 1e-9
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-9
             assert float(np.min(np.linalg.eigvalsh(rho))) >= -1e-9

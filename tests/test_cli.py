@@ -192,6 +192,26 @@ def test_trajectory_artifacts(tmp_path, capsys):
     assert "using 1:74" in (out_dir / "plot.gp").read_text()
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_sample_ns_exits_2(tmp_path, capsys, value):
+    out_dir = tmp_path / "traj"
+    code, _, err = run(["trajectory", f"--sample-ns={value}", "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert err == "error: config: sample_ns must be positive\n"
+    assert not out_dir.exists()
+
+
+def test_trajectory_reruns_are_byte_identical(tmp_path, capsys):
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for out_dir in dirs:
+        code, _, _ = run(
+            ["trajectory", "--n", "1", "--sample-ns", "100", "--out", str(out_dir)], capsys
+        )
+        assert code == 0
+    for name in ("trajectory.csv", "metadata.json", "plot.gp"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
 @pytest.fixture(scope="module")
 def curve_file(tmp_path_factory):
     """A simulated 10-point detuning curve written by the sweep command."""

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from helpers import validate_density_matrix
+from helpers import reference_trajectory, validate_density_matrix
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
@@ -211,6 +211,26 @@ def test_states_match_the_reference_driven_block(table_a1):
     assert np.max(np.abs(rho - ref[:4, :4])) < 1e-9
 
 
+@pytest.mark.parametrize("name", ["table-a1-fit", "table-a1-fig4"])
+@pytest.mark.parametrize("rates", [None, DEPHASED], ids=["default", "dephased"])
+@pytest.mark.parametrize("sample_ns", [10, 7, 10**6])
+@pytest.mark.parametrize("n_cycles", [0, 2])
+def test_trajectory_matches_reference(name, rates, sample_ns, n_cycles):
+    """The trajectory command's engine path against segment-wise 6x6 propagation."""
+    preset = get_preset(name)
+    if rates is not None:
+        preset = dataclasses.replace(preset, rates=rates)
+    delta = 3.2e5
+    got = CycleEngine(preset).trajectory(delta, sample_ns, n_cycles)
+    schedule = preset.schedule(delta, n_cycles=n_cycles) + preset.readout_tail()
+    prop = SchedulePropagator(preset.system, preset.rates, frame_delta=delta)
+    ref = reference_trajectory(prop, initial_mixed_state(), schedule, sample_ns)
+    assert [t for t, _ in got] == [t for t, _ in ref]
+    for (_, rho), (_, want) in zip(got, ref):
+        assert np.max(np.abs(rho - want)) <= DP_TOL
+        assert not np.any(rho[4:, :]) and not np.any(rho[:, 4:])
+
+
 def test_guard_rejects_nan_state():
     rho = initial_mixed_state()
     rho[0, 0] = np.nan
@@ -249,10 +269,14 @@ def test_buildup_rejects_nan_maps(table_a1, monkeypatch):
 
 def test_nan_state_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lindblad, "expm", _nan_expm)
-    out_dir = tmp_path / "nan"
-    code = cli.main(["sweep-detuning", "--min=0", "--max=1e5", "--step=5e4",
-                     "--out", str(out_dir)])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("error: numerical:")
-    assert not (out_dir / "data.csv").exists()
+    for argv, artifact in (
+        (["sweep-detuning", "--min=0", "--max=1e5", "--step=5e4"], "data.csv"),
+        (["trajectory", "--n", "1", "--sample-ns", "100"], "trajectory.csv"),
+    ):
+        out_dir = tmp_path / argv[0]
+        code = cli.main([*argv, "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: numerical:")
+        assert "\n" not in err.strip()
+        assert not (out_dir / artifact).exists()

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import rowwise_sweep_csv, rowwise_sweep_metadata
+from helpers import reference_trajectory, rowwise_sweep_csv, rowwise_sweep_metadata
 
 from nvpolar import experiments as ex
 from nvpolar.errors import ConfigError, UndefinedPolarizationError
@@ -111,7 +111,7 @@ def test_intra_cycle_sawtooth(table_a1):
     """Readout polarization rises on microwave, falls on the laser train."""
     schedule = table_a1.schedule(3.2e5, n_cycles=3)
     prop = SchedulePropagator(table_a1.system, table_a1.rates)
-    states = prop.trajectory(initial_mixed_state(), schedule, sample_ns=None)
+    states = reference_trajectory(prop, initial_mixed_state(), schedule)
     per_cycle = len(schedule) // 3
 
     def p_at(index):

@@ -9,6 +9,7 @@ from helpers import (
     full_drive_propagate,
     random_density_matrix,
     random_schedule,
+    reference_trajectory,
     rk4_schedule,
     validate_density_matrix,
 )
@@ -228,7 +229,7 @@ def test_invariants_along_full_sequence(table_a1):
     """Trace, Hermiticity, and positivity hold at every sampled time."""
     schedule = table_a1.schedule(3.2e5) + table_a1.readout_tail()
     prop = SchedulePropagator(table_a1.system, table_a1.rates)
-    for _, rho in prop.trajectory(initial_mixed_state(), schedule, sample_ns=50):
+    for _, rho in reference_trajectory(prop, initial_mixed_state(), schedule, 50):
         validate_density_matrix(rho)
 
 
@@ -285,7 +286,7 @@ def test_trajectory_sampling_grid(table_a1):
         )
     )
     prop = SchedulePropagator(table_a1.system, table_a1.rates)
-    samples = prop.trajectory(initial_mixed_state(), schedule, sample_ns=20)
+    samples = reference_trajectory(prop, initial_mixed_state(), schedule, 20)
     times = [t for t, _ in samples]
     assert times == [0, 20, 40, 60, 80, 100]
     # Final sample equals direct propagation.
