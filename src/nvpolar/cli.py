@@ -515,8 +515,9 @@ def _parser() -> argparse.ArgumentParser:
         parents=[common, parallel],
         help="polarization vs drive detuning",
     )
-    p.add_argument("--min", type=float, default=-1e6, help="lowest detuning (Hz)")
-    p.add_argument("--max", type=float, default=1e6, help="highest detuning (Hz)")
+    lo, hi = ex.DETUNING_RANGE
+    p.add_argument("--min", type=float, default=lo, help="lowest detuning (Hz)")
+    p.add_argument("--max", type=float, default=hi, help="highest detuning (Hz)")
     p.add_argument("--step", type=float, default=ex.DELTA_STEP, help="grid step (Hz)")
     p.add_argument("--n", type=int, default=None, help="override cycle count")
     p.set_defaults(func=_cmd_sweep_detuning)

@@ -1,12 +1,11 @@
 """Parameter sweeps of the polarization sequence.
 
-Every sweep is a set of detuning grids, one per parameter set, and each grid
-goes through lindblad.CycleEngine: the standard schedule plus the terminal
-relaxation train, evaluated in batches of lindblad.CHUNK detunings, ending in
-the readout polarization. With workers > 1 those batches fan out over a
-process pool. Batch boundaries depend only on the grid and every point is
-computed independently of its batch, so the CSV bytes do not depend on the
-worker count.
+Every sweep is a set of (parameter set, detuning grid) jobs. Each job builds
+one lindblad.CycleEngine, which runs the standard schedule plus the terminal
+relaxation train over the grid and reads out the polarization. With
+workers > 1 and more than one job, whole jobs fan out over a process pool;
+the engine cuts its grid into the same batches in any process, so the CSV
+bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,7 +24,7 @@ import numpy as np
 
 from .eigensystem import eigen_system
 from .errors import ConfigError
-from .lindblad import CHUNK, CycleEngine
+from .lindblad import CycleEngine
 from .presets import Preset
 
 #: Default grid steps; the coefficient tables give none, so these are
@@ -37,6 +37,10 @@ ANI_STEP = 12.5e3
 #: the drive detuning at every grid point. Centered on the eigen-predicted
 #: resonance, +-600 kHz covers both driven lines at every field of interest.
 INNER_HALFWIDTH = 600e3
+
+#: Detuning range (Hz) of a standard detuning sweep, stepped by DELTA_STEP;
+#: sweep_repetitions places its default drive at the peak of that sweep.
+DETUNING_RANGE = (-1e6, 1e6)
 
 #: Most points one grid axis may hold.
 MAX_GRID_POINTS = 10**6
@@ -181,24 +185,22 @@ def _evaluate(
 ) -> list[np.ndarray]:
     """Polarization over the detuning grid of every (preset, grid) job.
 
-    With workers > 1 each grid is cut into CHUNK-point tasks for the pool;
-    the engine cuts it at the same points when it runs in this process.
+    Each job is one task that builds one engine. The pool gets at most one
+    process per job and per CPU, and each process takes tasks in runs of
+    about a quarter of its share; with one process left the jobs run here.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    tasks = [
-        (preset, deltas[i : i + CHUNK], n_cycles)
-        for preset, deltas in jobs
-        for i in range(0, len(deltas), CHUNK)
-    ]
-    if workers == 1 or len(tasks) <= 1:
-        return [CycleEngine(preset).polarizations(d, n_cycles) for preset, d in jobs]
+    tasks = [(preset, deltas, n_cycles) for preset, deltas in jobs]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [_eval_task(task) for task in tasks]
     # Imported here: loading the pool machinery slows every command's start-up.
     from concurrent.futures import ProcessPoolExecutor
 
+    chunksize = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        flat = np.concatenate(list(pool.map(_eval_task, tasks)))
-    return np.split(flat, np.cumsum([len(d) for _, d in jobs])[:-1])
+        return list(pool.map(_eval_task, tasks, chunksize=chunksize))
 
 
 def predicted_resonance(preset: Preset) -> float:
@@ -225,14 +227,12 @@ def _base_metadata(preset: Preset, kind: str, n_cycles: int | None = None) -> di
 
 def sweep_detuning(
     preset: Preset,
-    deltas: Sequence[float] | None = None,
+    deltas: Sequence[float],
     *,
     n_cycles: int | None = None,
     workers: int = 1,
 ) -> SweepResult:
     """Polarization vs drive detuning (the two-lobed response curve)."""
-    if deltas is None:
-        deltas = grid(-1e6, 1e6, DELTA_STEP)
     values = tuple(float(d) for d in deltas)
     (p,) = _evaluate([(preset, values)], n_cycles, workers)
     axis = SweepAxis("delta", "hz", values)
@@ -241,20 +241,25 @@ def sweep_detuning(
 
 def sweep_repetitions(
     preset: Preset,
-    n_max: int = 20,
+    n_max: int,
     *,
     delta: float | None = None,
 ) -> SweepResult:
     """Polarization after each complete cycle 0..n_max at fixed detuning.
 
     With delta None, the drive is placed at the |P|-maximizing detuning of a
-    standard detuning sweep. The cycle map is applied repeatedly, with the
-    readout tail applied after each cycle count.
+    standard detuning sweep over DETUNING_RANGE. The cycle map is applied
+    repeatedly, with the readout tail applied after each cycle count.
+
+    Raises:
+        ConfigError: n_max < 0, or more than MAX_GRID_POINTS cycle counts.
     """
     if n_max < 0:
         raise ConfigError("n_max must be >= 0")
+    if n_max + 1 > MAX_GRID_POINTS:
+        raise ConfigError(f"{n_max + 1} cycle counts exceed {MAX_GRID_POINTS}")
     if delta is None:
-        base = sweep_detuning(preset)
+        base = sweep_detuning(preset, grid(*DETUNING_RANGE, DELTA_STEP))
         delta = base.axes[0].values[peak(base.p)]
     delta = float(delta)
     values = CycleEngine(preset).buildup(delta, n_max)
@@ -291,15 +296,13 @@ def _best_in_windows(
 
 def sweep_field(
     preset: Preset,
-    b_values: Sequence[float] | None = None,
+    b_values: Sequence[float],
     *,
     inner_halfwidth: float = INNER_HALFWIDTH,
     inner_step: float = DELTA_STEP,
     workers: int = 1,
 ) -> SweepResult:
     """Best polarization vs axial field, re-optimizing the detuning per field."""
-    if b_values is None:
-        b_values = grid(450.0, 850.0, FIELD_STEP)
     values = tuple(float(b) for b in b_values)
     cells = [preset.with_system(b_z=b) for b in values]
     p, meta = _best_in_windows(preset, "field", cells, inner_halfwidth, inner_step, workers)
@@ -308,16 +311,12 @@ def sweep_field(
 
 def sweep_ani_detuning(
     preset: Preset,
-    ani_values: Sequence[float] | None = None,
-    deltas: Sequence[float] | None = None,
+    ani_values: Sequence[float],
+    deltas: Sequence[float],
     *,
     workers: int = 1,
 ) -> SweepResult:
     """Polarization over a (transverse coupling, detuning) grid."""
-    if ani_values is None:
-        ani_values = grid(0.0, 400e3, ANI_STEP)
-    if deltas is None:
-        deltas = grid(-600e3, 600e3, DELTA_STEP)
     ani = tuple(float(a) for a in ani_values)
     dts = tuple(float(d) for d in deltas)
     jobs = [(preset.with_system(a_ani=a), dts) for a in ani]
@@ -328,18 +327,14 @@ def sweep_ani_detuning(
 
 def sweep_field_ani(
     preset: Preset,
-    b_values: Sequence[float] | None = None,
-    ani_values: Sequence[float] | None = None,
+    b_values: Sequence[float],
+    ani_values: Sequence[float],
     *,
     inner_halfwidth: float = INNER_HALFWIDTH,
     inner_step: float = DELTA_STEP,
     workers: int = 1,
 ) -> SweepResult:
     """Max-over-detuning polarization per (field, transverse coupling) cell."""
-    if b_values is None:
-        b_values = grid(450.0, 850.0, 10.0)
-    if ani_values is None:
-        ani_values = grid(0.0, 400e3, 50e3)
     bs = tuple(float(b) for b in b_values)
     ani = tuple(float(a) for a in ani_values)
     cells = [preset.with_system(b_z=b, a_ani=a) for b in bs for a in ani]

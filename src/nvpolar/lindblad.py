@@ -71,8 +71,8 @@ _HERM_DRIFT_FIX = 1e-12
 _HERM_DRIFT_FAIL = 1e-9
 
 #: Detunings CycleEngine evaluates per batch. A 64-point batch keeps the
-#: working set near 2 MiB (a whole 401-point grid would take 12.8 MiB), and
-#: sweeps cut their grids at multiples of it whatever the worker count.
+#: working set near 2 MiB (a whole 401-point grid would take 12.8 MiB). Only
+#: the engine cuts grids, so batches fall at the same points in any process.
 CHUNK = 64
 
 

@@ -117,15 +117,27 @@ def test_negative_bounds_use_equals_form(tmp_path, capsys):
 
 
 def test_worker_count_does_not_change_bytes(tmp_path, capsys):
-    serial, parallel = tmp_path / "w1", tmp_path / "w2"
-    for out_dir, workers in ((serial, "1"), (parallel, "2")):
-        code, _, _ = run(
-            ["sweep-detuning", *SMALL_SWEEP, "--workers", workers,
-             "--out", str(out_dir)],
-            capsys,
-        )
-        assert code == 0
-    assert (serial / "data.csv").read_bytes() == (parallel / "data.csv").read_bytes()
+    """sweep-detuning runs its one grid in-process; the others start a pool."""
+    window = ["--inner-halfwidth", "200000", "--inner-step", "50000"]
+    commands = [
+        ["sweep-detuning", *SMALL_SWEEP],
+        ["sweep-field", "--min", "500", "--max", "540", "--step", "20", *window],
+        ["sweep-ani", "--min", "100000", "--max", "200000", "--step", "50000",
+         "--delta-min=-200000", "--delta-max", "400000", "--delta-step", "100000"],
+        ["sweep-field-ani", "--min", "500", "--max", "520", "--step", "20",
+         "--ani-min", "100000", "--ani-max", "200000", "--ani-step", "100000", *window],
+    ]
+    for k, argv in enumerate(commands):
+        outputs = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"{k}-w{workers}"
+            code, out, _ = run([*argv, "--workers", workers, "--out", str(out_dir)], capsys)
+            assert code == 0
+            outputs.append(
+                (out.replace(str(out_dir), "<out>"),
+                 {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
+            )
+        assert outputs[0] == outputs[1], argv[0]
 
 
 def test_sweep_n_zero_cycles(tmp_path, capsys):
@@ -563,6 +575,17 @@ def test_non_finite_probe_detuning_exits_2(tmp_path, capsys, value):
     assert err.startswith("error: config: probe detuning must be finite")
     assert "\n" not in err.strip()
     assert not (tmp_path / "r" / "data.csv").exists()
+
+
+def test_sweep_n_beyond_the_grid_limit_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "n"
+    code, _, err = run(
+        ["sweep-n", "--n", "1000000", "--delta", "3e5", "--out", str(out_dir)], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: config: 1000001 cycle counts exceed 1000000")
+    assert "\n" not in err.strip()
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

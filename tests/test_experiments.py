@@ -1,6 +1,7 @@
 """Sweep drivers, polarization readout, and result serialization."""
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from helpers import reference_trajectory, rowwise_sweep_csv, rowwise_sweep_metad
 from nvpolar import experiments as ex
 from nvpolar.errors import ConfigError, UndefinedPolarizationError
 from nvpolar.eigensystem import eigen_system
-from nvpolar.lindblad import CycleEngine, SchedulePropagator, initial_mixed_state
+from nvpolar.lindblad import CHUNK, CycleEngine, SchedulePropagator, initial_mixed_state
 from nvpolar.operators import spin_operators
 from nvpolar.polarization import polarization_of_state
 
@@ -274,3 +275,61 @@ def test_sweeps_reject_worker_counts_below_one(table_a1, workers):
         ex.sweep_detuning(table_a1, (1e5,), workers=workers)
     with pytest.raises(ConfigError, match="workers"):
         ex.sweep_field(table_a1, (520.0,), inner_step=3e5, workers=workers)
+
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replaces ProcessPoolExecutor by a recorder of (max_workers, chunksize)
+    that maps in this process, so no test here starts a process."""
+    import concurrent.futures
+
+    calls = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            calls.append((self.max_workers, chunksize))
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_pool_size_is_clamped_to_jobs_and_cpus(table_a1, inline_pool, monkeypatch, cpus):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    fields = (500.0, 520.0, 540.0)
+    pooled = ex.sweep_field(table_a1, fields, inner_step=3e5, workers=10**6)
+    serial = ex.sweep_field(table_a1, fields, inner_step=3e5, workers=1)
+    assert inline_pool == [(min(3, cpus), 1)]
+    assert pooled.p.tolist() == serial.p.tolist()
+
+
+def test_every_job_builds_one_engine(table_a1, inline_pool, monkeypatch):
+    """Windows longer than CHUNK stay one job, and one engine, in a pool too."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    built = []
+
+    def counting_engine(preset):
+        built.append(preset)
+        return CycleEngine(preset)
+
+    monkeypatch.setattr(ex, "CycleEngine", counting_engine)
+    fields = (500.0, 520.0, 540.0)
+    assert len(ex.grid(-6e5, 6e5, 9e3)) > CHUNK
+    results = {}
+    for workers in (1, 2):
+        built.clear()
+        results[workers] = ex.sweep_field(table_a1, fields, inner_step=9e3, workers=workers)
+        assert len(built) == len(fields)
+    assert inline_pool == [(2, 1)]
+    assert results[1].p.tolist() == results[2].p.tolist()
