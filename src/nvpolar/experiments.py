@@ -25,7 +25,7 @@ import numpy as np
 from .eigensystem import eigen_system
 from .errors import ConfigError
 from .lindblad import CycleEngine
-from .presets import Preset
+from .presets import MAX_GRID_POINTS, Preset
 
 #: Default grid steps; the coefficient tables give none, so these are
 #: artifact choices sized to resolve the narrowest simulated features.
@@ -41,9 +41,6 @@ INNER_HALFWIDTH = 600e3
 #: Detuning range (Hz) of a standard detuning sweep, stepped by DELTA_STEP;
 #: sweep_repetitions places its default drive at the peak of that sweep.
 DETUNING_RANGE = (-1e6, 1e6)
-
-#: Most points one grid axis may hold.
-MAX_GRID_POINTS = 10**6
 
 #: |P| values this close to the largest count as tied for the peak, so the
 #: first of them is picked. The mirror lobes at +-delta tie to a few ulp, and
@@ -173,7 +170,7 @@ def sequence_polarization(
     return float(CycleEngine(preset).polarizations([delta], n_cycles)[0])
 
 
-def _eval_task(task: tuple[Preset, tuple[float, ...], int | None]) -> np.ndarray:
+def _eval_task(task: tuple[Preset, tuple[float, ...], int]) -> np.ndarray:
     preset, deltas, n_cycles = task
     return CycleEngine(preset).polarizations(deltas, n_cycles)
 
@@ -191,7 +188,7 @@ def _evaluate(
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    tasks = [(preset, deltas, n_cycles) for preset, deltas in jobs]
+    tasks = [(preset, deltas, preset.cycles(n_cycles)) for preset, deltas in jobs]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [_eval_task(task) for task in tasks]

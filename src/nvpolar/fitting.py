@@ -270,6 +270,7 @@ def fit_polarization_curve(
     pairs = [(float(d), float(v)) for d, v in data]
     if len(pairs) < 10:
         raise ConfigError(f"need at least 10 data points, got {len(pairs)}")
+    n_cycles = preset.cycles(n_cycles)
     deltas = np.array([d for d, _ in pairs])
     observed = np.array([v for _, v in pairs])
     engine = functools.lru_cache(maxsize=1)(CycleEngine)

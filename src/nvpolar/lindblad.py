@@ -11,29 +11,27 @@ in 1/s. Density matrices are vectorized row-major, so
 
     vec(A rho B) = (A kron B^T) vec(rho).
 
-Two propagators share this generator. SchedulePropagator takes any schedule
-and propagates the full 6x6 density matrix segment by segment, exponentiating
-every distinct segment once per schedule; it is the reference path that the
-engine is checked against. CycleEngine runs every command: it computes the
-standard polarization sequence for a whole grid of drive detunings at once,
-and samples the state along one sequence for the trajectory. It builds the
-generators of the {m_s = 0, +1} block, which the sequence never leaves,
-directly from the 4x4 blocks of H and of the collapse operators, and
-exponentiates only that block (see its docstring). Its
-microwave pulse runs with the laser off, so unless dephasing channels are
-set the pulse is unitary, and its map is U kron conj(U) for the 4x4 unitary
-U of the driven block; only a dephased pulse exponentiates a 16x16 generator.
-
+SchedulePropagator propagates the full 6x6 density matrix of any schedule
+segment by segment; it is the reference path that the engine is checked
+against. CycleEngine runs every command: the standard sequence over a grid
+of drive detunings at once, and the sampled trajectory of one sequence, on
+the {m_s = 0, +1} block that the sequence never leaves (see its docstring).
 Both exponentiate with expm, a NumPy scaling-and-squaring Padé exponential
 that takes one matrix or a stack, so the package needs no SciPy at runtime.
+
+_checked is the one state guard of both paths: it raises NumericalError on
+a drift above 1e-9 and makes a state whose drift is above 1e-12 Hermitian
+with unit trace again. CycleEngine also applies it, every CHUNK cycles, to
+the state it carries from one cycle to the next.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,10 +41,8 @@ from .hamiltonian import rotating_hamiltonian
 from .operators import DIM, basis_index, spin_operators
 from .params import RelaxationRates, SystemParams
 from .polarization import polarization_of_state
+from .presets import MAX_GRID_POINTS, Preset
 from .schedule import PulseSegment, Schedule, chopped_laser_train
-
-if TYPE_CHECKING:
-    from .presets import Preset
 
 #: Indices of the {m_s = 0, +1} block that the drive and the laser act on.
 DRIVEN_INDICES = (0, 1, 2, 3)
@@ -70,9 +66,9 @@ DRIVE_SCALE = 2.0**-0.5
 _HERM_DRIFT_FIX = 1e-12
 _HERM_DRIFT_FAIL = 1e-9
 
-#: Detunings CycleEngine evaluates per batch. A 64-point batch keeps the
-#: working set near 2 MiB (a whole 401-point grid would take 12.8 MiB). Only
-#: the engine cuts grids, so batches fall at the same points in any process.
+#: Detunings per CycleEngine batch (64 keep the working set near 2 MiB; 401
+#: would take 12.8 MiB), and cycles between two guards of the carried state.
+#: Only the engine cuts grids, so batches fall at the same points in any process.
 CHUNK = 64
 
 
@@ -269,8 +265,6 @@ class SchedulePropagator:
         self._propagators: dict[tuple, np.ndarray] = {}
         self._generators: dict[tuple, np.ndarray] = {}
 
-    # -- generator / propagator construction --------------------------------
-
     def _segment_key(self, seg: PulseSegment, frame_delta: float) -> tuple:
         return (
             seg.laser_on,
@@ -313,25 +307,6 @@ class SchedulePropagator:
             self._propagators[key] = prop
         return prop
 
-    # -- state handling -----------------------------------------------------
-
-    @staticmethod
-    def _guard(rho: np.ndarray) -> np.ndarray:
-        """Restore Hermiticity and trace if roundoff drift is detectable."""
-        drift = max(
-            float(np.max(np.abs(rho - rho.conj().T))),
-            abs(float(np.real(np.trace(rho))) - 1.0),
-            abs(float(np.imag(np.trace(rho)))),
-        )
-        if not drift <= _HERM_DRIFT_FAIL:
-            raise NumericalError(f"propagation drift {drift:.3e} exceeds 1e-9")
-        if drift > _HERM_DRIFT_FIX:
-            rho = (rho + rho.conj().T) / 2.0
-            rho = rho / np.real(np.trace(rho))
-        return rho
-
-    # -- propagation --------------------------------------------------------
-
     def propagate(self, rho: np.ndarray, schedule: Schedule) -> np.ndarray:
         """Final state after the whole schedule."""
         frame = self._resolve_frame(schedule)
@@ -340,7 +315,7 @@ class SchedulePropagator:
             if seg.duration_ns == 0:
                 continue
             vec = self.segment_propagator(seg, frame) @ vec
-        return self._guard(vec.reshape(DIM, DIM))
+        return _checked(vec[None])[0]
 
 
 class CycleEngine:
@@ -352,40 +327,35 @@ class CycleEngine:
     tail (chop train, rest). Four facts make this cheap and exact:
 
     * With the rotating-wave drive and the optical channels of the driven
-      transition, nothing couples the {m_s = 0, +1} block to m_s = -1: each
-      engine checks that H couples no entry across the block edge and that
-      no collapse operator has an entry outside the block. The generators
-      are then built on the block, liouvillian(h[:4, :4], [c[:4, :4] ...]),
-      which gives the 16 rows and columns of SchedulePropagator's 6-level
-      generators bit for bit, and the 16-dim block is propagated on its own.
+      transition, nothing couples the {m_s = 0, +1} block to m_s = -1, as
+      each engine checks for H and for every collapse operator. So the
+      generators are built on the block, liouvillian(h[:4, :4], [c[:4, :4]
+      ...]): the 16 rows and columns of SchedulePropagator's, bit for bit.
     * delta enters every generator only as the frame term delta K, with
       K = i 2 pi (P+ kron I - I kron P+^T) diagonal. K commutes with the
-      laser and rest generators, whose propagators are therefore
-      exponentiated once per preset at delta = 0, in one stacked expm call,
-      and shifted by the phases exp(delta K t). K is built from the
-      projector: the difference of two generators would lose ~1e-6 to the
-      4.3 GHz carrier cancellation.
+      laser and rest generators, so their propagators are exponentiated
+      once per preset at delta = 0, in one stacked expm call, and shifted
+      by the phases exp(delta K t). K comes from the projector: the
+      difference of two generators would lose ~1e-6 to the 4.3 GHz carrier.
     * The laser is off during the microwave pulse, so with no dephasing
-      channel (gamma_d all zero, as in the bundled presets) the pulse is
-      unitary: its map is U kron conj(U), since vec(U rho U+) =
-      (U kron conj U) vec(rho) for row-major vec, with
-      U = exp(-2 pi i t H(delta)) and H(delta) = H(0) - delta P+ the 4x4
-      driven block. The 4x4 exponentials of a batch take one stacked expm
-      call. Only a pulse with channels exponentiates its 16x16 generators
-      G(0) + delta K, also in one stacked call.
+      channel (as in the bundled presets) the pulse is unitary and its map
+      is U kron conj(U) (row-major vec), with U = exp(-2 pi i t H(delta))
+      and H(delta) = H(0) - delta P+ on the block: one stacked 4x4 expm per
+      batch. A pulse with channels exponentiates G(0) + delta K instead.
     * expm treats every slice of a stack on its own.
 
     Every per-detuning result is therefore independent of the batch it was
-    computed in. Each batch checks that its cycle and tail maps preserve
-    the trace, every final state is checked like SchedulePropagator's, and
-    a batch's polarizations are read in one polarization_of_state call.
+    computed in. Each batch checks that its maps preserve the trace.
+    states() and buildup() advance the state through one stepper, _carried,
+    which passes the carried state through _checked every CHUNK cycles, and
+    every read-out state goes through _checked too.
 
-    trajectory() samples the state along one sequence at one detuning for
-    the trajectory command: it steps the same block generators, each plus
-    delta K, through the preset's schedule and readout tail.
+    trajectory() samples the state along one sequence at one detuning: it
+    steps the same block generators, each plus delta K, through the
+    preset's schedule and readout tail.
     """
 
-    def __init__(self, preset: "Preset") -> None:
+    def __init__(self, preset: Preset) -> None:
         n = len(DRIVEN_INDICES)
         # The drive acts inside the block, so h_mw couples across its edge
         # wherever h0 does.
@@ -458,16 +428,13 @@ class CycleEngine:
         self, deltas: Sequence[float], n_cycles: int | None = None
     ) -> np.ndarray:
         """Driven-block states after n_cycles cycles and the tail, (n, 4, 4)."""
-        n = self._preset.n_cycles if n_cycles is None else n_cycles
-        if n < 0:
-            raise ConfigError("n_cycles must be >= 0")
+        n = self._preset.cycles(n_cycles)
         d = np.asarray(deltas, dtype=float)
         out = []
         for start in range(0, len(d), CHUNK):
             cycle, tail = self.maps(d[start : start + CHUNK])
-            vec = np.tile(_RHO0, (len(cycle), 1))
-            for _ in range(n):
-                vec = _apply(cycle, vec)
+            for vec in _carried(cycle, np.tile(_RHO0, (len(cycle), 1)), n):
+                pass  # the state after n cycles is the stepper's last
             out.append(_checked(_apply(tail, vec)))
         return np.concatenate(out) if out else np.empty((0, 4, 4), dtype=complex)
 
@@ -480,22 +447,17 @@ class CycleEngine:
     def buildup(self, delta: float, n_max: int) -> np.ndarray:
         """Readout polarization after 0..n_max cycles at one detuning.
 
-        The states after successive cycles are read out CHUNK at a time,
-        through one stacked tail matmul and one drift check per block; each
-        slice is the same 16x16 product as in states(), so entry n equals
-        polarizations([delta], n) bit for bit.
+        The stepper's states are read out CHUNK at a time, through one
+        broadcast tail matmul and one _checked call per block. Each slice is
+        the same 16x16 product as in states(), after the same guards of the
+        carried state, so entry n equals polarizations([delta], n) bit for bit.
         """
         cycle, tail = self.maps([delta])
+        carried = _carried(cycle, _RHO0[None], n_max)
         values = []
-        vec = _RHO0[None]
-        for start in range(0, n_max + 1, CHUNK):
-            block = np.empty((min(CHUNK, n_max + 1 - start), len(_RHO0)), dtype=complex)
-            for i in range(len(block)):
-                if start + i > 0:
-                    vec = _apply(cycle, vec)
-                block[i] = vec[0]
-            tails = np.broadcast_to(tail, (len(block), *tail.shape[1:]))
-            values.append(polarization_of_state(_checked(_apply(tails, block))).p)
+        while block := list(itertools.islice(carried, CHUNK)):
+            states = _checked(_apply(tail, np.concatenate(block)))
+            values.append(polarization_of_state(states).p)
         return np.concatenate(values) if values else np.empty(0)
 
     def trajectory(
@@ -506,13 +468,19 @@ class CycleEngine:
         Returns the state at t = 0, at every multiple of sample_ns and at the
         end, splitting segments as needed. A segment's generator is the
         laser-on, laser-off or pulse block generator plus delta K, and each
-        (segment kind, step) is exponentiated once. The states are checked
-        like those of states(); their m_s = -1 rows and columns are zero.
+        (segment kind, step) is exponentiated once. The states go through
+        _checked; their m_s = -1 rows and columns are zero. More than
+        MAX_GRID_POINTS rows is a ConfigError, raised before any propagation.
         """
         if sample_ns <= 0:
             raise ConfigError("sample_ns must be positive")
         preset = self._preset
-        schedule = preset.schedule(delta, n_cycles=n_cycles) + preset.readout_tail()
+        n_cycles, tail = preset.cycles(n_cycles), preset.readout_tail()
+        end = n_cycles * preset.schedule(delta, n_cycles=1).duration_ns + tail.duration_ns
+        rows = -(-end // sample_ns) + 1  # t = 0, each multiple of sample_ns, the end
+        if rows > MAX_GRID_POINTS:
+            raise ConfigError(f"trajectory of {rows} rows exceeds {MAX_GRID_POINTS}")
+        schedule = preset.schedule(delta, n_cycles=n_cycles) + tail
         frame = np.diag(delta * _K_DIAG)
         pulse = self._mw if self._mw is not None else liouvillian(self._h, ())
         # Keyed by the segment's (mw_on, laser_on) gates.
@@ -549,17 +517,40 @@ def _apply(maps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (maps @ vecs[:, :, None])[:, :, 0]
 
 
+def _carried(cycle: np.ndarray, vec: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """States (k, 16) after 0, 1, ..., n applications of the cycle maps (k, 16, 16).
+
+    The one cycle stepper. It passes the carried state through _checked every
+    CHUNK cycles, which bounds round-off drift per CHUNK cycles, not per run.
+    """
+    yield vec
+    for count in range(1, n + 1):
+        vec = _apply(cycle, vec)
+        if count % CHUNK == 0:
+            vec = _checked(vec).reshape(vec.shape)
+        yield vec
+
+
 def _checked(vecs: np.ndarray) -> np.ndarray:
-    """Reshape vectorized 4x4 states; raise on drift as SchedulePropagator does."""
-    n = len(DRIVEN_INDICES)
+    """The package's one state guard: (k, n, n) matrices of k vectorized states.
+
+    A state's drift is the larger of max |rho - rho+| and |tr rho - 1|. A
+    drift above 1e-9, or NaN, raises NumericalError; a state whose drift is
+    above 1e-12 comes back Hermitian with unit trace, and every other state
+    keeps its bits. vecs itself is not changed.
+    """
+    n = math.isqrt(vecs.shape[-1])
     rho = vecs.reshape(-1, n, n)
-    trace = np.trace(rho, axis1=1, axis2=2)
-    drift = max(
-        float(np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), initial=0.0)),
-        float(np.max(np.abs(trace - 1.0), initial=0.0)),
-    )
-    if not drift <= _HERM_DRIFT_FAIL:
-        raise NumericalError(f"propagation drift {drift:.3e} exceeds 1e-9")
+    herm = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    drift = np.maximum(herm, np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0))
+    worst = float(np.max(drift, initial=0.0))
+    if not worst <= _HERM_DRIFT_FAIL:
+        raise NumericalError(f"propagation drift {worst:.3e} exceeds 1e-9")
+    fix = drift > _HERM_DRIFT_FIX
+    if np.any(fix):
+        rho, bad = rho.copy(), rho[fix]
+        bad = (bad + bad.conj().transpose(0, 2, 1)) / 2.0
+        rho[fix] = bad / np.real(np.trace(bad, axis1=1, axis2=2))[:, None, None]
     return rho
 
 

@@ -22,6 +22,9 @@ from .schedule import Schedule, PulseSegment, chopped_laser_train
 FIT_A_ZZ = -686.5546e3
 FIT_A_ANI = 215.3535e3
 
+#: Most points one grid axis may hold, and most cycles one sequence may run.
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class Preset:
@@ -60,6 +63,15 @@ class Preset:
         if not math.isfinite(self.omega):
             raise ConfigError(f"omega must be finite, got {self.omega}")
 
+    def cycles(self, n_cycles: int | None = None) -> int:
+        """n_cycles, or the preset's count if None, checked to lie in 0..MAX_GRID_POINTS."""
+        n = self.n_cycles if n_cycles is None else n_cycles
+        if n < 0:
+            raise ConfigError("n_cycles must be >= 0")
+        if n > MAX_GRID_POINTS:
+            raise ConfigError(f"{n} cycles exceed {MAX_GRID_POINTS}")
+        return n
+
     def schedule(self, delta: float, *, n_cycles: int | None = None) -> Schedule:
         """The polarization sequence at drive detuning delta.
 
@@ -67,9 +79,7 @@ class Preset:
         followed by one microwave pulse of t_mw_ns at (delta, omega) and
         another rest.
         """
-        n = self.n_cycles if n_cycles is None else n_cycles
-        if n < 0:
-            raise ConfigError("n_cycles must be >= 0")
+        n = self.cycles(n_cycles)
         pulse = PulseSegment(self.t_mw_ns, mw_on=True, mw_delta=delta, mw_rabi=self.omega)
         cycle = self.readout_tail().segments + (pulse, PulseSegment(self.rest_ns))
         return Schedule(cycle * n)

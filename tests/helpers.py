@@ -11,7 +11,13 @@ from scipy.linalg import expm
 from nvpolar.errors import NumericalError
 from nvpolar.experiments import content_hash
 from nvpolar.hamiltonian import rotating_hamiltonian
-from nvpolar.lindblad import DRIVE_SCALE, SchedulePropagator, build_channels, liouvillian
+from nvpolar.lindblad import (
+    DRIVE_SCALE,
+    SchedulePropagator,
+    _checked,
+    build_channels,
+    liouvillian,
+)
 from nvpolar.operators import DIM, spin_operators
 from nvpolar.params import RelaxationRates, SystemParams
 from nvpolar.schedule import PulseSegment, Schedule
@@ -88,7 +94,7 @@ def reference_trajectory(
             if seg.duration_ns > 0:
                 vec = prop.segment_propagator(seg, frame) @ vec
             t += seg.duration_ns
-            out.append((t, prop._guard(vec.reshape(DIM, DIM))))
+            out.append((t, _checked(vec[None])[0]))
         return out
     for seg in schedule:
         remaining = seg.duration_ns
@@ -98,9 +104,9 @@ def reference_trajectory(
             t += step
             remaining -= step
             if t % sample_ns == 0:
-                out.append((t, prop._guard(vec.reshape(DIM, DIM))))
+                out.append((t, _checked(vec[None])[0]))
     if out[-1][0] != t:
-        out.append((t, prop._guard(vec.reshape(DIM, DIM))))
+        out.append((t, _checked(vec[None])[0]))
     return out
 
 

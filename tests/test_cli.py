@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from nvpolar import cli
 from nvpolar.errors import FitModelError, NumericalError, UndefinedPolarizationError
+from nvpolar.lindblad import CycleEngine
+from nvpolar.presets import Preset
 
 SMALL_SWEEP = ["--min=280000", "--max=360000", "--step", "40000"]
 
@@ -585,6 +587,44 @@ def test_sweep_n_beyond_the_grid_limit_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: config: 1000001 cycle counts exceed 1000000")
     assert "\n" not in err.strip()
+    assert not out_dir.exists()
+
+
+@pytest.fixture
+def no_propagation(monkeypatch):
+    """Fail on any cycle-map batch and on building a sequence of more than one cycle."""
+    schedule = Preset.schedule
+
+    def one_cycle(self, delta, *, n_cycles=None):
+        assert n_cycles == 1, "a whole sequence was built"
+        return schedule(self, delta, n_cycles=n_cycles)
+
+    def no_maps(self, deltas):
+        raise AssertionError("a cycle-map batch was built")
+
+    monkeypatch.setattr(Preset, "schedule", one_cycle)
+    monkeypatch.setattr(CycleEngine, "maps", no_maps)
+
+
+@pytest.mark.parametrize("command", ["sweep-detuning", "fit-curve", "trajectory"])
+def test_cycle_count_beyond_the_grid_limit_exits_2(tmp_path, capsys, no_propagation, command):
+    data = tmp_path / "curve.csv"
+    data.write_text("".join(f"{d:.1f},0.5\n" for d in range(0, 400000, 40000)))
+    args = [str(data)] if command == "fit-curve" else []
+    out_dir = tmp_path / "out"
+    code, _, err = run([command, *args, "--n", "1000001", "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert err == "error: config: 1000001 cycles exceed 1000000\n"
+    assert not out_dir.exists()
+
+
+def test_trajectory_beyond_the_row_limit_exits_2(tmp_path, capsys, no_propagation):
+    out_dir = tmp_path / "traj"
+    code, _, err = run(
+        ["trajectory", "--n", "300", "--sample-ns", "1", "--out", str(out_dir)], capsys
+    )
+    assert code == 2
+    assert err == "error: config: trajectory of 1030631 rows exceeds 1000000\n"
     assert not out_dir.exists()
 
 

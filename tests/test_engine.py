@@ -12,7 +12,7 @@ from scipy.linalg import expm as scipy_expm
 from nvpolar import cli
 from nvpolar import experiments as ex
 from nvpolar import lindblad
-from nvpolar.errors import NumericalError
+from nvpolar.errors import ConfigError, NumericalError
 from nvpolar.lindblad import CycleEngine, SchedulePropagator, initial_mixed_state
 from nvpolar.params import RelaxationRates
 from nvpolar.polarization import polarization_of_state
@@ -234,8 +234,55 @@ def test_trajectory_matches_reference(name, rates, sample_ns, n_cycles):
 def test_guard_rejects_nan_state():
     rho = initial_mixed_state()
     rho[0, 0] = np.nan
-    with pytest.raises(NumericalError):
-        SchedulePropagator._guard(rho)
+    with pytest.raises(NumericalError, match="drift nan"):
+        lindblad._checked(rho.reshape(1, -1))
+
+
+def test_guard_repairs_small_drift_and_rejects_large():
+    """The one state guard keeps the reference path's policy, state by state."""
+    exact = initial_mixed_state()
+    drifted = exact.copy()
+    drifted[0, 0] += 5e-11
+    drifted[0, 1] = 2e-11
+    vecs = np.stack([exact.reshape(-1), drifted.reshape(-1)])
+    kept, repaired = lindblad._checked(vecs)
+    assert kept.tobytes() == exact.tobytes()
+    assert np.max(np.abs(repaired - repaired.conj().T)) == 0.0
+    assert abs(np.trace(repaired) - 1.0) <= 1e-15
+    assert np.max(np.abs(vecs[1] - drifted.reshape(-1))) == 0.0
+    drifted[0, 0] = 0.5 + 2e-9
+    with pytest.raises(NumericalError, match="drift 2.000e-09 exceeds 1e-9"):
+        lindblad._checked(drifted.reshape(1, -1))
+
+
+def test_carried_state_is_guarded_every_chunk(table_a1, monkeypatch):
+    """A cycle map that loses 1e-11 of trace per cycle passes the maps' check;
+    the carried state's guard keeps 3 CHUNK cycles inside the 1e-9 bound."""
+    engine = CycleEngine(table_a1)
+    maps = engine.maps
+
+    def leaky(deltas):
+        cycle, tail = maps(deltas)
+        return cycle * (1.0 - 1e-11), tail
+
+    monkeypatch.setattr(engine, "maps", leaky)
+    n_max = 3 * lindblad.CHUNK
+    assert np.isfinite(engine.polarizations([3e5], n_max)).all()
+    buildup = engine.buildup(3e5, n_max)
+    for n in range(n_max + 1):
+        assert buildup[n] == engine.polarizations([3e5], n)[0]
+
+
+@pytest.mark.parametrize("sample_ns", [10, 7, 10**6])
+def test_trajectory_row_bound_counts_the_rows(table_a1, monkeypatch, sample_ns):
+    """The row count checked before propagating is the trajectory's length."""
+    engine = CycleEngine(table_a1)
+    rows = len(engine.trajectory(3.2e5, sample_ns, 2))
+    monkeypatch.setattr(lindblad, "MAX_GRID_POINTS", rows)
+    assert len(engine.trajectory(3.2e5, sample_ns, 2)) == rows
+    monkeypatch.setattr(lindblad, "MAX_GRID_POINTS", rows - 1)
+    with pytest.raises(ConfigError, match=f"trajectory of {rows} rows"):
+        engine.trajectory(3.2e5, sample_ns, 2)
 
 
 def _nan_expm(a):
