@@ -507,7 +507,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     parallel = argparse.ArgumentParser(add_help=False)
     parallel.add_argument(
-        "--workers", type=int, default=1, help="worker processes (default 1)"
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="processes that share the grids: this one plus up to N - 1 forked "
+        "children, never more than grids or CPUs (default 1)",
     )
 
     p = sub.add_parser(

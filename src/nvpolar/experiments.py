@@ -3,9 +3,10 @@
 Every sweep is a set of (parameter set, detuning grid) jobs. Each job builds
 one lindblad.CycleEngine, which runs the standard schedule plus the terminal
 relaxation train over the grid and reads out the polarization. With
-workers > 1 and more than one job, whole jobs fan out over a process pool;
-the engine cuts its grid into the same batches in any process, so the CSV
-bytes do not depend on the worker count.
+workers > 1 and more than one job, whole jobs fan out round-robin over this
+process and up to workers - 1 forked children (see _evaluate); the engine
+cuts its grid into the same batches in any process, so the CSV bytes do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -170,9 +172,8 @@ def sequence_polarization(
     return float(CycleEngine(preset).polarizations([delta], n_cycles)[0])
 
 
-def _eval_task(task: tuple[Preset, tuple[float, ...], int]) -> np.ndarray:
-    preset, deltas, n_cycles = task
-    return CycleEngine(preset).polarizations(deltas, n_cycles)
+def _share(tasks: list[tuple[Preset, tuple[float, ...], int]]) -> list[np.ndarray]:
+    return [CycleEngine(preset).polarizations(deltas, n) for preset, deltas, n in tasks]
 
 
 def _evaluate(
@@ -182,22 +183,74 @@ def _evaluate(
 ) -> list[np.ndarray]:
     """Polarization over the detuning grid of every (preset, grid) job.
 
-    Each job is one task that builds one engine. The pool gets at most one
-    process per job and per CPU, and each process takes tasks in runs of
-    about a quarter of its share; with one process left the jobs run here.
+    Each job builds one engine. Job i runs in process i mod W, where
+    W = min(workers, jobs, CPUs): this process computes share 0 while W - 1
+    children made with os.fork compute the others. Every caller passes
+    grids of equal length, so static round-robin shares balance. A child's
+    exception comes back through its pipe and is raised here unchanged; an
+    exception in this process's own share, KeyboardInterrupt included,
+    kills the children. Every child is reaped before this returns or
+    raises. Where os.fork does not exist every job runs here.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     tasks = [(preset, deltas, preset.cycles(n_cycles)) for preset, deltas in jobs]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [_eval_task(task) for task in tasks]
-    # Imported here: loading the pool machinery slows every command's start-up.
-    from concurrent.futures import ProcessPoolExecutor
+    width = min(workers, len(tasks), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    width = max(width, 1)  # no jobs: nothing to share out
+    results: list = [None] * len(tasks)
+    children = {}  # rank -> (pid, read end of its pipe), until reaped
+    try:
+        for rank in range(1, width):
+            children[rank] = _fork_share(tasks[rank::width])
+        results[0::width] = _share(tasks[0::width])
+        for rank in range(1, width):
+            pid, pipe = children[rank]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[rank]
+            if not payload:
+                raise RuntimeError(
+                    f"worker process {pid} ended with exit status "
+                    f"{os.waitstatus_to_exitcode(status)} and sent no result"
+                )
+            answer = pickle.loads(payload)
+            if isinstance(answer, Exception):
+                raise answer
+            results[rank::width] = answer
+    finally:
+        if children:
+            # Imported here: only a failed fan-out needs it.
+            from signal import SIGKILL
 
-    chunksize = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_eval_task, tasks, chunksize=chunksize))
+            for pid, pipe in children.values():
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    return results
+
+
+def _fork_share(tasks: list) -> tuple:
+    """Fork a child that computes _share(tasks) and writes it, pickled, or
+    the exception it raised, to a pipe; return (child pid, the pipe's read end).
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: answer once, and never return into the caller
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                answer = _share(tasks)
+            except Exception as exc:
+                answer = exc
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(answer))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 def predicted_resonance(preset: Preset) -> float:

@@ -22,7 +22,8 @@ that takes one matrix or a stack, so the package needs no SciPy at runtime.
 _checked is the one state guard of both paths: it raises NumericalError on
 a drift above 1e-9 and makes a state whose drift is above 1e-12 Hermitian
 with unit trace again. CycleEngine also applies it, every CHUNK cycles, to
-the state it carries from one cycle to the next.
+the state it carries from one cycle to the next, in the sweeps and the
+buildup as in the trajectory.
 """
 
 from __future__ import annotations
@@ -352,7 +353,8 @@ class CycleEngine:
 
     trajectory() samples the state along one sequence at one detuning: it
     steps the same block generators, each plus delta K, through the
-    preset's schedule and readout tail.
+    preset's cycle n_cycles times and then the readout tail, and guards the
+    carried state every CHUNK cycles as _carried does.
     """
 
     def __init__(self, preset: Preset) -> None:
@@ -468,19 +470,20 @@ class CycleEngine:
         Returns the state at t = 0, at every multiple of sample_ns and at the
         end, splitting segments as needed. A segment's generator is the
         laser-on, laser-off or pulse block generator plus delta K, and each
-        (segment kind, step) is exponentiated once. The states go through
-        _checked; their m_s = -1 rows and columns are zero. More than
+        (segment kind, step) is exponentiated once. The carried state goes
+        through _checked every CHUNK cycles, and every returned state through
+        _checked too; their m_s = -1 rows and columns are zero. More than
         MAX_GRID_POINTS rows is a ConfigError, raised before any propagation.
         """
         if sample_ns <= 0:
             raise ConfigError("sample_ns must be positive")
         preset = self._preset
         n_cycles, tail = preset.cycles(n_cycles), preset.readout_tail()
-        end = n_cycles * preset.schedule(delta, n_cycles=1).duration_ns + tail.duration_ns
+        cycle = preset.schedule(delta, n_cycles=1)
+        end = n_cycles * cycle.duration_ns + tail.duration_ns
         rows = -(-end // sample_ns) + 1  # t = 0, each multiple of sample_ns, the end
         if rows > MAX_GRID_POINTS:
             raise ConfigError(f"trajectory of {rows} rows exceeds {MAX_GRID_POINTS}")
-        schedule = preset.schedule(delta, n_cycles=n_cycles) + tail
         frame = np.diag(delta * _K_DIAG)
         pulse = self._mw if self._mw is not None else liouvillian(self._h, ())
         # Keyed by the segment's (mw_on, laser_on) gates.
@@ -489,20 +492,26 @@ class CycleEngine:
         props: dict[tuple, np.ndarray] = {}
         vec, t = _RHO0, 0
         times, vecs = [0], [vec]
-        for seg in schedule:
-            kind = (seg.mw_on, seg.laser_on)
-            remaining = seg.duration_ns
-            while remaining > 0:
-                step = min(sample_ns - t % sample_ns, remaining)
-                prop = props.get((kind, step))
-                if prop is None:
-                    prop = props[kind, step] = expm(generators[kind] * (step * 1e-9))
-                vec = prop @ vec
-                t += step
-                remaining -= step
-                if t % sample_ns == 0:
-                    times.append(t)
-                    vecs.append(vec)
+        # n_cycles passes of one cycle, then one of the tail; the carried
+        # state is guarded after every CHUNK passes, as in _carried.
+        passes = itertools.chain(itertools.repeat(cycle, n_cycles), [tail])
+        for count, segments in enumerate(passes, start=1):
+            for seg in segments:
+                kind = (seg.mw_on, seg.laser_on)
+                remaining = seg.duration_ns
+                while remaining > 0:
+                    step = min(sample_ns - t % sample_ns, remaining)
+                    prop = props.get((kind, step))
+                    if prop is None:
+                        prop = props[kind, step] = expm(generators[kind] * (step * 1e-9))
+                    vec = prop @ vec
+                    t += step
+                    remaining -= step
+                    if t % sample_ns == 0:
+                        times.append(t)
+                        vecs.append(vec)
+            if count % CHUNK == 0:
+                vec = _checked(vec).reshape(vec.shape)
         if times[-1] != t:
             times.append(t)
             vecs.append(vec)

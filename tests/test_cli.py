@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvpolar import cli
+from nvpolar import experiments as ex
 from nvpolar.errors import FitModelError, NumericalError, UndefinedPolarizationError
 from nvpolar.lindblad import CycleEngine
 from nvpolar.presets import Preset
@@ -119,7 +121,7 @@ def test_negative_bounds_use_equals_form(tmp_path, capsys):
 
 
 def test_worker_count_does_not_change_bytes(tmp_path, capsys):
-    """sweep-detuning runs its one grid in-process; the others start a pool."""
+    """sweep-detuning runs its one grid in-process; the others fork children."""
     window = ["--inner-halfwidth", "200000", "--inner-step", "50000"]
     commands = [
         ["sweep-detuning", *SMALL_SWEEP],
@@ -637,6 +639,29 @@ def test_workers_below_one_exit_2(tmp_path, capsys, workers):
     )
     assert code == 2
     assert err.startswith("error: config: workers")
+
+
+def test_a_numerical_error_in_a_forked_share_exits_3(tmp_path, capsys, monkeypatch):
+    """The 520 G job runs in the forked child; its error is the one line printed."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    engine = ex.CycleEngine
+
+    def failing_engine(preset):
+        if preset.system.b_z == 520.0:
+            raise NumericalError("propagation drift 2.000e-09 exceeds 1e-9")
+        return engine(preset)
+
+    monkeypatch.setattr(ex, "CycleEngine", failing_engine)
+    out_dir = tmp_path / "field"
+    code, out, err = run(
+        ["sweep-field", "--min", "500", "--max", "540", "--step", "20",
+         "--inner-step", "300000", "--workers", "2", "--out", str(out_dir)],
+        capsys,
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: numerical: propagation drift 2.000e-09 exceeds 1e-9\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("bad_row", ["1e5,oops", "2e5", "nan,0.5", "3e5,inf"])

@@ -273,6 +273,23 @@ def test_carried_state_is_guarded_every_chunk(table_a1, monkeypatch):
         assert buildup[n] == engine.polarizations([3e5], n)[0]
 
 
+def test_trajectory_guards_the_carried_state_every_chunk(table_a1, monkeypatch):
+    """Propagators that lose 2e-13 of trace per segment (37 segments a cycle)
+    stay inside the 1e-9 bound for CHUNK cycles but not for 3 CHUNK; the
+    guard every CHUNK cycles keeps a 3 CHUNK trajectory inside it."""
+    engine = CycleEngine(table_a1)
+    expm = lindblad.expm
+    monkeypatch.setattr(lindblad, "expm", lambda a: expm(a) * (1.0 - 2e-13))
+    n_cycles = 3 * lindblad.CHUNK
+    states = engine.trajectory(3.2e5, 10**9, n_cycles)
+    assert len(states) == 2  # t = 0 and the end
+    for _, rho in states:
+        assert abs(np.trace(rho) - 1.0) <= 1e-9
+    monkeypatch.setattr(lindblad, "CHUNK", n_cycles + 2)
+    with pytest.raises(NumericalError, match="propagation drift"):
+        engine.trajectory(3.2e5, 10**9, n_cycles)
+
+
 @pytest.mark.parametrize("sample_ns", [10, 7, 10**6])
 def test_trajectory_row_bound_counts_the_rows(table_a1, monkeypatch, sample_ns):
     """The row count checked before propagating is the trajectory's length."""

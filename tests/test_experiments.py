@@ -2,6 +2,8 @@
 
 import json
 import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from helpers import reference_trajectory, rowwise_sweep_csv, rowwise_sweep_metadata
 
 from nvpolar import experiments as ex
-from nvpolar.errors import ConfigError, UndefinedPolarizationError
+from nvpolar.errors import ConfigError, NumericalError, UndefinedPolarizationError
 from nvpolar.eigensystem import eigen_system
 from nvpolar.lindblad import CHUNK, CycleEngine, SchedulePropagator, initial_mixed_state
 from nvpolar.operators import spin_operators
@@ -277,59 +279,200 @@ def test_sweeps_reject_worker_counts_below_one(table_a1, workers):
         ex.sweep_field(table_a1, (520.0,), inner_step=3e5, workers=workers)
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_an_empty_field_grid_is_a_config_error(table_a1, workers):
+    with pytest.raises(ConfigError, match="empty grid"):
+        ex.sweep_field(table_a1, (), workers=workers)
+
+
+# -- the fan-out over forked children --------------------------------------------
+
+FIELDS = (500.0, 520.0, 540.0, 560.0)
+
+
+def _assert_no_children():
+    """This process has no child left, neither running nor unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Replaces ProcessPoolExecutor by a recorder of (max_workers, chunksize)
-    that maps in this process, so no test here starts a process."""
-    import concurrent.futures
+def forks(monkeypatch):
+    """Patches os.fork to record the pid of every child it makes."""
+    made = []
+    fork = os.fork
 
-    calls = []
+    def recording_fork():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return made
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+@pytest.fixture
+def builds(monkeypatch, tmp_path):
+    """Patches ex.CycleEngine to log (pid, b_z) of each engine, from any process."""
+    log = tmp_path / "engines.log"
 
-        def map(self, fn, iterable, chunksize=1):
-            calls.append((self.max_workers, chunksize))
-            return map(fn, iterable)
+    def logging_engine(preset):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {preset.system.b_z!r}\n")
+        return CycleEngine(preset)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    return calls
+    monkeypatch.setattr(ex, "CycleEngine", logging_engine)
+
+    def read():
+        lines = log.read_text().splitlines() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return [(int(pid), float(b)) for pid, b in (line.split() for line in lines)]
+
+    return read
+
+
+@pytest.fixture
+def no_hang():
+    """Fails the test with TimeoutError rather than letting it wait 30 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the fan-out did not return within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("cpus", [2, 8])
-def test_pool_size_is_clamped_to_jobs_and_cpus(table_a1, inline_pool, monkeypatch, cpus):
+def test_pool_size_is_clamped_to_jobs_and_cpus(table_a1, forks, monkeypatch, cpus):
+    """The caller plus min(workers, jobs, CPUs) - 1 forked children."""
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    fields = (500.0, 520.0, 540.0)
+    fields = FIELDS[:3]
     pooled = ex.sweep_field(table_a1, fields, inner_step=3e5, workers=10**6)
+    assert len(forks) == min(3, cpus) - 1
     serial = ex.sweep_field(table_a1, fields, inner_step=3e5, workers=1)
-    assert inline_pool == [(min(3, cpus), 1)]
+    ex.sweep_detuning(table_a1, (1e5, 2e5), workers=10**6)
+    assert len(forks) == min(3, cpus) - 1  # one worker or one job forks none
     assert pooled.p.tolist() == serial.p.tolist()
+    _assert_no_children()
 
 
-def test_every_job_builds_one_engine(table_a1, inline_pool, monkeypatch):
-    """Windows longer than CHUNK stay one job, and one engine, in a pool too."""
+def test_every_job_builds_one_engine(table_a1, builds, monkeypatch):
+    """Windows longer than CHUNK stay one job, and one engine, built in process
+    i mod W for job i; process 0 is the caller."""
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    built = []
-
-    def counting_engine(preset):
-        built.append(preset)
-        return CycleEngine(preset)
-
-    monkeypatch.setattr(ex, "CycleEngine", counting_engine)
-    fields = (500.0, 520.0, 540.0)
     assert len(ex.grid(-6e5, 6e5, 9e3)) > CHUNK
     results = {}
-    for workers in (1, 2):
-        built.clear()
-        results[workers] = ex.sweep_field(table_a1, fields, inner_step=9e3, workers=workers)
-        assert len(built) == len(fields)
-    assert inline_pool == [(2, 1)]
-    assert results[1].p.tolist() == results[2].p.tolist()
+    for workers in (1, 2, 3):
+        results[workers] = ex.sweep_field(table_a1, FIELDS, inner_step=9e3, workers=workers)
+        built = builds()
+        assert sorted(b for _, b in built) == list(FIELDS)
+        pid_of = dict((b, pid) for pid, b in built)
+        ranks = [{pid_of[b] for b in FIELDS[r::workers]} for r in range(workers)]
+        assert all(len(pids) == 1 for pids in ranks)
+        assert ranks[0] == {os.getpid()}
+        assert len(set.union(*ranks)) == workers
+        assert results[workers].p.tolist() == results[1].p.tolist()
+    _assert_no_children()
+
+
+def test_fan_out_bytes_match_at_one_two_and_three_workers(table_a1, forks, monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    sweeps = {
+        "field": lambda w: ex.sweep_field(table_a1, FIELDS, inner_step=1e5, workers=w),
+        "ani": lambda w: ex.sweep_ani_detuning(
+            table_a1, (0.0, 1e5, 2e5, 3e5, 4e5), ex.grid(-4e5, 4e5, 1e5), workers=w
+        ),
+        "field-ani": lambda w: ex.sweep_field_ani(
+            table_a1, FIELDS[:2], (1e5, 3e5), inner_step=2e5, workers=w
+        ),
+    }
+    for name, sweep in sweeps.items():
+        written = {}
+        for workers in (1, 2, 3):
+            forks.clear()
+            result = sweep(workers)
+            assert len(forks) == workers - 1
+            data, meta = tmp_path / f"{name}-{workers}.csv", tmp_path / f"{name}-{workers}.json"
+            result.write_csv(data)
+            result.write_metadata(meta)
+            written[workers] = data.read_bytes() + meta.read_bytes()
+        assert written[2] == written[1] and written[3] == written[1]
+    _assert_no_children()
+
+
+def test_without_fork_every_job_runs_here(table_a1, builds, monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    serial = ex.sweep_field(table_a1, FIELDS, inner_step=1e5, workers=1)
+    builds()
+    monkeypatch.delattr(os, "fork")
+    result = ex.sweep_field(table_a1, FIELDS, inner_step=1e5, workers=3)
+    assert builds() == [(os.getpid(), b) for b in FIELDS]
+    serial.write_csv(tmp_path / "serial.csv")
+    result.write_csv(tmp_path / "nofork.csv")
+    assert (tmp_path / "nofork.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def _failing_at(monkeypatch, b_z, fail, others=None):
+    """Patches ex.CycleEngine to call fail() for the job at field b_z, and
+    others() before building any other job's engine."""
+
+    def engine(preset):
+        if preset.system.b_z == b_z:
+            fail()
+        elif others is not None:
+            others()
+        return CycleEngine(preset)
+
+    monkeypatch.setattr(ex, "CycleEngine", engine)
+
+
+def test_a_childs_error_reaches_the_caller_unchanged(table_a1, monkeypatch, no_hang):
+    """Job 1 runs in child 1 of 3 processes; its error, not a wrapper, comes back."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def fail():
+        raise NumericalError("propagation drift 2.000e-09 exceeds 1e-9")
+
+    _failing_at(monkeypatch, FIELDS[1], fail)
+    with pytest.raises(NumericalError) as info:
+        ex.sweep_field(table_a1, FIELDS, inner_step=3e5, workers=3)
+    assert type(info.value) is NumericalError
+    assert str(info.value) == "propagation drift 2.000e-09 exceeds 1e-9"
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("error", [NumericalError, KeyboardInterrupt])
+def test_an_error_in_the_callers_share_kills_the_children(
+    table_a1, monkeypatch, no_hang, error
+):
+    """Job 0 is the caller's; the children's jobs would take a minute each."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def fail():
+        raise error("in the caller's share")
+
+    _failing_at(monkeypatch, FIELDS[0], fail, others=lambda: time.sleep(60))
+    t0 = time.monotonic()
+    with pytest.raises(error, match="in the caller's share"):
+        ex.sweep_field(table_a1, FIELDS, inner_step=3e5, workers=3)
+    assert time.monotonic() - t0 < 20
+    _assert_no_children()
+
+
+@pytest.mark.parametrize(
+    "end, status",
+    [(lambda: os._exit(7), "7"), (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9")],
+    ids=["exit-7", "sigkill"],
+)
+def test_a_child_that_sends_no_result_is_an_error(table_a1, monkeypatch, no_hang, end, status):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _failing_at(monkeypatch, FIELDS[2], end)
+    with pytest.raises(RuntimeError, match=f"ended with exit status {status} and sent no result"):
+        ex.sweep_field(table_a1, FIELDS, inner_step=3e5, workers=3)
+    _assert_no_children()

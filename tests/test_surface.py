@@ -21,11 +21,11 @@ def test_all_names_resolve(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
-def _loaded_by_cli_import(*prefixes: str) -> list[str]:
-    """Modules whose names start with a prefix, after a fresh `import nvpolar.cli`."""
+def _loaded_by_cli_import(*prefixes: str, module: str = "nvpolar.cli") -> list[str]:
+    """Modules whose names start with a prefix, after a fresh `import <module>`."""
     env = dict(os.environ, PYTHONPATH=str(Path(nvpolar.__file__).parent.parent))
     code = (
-        "import sys, nvpolar.cli; "
+        f"import sys, {module}; "
         f"print(*sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     )
     out = subprocess.run(
@@ -40,8 +40,10 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_pool_machinery():
-    """The process pool is imported only when a sweep starts one."""
-    assert _loaded_by_cli_import("concurrent", "multiprocessing") == []
+    """The fan-out needs os and pickle only, and numpy loads pickle anyway;
+    signal is imported only to kill the children of a failed fan-out."""
+    assert _loaded_by_cli_import("concurrent", "multiprocessing", "signal") == []
+    assert _loaded_by_cli_import("pickle", module="numpy") == ["pickle"]
 
 
 @pytest.fixture
