@@ -37,11 +37,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .eigensystem import eigen_system
-from .errors import ConfigError, NumericalError, UndefinedPolarizationError
+from .errors import ConfigError, NumericalError
 from .hamiltonian import rotating_hamiltonian
 from .operators import DIM, basis_index, spin_operators
 from .params import RelaxationRates, SystemParams
-from .polarization import polarization_of_state
+from .polarization import POPULATION_FLOOR, polarization_of_state
 from .presets import MAX_GRID_POINTS, Preset
 from .schedule import PulseSegment, Schedule, chopped_laser_train
 
@@ -334,27 +334,32 @@ class CycleEngine:
       ...]): the 16 rows and columns of SchedulePropagator's, bit for bit.
     * delta enters every generator only as the frame term delta K, with
       K = i 2 pi (P+ kron I - I kron P+^T) diagonal. K commutes with the
-      laser and rest generators, so their propagators are exponentiated
+      laser and rest generators, so their maps T and R are exponentiated
       once per preset at delta = 0, in one stacked expm call, and shifted
       by the phases exp(delta K t). K comes from the projector: the
       difference of two generators would lose ~1e-6 to the 4.3 GHz carrier.
+      So T(delta) C^N = C'^N T(delta), where the cycle map C' =
+      diag(exp(delta K (t_tail + t_rest))) T(0) R(0) Pulse takes one
+      read-out state to the next.
     * The laser is off during the microwave pulse, so with no dephasing
       channel (as in the bundled presets) the pulse is unitary and its map
       is U kron conj(U) (row-major vec), with U = exp(-2 pi i t H(delta))
-      and H(delta) = H(0) - delta P+ on the block: one stacked 4x4 expm per
-      batch. A pulse with channels exponentiates G(0) + delta K instead.
-    * expm treats every slice of a stack on its own.
+      and H(delta) = H(0) - delta P+ on the block: one batched 4x4 eigh
+      per batch gives U. A pulse with channels exponentiates G(0) + delta K.
+    * eigh and expm treat every slice of a stack on its own, so a result
+      does not depend on its batch.
 
-    Every per-detuning result is therefore independent of the batch it was
-    computed in. Each batch checks that its maps preserve the trace.
-    states() and buildup() advance the state through one stepper, _carried,
-    which passes the carried state through _checked every CHUNK cycles, and
-    every read-out state goes through _checked too.
+    T and R have their trace checked once per engine, and each batch its
+    pulses: max |U+ U - I| <= 1e-9, or the trace of a dephased pulse's maps.
+    states() and buildup() advance the read-out state through one stepper,
+    _carried, which passes it through _checked every CHUNK cycles; every
+    read-out goes through _checked too.
 
     trajectory() samples the state along one sequence at one detuning: it
     steps the same block generators, each plus delta K, through the
-    preset's cycle n_cycles times and then the readout tail, and guards the
-    carried state every CHUNK cycles as _carried does.
+    preset's cycle n_cycles times (one product for a cycle that holds no
+    sample time) and then the readout tail, and guards the carried state
+    every CHUNK cycles as _carried does.
     """
 
     def __init__(self, preset: Preset) -> None:
@@ -382,7 +387,7 @@ class CycleEngine:
             preset.chop_on_ns, preset.chop_off_ns, min(preset.chop_reps, 1)
         )
         segments = (*pair, PulseSegment(preset.rest_ns))
-        *chop_props, self._rest = expm(
+        *chop_props, rest = expm(
             np.stack(
                 [self._generators[seg.laser_on] * (seg.duration_ns * 1e-9) for seg in segments]
             )
@@ -391,10 +396,15 @@ class CycleEngine:
         for prop in chop_props:
             chop = prop @ chop
         chop = np.linalg.matrix_power(chop, preset.chop_reps)
-        # The readout tail (chop train, rest) is also the cycle's pre-pulse part.
-        self._tail = self._rest @ chop
+        # The readout tail T (chop train, rest). T and R do not depend on delta,
+        # so one trace check each covers every batch.
+        tail = rest @ chop
+        _check_trace("rest", rest)
+        _check_trace("tail", tail)
+        self._tail_rest = tail @ rest
+        self._tail_rho0 = tail @ _RHO0
         self._tail_s = (pair.duration_ns * preset.chop_reps + preset.rest_ns) * 1e-9
-        self._rest_s = preset.rest_ns * 1e-9
+        self._shift_s = self._tail_s + preset.rest_ns * 1e-9
         self._mw_s = preset.t_mw_ns * 1e-9
         self._h = h_mw[:n, :n]
         # The 16x16 pulse generator, built only for a pulse with channels.
@@ -405,26 +415,34 @@ class CycleEngine:
         """diag(exp(delta K t)) per detuning, shape (n, 16)."""
         return np.exp(np.multiply.outer(deltas * seconds, _K_DIAG))
 
+    def _unitaries(self, deltas: np.ndarray) -> np.ndarray:
+        """Pulse unitaries exp(-2 pi i t H(delta)), (n, 4, 4), from one batched eigh."""
+        h = self._h - np.multiply.outer(deltas, _P_PLUS)
+        if not np.isfinite(h).all():
+            raise NumericalError("the pulse Hamiltonian is not finite")
+        try:
+            levels, vecs = np.linalg.eigh(h)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"pulse eigendecomposition failed: {exc}") from None
+        phases = np.exp(-2j * np.pi * self._mw_s * levels)[:, None, :]
+        u = (vecs * phases) @ vecs.conj().transpose(0, 2, 1)
+        worst = float(np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(4)), initial=0.0))
+        if not worst <= _HERM_DRIFT_FAIL:
+            raise NumericalError(f"pulse unitary is off by {worst:.3e}")
+        return u
+
     def maps(self, deltas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Cycle and tail maps, each of shape (n, 16, 16), for one batch."""
+        """One batch's cycle maps C' (n, 16, 16) and read-out states after 0 cycles (n, 16)."""
         d = np.asarray(deltas, dtype=float)
-        tail = self._phases(d, self._tail_s)[:, :, None] * self._tail
         if self._mw is None:
-            h = self._h - np.multiply.outer(d, _P_PLUS)
-            u = expm(h * (-2j * np.pi * self._mw_s))
+            u = self._unitaries(d)
             pulse = _kron(u, u.conj())
         else:
-            gens = np.repeat(self._mw[None] * self._mw_s, len(d), axis=0)
-            idx = np.arange(len(_K_DIAG))
-            gens[:, idx, idx] += np.multiply.outer(d * self._mw_s, _K_DIAG)
-            pulse = expm(gens)
-        cycle = (self._phases(d, self._rest_s)[:, :, None] * (self._rest @ pulse)) @ tail
-        trace_row = np.eye(len(DRIVEN_INDICES)).reshape(-1)
-        for name, m in (("cycle", cycle), ("tail", tail)):
-            err = float(np.max(np.abs(trace_row @ m - trace_row), initial=0.0))
-            if not err <= _HERM_DRIFT_FAIL:
-                raise NumericalError(f"{name} map changes the trace by {err:.3e}")
-        return cycle, tail
+            frames = np.multiply.outer(d * self._mw_s, np.diag(_K_DIAG))
+            pulse = expm(self._mw * self._mw_s + frames)
+            _check_trace("pulse", pulse)
+        shift = self._phases(d, self._shift_s)[:, :, None]
+        return shift * (self._tail_rest @ pulse), self._phases(d, self._tail_s) * self._tail_rho0
 
     def states(
         self, deltas: Sequence[float], n_cycles: int | None = None
@@ -434,10 +452,9 @@ class CycleEngine:
         d = np.asarray(deltas, dtype=float)
         out = []
         for start in range(0, len(d), CHUNK):
-            cycle, tail = self.maps(d[start : start + CHUNK])
-            for vec in _carried(cycle, np.tile(_RHO0, (len(cycle), 1)), n):
+            for vec in _carried(*self.maps(d[start : start + CHUNK]), n):
                 pass  # the state after n cycles is the stepper's last
-            out.append(_checked(_apply(tail, vec)))
+            out.append(_checked(vec))
         return np.concatenate(out) if out else np.empty((0, 4, 4), dtype=complex)
 
     def polarizations(
@@ -450,16 +467,14 @@ class CycleEngine:
         """Readout polarization after 0..n_max cycles at one detuning.
 
         The stepper's states are read out CHUNK at a time, through one
-        broadcast tail matmul and one _checked call per block. Each slice is
-        the same 16x16 product as in states(), after the same guards of the
-        carried state, so entry n equals polarizations([delta], n) bit for bit.
+        _checked call per block. Each is the same 16x16 product as in
+        states(), after the same guards of the carried state, so entry n
+        equals polarizations([delta], n) bit for bit.
         """
-        cycle, tail = self.maps([delta])
-        carried = _carried(cycle, _RHO0[None], n_max)
+        carried = _carried(*self.maps([delta]), n_max)
         values = []
         while block := list(itertools.islice(carried, CHUNK)):
-            states = _checked(_apply(tail, np.concatenate(block)))
-            values.append(polarization_of_state(states).p)
+            values.append(polarization_of_state(_checked(np.concatenate(block))).p)
         return np.concatenate(values) if values else np.empty(0)
 
     def trajectory(
@@ -470,7 +485,9 @@ class CycleEngine:
         Returns the state at t = 0, at every multiple of sample_ns and at the
         end, splitting segments as needed. A segment's generator is the
         laser-on, laser-off or pulse block generator plus delta K, and each
-        (segment kind, step) is exponentiated once. The carried state goes
+        (segment kind, step) is exponentiated once. A cycle that holds no
+        sample time takes one product with the cycle's propagator, composed
+        once from its whole segments. The carried state goes
         through _checked every CHUNK cycles, and every returned state through
         _checked too; their m_s = -1 rows and columns are zero. More than
         MAX_GRID_POINTS rows is a ConfigError, raised before any propagation.
@@ -490,40 +507,55 @@ class CycleEngine:
         generators = {(False, on): gen + frame for on, gen in self._generators.items()}
         generators[True, False] = pulse + frame
         props: dict[tuple, np.ndarray] = {}
+
+        def propagator(seg: PulseSegment, step: int) -> np.ndarray:
+            kind = (seg.mw_on, seg.laser_on)
+            prop = props.get((kind, step))
+            if prop is None:
+                prop = props[kind, step] = expm(generators[kind] * (step * 1e-9))
+            return prop
+
+        whole = np.eye(len(_K_DIAG), dtype=complex)  # the cycle's propagator
+        for seg in cycle:
+            if seg.duration_ns:
+                whole = propagator(seg, seg.duration_ns) @ whole
         vec, t = _RHO0, 0
-        times, vecs = [0], [vec]
+        samples = [(t, vec)]
         # n_cycles passes of one cycle, then one of the tail; the carried
         # state is guarded after every CHUNK passes, as in _carried.
         passes = itertools.chain(itertools.repeat(cycle, n_cycles), [tail])
         for count, segments in enumerate(passes, start=1):
-            for seg in segments:
-                kind = (seg.mw_on, seg.laser_on)
-                remaining = seg.duration_ns
-                while remaining > 0:
-                    step = min(sample_ns - t % sample_ns, remaining)
-                    prop = props.get((kind, step))
-                    if prop is None:
-                        prop = props[kind, step] = expm(generators[kind] * (step * 1e-9))
-                    vec = prop @ vec
-                    t += step
-                    remaining -= step
-                    if t % sample_ns == 0:
-                        times.append(t)
-                        vecs.append(vec)
+            if segments is cycle and sample_ns - t % sample_ns >= cycle.duration_ns:
+                vec = whole @ vec
+                t += cycle.duration_ns
+                if t % sample_ns == 0:
+                    samples.append((t, vec))
+            else:
+                for seg in segments:
+                    remaining = seg.duration_ns
+                    while remaining > 0:
+                        step = min(sample_ns - t % sample_ns, remaining)
+                        vec = propagator(seg, step) @ vec
+                        t += step
+                        remaining -= step
+                        if t % sample_ns == 0:
+                            samples.append((t, vec))
             if count % CHUNK == 0:
                 vec = _checked(vec).reshape(vec.shape)
-        if times[-1] != t:
-            times.append(t)
-            vecs.append(vec)
+        if samples[-1][0] != t:
+            samples.append((t, vec))
         n = len(DRIVEN_INDICES)
-        states = np.zeros((len(vecs), DIM, DIM), dtype=complex)
-        states[:, :n, :n] = _checked(np.array(vecs))
-        return list(zip(times, states))
+        states = np.zeros((len(samples), DIM, DIM), dtype=complex)
+        states[:, :n, :n] = _checked(np.array([v for _, v in samples]))
+        return [(time, rho) for (time, _), rho in zip(samples, states)]
 
 
-def _apply(maps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Apply a stack of maps (n, 16, 16) to a stack of vectors (n, 16)."""
-    return (maps @ vecs[:, :, None])[:, :, 0]
+def _check_trace(name: str, maps: np.ndarray) -> None:
+    """Raise NumericalError if a map (16, 16), or any of a stack, changes the trace by > 1e-9."""
+    trace_row = np.eye(len(DRIVEN_INDICES)).reshape(-1)
+    err = float(np.max(np.abs(trace_row @ maps - trace_row), initial=0.0))
+    if not err <= _HERM_DRIFT_FAIL:
+        raise NumericalError(f"{name} map changes the trace by {err:.3e}")
 
 
 def _carried(cycle: np.ndarray, vec: np.ndarray, n: int) -> Iterator[np.ndarray]:
@@ -534,7 +566,7 @@ def _carried(cycle: np.ndarray, vec: np.ndarray, n: int) -> Iterator[np.ndarray]
     """
     yield vec
     for count in range(1, n + 1):
-        vec = _apply(cycle, vec)
+        vec = (cycle @ vec[:, :, None])[:, :, 0]
         if count % CHUNK == 0:
             vec = _checked(vec).reshape(vec.shape)
         yield vec
@@ -579,13 +611,12 @@ def write_trajectory_csv(
     states = np.array([rho for _, rho in trajectory], dtype=complex)
     # Viewed as floats, each entry is its (Re, Im) pair, in column order.
     parts = states.reshape(len(states), DIM * DIM).view(float).tolist()
+    # P of every row with a readout population, in one stacked call.
+    defined = ~(states[:, 0, 0].real + states[:, 1, 1].real <= POPULATION_FLOOR)
+    cells = np.full(len(states), "", dtype=object)
+    cells[defined] = [repr(p) for p in polarization_of_state(states[defined]).p.tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for (t, rho), values in zip(trajectory, parts):
-            row = [repr(int(t)), *map(repr, values)]
-            try:
-                row.append(repr(polarization_of_state(rho).p))
-            except UndefinedPolarizationError:
-                row.append("")
-            writer.writerow(row)
+        for (t, _), values, cell in zip(trajectory, parts, cells):
+            writer.writerow([repr(int(t)), *map(repr, values), cell])

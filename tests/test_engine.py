@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from helpers import reference_trajectory, validate_density_matrix
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
+from scipy.optimize import brentq
 
 from nvpolar import cli
 from nvpolar import experiments as ex
@@ -62,13 +63,125 @@ def _traced_expm(monkeypatch):
     return shapes
 
 
+def _level_crossing(h):
+    """The detuning below zero where the a_ani = 0 block H(delta) has a double level.
+
+    Without a_ani, H(delta) splits into one driven 2x2 block per nuclear
+    state, whose upper levels cross exactly.
+    """
+
+    def upper(delta, idx):
+        block = (h - delta * lindblad._P_PLUS)[np.ix_(idx, idx)]
+        return np.linalg.eigvalsh(block)[1]
+
+    return brentq(lambda d: upper(d, [0, 2]) - upper(d, [1, 3]), -1e6, 0.0, xtol=1e-12)
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_unitary_pulse_is_exponentiated_as_4x4_blocks(name, monkeypatch):
-    """The bundled presets' pulses have no channels: maps() never runs a 16x16 expm."""
-    engine = CycleEngine(get_preset(name))
+    """The bundled presets' pulses have no channels: maps() runs no expm, and
+    its 4x4 unitaries from eigh match scipy's expm, also at a_ani = 0 and at
+    a detuning where H(delta) has a double level."""
+    for a_ani in (None, 0.0):
+        preset = get_preset(name)
+        if a_ani is not None:
+            preset = preset.with_system(a_ani=a_ani)
+        engine = CycleEngine(preset)
+        deltas = [-3.2e5, 0.0, 1.7e5, 3.2e5]
+        if a_ani == 0.0:
+            deltas.append(_level_crossing(engine._h))
+            levels = np.linalg.eigvalsh(engine._h - deltas[-1] * lindblad._P_PLUS)
+            assert np.min(np.diff(levels)) <= 1e-9
+        with monkeypatch.context() as patch:
+            shapes = _traced_expm(patch)
+            engine.maps(deltas)
+            assert shapes == []
+        got = engine._unitaries(np.array(deltas))
+        for u, delta in zip(got, deltas):
+            h = engine._h - delta * lindblad._P_PLUS
+            assert np.max(np.abs(u - scipy_expm(-2j * np.pi * engine._mw_s * h))) <= 1e-13
+
+
+def test_a_401_point_grid_takes_one_expm_and_seven_eighs(table_a1, monkeypatch):
+    """The set-up is the engine's one expm call; each CHUNK batch makes one eigh."""
     shapes = _traced_expm(monkeypatch)
-    engine.maps([-3.2e5, 0.0, 3.2e5])
-    assert shapes == [(3, 4, 4)]
+    eighs = []
+    eigh = np.linalg.eigh
+
+    def traced(a):
+        eighs.append(np.shape(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", traced)
+    deltas = ex.grid(-1e6, 1e6, 5e3)
+    assert len(deltas) == 401
+    CycleEngine(table_a1).polarizations(deltas)
+    assert len(shapes) == 1
+    assert eighs == [(lindblad.CHUNK, 4, 4)] * 6 + [(401 - 6 * lindblad.CHUNK, 4, 4)]
+
+
+def _eigh_raising(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _break_the_maps(monkeypatch, fault):
+    """Eigenvectors 1e-6 too long (so max |U+ U - I| is about 4e-6), an eigh
+    that raises, or set-up maps that lose 1e-6 of the trace."""
+    eigh, expm = np.linalg.eigh, lindblad.expm
+    if fault == "skewed-eigh":
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a: (eigh(a)[0], eigh(a)[1] * (1.0 + 1e-6))
+        )
+    elif fault == "raising-eigh":
+        monkeypatch.setattr(np.linalg, "eigh", _eigh_raising)
+    elif fault == "leaky-set-up":
+        monkeypatch.setattr(lindblad, "expm", lambda a: expm(a) * (1.0 - 1e-6))
+
+
+@pytest.mark.parametrize(
+    "fault,match",
+    [
+        ("skewed-eigh", "pulse unitary is off by"),
+        ("raising-eigh", "pulse eigendecomposition failed"),
+        ("nan-delta", "pulse Hamiltonian is not finite"),
+    ],
+)
+def test_a_bad_pulse_unitary_is_a_numerical_error(table_a1, monkeypatch, fault, match):
+    engine = CycleEngine(table_a1)
+    _break_the_maps(monkeypatch, fault)
+    deltas = [np.nan] if fault == "nan-delta" else [3.2e5]
+    with pytest.raises(NumericalError, match=match):
+        engine.polarizations(deltas)
+
+
+@pytest.mark.parametrize("name", ["rest", "tail"])
+def test_a_set_up_map_that_changes_the_trace_is_a_numerical_error(table_a1, monkeypatch, name):
+    """The stacked set-up expm holds the chop pair and then the rest: scaling
+    the rest's slice breaks R and T, scaling a chop slice breaks T alone."""
+    expm = lindblad.expm
+    leaky = -1 if name == "rest" else 0
+
+    def leaking(a):
+        out = expm(a)
+        out[leaky] *= 1.0 - 1e-6
+        return out
+
+    monkeypatch.setattr(lindblad, "expm", leaking)
+    with pytest.raises(NumericalError, match=f"{name} map changes the trace"):
+        CycleEngine(table_a1)
+
+
+@pytest.mark.parametrize("fault", ["skewed-eigh", "raising-eigh", "leaky-set-up"])
+def test_a_bad_engine_map_makes_sweep_detuning_exit_3(tmp_path, capsys, monkeypatch, fault):
+    _break_the_maps(monkeypatch, fault)
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep-detuning", "--min=0", "--max=1e5", "--step=5e4", "--out", str(out_dir)]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: numerical:")
+    assert "\n" not in err.strip()
+    assert not (out_dir / "data.csv").exists()
 
 
 def test_engine_refuses_a_hamiltonian_that_leaves_the_block(table_a1, monkeypatch):
@@ -231,6 +344,27 @@ def test_trajectory_matches_reference(name, rates, sample_ns, n_cycles):
         assert not np.any(rho[4:, :]) and not np.any(rho[:, 4:])
 
 
+@pytest.mark.parametrize("name", ["table-a1-fit", "table-a1-fig4"])
+@pytest.mark.parametrize("rates", [None, DEPHASED], ids=["default", "dephased"])
+def test_trajectory_of_whole_cycles_between_samples_matches_reference(name, rates):
+    """With sample_ns at or above a cycle, cycles that hold no sample time
+    take the composed cycle propagator and the others the segment loop."""
+    preset = get_preset(name)
+    if rates is not None:
+        preset = dataclasses.replace(preset, rates=rates)
+    delta, n_cycles = 3.2e5, 9
+    cycle_ns = preset.schedule(delta, n_cycles=1).duration_ns
+    schedule = preset.schedule(delta, n_cycles=n_cycles) + preset.readout_tail()
+    prop = SchedulePropagator(preset.system, preset.rates, frame_delta=delta)
+    engine = CycleEngine(preset)
+    for sample_ns in (cycle_ns, cycle_ns + 7, 3 * cycle_ns - 1):
+        got = engine.trajectory(delta, sample_ns, n_cycles)
+        ref = reference_trajectory(prop, initial_mixed_state(), schedule, sample_ns)
+        assert [t for t, _ in got] == [t for t, _ in ref]
+        for (_, rho), (_, want) in zip(got, ref):
+            assert np.max(np.abs(rho - want)) <= DP_TOL
+
+
 def test_guard_rejects_nan_state():
     rho = initial_mixed_state()
     rho[0, 0] = np.nan
@@ -256,14 +390,15 @@ def test_guard_repairs_small_drift_and_rejects_large():
 
 
 def test_carried_state_is_guarded_every_chunk(table_a1, monkeypatch):
-    """A cycle map that loses 1e-11 of trace per cycle passes the maps' check;
-    the carried state's guard keeps 3 CHUNK cycles inside the 1e-9 bound."""
+    """A cycle map that loses 1e-11 of trace per cycle, past maps()' own
+    guards: the carried state's guard keeps 3 CHUNK cycles inside the 1e-9
+    bound."""
     engine = CycleEngine(table_a1)
     maps = engine.maps
 
     def leaky(deltas):
-        cycle, tail = maps(deltas)
-        return cycle * (1.0 - 1e-11), tail
+        cycle, start = maps(deltas)
+        return cycle * (1.0 - 1e-11), start
 
     monkeypatch.setattr(engine, "maps", leaky)
     n_max = 3 * lindblad.CHUNK
@@ -317,14 +452,14 @@ def test_buildup_rejects_nan_maps(table_a1, monkeypatch):
         patch.setattr(lindblad, "expm", _nan_expm)
         with pytest.raises(NumericalError):
             CycleEngine(table_a1).buildup(3.2e5, 3)
-    # A NaN cycle map that got past the maps' trace check: the drift check
-    # of the read-out block still refuses it.
+    # A NaN cycle map that got past maps()' own guards: the drift check of
+    # the read-out block still refuses it.
     engine = CycleEngine(table_a1)
     maps = engine.maps
 
     def nan_cycle(deltas):
-        cycle, tail = maps(deltas)
-        return np.full_like(cycle, np.nan), tail
+        cycle, start = maps(deltas)
+        return np.full_like(cycle, np.nan), start
 
     monkeypatch.setattr(engine, "maps", nan_cycle)
     with pytest.raises(NumericalError, match="drift nan"):
