@@ -308,11 +308,12 @@ def sweep_repetitions(
         raise ConfigError("n_max must be >= 0")
     if n_max + 1 > MAX_GRID_POINTS:
         raise ConfigError(f"{n_max + 1} cycle counts exceed {MAX_GRID_POINTS}")
+    engine = CycleEngine(preset)
     if delta is None:
-        base = sweep_detuning(preset, grid(*DETUNING_RANGE, DELTA_STEP))
-        delta = base.axes[0].values[peak(base.p)]
+        deltas = grid(*DETUNING_RANGE, DELTA_STEP)
+        delta = deltas[peak(engine.polarizations(deltas))]
     delta = float(delta)
-    values = CycleEngine(preset).buildup(delta, n_max)
+    values = engine.buildup(delta, n_max)
     axis = SweepAxis("n_cycles", "count", tuple(float(n) for n in range(n_max + 1)))
     meta = _base_metadata(preset, "repetitions")
     meta["delta_hz"] = delta

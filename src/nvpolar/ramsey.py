@@ -16,7 +16,7 @@ Zeeman terms of the specific line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -317,19 +317,21 @@ def fit_lorentzian_pair(
     manifold: int,
     budget: int = 600,
 ) -> PolarizationEstimate:
-    """Fit a Lorentzian to each fringe line and read off polarization.
+    """Fit both fringe lines as Lorentzians in one least-squares problem.
 
     The fit runs on the real part of the one-sided spectrum, which for a
     cosine record is the additive absorption shape. A flat baseline (the
-    spectrum-wide median) is removed, then each line is fitted in its own
-    window around the guessed center, so neither line's tails can bias the
-    other. The polarization is the normalized area difference of the two
-    lines, assigned to nuclear orientations by the manifold's ordering
-    rule; each center is confined near its guess so the lines cannot swap.
+    spectrum-wide median) is removed, and only a window around each guessed
+    center enters, so neither line's tails can bias the other. The search
+    covers the centers and widths, confined near the guesses so the lines
+    cannot swap; each height is solved by projection, h = max(0, b.v / b.b)
+    for its window's values v and unit Lorentzian b, so its uncertainty in
+    report.params (a1, f1, g1, a2, f2, g2) is NaN. budget counts the whole
+    fit. P is the normalized area difference of the two lines, assigned to
+    nuclear orientations by the manifold's ordering rule.
 
     Raises:
-        FitConvergenceError: Either line fit spent its half of the budget
-            without converging.
+        FitConvergenceError: The fit spent its budget without converging.
     """
     if manifold not in _MANIFOLDS:
         raise ConfigError(f"manifold must be +1 or -1, got {manifold}")
@@ -340,10 +342,7 @@ def fit_lorentzian_pair(
     baseline = float(np.median(np.real(spectrum.amplitudes)))
     width0 = max(4.0 * spectrum.bin_width, 0.05 * separation)
 
-    params: list[float] = []
-    cost = 0.0
-    evaluations = 0
-    messages: list[str] = []
+    windows = []
     for center in (c1, c2):
         mask = np.abs(spectrum.frequencies - center) <= 0.35 * separation
         if int(np.sum(mask)) < 6:
@@ -351,57 +350,43 @@ def fit_lorentzian_pair(
                 "fewer than 6 spectrum points around a guessed line; "
                 "use a longer record or more padding"
             )
-        freqs = spectrum.frequencies[mask]
         values = np.real(spectrum.amplitudes)[mask] - baseline
-        peak_scale = float(np.max(np.abs(values)))
-        if peak_scale <= 0:
+        if not np.any(values):
             raise ConfigError("spectrum carries no signal near a guessed line")
+        windows.append((spectrum.frequencies[mask], values))
 
-        def model(x: np.ndarray) -> np.ndarray:
-            a, f0, g = x
-            return a * g**2 / ((freqs - f0) ** 2 + g**2)
+    def lines(x):
+        """(projected height, unit Lorentzian) of each window at centers and widths x."""
+        for (freqs, values), f0, g in zip(windows, x[0::2], x[1::2]):
+            b = g**2 / ((freqs - f0) ** 2 + g**2)
+            yield max(0.0, float(b @ values / (b @ b))), b
 
-        height = max(_height_near(spectrum, center) - baseline, 0.0)
-        drift = 0.3 * separation
-        report = least_squares(
-            FitProblem(
-                model=model,
-                data=values,
-                init=np.array([height, center, width0]),
-                bounds=(
-                    (0.0, 4.0 * peak_scale),
-                    (center - drift, center + drift),
-                    (spectrum.bin_width / 4.0, 1.5 * separation),
-                ),
-                budget=budget // 2,
-            )
+    drift = 0.3 * separation
+    widths = (spectrum.bin_width / 4.0, 1.5 * separation)
+    report = least_squares(
+        FitProblem(
+            model=lambda x: np.concatenate([h * b for h, b in lines(x)]),
+            data=np.concatenate([values for _, values in windows]),
+            init=np.array([c1, width0, c2, width0]),
+            bounds=((c1 - drift, c1 + drift), widths, (c2 - drift, c2 + drift), widths),
+            budget=budget,
         )
-        if not report.converged:
-            raise FitConvergenceError(
-                f"line fit near {center:.3e} Hz used {report.n_evaluations} "
-                f"evaluations without converging: {report.message}"
-            )
-        params.extend(report.params)
-        cost += report.residual_norm**2
-        evaluations += report.n_evaluations
-        messages.append(report.message)
-    report = FitReport(
-        params=tuple(params),
-        residual_norm=float(np.sqrt(cost)),
-        n_evaluations=evaluations,
-        converged=True,
-        uncertainties=tuple(float("nan") for _ in params),
-        message="; ".join(messages),
     )
-    a1, f1, g1, a2, f2, g2 = report.params
-    lines = ((f1, np.pi * a1 * g1), (f2, np.pi * a2 * g2))
-    return _estimate(manifold, lines, report, "line areas")
-
-
-def _height_near(spectrum: Spectrum, frequency: float) -> float:
-    idx = int(np.argmin(np.abs(spectrum.frequencies - frequency)))
-    lo, hi = max(idx - 2, 0), idx + 3
-    return float(np.max(np.real(spectrum.amplitudes)[lo:hi]))
+    if not report.converged:
+        raise FitConvergenceError(
+            f"line-pair fit near {c1:.3e} and {c2:.3e} Hz used "
+            f"{report.n_evaluations} evaluations without converging: {report.message}"
+        )
+    f1, g1, f2, g2 = report.params
+    (a1, _), (a2, _) = lines(report.params)
+    u_f1, u_g1, u_f2, u_g2 = report.uncertainties
+    report = replace(
+        report,
+        params=(a1, f1, g1, a2, f2, g2),
+        uncertainties=(math.nan, u_f1, u_g1, math.nan, u_f2, u_g2),
+    )
+    areas = ((f1, np.pi * a1 * g1), (f2, np.pi * a2 * g2))
+    return _estimate(manifold, areas, report, "line areas")
 
 
 def fit_time_domain(

@@ -159,9 +159,12 @@ def test_sweep_n_zero_cycles(tmp_path, capsys):
 
 def test_tied_peaks_resolve_to_the_first_point(tmp_path, capsys, monkeypatch):
     """sweep-detuning's summary and sweep-n's default detuning share one rule."""
-    axis = cli.ex.SweepAxis("delta", "hz", (-3e5, 0.0, 3e5))
-    tied = cli.ex.SweepResult((axis,), np.array([-0.8, 0.1, 0.8]), {})
-    monkeypatch.setattr(cli.ex, "sweep_detuning", lambda *args, **kwargs: tied)
+
+    def tied(engine, deltas, n_cycles=None):
+        d = np.asarray(deltas)
+        return np.where(d == -3e5, -0.8, np.where(d == 3e5, 0.8, 0.1))
+
+    monkeypatch.setattr(cli.ex.CycleEngine, "polarizations", tied)
     code, out, _ = run(["sweep-detuning", "--out", str(tmp_path / "d")], capsys)
     assert code == 0
     assert out.endswith("peak P = -0.8000 at -300000 Hz\n")

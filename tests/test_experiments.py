@@ -210,6 +210,17 @@ def test_sweep_repetitions_builds_up(table_a1):
     assert result.metadata["delta_hz"] == 3.2e5
 
 
+def test_default_repetitions_share_one_engine(table_a1, builds):
+    """With delta None, one engine finds the peak of the standard detuning
+    sweep and builds up there, as an explicit delta at that peak does."""
+    result = ex.sweep_repetitions(table_a1, 3)
+    assert len(builds()) == 1
+    base = ex.sweep_detuning(table_a1, ex.grid(*ex.DETUNING_RANGE, ex.DELTA_STEP))
+    delta = base.axes[0].values[ex.peak(base.p)]
+    assert result.metadata["delta_hz"] == delta
+    assert result.p.tolist() == ex.sweep_repetitions(table_a1, 3, delta=delta).p.tolist()
+
+
 def test_predicted_resonance_tracks_couplings(table_a1):
     for ani in (0.0, 1e5, 3e5):
         q = table_a1.with_system(a_ani=ani)

@@ -187,9 +187,27 @@ def test_matched_field_doublet_splits_by_nuclear_zeeman(table_a1):
     assert abs(polarized.p - 0.8) < 0.02
 
 
+def test_spectral_fit_is_one_joint_fit(table_a1):
+    """One report over both lines: six params whose heights are projected
+    (NaN uncertainty), fitted centers and widths with finite ones."""
+    spectral, _ = synth_and_fit(table_a1.system, -1, (0.7, 0.3))
+    report = spectral.report
+    assert len(report.params) == 6
+    assert np.isnan(report.uncertainties[0]) and np.isnan(report.uncertainties[3])
+    for i in (1, 2, 4, 5):
+        assert np.isfinite(report.uncertainties[i])
+    assert ";" not in report.message
+    assert report.converged and report.n_evaluations <= 600
+
+
 def test_single_component_signal(table_a1):
+    """The projected height is clamped at zero, so a record with no down
+    population reads exactly P = 1 from the spectrum."""
     spectral, _ = synth_and_fit(table_a1.system, -1, (1.0, 0.0))
-    assert spectral.p > 0.98
+    params = spectral.report.params
+    height_at = dict(zip(params[1::3], params[0::3]))
+    assert height_at[spectral.frequency_down] == 0.0
+    assert spectral.p == 1.0
 
 
 def test_linewidth_matches_envelope(table_a1):
@@ -240,8 +258,9 @@ def test_fit_budget_exhaustion_raises(table_a1):
     t, s = rm.synthesize_ramsey(model, DURATION, DT)
     spectrum = rm.fft_spectrum(s, DT)
     guesses = rm.dominant_line_pair(rm.analytic_peaks(table_a1.system, -1))
-    with pytest.raises(FitConvergenceError):
-        rm.fit_lorentzian_pair(spectrum, guesses, manifold=-1, budget=6)
+    for budget in (1, 6):
+        with pytest.raises(FitConvergenceError):
+            rm.fit_lorentzian_pair(spectrum, guesses, manifold=-1, budget=budget)
     with pytest.raises(FitConvergenceError):
         rm.fit_time_domain(t, s, guesses, manifold=-1, budget=10)
 
