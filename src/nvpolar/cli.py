@@ -511,8 +511,8 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="processes that share the grids: this one plus up to N - 1 forked "
-        "children, never more than grids or CPUs (default 1)",
+        help="shares of the grids, one engine each: this thread plus up to N - 1 "
+        "threads, never more than grids or CPUs (default 1)",
     )
 
     p = sub.add_parser(

@@ -1,12 +1,14 @@
 """Parameter sweeps of the polarization sequence.
 
-Every sweep is a set of (parameter set, detuning grid) jobs. Each job builds
-one lindblad.CycleEngine, which runs the standard schedule plus the terminal
-relaxation train over the grid and reads out the polarization. With
-workers > 1 and more than one job, whole jobs fan out round-robin over this
-process and up to workers - 1 forked children (see _evaluate); the engine
-cuts its grid into the same batches in any process, so the CSV bytes do not
-depend on the worker count.
+Every sweep is a set of (parameter set, detuning grid) jobs on one preset,
+whose parameter sets differ only in their SystemParams. Whole jobs are
+shared out round-robin over min(workers, jobs, CPUs) shares: this thread
+computes share 0 and one thread each computes the others (see _evaluate).
+Each share builds one lindblad.CycleEngine that holds its jobs as cells,
+runs the standard schedule plus the terminal relaxation train over every
+(cell, detuning) pair and reads out the polarization. A pair's result does
+not depend on the batch it falls in, so the CSV bytes do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 import json
 import math
 import os
-import pickle
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -27,6 +29,7 @@ import numpy as np
 from .eigensystem import eigen_system
 from .errors import ConfigError
 from .lindblad import CycleEngine
+from .params import SystemParams
 from .presets import MAX_GRID_POINTS, Preset
 
 #: Default grid steps; the coefficient tables give none, so these are
@@ -172,85 +175,65 @@ def sequence_polarization(
     return float(CycleEngine(preset).polarizations([delta], n_cycles)[0])
 
 
-def _share(tasks: list[tuple[Preset, tuple[float, ...], int]]) -> list[np.ndarray]:
-    return [CycleEngine(preset).polarizations(deltas, n) for preset, deltas, n in tasks]
+def _share(
+    preset: Preset, jobs: list[tuple[SystemParams, tuple[float, ...]]], n_cycles: int
+) -> list[np.ndarray]:
+    """Polarization over the grid of every (system, grid) job, from one
+    engine that holds one cell per job."""
+    if not jobs:
+        return []
+    engine = CycleEngine(preset, [system for system, _ in jobs])
+    sizes = [len(deltas) for _, deltas in jobs]
+    cells = np.repeat(np.arange(len(jobs)), sizes)
+    p = engine.polarizations(np.concatenate([d for _, d in jobs]), n_cycles, cells)
+    return np.split(p, np.cumsum(sizes)[:-1])
 
 
 def _evaluate(
-    jobs: list[tuple[Preset, tuple[float, ...]]],
+    preset: Preset,
+    jobs: list[tuple[SystemParams, tuple[float, ...]]],
     n_cycles: int | None,
     workers: int,
 ) -> list[np.ndarray]:
-    """Polarization over the detuning grid of every (preset, grid) job.
+    """Polarization over the detuning grid of every (system, grid) job.
 
-    Each job builds one engine. Job i runs in process i mod W, where
-    W = min(workers, jobs, CPUs): this process computes share 0 while W - 1
-    children made with os.fork compute the others. Every caller passes
-    grids of equal length, so static round-robin shares balance. A child's
-    exception comes back through its pipe and is raised here unchanged; an
-    exception in this process's own share, KeyboardInterrupt included,
-    kills the children. Every child is reaped before this returns or
-    raises. Where os.fork does not exist every job runs here.
+    Every job runs the preset with its own SystemParams. Job i belongs to
+    share i mod W, where W = min(workers, jobs, CPUs), and each share builds
+    one engine that holds its jobs as cells. This thread computes share 0
+    while W - 1 threads compute the others; numpy releases the GIL inside
+    the engine's stacked products. Every caller passes grids of equal length,
+    so static round-robin shares balance. Every thread is joined before
+    this returns or raises; the first error in share order, this thread's
+    own included, is raised unchanged.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    tasks = [(preset, deltas, preset.cycles(n_cycles)) for preset, deltas in jobs]
-    width = min(workers, len(tasks), os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    width = max(width, 1)  # no jobs: nothing to share out
-    results: list = [None] * len(tasks)
-    children = {}  # rank -> (pid, read end of its pipe), until reaped
-    try:
-        for rank in range(1, width):
-            children[rank] = _fork_share(tasks[rank::width])
-        results[0::width] = _share(tasks[0::width])
-        for rank in range(1, width):
-            pid, pipe = children[rank]
-            with pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[rank]
-            if not payload:
-                raise RuntimeError(
-                    f"worker process {pid} ended with exit status "
-                    f"{os.waitstatus_to_exitcode(status)} and sent no result"
-                )
-            answer = pickle.loads(payload)
-            if isinstance(answer, Exception):
-                raise answer
-            results[rank::width] = answer
-    finally:
-        if children:
-            # Imported here: only a failed fan-out needs it.
-            from signal import SIGKILL
+    n = preset.cycles(n_cycles)
+    width = max(min(workers, len(jobs), os.cpu_count() or 1), 1)
+    answers: list = [None] * width  # per share: its arrays, or the error it raised
 
-            for pid, pipe in children.values():
-                pipe.close()
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-    return results
-
-
-def _fork_share(tasks: list) -> tuple:
-    """Fork a child that computes _share(tasks) and writes it, pickled, or
-    the exception it raised, to a pipe; return (child pid, the pipe's read end).
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child: answer once, and never return into the caller
-        code = 1
+    def run(rank: int) -> None:
         try:
-            os.close(read_fd)
-            try:
-                answer = _share(tasks)
-            except Exception as exc:
-                answer = exc
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(answer))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+            answers[rank] = _share(preset, jobs[rank::width], n)
+        except BaseException as exc:  # handed to the caller, which raises it
+            answers[rank] = exc
+
+    threads = [
+        threading.Thread(target=run, args=(rank,), daemon=True) for rank in range(1, width)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    results: list = [None] * len(jobs)
+    for rank, answer in enumerate(answers):
+        if isinstance(answer, BaseException):
+            raise answer
+        results[rank::width] = answer
+    return results
 
 
 def predicted_resonance(preset: Preset) -> float:
@@ -284,7 +267,7 @@ def sweep_detuning(
 ) -> SweepResult:
     """Polarization vs drive detuning (the two-lobed response curve)."""
     values = tuple(float(d) for d in deltas)
-    (p,) = _evaluate([(preset, values)], n_cycles, workers)
+    (p,) = _evaluate(preset, [(preset.system, values)], n_cycles, workers)
     axis = SweepAxis("delta", "hz", values)
     return SweepResult((axis,), p, _base_metadata(preset, "detuning", n_cycles))
 
@@ -335,10 +318,10 @@ def _best_in_windows(
     """
     centers = [predicted_resonance(q) for q in cells]
     jobs = [
-        (q, grid(c - inner_halfwidth, c + inner_halfwidth, inner_step))
+        (q.system, grid(c - inner_halfwidth, c + inner_halfwidth, inner_step))
         for q, c in zip(cells, centers)
     ]
-    p = np.array([w[peak(w)] for w in _evaluate(jobs, None, workers)])
+    p = np.array([w[peak(w)] for w in _evaluate(preset, jobs, None, workers)])
     meta = _base_metadata(preset, kind)
     meta["inner_halfwidth_hz"] = inner_halfwidth
     meta["inner_step_hz"] = inner_step
@@ -370,8 +353,8 @@ def sweep_ani_detuning(
     """Polarization over a (transverse coupling, detuning) grid."""
     ani = tuple(float(a) for a in ani_values)
     dts = tuple(float(d) for d in deltas)
-    jobs = [(preset.with_system(a_ani=a), dts) for a in ani]
-    p = np.array(_evaluate(jobs, None, workers)).reshape(len(ani), len(dts))
+    jobs = [(preset.with_system(a_ani=a).system, dts) for a in ani]
+    p = np.array(_evaluate(preset, jobs, None, workers)).reshape(len(ani), len(dts))
     axes = (SweepAxis("a_ani", "hz", ani), SweepAxis("delta", "hz", dts))
     return SweepResult(axes, p, _base_metadata(preset, "ani-detuning"))
 

@@ -14,8 +14,10 @@ in 1/s. Density matrices are vectorized row-major, so
 SchedulePropagator propagates the full 6x6 density matrix of any schedule
 segment by segment; it is the reference path that the engine is checked
 against. CycleEngine runs every command: the standard sequence over a grid
-of drive detunings at once, and the sampled trajectory of one sequence, on
-the {m_s = 0, +1} block that the sequence never leaves (see its docstring).
+of (cell, drive detuning) pairs at once, where the cells are parameter
+sets that differ only in their SystemParams, and the sampled trajectory of
+one sequence, on the {m_s = 0, +1} block that the sequence never leaves
+(see its docstring).
 Both exponentiate with expm, a NumPy scaling-and-squaring Padé exponential
 that takes one matrix or a stack, so the package needs no SciPy at runtime.
 
@@ -28,7 +30,6 @@ buildup as in the trajectory.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from pathlib import Path
@@ -67,9 +68,10 @@ DRIVE_SCALE = 2.0**-0.5
 _HERM_DRIFT_FIX = 1e-12
 _HERM_DRIFT_FAIL = 1e-9
 
-#: Detunings per CycleEngine batch (64 keep the working set near 2 MiB; 401
-#: would take 12.8 MiB), and cycles between two guards of the carried state.
-#: Only the engine cuts grids, so batches fall at the same points in any process.
+#: (cell, detuning) pairs per CycleEngine batch and slices per set-up expm
+#: (64 keep the working set near 2 MiB; 401 would take 12.8 MiB), and cycles
+#: between two guards of the carried state. A pair's result does not depend
+#: on the batch it falls in.
 CHUNK = 64
 
 
@@ -85,6 +87,9 @@ def initial_mixed_state() -> np.ndarray:
 _P_PLUS = np.real(spin_operators().p_plus1[np.ix_(DRIVEN_INDICES, DRIVEN_INDICES)])
 _K_DIAG = 2j * np.pi * np.subtract.outer(np.diag(_P_PLUS), np.diag(_P_PLUS)).reshape(-1)
 _RHO0 = initial_mixed_state().reshape(-1)[_BLOCK]
+
+#: The row vector that takes a vectorized 4x4 block to its trace.
+_TRACE_ROW = np.eye(len(DRIVEN_INDICES)).reshape(-1)
 
 
 def build_channels(
@@ -135,31 +140,37 @@ def build_channels(
 def liouvillian(h: np.ndarray, channels: Iterable[np.ndarray]) -> np.ndarray:
     """Generator matrix acting on row-major vectorized density matrices.
 
+    Each slice of a (k, n, n) stack of Hamiltonians, each with the slices
+    of (k, n, n) stacks of collapse operators, gives the slice of a
+    (k, n^2, n^2) stack of generators, with the bits of a call on it alone.
+
     Args:
-        h: Hermitian Hamiltonian in Hz (any dimension n).
-        channels: Collapse operators with sqrt(rate) amplitudes.
+        h: Hermitian Hamiltonian in Hz (any dimension n), or a stack.
+        channels: Collapse operators with sqrt(rate) amplitudes, or stacks.
 
     Raises:
-        ValueError: If h is not Hermitian to 1e-12 relative.
+        ValueError: If h is not Hermitian to 1e-12 relative to its (the
+            stack's) largest entry.
     """
     h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
+    n = h.shape[-1]
     scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
+    if np.max(np.abs(h - h.conj().swapaxes(-2, -1))) > 1e-12 * scale:
         raise ValueError("Hamiltonian must be Hermitian")
     eye = np.eye(n)
-    gen = -1j * 2.0 * np.pi * (_kron(h, eye) - _kron(eye, h.T))
+    gen = -1j * 2.0 * np.pi * (_kron(h, eye) - _kron(eye, h.swapaxes(-2, -1)))
     for op in channels:
         op = np.asarray(op, dtype=complex)
-        opdag_op = op.conj().T @ op
+        opdag_op = op.conj().swapaxes(-2, -1) @ op
         gen = gen + _kron(op, op.conj())
-        gen = gen - 0.5 * (_kron(opdag_op, eye) + _kron(eye, opdag_op.T))
+        gen = gen - 0.5 * (_kron(opdag_op, eye) + _kron(eye, opdag_op.swapaxes(-2, -1)))
     return gen
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two square matrices, or of each pair of slices of two
-    (k, n, n) and (k, m, m) stacks, as one broadcast product (same bits)."""
+    (k, n, n) and (k, m, m) stacks (a matrix broadcasts against a stack),
+    as one broadcast product (same bits)."""
     n, m = a.shape[-1], b.shape[-1]
     prod = a[..., :, None, :, None] * b[..., None, :, None, :]
     return prod.reshape(*prod.shape[:-4], n * m, n * m)
@@ -322,23 +333,26 @@ class SchedulePropagator:
 class CycleEngine:
     """The standard polarization sequence over a grid of drive detunings.
 
-    One engine serves one preset, and evaluates T C^N vec(rho_0) for every
-    detuning delta of a grid, where C(delta) is the map of one cycle (chop
-    train, rest, microwave pulse, rest) and T(delta) that of the readout
-    tail (chop train, rest). Four facts make this cheap and exact:
+    One engine holds a stack of cells: the cells take the engine's preset,
+    each with its own SystemParams (one cell, the preset's own, by default).
+    For every (cell, detuning delta) pair it evaluates T C^N vec(rho_0),
+    where C(delta) is the map of one cycle (chop train, rest, microwave
+    pulse, rest) and T(delta) that of the readout tail (chop train, rest).
+    Five facts make this cheap and exact:
 
     * With the rotating-wave drive and the optical channels of the driven
       transition, nothing couples the {m_s = 0, +1} block to m_s = -1, as
-      each engine checks for H and for every collapse operator. So the
-      generators are built on the block, liouvillian(h[:4, :4], [c[:4, :4]
-      ...]): the 16 rows and columns of SchedulePropagator's, bit for bit.
+      each engine checks for H and for every collapse operator of every
+      cell. So the generators are built on the block, liouvillian(h[:4, :4],
+      [c[:4, :4] ...]): the 16 rows and columns of SchedulePropagator's,
+      bit for bit.
     * delta enters every generator only as the frame term delta K, with
       K = i 2 pi (P+ kron I - I kron P+^T) diagonal. K commutes with the
       laser and rest generators, so their maps T and R are exponentiated
-      once per preset at delta = 0, in one stacked expm call, and shifted
-      by the phases exp(delta K t). K comes from the projector: the
-      difference of two generators would lose ~1e-6 to the 4.3 GHz carrier.
-      So T(delta) C^N = C'^N T(delta), where the cycle map C' =
+      once per cell at delta = 0, in stacked expm calls of at most CHUNK
+      slices, and shifted by the phases exp(delta K t). K comes from the projector:
+      the difference of two generators would lose ~1e-6 to the 4.3 GHz
+      carrier. So T(delta) C^N = C'^N T(delta), where the cycle map C' =
       diag(exp(delta K (t_tail + t_rest))) T(0) R(0) Pulse takes one
       read-out state to the next.
     * The laser is off during the microwave pulse, so with no dephasing
@@ -346,8 +360,12 @@ class CycleEngine:
       is U kron conj(U) (row-major vec), with U = exp(-2 pi i t H(delta))
       and H(delta) = H(0) - delta P+ on the block: one batched 4x4 eigh
       per batch gives U. A pulse with channels exponentiates G(0) + delta K.
-    * eigh and expm treat every slice of a stack on its own, so a result
-      does not depend on its batch.
+    * The cells share every duration, so the phases of a detuning are the
+      same in every cell. A batch of CHUNK (cell, detuning) pairs, which
+      may span several cells, gathers each pair's H(0), T R and T vec(rho_0)
+      by its cell index; a one-cell engine broadcasts its own instead.
+    * eigh, expm and matmul treat every slice of a stack on its own, so a
+      result depends neither on its batch nor on the other cells.
 
     T and R have their trace checked once per engine, and each batch its
     pulses: max |U+ U - I| <= 1e-9, or the trace of a dephased pulse's maps.
@@ -355,69 +373,97 @@ class CycleEngine:
     _carried, which passes it through _checked every CHUNK cycles; every
     read-out goes through _checked too.
 
-    trajectory() samples the state along one sequence at one detuning: it
-    steps the same block generators, each plus delta K, through the
-    preset's cycle n_cycles times (one product for a cycle that holds no
-    sample time) and then the readout tail, and guards the carried state
-    every CHUNK cycles as _carried does.
+    buildup() and trajectory() run cell 0. trajectory() samples the state
+    along one sequence at one detuning: it steps the same block generators,
+    each plus delta K, through the preset's cycle n_cycles times (one
+    product for a cycle that holds no sample time) and then the readout
+    tail, and guards the carried state every CHUNK cycles as _carried does.
     """
 
-    def __init__(self, preset: Preset) -> None:
+    def __init__(self, preset: Preset, systems: Sequence[SystemParams] | None = None) -> None:
         n = len(DRIVEN_INDICES)
-        # The drive acts inside the block, so h_mw couples across its edge
-        # wherever h0 does.
-        h0 = rotating_hamiltonian(preset.system, 0.0, 0.0)
-        h_mw = rotating_hamiltonian(preset.system, 0.0, preset.omega * DRIVE_SCALE)
-        if np.any(h_mw[:n, n:]) or np.any(h_mw[n:, :n]):
-            raise NumericalError("the Hamiltonian couples the driven block to m_s = -1")
-        channels = {}
-        for laser_on in (True, False):
-            ops = build_channels(preset.rates, preset.system, laser_on=laser_on)
-            if any(np.any(op[:n, n:]) or np.any(op[n:, :]) for op in ops):
-                raise NumericalError("a collapse operator acts outside the driven block")
-            channels[laser_on] = [op[:n, :n] for op in ops]
-        # The block generators at delta = 0, keyed by the laser gate.
-        self._generators = {
-            laser_on: liouvillian(h0[:n, :n], ops) for laser_on, ops in channels.items()
+        # rotating_hamiltonian(system, 0, omega) is its omega = 0 matrix plus
+        # this drive term, so the sum has its bits. The drive acts inside the
+        # block, so h couples across the block's edge wherever h0 does.
+        drive = (preset.omega * DRIVE_SCALE) * spin_operators().s_x_driven
+        h0, h_mw, channels = [], [], {True: [], False: []}
+        for system in (preset.system,) if systems is None else systems:
+            h = rotating_hamiltonian(system, 0.0, 0.0)
+            h0.append(h[:n, :n])
+            h = h + drive
+            if np.any(h[:n, n:]) or np.any(h[n:, :n]):
+                raise NumericalError("the Hamiltonian couples the driven block to m_s = -1")
+            h_mw.append(h[:n, :n])
+            for laser_on, cell_ops in channels.items():
+                ops = build_channels(preset.rates, system, laser_on=laser_on)
+                if any(np.any(op[:n, n:]) or np.any(op[n:, :]) for op in ops):
+                    raise NumericalError("a collapse operator acts outside the driven block")
+                cell_ops.append([op[:n, :n] for op in ops])
+        # The rates fix which channels exist, so every cell has the same
+        # list: each channel becomes one (cells, 4, 4) stack.
+        channels = {
+            laser_on: [np.array(op) for op in zip(*cell_ops)]
+            for laser_on, cell_ops in channels.items()
         }
+        h0 = np.array(h0)
 
-        # One on/off pair of the train (none for zero reps), validated as such,
-        # and the rest, exponentiated in one stacked call.
+        # One on/off pair of the train (none for zero reps), validated as
+        # such, and the rest. Per step of cells: the block generators at
+        # delta = 0, keyed by the laser gate, and one stacked expm of every
+        # cell's segments, at most CHUNK slices, which bounds the set-up's
+        # memory as CHUNK bounds a batch's.
         pair = chopped_laser_train(
             preset.chop_on_ns, preset.chop_off_ns, min(preset.chop_reps, 1)
         )
         segments = (*pair, PulseSegment(preset.rest_ns))
-        *chop_props, rest = expm(
-            np.stack(
-                [self._generators[seg.laser_on] * (seg.duration_ns * 1e-9) for seg in segments]
+        tail_rest, tail_rho0 = [], []
+        step = max(CHUNK // len(segments), 1)
+        for start in range(0, len(h0), step):
+            cells = slice(start, start + step)
+            generators = {
+                laser_on: liouvillian(h0[cells], [op[cells] for op in ops])
+                for laser_on, ops in channels.items()
+            }
+            if start == 0:  # cell 0's, for trajectory()
+                self._generators = {laser_on: g[:1] for laser_on, g in generators.items()}
+            gens = np.array(
+                [generators[seg.laser_on] * (seg.duration_ns * 1e-9) for seg in segments]
             )
-        )
-        chop = np.eye(len(_BLOCK), dtype=complex)
-        for prop in chop_props:
-            chop = prop @ chop
-        chop = np.linalg.matrix_power(chop, preset.chop_reps)
-        # The readout tail T (chop train, rest). T and R do not depend on delta,
-        # so one trace check each covers every batch.
-        tail = rest @ chop
-        _check_trace("rest", rest)
-        _check_trace("tail", tail)
-        self._tail_rest = tail @ rest
-        self._tail_rho0 = tail @ _RHO0
+            *chop_props, rest = expm(gens.reshape(-1, *gens.shape[2:])).reshape(gens.shape)
+            chop = np.eye(len(_BLOCK), dtype=complex)
+            for prop in chop_props:
+                chop = prop @ chop
+            chop = np.linalg.matrix_power(chop, preset.chop_reps)
+            # The readout tail T (chop train, rest). T and R do not depend on
+            # delta, so one trace check each covers every batch.
+            tail = rest @ chop
+            _check_trace("rest", rest)
+            _check_trace("tail", tail)
+            tail_rest.append(tail @ rest)
+            tail_rho0.append(tail @ _RHO0)
+        self._tail_rest = np.concatenate(tail_rest)
+        self._tail_rho0 = np.concatenate(tail_rho0)
         self._tail_s = (pair.duration_ns * preset.chop_reps + preset.rest_ns) * 1e-9
         self._shift_s = self._tail_s + preset.rest_ns * 1e-9
         self._mw_s = preset.t_mw_ns * 1e-9
-        self._h = h_mw[:n, :n]
-        # The 16x16 pulse generator, built only for a pulse with channels.
+        self._h = np.array(h_mw)
+        # The 16x16 pulse generators, built only for a pulse with channels.
         self._mw = liouvillian(self._h, channels[False]) if channels[False] else None
         self._preset = preset
+
+    @staticmethod
+    def _of(stack: np.ndarray, cells) -> np.ndarray:
+        """The slices of a per-cell stack for a batch's cells; a one-cell
+        engine's stack broadcasts as it is, with no gather."""
+        return stack if len(stack) == 1 else stack[cells]
 
     def _phases(self, deltas: np.ndarray, seconds: float) -> np.ndarray:
         """diag(exp(delta K t)) per detuning, shape (n, 16)."""
         return np.exp(np.multiply.outer(deltas * seconds, _K_DIAG))
 
-    def _unitaries(self, deltas: np.ndarray) -> np.ndarray:
+    def _unitaries(self, deltas: np.ndarray, cells=0) -> np.ndarray:
         """Pulse unitaries exp(-2 pi i t H(delta)), (n, 4, 4), from one batched eigh."""
-        h = self._h - np.multiply.outer(deltas, _P_PLUS)
+        h = self._of(self._h, cells) - np.multiply.outer(deltas, _P_PLUS)
         if not np.isfinite(h).all():
             raise NumericalError("the pulse Hamiltonian is not finite")
         try:
@@ -431,37 +477,54 @@ class CycleEngine:
             raise NumericalError(f"pulse unitary is off by {worst:.3e}")
         return u
 
-    def maps(self, deltas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """One batch's cycle maps C' (n, 16, 16) and read-out states after 0 cycles (n, 16)."""
+    def maps(self, deltas: Sequence[float], cells=0) -> tuple[np.ndarray, np.ndarray]:
+        """One batch's cycle maps C' (n, 16, 16) and read-out states after 0 cycles (n, 16).
+
+        cells is the cell index of each detuning, or one index for all.
+        """
         d = np.asarray(deltas, dtype=float)
         if self._mw is None:
-            u = self._unitaries(d)
+            u = self._unitaries(d, cells)
             pulse = _kron(u, u.conj())
         else:
             frames = np.multiply.outer(d * self._mw_s, np.diag(_K_DIAG))
-            pulse = expm(self._mw * self._mw_s + frames)
+            pulse = expm(self._of(self._mw, cells) * self._mw_s + frames)
             _check_trace("pulse", pulse)
         shift = self._phases(d, self._shift_s)[:, :, None]
-        return shift * (self._tail_rest @ pulse), self._phases(d, self._tail_s) * self._tail_rho0
+        cycle = shift * (self._of(self._tail_rest, cells) @ pulse)
+        return cycle, self._phases(d, self._tail_s) * self._of(self._tail_rho0, cells)
 
-    def states(
-        self, deltas: Sequence[float], n_cycles: int | None = None
-    ) -> np.ndarray:
-        """Driven-block states after n_cycles cycles and the tail, (n, 4, 4)."""
+    def _batches(
+        self, deltas: Sequence[float], n_cycles: int | None, cells
+    ) -> Iterator[np.ndarray]:
+        """Driven-block states after n_cycles cycles and the tail, (k, 4, 4),
+        for each batch of CHUNK (cell, detuning) pairs in turn."""
         n = self._preset.cycles(n_cycles)
         d = np.asarray(deltas, dtype=float)
-        out = []
         for start in range(0, len(d), CHUNK):
-            for vec in _carried(*self.maps(d[start : start + CHUNK]), n):
+            batch = slice(start, start + CHUNK)
+            part = cells[batch] if np.ndim(cells) else cells
+            for vec in _carried(*self.maps(d[batch], part), n):
                 pass  # the state after n cycles is the stepper's last
-            out.append(_checked(vec))
+            yield _checked(vec)
+
+    def states(
+        self, deltas: Sequence[float], n_cycles: int | None = None, cells=0
+    ) -> np.ndarray:
+        """Driven-block states after n_cycles cycles and the tail, (n, 4, 4).
+
+        cells is the cell index of each detuning, or one index for all.
+        """
+        out = list(self._batches(deltas, n_cycles, cells))
         return np.concatenate(out) if out else np.empty((0, 4, 4), dtype=complex)
 
     def polarizations(
-        self, deltas: Sequence[float], n_cycles: int | None = None
+        self, deltas: Sequence[float], n_cycles: int | None = None, cells=0
     ) -> np.ndarray:
-        """Readout polarization after the sequence at every detuning."""
-        return polarization_of_state(self.states(deltas, n_cycles)).p
+        """Readout polarization after the sequence at every (cell, detuning)
+        pair, read out batch by batch, so no stack of states is kept."""
+        out = [polarization_of_state(rho).p for rho in self._batches(deltas, n_cycles, cells)]
+        return np.concatenate(out) if out else np.empty(0)
 
     def buildup(self, delta: float, n_max: int) -> np.ndarray:
         """Readout polarization after 0..n_max cycles at one detuning.
@@ -502,9 +565,9 @@ class CycleEngine:
         if rows > MAX_GRID_POINTS:
             raise ConfigError(f"trajectory of {rows} rows exceeds {MAX_GRID_POINTS}")
         frame = np.diag(delta * _K_DIAG)
-        pulse = self._mw if self._mw is not None else liouvillian(self._h, ())
-        # Keyed by the segment's (mw_on, laser_on) gates.
-        generators = {(False, on): gen + frame for on, gen in self._generators.items()}
+        pulse = self._mw[0] if self._mw is not None else liouvillian(self._h[0], ())
+        # Cell 0's generators, keyed by the segment's (mw_on, laser_on) gates.
+        generators = {(False, on): gen[0] + frame for on, gen in self._generators.items()}
         generators[True, False] = pulse + frame
         props: dict[tuple, np.ndarray] = {}
 
@@ -552,8 +615,7 @@ class CycleEngine:
 
 def _check_trace(name: str, maps: np.ndarray) -> None:
     """Raise NumericalError if a map (16, 16), or any of a stack, changes the trace by > 1e-9."""
-    trace_row = np.eye(len(DRIVEN_INDICES)).reshape(-1)
-    err = float(np.max(np.abs(trace_row @ maps - trace_row), initial=0.0))
+    err = float(np.max(np.abs(_TRACE_ROW @ maps - _TRACE_ROW), initial=0.0))
     if not err <= _HERM_DRIFT_FAIL:
         raise NumericalError(f"{name} map changes the trace by {err:.3e}")
 
@@ -601,22 +663,36 @@ def write_trajectory_csv(
     """CSV export: time_ns, interleaved Re/Im of rho (row-major), P.
 
     The polarization column is left empty at times when both readout
-    populations vanish.
+    populations vanish. Every state must be exactly 0.0 outside the driven
+    block, as CycleEngine.trajectory's are: those 40 floats of each row are
+    written as constant text.
+
+    Raises:
+        ValueError: A state with any other bits in an m_s = -1 row or column.
     """
     header = ["time_ns"]
     for i in range(DIM):
         for j in range(DIM):
             header += [f"rho_re_{i}{j}", f"rho_im_{i}{j}"]
     header.append("P")
+    n = len(DRIVEN_INDICES)
     states = np.array([rho for _, rho in trajectory], dtype=complex)
-    # Viewed as floats, each entry is its (Re, Im) pair, in column order.
-    parts = states.reshape(len(states), DIM * DIM).view(float).tolist()
+    bits = states.view(np.uint64)  # each entry as its (Re, Im) bits
+    if bits[:, n:].any() or bits[:, :, 2 * n :].any():
+        raise ValueError("a trajectory state is not 0.0 outside the driven block")
+    # Viewed as floats, each block entry is its (Re, Im) pair, in column order.
+    block = np.ascontiguousarray(states[:, :n, :n]).view(float).reshape(len(states), -1)
     # P of every row with a readout population, in one stacked call.
     defined = ~(states[:, 0, 0].real + states[:, 1, 1].real <= POPULATION_FLOOR)
     cells = np.full(len(states), "", dtype=object)
     cells[defined] = [repr(p) for p in polarization_of_state(states[defined]).p.tolist()]
+    # Each block row's 2n floats end with its m_s = -1 columns' zeros; the
+    # m_s = -1 rows follow, all zeros.
+    zeros = "0.0," * (2 * (DIM - n))
+    row = "{}," + ("{!r}," * (2 * n) + zeros) * n + zeros * DIM + "{}\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for (t, _), values, cell in zip(trajectory, parts, cells):
-            writer.writerow([repr(int(t)), *map(repr, values), cell])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(
+            row.format(int(t), *values, cell)
+            for (t, _), values, cell in zip(trajectory, block.tolist(), cells)
+        )

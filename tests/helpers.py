@@ -19,6 +19,7 @@ from nvpolar.lindblad import (
     liouvillian,
 )
 from nvpolar.operators import DIM, spin_operators
+from nvpolar.polarization import POPULATION_FLOOR, polarization_of_state
 from nvpolar.params import RelaxationRates, SystemParams
 from nvpolar.schedule import PulseSegment, Schedule
 
@@ -221,3 +222,19 @@ def rowwise_spectrum_csv(path, spectrum) -> None:
         lines.append(f"{repr(float(f))},{repr(float(m))}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def rowwise_trajectory_csv(trajectory, path) -> None:
+    """lindblad.write_trajectory_csv through csv.writer, one repr per float (CRLF)."""
+    header = ["time_ns"]
+    for i in range(DIM):
+        for j in range(DIM):
+            header += [f"rho_re_{i}{j}", f"rho_im_{i}{j}"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header + ["P"])
+        for t, rho in trajectory:
+            values = np.asarray(rho, dtype=complex).reshape(-1).view(float).tolist()
+            populated = rho[0, 0].real + rho[1, 1].real > POPULATION_FLOOR
+            cell = repr(float(polarization_of_state(rho).p)) if populated else ""
+            writer.writerow([repr(int(t)), *map(repr, values), cell])

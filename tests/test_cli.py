@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -121,7 +122,7 @@ def test_negative_bounds_use_equals_form(tmp_path, capsys):
 
 
 def test_worker_count_does_not_change_bytes(tmp_path, capsys):
-    """sweep-detuning runs its one grid in-process; the others fork children."""
+    """sweep-detuning runs its one grid in this thread; the others fan out over threads."""
     window = ["--inner-halfwidth", "200000", "--inner-step", "50000"]
     commands = [
         ["sweep-detuning", *SMALL_SWEEP],
@@ -160,7 +161,7 @@ def test_sweep_n_zero_cycles(tmp_path, capsys):
 def test_tied_peaks_resolve_to_the_first_point(tmp_path, capsys, monkeypatch):
     """sweep-detuning's summary and sweep-n's default detuning share one rule."""
 
-    def tied(engine, deltas, n_cycles=None):
+    def tied(engine, deltas, n_cycles=None, cells=0):
         d = np.asarray(deltas)
         return np.where(d == -3e5, -0.8, np.where(d == 3e5, 0.8, 0.1))
 
@@ -644,15 +645,18 @@ def test_workers_below_one_exit_2(tmp_path, capsys, workers):
     assert err.startswith("error: config: workers")
 
 
-def test_a_numerical_error_in_a_forked_share_exits_3(tmp_path, capsys, monkeypatch):
-    """The 520 G job runs in the forked child; its error is the one line printed."""
+def test_a_numerical_error_in_another_share_exits_3(tmp_path, capsys, monkeypatch):
+    """The 520 G job is share 1 of 2, run on a thread; its error is the one
+    line printed, and the thread has ended."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     engine = ex.CycleEngine
+    started = []
 
-    def failing_engine(preset):
-        if preset.system.b_z == 520.0:
+    def failing_engine(preset, systems=None):
+        if any(system.b_z == 520.0 for system in systems):
+            started.append(threading.current_thread())
             raise NumericalError("propagation drift 2.000e-09 exceeds 1e-9")
-        return engine(preset)
+        return engine(preset, systems)
 
     monkeypatch.setattr(ex, "CycleEngine", failing_engine)
     out_dir = tmp_path / "field"
@@ -663,8 +667,8 @@ def test_a_numerical_error_in_a_forked_share_exits_3(tmp_path, capsys, monkeypat
     )
     assert (code, out) == (3, "")
     assert err == "error: numerical: propagation drift 2.000e-09 exceeds 1e-9\n"
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert len(started) == 1 and started[0] is not threading.main_thread()
+    assert not started[0].is_alive()
 
 
 @pytest.mark.parametrize("bad_row", ["1e5,oops", "2e5", "nan,0.5", "3e5,inf"])

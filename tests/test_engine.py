@@ -1,6 +1,8 @@
 """The batched cycle-map engine against the exact 6-level reference path."""
 
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -87,10 +89,11 @@ def test_unitary_pulse_is_exponentiated_as_4x4_blocks(name, monkeypatch):
         if a_ani is not None:
             preset = preset.with_system(a_ani=a_ani)
         engine = CycleEngine(preset)
+        h_mw = engine._h[0]  # the one cell's pulse Hamiltonian at delta = 0
         deltas = [-3.2e5, 0.0, 1.7e5, 3.2e5]
         if a_ani == 0.0:
-            deltas.append(_level_crossing(engine._h))
-            levels = np.linalg.eigvalsh(engine._h - deltas[-1] * lindblad._P_PLUS)
+            deltas.append(_level_crossing(h_mw))
+            levels = np.linalg.eigvalsh(h_mw - deltas[-1] * lindblad._P_PLUS)
             assert np.min(np.diff(levels)) <= 1e-9
         with monkeypatch.context() as patch:
             shapes = _traced_expm(patch)
@@ -98,7 +101,7 @@ def test_unitary_pulse_is_exponentiated_as_4x4_blocks(name, monkeypatch):
             assert shapes == []
         got = engine._unitaries(np.array(deltas))
         for u, delta in zip(got, deltas):
-            h = engine._h - delta * lindblad._P_PLUS
+            h = h_mw - delta * lindblad._P_PLUS
             assert np.max(np.abs(u - scipy_expm(-2j * np.pi * engine._mw_s * h))) <= 1e-13
 
 
@@ -182,6 +185,90 @@ def test_a_bad_engine_map_makes_sweep_detuning_exit_3(tmp_path, capsys, monkeypa
     assert err.startswith("error: numerical:")
     assert "\n" not in err.strip()
     assert not (out_dir / "data.csv").exists()
+
+
+@pytest.mark.parametrize("fault", ["skewed-eigh", "raising-eigh", "leaky-set-up"])
+def test_a_bad_engine_map_makes_sweep_field_on_two_workers_exit_3(
+    tmp_path, capsys, monkeypatch, fault
+):
+    """Share 1 runs on a thread; its error is the one line printed."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    threads = threading.active_count()
+    _break_the_maps(monkeypatch, fault)
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep-field", "--min=500", "--max=540", "--step=20", "--inner-step=300000",
+            "--workers", "2", "--out", str(out_dir)]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: numerical:")
+    assert "\n" not in err.strip()
+    assert not (out_dir / "data.csv").exists()
+    assert threading.active_count() == threads
+
+
+# -- engines that hold a stack of cells ---------------------------------------------
+
+
+def _cells(preset, kind, count):
+    """count cells of preset along b_z or a_ani."""
+    start, step = {"b_z": (450.0, 17.0), "a_ani": (0.0, 2e4)}[kind]
+    return [preset.with_system(**{kind: start + k * step}) for k in range(count)]
+
+
+@pytest.mark.parametrize("rates", [None, DEPHASED], ids=["default", "dephased"])
+@pytest.mark.parametrize("kind", ["b_z", "a_ani"])
+def test_a_stacked_engine_equals_per_cell_engines_bit_for_bit(table_a1, monkeypatch, kind, rates):
+    """More cells than one set-up expm takes, and windows of unequal length,
+    some longer than CHUNK, so batches cross the cells' edges."""
+    preset = table_a1 if rates is None else dataclasses.replace(table_a1, rates=rates)
+    cells = _cells(preset, kind, 25)
+    grids = [
+        np.linspace(-6e5, 6e5, lindblad.CHUNK + 11 if k % 6 == 0 else 3 + k)
+        for k in range(len(cells))
+    ]
+    with monkeypatch.context() as patch:
+        shapes = _traced_expm(patch)
+        engine = CycleEngine(preset, [q.system for q in cells])
+    assert sum(shape[0] for shape in shapes) == 3 * len(cells)  # chop on, chop off, rest
+    assert len(shapes) > 1 and max(shape[0] for shape in shapes) <= lindblad.CHUNK
+    index = np.repeat(np.arange(len(cells)), [len(g) for g in grids])
+    deltas = np.concatenate(grids)
+    assert len(deltas) % lindblad.CHUNK != 0
+    for n_cycles in (0, 6):
+        want = [CycleEngine(q).states(g, n_cycles) for q, g in zip(cells, grids)]
+        got = engine.states(deltas, n_cycles, index)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        p = engine.polarizations(deltas, n_cycles, index)
+        assert p.tobytes() == polarization_of_state(got).p.tobytes()
+
+
+def test_a_fault_in_one_cell_of_a_stack_is_a_numerical_error(table_a1, monkeypatch):
+    """A set-up map of the last cell that loses 1e-6 of the trace, and a
+    batch whose last pair (a pair of the last cell) gets a skewed eigh."""
+    systems = [q.system for q in _cells(table_a1, "b_z", 3)]
+    expm = lindblad.expm
+
+    def leaking(a):
+        out = expm(a)
+        out[-1] *= 1.0 - 1e-6  # the last cell's rest
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lindblad, "expm", leaking)
+        with pytest.raises(NumericalError, match="rest map changes the trace"):
+            CycleEngine(table_a1, systems)
+    engine = CycleEngine(table_a1, systems)
+    eigh = np.linalg.eigh
+
+    def skewed(a):
+        levels, vecs = eigh(a)
+        vecs[-1] *= 1.0 + 1e-6
+        return levels, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    with pytest.raises(NumericalError, match="pulse unitary is off by"):
+        engine.polarizations([3.2e5, 3.2e5, 3.2e5], None, [0, 1, 2])
 
 
 def test_engine_refuses_a_hamiltonian_that_leaves_the_block(table_a1, monkeypatch):
@@ -396,8 +483,8 @@ def test_carried_state_is_guarded_every_chunk(table_a1, monkeypatch):
     engine = CycleEngine(table_a1)
     maps = engine.maps
 
-    def leaky(deltas):
-        cycle, start = maps(deltas)
+    def leaky(*batch):
+        cycle, start = maps(*batch)
         return cycle * (1.0 - 1e-11), start
 
     monkeypatch.setattr(engine, "maps", leaky)
@@ -457,8 +544,8 @@ def test_buildup_rejects_nan_maps(table_a1, monkeypatch):
     engine = CycleEngine(table_a1)
     maps = engine.maps
 
-    def nan_cycle(deltas):
-        cycle, start = maps(deltas)
+    def nan_cycle(*batch):
+        cycle, start = maps(*batch)
         return np.full_like(cycle, np.nan), start
 
     monkeypatch.setattr(engine, "maps", nan_cycle)

@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import threading
 import time
 import tracemalloc
 
@@ -296,49 +297,46 @@ def test_an_empty_field_grid_is_a_config_error(table_a1, workers):
         ex.sweep_field(table_a1, (), workers=workers)
 
 
-# -- the fan-out over forked children --------------------------------------------
+# -- the fan-out over threads -----------------------------------------------------
 
 FIELDS = (500.0, 520.0, 540.0, 560.0)
 
 
-def _assert_no_children():
-    """This process has no child left, neither running nor unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@pytest.fixture
+def threads(monkeypatch):
+    """Patches threading.Thread to record every thread started."""
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recording)
+    return started
+
+
+def _assert_all_joined(started):
+    """No thread that the fan-out started is still running."""
+    assert [t for t in started if t.is_alive()] == []
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Patches os.fork to record the pid of every child it makes."""
-    made = []
-    fork = os.fork
+def builds(monkeypatch):
+    """Patches ex.CycleEngine to log (thread, b_z of each cell) of each engine."""
+    log = []
 
-    def recording_fork():
-        pid = fork()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return made
-
-
-@pytest.fixture
-def builds(monkeypatch, tmp_path):
-    """Patches ex.CycleEngine to log (pid, b_z) of each engine, from any process."""
-    log = tmp_path / "engines.log"
-
-    def logging_engine(preset):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {preset.system.b_z!r}\n")
-        return CycleEngine(preset)
+    def logging_engine(preset, systems=None):
+        cells = [preset.system] if systems is None else systems
+        log.append((threading.current_thread(), tuple(s.b_z for s in cells)))
+        return CycleEngine(preset, systems)
 
     monkeypatch.setattr(ex, "CycleEngine", logging_engine)
 
     def read():
-        lines = log.read_text().splitlines() if log.exists() else []
-        log.unlink(missing_ok=True)
-        return [(int(pid), float(b)) for pid, b in (line.split() for line in lines)]
+        built = list(log)
+        log.clear()
+        return built
 
     return read
 
@@ -360,39 +358,40 @@ def no_hang():
 
 
 @pytest.mark.parametrize("cpus", [2, 8])
-def test_pool_size_is_clamped_to_jobs_and_cpus(table_a1, forks, monkeypatch, cpus):
-    """The caller plus min(workers, jobs, CPUs) - 1 forked children."""
+def test_pool_size_is_clamped_to_jobs_and_cpus(table_a1, threads, monkeypatch, cpus):
+    """The caller plus min(workers, jobs, CPUs) - 1 threads."""
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     fields = FIELDS[:3]
     pooled = ex.sweep_field(table_a1, fields, inner_step=3e5, workers=10**6)
-    assert len(forks) == min(3, cpus) - 1
+    assert len(threads) == min(3, cpus) - 1
     serial = ex.sweep_field(table_a1, fields, inner_step=3e5, workers=1)
     ex.sweep_detuning(table_a1, (1e5, 2e5), workers=10**6)
-    assert len(forks) == min(3, cpus) - 1  # one worker or one job forks none
+    assert len(threads) == min(3, cpus) - 1  # one worker or one job starts none
     assert pooled.p.tolist() == serial.p.tolist()
-    _assert_no_children()
+    _assert_all_joined(threads)
 
 
-def test_every_job_builds_one_engine(table_a1, builds, monkeypatch):
-    """Windows longer than CHUNK stay one job, and one engine, built in process
-    i mod W for job i; process 0 is the caller."""
+def test_every_share_builds_one_engine(table_a1, builds, threads, monkeypatch):
+    """Share r of W holds jobs r, r + W, ... as the cells of one engine,
+    built in its own thread; share 0 is the caller's. Windows longer than
+    CHUNK make batches that cross the cells' edges."""
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert len(ex.grid(-6e5, 6e5, 9e3)) > CHUNK
     results = {}
     for workers in (1, 2, 3):
+        threads.clear()
         results[workers] = ex.sweep_field(table_a1, FIELDS, inner_step=9e3, workers=workers)
-        built = builds()
-        assert sorted(b for _, b in built) == list(FIELDS)
-        pid_of = dict((b, pid) for pid, b in built)
-        ranks = [{pid_of[b] for b in FIELDS[r::workers]} for r in range(workers)]
-        assert all(len(pids) == 1 for pids in ranks)
-        assert ranks[0] == {os.getpid()}
-        assert len(set.union(*ranks)) == workers
+        thread_of = {cells: thread for thread, cells in builds()}
+        assert sorted(thread_of) == sorted(FIELDS[r::workers] for r in range(workers))
+        assert thread_of[FIELDS[0::workers]] is threading.main_thread()
+        assert {thread_of[FIELDS[r::workers]] for r in range(1, workers)} == set(threads)
         assert results[workers].p.tolist() == results[1].p.tolist()
-    _assert_no_children()
+    _assert_all_joined(threads)
 
 
-def test_fan_out_bytes_match_at_one_two_and_three_workers(table_a1, forks, monkeypatch, tmp_path):
+def test_fan_out_bytes_match_at_one_two_and_three_workers(
+    table_a1, threads, monkeypatch, tmp_path
+):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     sweeps = {
         "field": lambda w: ex.sweep_field(table_a1, FIELDS, inner_step=1e5, workers=w),
@@ -406,84 +405,83 @@ def test_fan_out_bytes_match_at_one_two_and_three_workers(table_a1, forks, monke
     for name, sweep in sweeps.items():
         written = {}
         for workers in (1, 2, 3):
-            forks.clear()
+            threads.clear()
             result = sweep(workers)
-            assert len(forks) == workers - 1
+            assert len(threads) == workers - 1
+            _assert_all_joined(threads)
             data, meta = tmp_path / f"{name}-{workers}.csv", tmp_path / f"{name}-{workers}.json"
             result.write_csv(data)
             result.write_metadata(meta)
             written[workers] = data.read_bytes() + meta.read_bytes()
         assert written[2] == written[1] and written[3] == written[1]
-    _assert_no_children()
 
 
-def test_without_fork_every_job_runs_here(table_a1, builds, monkeypatch, tmp_path):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    serial = ex.sweep_field(table_a1, FIELDS, inner_step=1e5, workers=1)
-    builds()
-    monkeypatch.delattr(os, "fork")
-    result = ex.sweep_field(table_a1, FIELDS, inner_step=1e5, workers=3)
-    assert builds() == [(os.getpid(), b) for b in FIELDS]
-    serial.write_csv(tmp_path / "serial.csv")
-    result.write_csv(tmp_path / "nofork.csv")
-    assert (tmp_path / "nofork.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+def _failing_at(monkeypatch, fails, others=None):
+    """Patches ex.CycleEngine to call fails[b_z]() for the share that holds
+    the field b_z, and others() before building any other share's engine."""
 
-
-def _failing_at(monkeypatch, b_z, fail, others=None):
-    """Patches ex.CycleEngine to call fail() for the job at field b_z, and
-    others() before building any other job's engine."""
-
-    def engine(preset):
-        if preset.system.b_z == b_z:
-            fail()
+    def engine(preset, systems=None):
+        hit = [s.b_z for s in systems if s.b_z in fails]
+        if hit:
+            fails[hit[0]]()
         elif others is not None:
             others()
-        return CycleEngine(preset)
+        return CycleEngine(preset, systems)
 
     monkeypatch.setattr(ex, "CycleEngine", engine)
 
 
-def test_a_childs_error_reaches_the_caller_unchanged(table_a1, monkeypatch, no_hang):
-    """Job 1 runs in child 1 of 3 processes; its error, not a wrapper, comes back."""
+def test_a_childs_error_reaches_the_caller_unchanged(table_a1, threads, monkeypatch, no_hang):
+    """Job 1 is share 1 of 3, run on a thread; its error, not a wrapper,
+    comes back."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
     def fail():
         raise NumericalError("propagation drift 2.000e-09 exceeds 1e-9")
 
-    _failing_at(monkeypatch, FIELDS[1], fail)
+    _failing_at(monkeypatch, {FIELDS[1]: fail})
     with pytest.raises(NumericalError) as info:
         ex.sweep_field(table_a1, FIELDS, inner_step=3e5, workers=3)
     assert type(info.value) is NumericalError
     assert str(info.value) == "propagation drift 2.000e-09 exceeds 1e-9"
-    _assert_no_children()
+    assert len(threads) == 2
+    _assert_all_joined(threads)
+
+
+def test_the_first_error_in_share_order_is_raised(table_a1, threads, monkeypatch, no_hang):
+    """Share 2 fails first in time, share 1 later; share 1's error is raised."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def late():
+        time.sleep(0.2)
+        raise NumericalError("share 1")
+
+    def early():
+        raise ConfigError("share 2")
+
+    _failing_at(monkeypatch, {FIELDS[1]: late, FIELDS[2]: early})
+    with pytest.raises(NumericalError, match="share 1"):
+        ex.sweep_field(table_a1, FIELDS, inner_step=3e5, workers=3)
+    _assert_all_joined(threads)
 
 
 @pytest.mark.parametrize("error", [NumericalError, KeyboardInterrupt])
-def test_an_error_in_the_callers_share_kills_the_children(
-    table_a1, monkeypatch, no_hang, error
+def test_an_error_in_the_callers_share_is_raised_after_every_thread_ends(
+    table_a1, threads, monkeypatch, no_hang, error
 ):
-    """Job 0 is the caller's; the children's jobs would take a minute each."""
+    """Job 0 is the caller's; the other shares still run to their end first."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    finished = []
 
     def fail():
         raise error("in the caller's share")
 
-    _failing_at(monkeypatch, FIELDS[0], fail, others=lambda: time.sleep(60))
-    t0 = time.monotonic()
+    def slow():
+        time.sleep(0.2)
+        finished.append(threading.current_thread())
+
+    _failing_at(monkeypatch, {FIELDS[0]: fail}, others=slow)
     with pytest.raises(error, match="in the caller's share"):
         ex.sweep_field(table_a1, FIELDS, inner_step=3e5, workers=3)
-    assert time.monotonic() - t0 < 20
-    _assert_no_children()
-
-
-@pytest.mark.parametrize(
-    "end, status",
-    [(lambda: os._exit(7), "7"), (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9")],
-    ids=["exit-7", "sigkill"],
-)
-def test_a_child_that_sends_no_result_is_an_error(table_a1, monkeypatch, no_hang, end, status):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    _failing_at(monkeypatch, FIELDS[2], end)
-    with pytest.raises(RuntimeError, match=f"ended with exit status {status} and sent no result"):
-        ex.sweep_field(table_a1, FIELDS, inner_step=3e5, workers=3)
-    _assert_no_children()
+    assert set(finished) == set(threads) and len(threads) == 2
+    _assert_all_joined(threads)

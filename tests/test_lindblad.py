@@ -11,6 +11,7 @@ from helpers import (
     random_schedule,
     reference_trajectory,
     rk4_schedule,
+    rowwise_trajectory_csv,
     validate_density_matrix,
 )
 from scipy.linalg import expm as scipy_expm
@@ -21,6 +22,7 @@ from nvpolar.hamiltonian import rotating_hamiltonian
 from nvpolar.lindblad import (
     DIM,
     DRIVE_SCALE,
+    CycleEngine,
     SchedulePropagator,
     build_channels,
     initial_mixed_state,
@@ -328,3 +330,24 @@ def test_trajectory_csv_raises_other_readout_errors(tmp_path, monkeypatch):
     monkeypatch.setattr(lindblad, "polarization_of_state", broken)
     with pytest.raises(ValueError):
         write_trajectory_csv([(0, initial_mixed_state())], tmp_path / "t.csv")
+
+
+def test_trajectory_csv_matches_the_row_by_row_formatting(tmp_path):
+    """The constant text of the m_s = -1 floats has the bytes of their reprs."""
+    parked = np.zeros((DIM, DIM), dtype=complex)
+    parked[2, 2] = parked[3, 3] = 0.5
+    trajectory = CycleEngine(get_preset("table-a1-fig4")).trajectory(3.9e5, 997, 2)
+    trajectory.append((10**9, parked))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trajectory_csv(trajectory, got)
+    rowwise_trajectory_csv(trajectory, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("entry", [(4, 4), (0, 5), (5, 1)])
+@pytest.mark.parametrize("value", [1e-300, -0.0, -0.0j])
+def test_trajectory_csv_refuses_any_other_bits_outside_the_block(tmp_path, entry, value):
+    rho = initial_mixed_state()
+    rho[entry] = value
+    with pytest.raises(ValueError, match="not 0.0 outside the driven block"):
+        write_trajectory_csv([(0, initial_mixed_state()), (10, rho)], tmp_path / "t.csv")

@@ -40,10 +40,9 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_pool_machinery():
-    """The fan-out needs os and pickle only, and numpy loads pickle anyway;
-    signal is imported only to kill the children of a failed fan-out."""
+    """The fan-out needs threading only, and numpy loads it anyway."""
     assert _loaded_by_cli_import("concurrent", "multiprocessing", "signal") == []
-    assert _loaded_by_cli_import("pickle", module="numpy") == ["pickle"]
+    assert _loaded_by_cli_import("threading", module="numpy") == ["threading"]
 
 
 @pytest.fixture
