@@ -28,7 +28,7 @@ import numpy as np
 
 from .eigensystem import eigen_system
 from .errors import ConfigError
-from .lindblad import CycleEngine
+from .lindblad import CHUNK, CycleEngine
 from .params import SystemParams
 from .presets import MAX_GRID_POINTS, Preset
 
@@ -176,17 +176,27 @@ def sequence_polarization(
 
 
 def _share(
-    preset: Preset, jobs: list[tuple[SystemParams, tuple[float, ...]]], n_cycles: int
-) -> list[np.ndarray]:
+    preset: Preset,
+    jobs: list[tuple[SystemParams, tuple[float, ...]]],
+    n_cycles: int,
+    stop: threading.Event,
+) -> list[np.ndarray] | None:
     """Polarization over the grid of every (system, grid) job, from one
-    engine that holds one cell per job."""
+    engine that holds one cell per job, CHUNK (cell, detuning) pairs per
+    engine call. Once stop is set it returns None before the next call."""
     if not jobs:
         return []
     engine = CycleEngine(preset, [system for system, _ in jobs])
     sizes = [len(deltas) for _, deltas in jobs]
     cells = np.repeat(np.arange(len(jobs)), sizes)
-    p = engine.polarizations(np.concatenate([d for _, d in jobs]), n_cycles, cells)
-    return np.split(p, np.cumsum(sizes)[:-1])
+    deltas = np.concatenate([d for _, d in jobs])
+    p = []
+    for start in range(0, len(deltas), CHUNK):
+        if stop.is_set():
+            return None
+        part = slice(start, start + CHUNK)
+        p.append(engine.polarizations(deltas[part], n_cycles, cells[part]))
+    return np.split(np.concatenate(p), np.cumsum(sizes)[:-1])
 
 
 def _evaluate(
@@ -200,22 +210,27 @@ def _evaluate(
     Every job runs the preset with its own SystemParams. Job i belongs to
     share i mod W, where W = min(workers, jobs, CPUs), and each share builds
     one engine that holds its jobs as cells. This thread computes share 0
-    while W - 1 threads compute the others; numpy releases the GIL inside
-    the engine's stacked products. Every caller passes grids of equal length,
-    so static round-robin shares balance. Every thread is joined before
-    this returns or raises; the first error in share order, this thread's
-    own included, is raised unchanged.
+    while W - 1 threads compute the others. numpy releases the GIL in the
+    engine's stacked products and element-wise work, though not in eigh,
+    so the threads overlap only there. Every caller passes grids of equal
+    length, so static round-robin shares balance. A share that fails, or
+    an interrupt of this thread, stops every other share after its current
+    engine call. Every thread is joined before this returns or raises; the
+    first error in share order, this thread's own included, is raised
+    unchanged.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     n = preset.cycles(n_cycles)
     width = max(min(workers, len(jobs), os.cpu_count() or 1), 1)
     answers: list = [None] * width  # per share: its arrays, or the error it raised
+    stop = threading.Event()
 
     def run(rank: int) -> None:
         try:
-            answers[rank] = _share(preset, jobs[rank::width], n)
+            answers[rank] = _share(preset, jobs[rank::width], n, stop)
         except BaseException as exc:  # handed to the caller, which raises it
+            stop.set()
             answers[rank] = exc
 
     threads = [
@@ -225,13 +240,17 @@ def _evaluate(
         thread.start()
     try:
         run(0)
-    finally:
         for thread in threads:
             thread.join()
+    finally:  # after an interrupt while joining, stop and join the rest
+        stop.set()
+        for thread in threads:
+            thread.join()
+    errors = [answer for answer in answers if isinstance(answer, BaseException)]
+    if errors:
+        raise errors[0]
     results: list = [None] * len(jobs)
     for rank, answer in enumerate(answers):
-        if isinstance(answer, BaseException):
-            raise answer
         results[rank::width] = answer
     return results
 

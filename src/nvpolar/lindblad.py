@@ -149,13 +149,13 @@ def liouvillian(h: np.ndarray, channels: Iterable[np.ndarray]) -> np.ndarray:
         channels: Collapse operators with sqrt(rate) amplitudes, or stacks.
 
     Raises:
-        ValueError: If h is not Hermitian to 1e-12 relative to its (the
-            stack's) largest entry.
+        ValueError: If h, or a slice of the stack, is not Hermitian to
+            1e-12 relative to its own largest entry.
     """
     h = np.asarray(h, dtype=complex)
     n = h.shape[-1]
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.conj().swapaxes(-2, -1))) > 1e-12 * scale:
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    if np.any(np.abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1)) > 1e-12 * scale):
         raise ValueError("Hamiltonian must be Hermitian")
     eye = np.eye(n)
     gen = -1j * 2.0 * np.pi * (_kron(h, eye) - _kron(eye, h.swapaxes(-2, -1)))
@@ -663,12 +663,9 @@ def write_trajectory_csv(
     """CSV export: time_ns, interleaved Re/Im of rho (row-major), P.
 
     The polarization column is left empty at times when both readout
-    populations vanish. Every state must be exactly 0.0 outside the driven
-    block, as CycleEngine.trajectory's are: those 40 floats of each row are
-    written as constant text.
-
-    Raises:
-        ValueError: A state with any other bits in an m_s = -1 row or column.
+    populations vanish. When every state is exactly 0.0 outside the driven
+    block, as CycleEngine.trajectory's are, those 40 floats of each row are
+    written as constant text, with the bytes of their reprs.
     """
     header = ["time_ns"]
     for i in range(DIM):
@@ -679,16 +676,17 @@ def write_trajectory_csv(
     states = np.array([rho for _, rho in trajectory], dtype=complex)
     bits = states.view(np.uint64)  # each entry as its (Re, Im) bits
     if bits[:, n:].any() or bits[:, :, 2 * n :].any():
-        raise ValueError("a trajectory state is not 0.0 outside the driven block")
-    # Viewed as floats, each block entry is its (Re, Im) pair, in column order.
-    block = np.ascontiguousarray(states[:, :n, :n]).view(float).reshape(len(states), -1)
+        block, zeros, n = states, "", DIM  # every entry formatted
+    else:
+        # Each block row's 2n floats end with its m_s = -1 columns' zeros;
+        # the m_s = -1 rows follow, all zeros.
+        block, zeros = states[:, :n, :n], "0.0," * (2 * (DIM - n))
+    # Viewed as floats, each entry is its (Re, Im) pair, in column order.
+    block = np.ascontiguousarray(block).view(float).reshape(len(states), -1)
     # P of every row with a readout population, in one stacked call.
     defined = ~(states[:, 0, 0].real + states[:, 1, 1].real <= POPULATION_FLOOR)
     cells = np.full(len(states), "", dtype=object)
     cells[defined] = [repr(p) for p in polarization_of_state(states[defined]).p.tolist()]
-    # Each block row's 2n floats end with its m_s = -1 columns' zeros; the
-    # m_s = -1 rows follow, all zeros.
-    zeros = "0.0," * (2 * (DIM - n))
     row = "{}," + ("{!r}," * (2 * n) + zeros) * n + zeros * DIM + "{}\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")

@@ -465,23 +465,63 @@ def test_the_first_error_in_share_order_is_raised(table_a1, threads, monkeypatch
     _assert_all_joined(threads)
 
 
-@pytest.mark.parametrize("error", [NumericalError, KeyboardInterrupt])
-def test_an_error_in_the_callers_share_is_raised_after_every_thread_ends(
-    table_a1, threads, monkeypatch, no_hang, error
+@pytest.fixture
+def computed(monkeypatch):
+    """Patches CycleEngine.polarizations to log the thread of every call."""
+    log = []
+    polarizations = CycleEngine.polarizations
+
+    def logging_polarizations(self, *args):
+        log.append(threading.current_thread())
+        return polarizations(self, *args)
+
+    monkeypatch.setattr(CycleEngine, "polarizations", logging_polarizations)
+    return log
+
+
+@pytest.mark.parametrize(
+    "failing, error",
+    [(0, NumericalError), (0, KeyboardInterrupt), (1, NumericalError)],
+)
+def test_an_error_in_one_share_stops_the_others(
+    table_a1, threads, computed, monkeypatch, no_hang, failing, error
 ):
-    """Job 0 is the caller's; the other shares still run to their end first."""
+    """Job 0 is the caller's share, job 1 a thread's. The other shares build
+    their engines after the failure, so they stop before their first batch,
+    although their windows are longer than CHUNK."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    finished = []
 
     def fail():
-        raise error("in the caller's share")
+        raise error("in the failing share")
+
+    _failing_at(monkeypatch, {FIELDS[failing]: fail}, others=lambda: time.sleep(0.2))
+    with pytest.raises(error, match="in the failing share"):
+        ex.sweep_field(table_a1, FIELDS, inner_step=9e3, workers=3)
+    assert len(threads) == 2 and computed == []
+    _assert_all_joined(threads)
+
+
+def test_an_interrupt_while_joining_stops_and_joins_every_thread(
+    table_a1, threads, computed, monkeypatch, no_hang
+):
+    """The caller's share is done; an interrupt in its first join stops the
+    other shares before their first batch and joins them before it is raised."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    join = threading.Thread.join
+    interrupts = [KeyboardInterrupt("while joining")]
+
+    def interrupted_join(self, timeout=None):
+        if interrupts:
+            raise interrupts.pop()
+        join(self, timeout)
 
     def slow():
-        time.sleep(0.2)
-        finished.append(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.2)
 
-    _failing_at(monkeypatch, {FIELDS[0]: fail}, others=slow)
-    with pytest.raises(error, match="in the caller's share"):
-        ex.sweep_field(table_a1, FIELDS, inner_step=3e5, workers=3)
-    assert set(finished) == set(threads) and len(threads) == 2
+    monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+    _failing_at(monkeypatch, {}, others=slow)
+    with pytest.raises(KeyboardInterrupt, match="while joining"):
+        ex.sweep_field(table_a1, FIELDS, inner_step=9e3, workers=3)
+    assert len(threads) == 2 and set(computed) == {threading.main_thread()}
     _assert_all_joined(threads)

@@ -80,6 +80,16 @@ def test_liouvillian_rejects_non_hermitian():
         liouvillian(np.array([[0.0, 1.0], [0.0, 0.0]]), [])
 
 
+def test_liouvillian_holds_each_slice_to_its_own_scale():
+    """A small slice's asymmetry is not measured against a large slice's entries."""
+    small = np.array([[2.0, 1.0 + 5e-12], [1.0, 3.0]])
+    large = np.diag([1e6, -1e6])
+    with pytest.raises(ValueError, match="Hermitian"):
+        liouvillian(small, [])
+    with pytest.raises(ValueError, match="Hermitian"):
+        liouvillian(np.array([large, small]), [])
+
+
 @pytest.mark.parametrize("name", preset_names())
 @pytest.mark.parametrize("laser_on", [True, False])
 def test_kron_is_bit_equal_to_numpy_on_liouvillian_operands(name, laser_on):
@@ -346,8 +356,12 @@ def test_trajectory_csv_matches_the_row_by_row_formatting(tmp_path):
 
 @pytest.mark.parametrize("entry", [(4, 4), (0, 5), (5, 1)])
 @pytest.mark.parametrize("value", [1e-300, -0.0, -0.0j])
-def test_trajectory_csv_refuses_any_other_bits_outside_the_block(tmp_path, entry, value):
+def test_trajectory_csv_writes_any_other_bits_outside_the_block(tmp_path, entry, value):
+    """A state that is not 0.0 outside the block has every entry formatted."""
     rho = initial_mixed_state()
     rho[entry] = value
-    with pytest.raises(ValueError, match="not 0.0 outside the driven block"):
-        write_trajectory_csv([(0, initial_mixed_state()), (10, rho)], tmp_path / "t.csv")
+    trajectory = [(0, initial_mixed_state()), (10, rho)]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trajectory_csv(trajectory, got)
+    rowwise_trajectory_csv(trajectory, want)
+    assert got.read_bytes() == want.read_bytes()
