@@ -1,10 +1,12 @@
 """Bounded nonlinear least squares and the hyperfine curve fit.
 
 The engine is a damped Gauss-Newton (Levenberg-Marquardt style) loop with
-forward-difference Jacobians, bounds enforced by projection, and strictly
-monotone accepted steps. It is deterministic: identical problems produce
-identical reports, and the evaluation budget counts model calls, including
-the ones spent on Jacobian columns.
+bounds enforced by projection and strictly monotone accepted steps. Its
+Jacobian is differenced forward at every iterate, or, for a problem that
+sets ``secant``, differenced once and then carried by rank-one (Broyden)
+updates along the accepted steps. It is deterministic: identical problems
+produce identical reports, and the evaluation budget counts model calls,
+including the ones spent on Jacobian columns.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ class FitProblem:
         init: Initial parameter vector, already within bounds.
         bounds: Per-parameter (lo, hi) pairs; None means unbounded.
         budget: Maximum number of model evaluations.
+        secant: Carry the Jacobian by secant updates instead of differencing
+            it at every iterate. It pays where a model call is dear and the
+            fit walks a long curved valley with few rejected trials (the
+            curve fit); it costs more calls on fits with many rejected
+            trials (the Ramsey fits).
     """
 
     model: Callable[[np.ndarray], np.ndarray]
@@ -48,6 +55,7 @@ class FitProblem:
     init: np.ndarray
     bounds: tuple[tuple[float, float], ...] | None = None
     budget: int = 500
+    secant: bool = False
 
     def lo_hi(self) -> tuple[np.ndarray, np.ndarray]:
         n = len(self.init)
@@ -67,8 +75,15 @@ class FitReport:
     """Outcome of a least-squares run.
 
     Uncertainties are the square roots of the covariance diagonal estimated
-    from the finite-difference Jacobian at the optimum; NaN where the normal
-    matrix is singular.
+    from a finite-difference Jacobian; NaN where the normal matrix is
+    singular or no Jacobian was differenced. With secant updates that
+    Jacobian is differenced at the returned parameters, and its columns count
+    against the budget (NaN if the budget cannot pay for them). Otherwise it
+    is the last one differenced: at the returned parameters when the fit
+    ends on rejected trials (the damping limit, or a budget spent on
+    trials), and at the iterate before the last accepted step when it ends
+    on that step (the step or residual tolerance, or a budget too small for
+    the next Jacobian).
     """
 
     params: tuple[float, ...]
@@ -97,11 +112,11 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self) -> bool:
-        """Consume one evaluation; False when the budget is already gone."""
-        if self.used >= self.limit:
+    def spend(self, count: int = 1) -> bool:
+        """Consume count evaluations; False, consuming none, if fewer remain."""
+        if self.used + count > self.limit:
             return False
-        self.used += 1
+        self.used += count
         return True
 
 
@@ -117,11 +132,13 @@ def _evaluate(model, x: np.ndarray, data: np.ndarray) -> np.ndarray:
 
 
 def _jacobian(model, x, data, residual, budget) -> np.ndarray | None:
+    """Forward-difference Jacobian; None, calling no model, if the budget
+    cannot pay for every column."""
     n = len(x)
+    if not budget.spend(n):
+        return None
     jac = np.empty((len(data), n))
     for j in range(n):
-        if not budget.spend():
-            return None
         step = JACOBIAN_REL_STEP * max(abs(x[j]), JACOBIAN_ABS_FLOOR)
         xp = x.copy()
         xp[j] += step
@@ -147,47 +164,57 @@ def least_squares(problem: FitProblem) -> FitReport:
     lam = 1e-3
     message = "evaluation budget exhausted"
     converged = False
+    # jac is the Jacobian at x, or None where one must be differenced there;
+    # fresh says it was differenced at x rather than carried by updates.
+    jac: np.ndarray | None = None
+    fresh = False
     last_jac: np.ndarray | None = None
 
     while True:
         if cost <= RESIDUAL_TOL:
             converged, message = True, "residual tolerance reached"
             break
-        jac = _jacobian(problem.model, x, data, residual, budget)
         if jac is None:
-            break
-        last_jac = jac
-        jtj = jac.T @ jac
-        jtr = jac.T @ residual
-        scale = np.diag(jtj).copy()
-        scale[scale <= 0] = 1.0
-        damping = np.diag(scale)
-        rhs = -jtr
-        stepped = False
-        while budget.spend():
-            normal = jtj + lam * damping
-            try:
-                delta = np.linalg.solve(normal, rhs)
-            except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(normal, rhs, rcond=None)[0]
-            trial = np.clip(x + delta, lo, hi)
-            trial_residual = _evaluate(problem.model, trial, data)
-            trial_cost = float(trial_residual @ trial_residual)
-            if trial_cost < cost:
-                step_size = float(np.linalg.norm(trial - x))
-                x, residual, cost = trial, trial_residual, trial_cost
-                lam = max(lam / 3.0, 1e-12)
-                stepped = True
-                if step_size <= STEP_TOL * (float(np.linalg.norm(x)) + STEP_TOL):
-                    converged, message = True, "step tolerance reached"
+            jac = _jacobian(problem.model, x, data, residual, budget)
+            if jac is None:
                 break
+            last_jac, fresh = jac, True
+            system = _normal_system(jac, residual)
+        if not budget.spend():
+            break
+        jtj, rhs, damping = system
+        normal = jtj + lam * damping
+        try:
+            delta = np.linalg.solve(normal, rhs)
+        except np.linalg.LinAlgError:
+            delta = np.linalg.lstsq(normal, rhs, rcond=None)[0]
+        trial = np.clip(x + delta, lo, hi)
+        trial_residual = _evaluate(problem.model, trial, data)
+        trial_cost = float(trial_residual @ trial_residual)
+        if trial_cost < cost:
+            step = trial - x
+            if problem.secant:
+                jac = _secant_update(jac, step, trial_residual - residual)
+                system = _normal_system(jac, trial_residual)
+            else:
+                jac = None
+            fresh = False
+            step_size = float(np.linalg.norm(step))
+            x, residual, cost = trial, trial_residual, trial_cost
+            lam = max(lam / 3.0, 1e-12)
+            if step_size <= STEP_TOL * (float(np.linalg.norm(x)) + STEP_TOL):
+                converged, message = True, "step tolerance reached"
+                break
+        elif not fresh:
+            jac = None
+        else:
             lam = min(lam * 10.0, 1e12)
             if lam >= 1e12:
                 converged, message = True, "no descent direction below damping limit"
                 break
-        if converged or not stepped:
-            break
 
+    if problem.secant and not fresh:
+        last_jac = _jacobian(problem.model, x, data, residual, budget)
     uncertainties = _uncertainties(last_jac, cost, len(data), len(x))
     return FitReport(
         params=tuple(float(v) for v in x),
@@ -197,6 +224,20 @@ def least_squares(problem: FitProblem) -> FitReport:
         uncertainties=uncertainties,
         message=message,
     )
+
+
+def _normal_system(jac, residual) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J^T J, -J^T r and the diagonal damping matrix of the LM step."""
+    jtj = jac.T @ jac
+    scale = np.diag(jtj).copy()
+    scale[scale <= 0] = 1.0
+    return jtj, -(jac.T @ residual), np.diag(scale)
+
+
+def _secant_update(jac, step, residual_change) -> np.ndarray:
+    """Broyden's rank-one update, J + (dr - J s) s^T / (s^T s): the least
+    change of J that maps the accepted step s onto the residual change dr."""
+    return jac + np.outer(residual_change - jac @ step, step) / (step @ step)
 
 
 def _uncertainties(jac, cost, m, n) -> tuple[float, ...]:
@@ -254,8 +295,11 @@ def fit_polarization_curve(
 ) -> FitReport:
     """Recover (f_rel, |A_zz|, A_ani) from a polarization-vs-detuning curve.
 
-    The forward model is curve_model, the full sequence simulation. The fit
-    keeps the engine of its last (|A_zz|, A_ani) pair, so an evaluation
+    The forward model is curve_model, the full sequence simulation, and each
+    call that moves the couplings builds an engine. So the fit carries its
+    Jacobian by secant updates and differences it only at the start, after
+    a rejected trial and at the returned parameters (for the uncertainties).
+    It keeps the engine of its last (|A_zz|, A_ani) pair, so an evaluation
     that moves only f_rel (its Jacobian column) builds none; the engine goes
     with the fit. Warnings flag parameters whose estimated relative
     uncertainty exceeds 20%.
@@ -280,6 +324,7 @@ def fit_polarization_curve(
         init=np.array(init, dtype=float),
         bounds=CURVE_FIT_BOUNDS,
         budget=budget,
+        secant=True,
     )
     report = least_squares(problem)
 

@@ -112,6 +112,49 @@ def test_budget_exhaustion_reports_not_converged():
         least_squares(decay_problem(budget=0))
 
 
+def offset_decay_problem(calls, **kwargs):
+    def model(x):
+        calls.append(x.copy())
+        return x[0] * np.exp(-T_GRID / x[1]) + x[2]
+
+    return FitProblem(
+        model=model,
+        data=2.0 * np.exp(-T_GRID / 0.5) + 0.3,
+        init=np.array([1.0, 1.0, 0.0]),
+        bounds=((0.0, 10.0), (0.01, 10.0), (-1.0, 1.0)),
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize("secant", [False, True])
+def test_a_jacobian_the_budget_cannot_pay_for_calls_no_model(secant):
+    """Every model call is counted, and a Jacobian that would overrun the
+    budget starts no column: budget 3 leaves 2 calls for 3 columns."""
+    for budget in range(1, 16):
+        calls = []
+        report = least_squares(offset_decay_problem(calls, budget=budget, secant=secant))
+        assert len(calls) == report.n_evaluations <= budget
+    calls = []
+    report = least_squares(offset_decay_problem(calls, budget=3, secant=secant))
+    assert report.n_evaluations == len(calls) == 1
+    assert all(np.isnan(report.uncertainties))
+
+
+def test_secant_fit_uncertainties_come_from_a_jacobian_at_its_result():
+    problem = offset_decay_problem([], secant=True)
+    report = least_squares(problem)
+    assert report.converged
+    plain = least_squares(offset_decay_problem([], secant=False))
+    assert report.n_evaluations < plain.n_evaluations
+    np.testing.assert_allclose(report.params, plain.params, rtol=1e-6)
+    x = np.array(report.params)
+    residual = problem.model(x) - problem.data
+    jac = fitting._jacobian(problem.model, x, problem.data, residual, fitting._Budget(3))
+    cost = report.residual_norm**2
+    assert report.uncertainties == fitting._uncertainties(jac, cost, len(T_GRID), 3)
+    assert all(np.isfinite(report.uncertainties))
+
+
 def test_uncertainties_finite_for_conditioned_problem():
     rng = np.random.default_rng(7)
     data = 1.5 - 2.0 * T_GRID + 0.01 * rng.standard_normal(len(T_GRID))
@@ -185,8 +228,9 @@ def test_curve_fit_recovers_couplings(table_a1):
 
 
 def test_curve_fit_reuses_the_engine_only_when_f_rel_moves(table_a1, monkeypatch):
-    """The fit equals least_squares on plain curve_model calls, and builds one
-    engine per evaluation except where only f_rel moved (its Jacobian column)."""
+    """The fit equals a secant least_squares on plain curve_model calls, and
+    builds one engine per evaluation except where only f_rel moved (its
+    Jacobian column)."""
     deltas = ex.grid(-4.5e5, 4.5e5, 5e4)
     observed = ex.sweep_detuning(table_a1, deltas).p
     plain = least_squares(
@@ -196,6 +240,7 @@ def test_curve_fit_reuses_the_engine_only_when_f_rel_moves(table_a1, monkeypatch
             init=np.array(CURVE_FIT_INIT),
             bounds=CURVE_FIT_BOUNDS,
             budget=200,
+            secant=True,
         )
     )
     params, built = [], []
@@ -221,3 +266,22 @@ def test_curve_fit_reuses_the_engine_only_when_f_rel_moves(table_a1, monkeypatch
         if not couplings_moved:
             step = JACOBIAN_REL_STEP * max(abs(prev[0]), JACOBIAN_ABS_FLOOR)
             assert x[0] - prev[0] == pytest.approx(step, rel=1e-6)
+
+
+def test_secant_curve_fit_matches_the_differenced_fit_in_fewer_evaluations(table_a1):
+    deltas = ex.grid(-4.5e5, 4.5e5, 5e4)
+    observed = ex.sweep_detuning(table_a1, deltas).p
+    differenced = least_squares(
+        FitProblem(
+            model=lambda x: curve_model(table_a1, x, deltas),
+            data=observed,
+            init=np.array(CURVE_FIT_INIT),
+            bounds=CURVE_FIT_BOUNDS,
+            budget=200,
+        )
+    )
+    report = fit_polarization_curve(list(zip(deltas, observed)), table_a1)
+    assert report.converged and differenced.converged
+    assert report.n_evaluations < differenced.n_evaluations
+    gap = np.linalg.norm(np.subtract(report.params, differenced.params))
+    assert gap <= 1e-6 * np.linalg.norm(differenced.params)
