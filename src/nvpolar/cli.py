@@ -82,6 +82,8 @@ def _load_config(path: str) -> Preset:
             raise ConfigError(
                 f"unexpected keys alongside 'preset': {sorted(extra)}"
             )
+        if not isinstance(doc["preset"], str):
+            raise ConfigError(f"'preset' must be a preset name, got {doc['preset']!r}")
         return get_preset(doc["preset"])
     return _inline_preset(doc)
 
@@ -511,8 +513,8 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shares of the grids, one engine each: this thread plus up to N - 1 "
-        "threads, never more than grids or CPUs (default 1)",
+        help="threads that take turns over the one engine's batches: this thread "
+        "plus up to N - 1 threads, never more than grids or CPUs (default 1)",
     )
 
     p = sub.add_parser(

@@ -1,14 +1,13 @@
 """Parameter sweeps of the polarization sequence.
 
 Every sweep is a set of (parameter set, detuning grid) jobs on one preset,
-whose parameter sets differ only in their SystemParams. Whole jobs are
-shared out round-robin over min(workers, jobs, CPUs) shares: this thread
-computes share 0 and one thread each computes the others (see _evaluate).
-Each share builds one lindblad.CycleEngine that holds its jobs as cells,
-runs the standard schedule plus the terminal relaxation train over every
-(cell, detuning) pair and reads out the polarization. A pair's result does
-not depend on the batch it falls in, so the CSV bytes do not depend on the
-worker count.
+whose parameter sets differ only in their SystemParams. One
+lindblad.CycleEngine holds the jobs as cells, runs the standard schedule
+plus the terminal relaxation train over every (cell, detuning) pair and
+reads out the polarization, CHUNK pairs per batch. The batches are dealt
+round-robin over min(workers, jobs, CPUs) ranks: this thread and one
+thread per other rank (see _evaluate). A pair's result does not depend on
+the batch it falls in, so the CSV bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -175,30 +174,6 @@ def sequence_polarization(
     return float(CycleEngine(preset).polarizations([delta], n_cycles)[0])
 
 
-def _share(
-    preset: Preset,
-    jobs: list[tuple[SystemParams, tuple[float, ...]]],
-    n_cycles: int,
-    stop: threading.Event,
-) -> list[np.ndarray] | None:
-    """Polarization over the grid of every (system, grid) job, from one
-    engine that holds one cell per job, CHUNK (cell, detuning) pairs per
-    engine call. Once stop is set it returns None before the next call."""
-    if not jobs:
-        return []
-    engine = CycleEngine(preset, [system for system, _ in jobs])
-    sizes = [len(deltas) for _, deltas in jobs]
-    cells = np.repeat(np.arange(len(jobs)), sizes)
-    deltas = np.concatenate([d for _, d in jobs])
-    p = []
-    for start in range(0, len(deltas), CHUNK):
-        if stop.is_set():
-            return None
-        part = slice(start, start + CHUNK)
-        p.append(engine.polarizations(deltas[part], n_cycles, cells[part]))
-    return np.split(np.concatenate(p), np.cumsum(sizes)[:-1])
-
-
 def _evaluate(
     preset: Preset,
     jobs: list[tuple[SystemParams, tuple[float, ...]]],
@@ -207,31 +182,48 @@ def _evaluate(
 ) -> list[np.ndarray]:
     """Polarization over the detuning grid of every (system, grid) job.
 
-    Every job runs the preset with its own SystemParams. Job i belongs to
-    share i mod W, where W = min(workers, jobs, CPUs), and each share builds
-    one engine that holds its jobs as cells. This thread computes share 0
-    while W - 1 threads compute the others. numpy releases the GIL in the
-    engine's stacked products and element-wise work, though not in eigh,
-    so the threads overlap only there. Every caller passes grids of equal
-    length, so static round-robin shares balance. A share that fails, or
-    an interrupt of this thread, stops every other share after its current
-    engine call. Every thread is joined before this returns or raises; the
-    first error in share order, this thread's own included, is raised
-    unchanged.
+    This thread builds one engine that holds the jobs as cells (each job
+    runs the preset with its own SystemParams) and cuts their (cell,
+    detuning) pairs, in job order, into batches of CHUNK. Batch i goes to
+    rank i mod W, W = min(workers, jobs, CPUs): rank 0 is this thread and
+    W - 1 threads are the others. They share the engine without a lock, as
+    no CycleEngine method writes to the engine after __init__. numpy
+    releases the GIL in the engine's stacked products and element-wise
+    work, though not in eigh, so the threads overlap only there. A batch
+    that fails, or an interrupt of this thread, stops the other ranks before
+    their next batch. Every thread is joined before this returns or raises;
+    the first error in batch order is raised unchanged, and an error
+    building the engine before any thread starts.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     n = preset.cycles(n_cycles)
-    width = max(min(workers, len(jobs), os.cpu_count() or 1), 1)
-    answers: list = [None] * width  # per share: its arrays, or the error it raised
+    if not jobs:
+        return []
+    engine = CycleEngine(preset, [system for system, _ in jobs])
+    sizes = [len(deltas) for _, deltas in jobs]
+    cells = np.repeat(np.arange(len(jobs)), sizes)
+    deltas = np.concatenate([d for _, d in jobs])
+    starts = range(0, len(deltas), CHUNK)
+    # Clamped by jobs as well: splitting one 401-point grid over 2 threads
+    # gained nothing (on 2 vCPUs, 0.0111-0.0125 s against 0.0120-0.0124 s on
+    # one thread for table-a1-fit, 0.0123-0.0134 s against 0.0118-0.0128 s
+    # for table-a1-fig4).
+    width = min(workers, len(jobs), os.cpu_count() or 1)
+    answers: list = [None] * len(starts)  # per batch: its P, or the error it raised
     stop = threading.Event()
 
     def run(rank: int) -> None:
-        try:
-            answers[rank] = _share(preset, jobs[rank::width], n, stop)
-        except BaseException as exc:  # handed to the caller, which raises it
-            stop.set()
-            answers[rank] = exc
+        for i in range(rank, len(starts), width):
+            if stop.is_set():
+                return
+            part = slice(starts[i], starts[i] + CHUNK)
+            try:
+                answers[i] = engine.polarizations(deltas[part], n, cells[part])
+            except BaseException as exc:  # handed to the caller, which raises it
+                stop.set()
+                answers[i] = exc
+                return
 
     threads = [
         threading.Thread(target=run, args=(rank,), daemon=True) for rank in range(1, width)
@@ -249,10 +241,7 @@ def _evaluate(
     errors = [answer for answer in answers if isinstance(answer, BaseException)]
     if errors:
         raise errors[0]
-    results: list = [None] * len(jobs)
-    for rank, answer in enumerate(answers):
-        results[rank::width] = answer
-    return results
+    return np.split(np.concatenate(answers), np.cumsum(sizes)[:-1])
 
 
 def predicted_resonance(preset: Preset) -> float:

@@ -289,7 +289,6 @@ def fit_polarization_curve(
     data: Sequence[tuple[float, float]],
     preset: Preset,
     *,
-    init: tuple[float, float, float] = CURVE_FIT_INIT,
     n_cycles: int | None = None,
     budget: int = 200,
 ) -> FitReport:
@@ -307,7 +306,6 @@ def fit_polarization_curve(
     Args:
         data: (delta_hz, P) pairs; at least 10 points.
         preset: Supplies everything but the fitted couplings.
-        init: Start point (f_rel, |A_zz|, A_ani).
         n_cycles: Optional cycle-count override.
         budget: Maximum forward-model evaluations.
     """
@@ -321,7 +319,7 @@ def fit_polarization_curve(
     problem = FitProblem(
         model=lambda x: curve_model(preset, x, deltas, n_cycles, engine=engine),
         data=observed,
-        init=np.array(init, dtype=float),
+        init=np.array(CURVE_FIT_INIT),
         bounds=CURVE_FIT_BOUNDS,
         budget=budget,
         secant=True,

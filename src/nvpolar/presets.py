@@ -62,6 +62,10 @@ class Preset:
     def __post_init__(self) -> None:
         if not math.isfinite(self.omega):
             raise ConfigError(f"omega must be finite, got {self.omega}")
+        if self.omega < 0:
+            raise ConfigError(f"omega must be >= 0, got {self.omega}")
+        if self.t_mw_ns < 0:
+            raise ConfigError(f"t_mw_ns must be >= 0, got {self.t_mw_ns}")
 
     def cycles(self, n_cycles: int | None = None) -> int:
         """n_cycles, or the preset's count if None, checked to lie in 0..MAX_GRID_POINTS."""

@@ -251,18 +251,14 @@ class Spectrum:
         return float(self.frequencies[1] - self.frequencies[0])
 
 
-def fft_spectrum(
-    signal: np.ndarray, dt: float, pad_factor: int = FFT_PAD_FACTOR
-) -> Spectrum:
-    """Windowless zero-padded real FFT of a fringe record."""
+def fft_spectrum(signal: np.ndarray, dt: float) -> Spectrum:
+    """Windowless real FFT of a fringe record, zero-padded FFT_PAD_FACTOR times."""
     s = np.asarray(signal, dtype=float)
     if s.ndim != 1 or len(s) < MIN_SAMPLES:
         raise ConfigError(f"need a 1-D record of at least {MIN_SAMPLES} samples")
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    if pad_factor < 1:
-        raise ConfigError("pad_factor must be at least 1")
-    n_pad = len(s) * int(pad_factor)
+    n_pad = len(s) * FFT_PAD_FACTOR
     amplitudes = np.fft.rfft(s, n=n_pad) * (2.0 / len(s))
     frequencies = np.fft.rfftfreq(n_pad, dt)
     return Spectrum(frequencies, amplitudes)

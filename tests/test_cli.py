@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvpolar import cli
-from nvpolar import experiments as ex
 from nvpolar.errors import FitModelError, NumericalError, UndefinedPolarizationError
 from nvpolar.lindblad import CycleEngine
 from nvpolar.presets import Preset
@@ -455,6 +454,37 @@ def test_config_numbers_of_the_wrong_kind_exit_2(tmp_path, capsys, field, value,
     assert err == f"error: config: {message}\n"
 
 
+@pytest.mark.parametrize("field,value", [("t_mw_ns", -1700), ("omega", -294117.6)])
+@pytest.mark.parametrize(
+    "command",
+    [["sweep-detuning", *SMALL_SWEEP], ["ramsey", "--delta", "3.2e5"], ["trajectory"]],
+    ids=["sweep-detuning", "ramsey", "trajectory"],
+)
+def test_a_negative_pulse_length_or_rabi_frequency_exits_2(
+    tmp_path, capsys, command, field, value
+):
+    path = inline_config(tmp_path, **{field: value})
+    out_dir = tmp_path / "out"
+    code, out, err = run([*command, "--config", path, "--out", str(out_dir)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: config: {field} must be >= 0, got {value}\n"
+    assert not list(out_dir.glob("*.csv"))  # no data.csv, nor trajectory.csv
+
+
+@pytest.mark.parametrize("name", [["table-a1-fit"], {"name": "table-a1-fit"}, 1, None])
+def test_a_preset_name_that_is_not_a_string_exits_2(tmp_path, capsys, name):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"schema": "nvpolar-run/1", "preset": name}))
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        ["sweep-n", "--n", "0", "--delta", "0", "--config", str(path), "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 2
+    assert err == f"error: config: 'preset' must be a preset name, got {name!r}\n"
+    assert not out_dir.exists()
+
+
 def test_rates_of_the_wrong_kind_exit_2(tmp_path, capsys):
     for rates in (
         {"gamma_gl": True},
@@ -646,29 +676,31 @@ def test_workers_below_one_exit_2(tmp_path, capsys, workers):
 
 
 def test_a_numerical_error_in_another_share_exits_3(tmp_path, capsys, monkeypatch):
-    """The 520 G job is share 1 of 2, run on a thread; its error is the one
-    line printed, and the thread has ended."""
+    """The 500, 520 and 540 G windows hold 134 pairs each, so batch 3 (pairs
+    192-255) holds only the 520 G cell and goes to rank 1 of 2, a thread;
+    its error is the one line printed, and the thread has ended."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    engine = ex.CycleEngine
+    polarizations = CycleEngine.polarizations
     started = []
 
-    def failing_engine(preset, systems=None):
-        if any(system.b_z == 520.0 for system in systems):
+    def failing(self, deltas, n_cycles=None, cells=0):
+        if set(np.ravel(cells)) == {1}:
             started.append(threading.current_thread())
             raise NumericalError("propagation drift 2.000e-09 exceeds 1e-9")
-        return engine(preset, systems)
+        return polarizations(self, deltas, n_cycles, cells)
 
-    monkeypatch.setattr(ex, "CycleEngine", failing_engine)
+    monkeypatch.setattr(CycleEngine, "polarizations", failing)
     out_dir = tmp_path / "field"
     code, out, err = run(
         ["sweep-field", "--min", "500", "--max", "540", "--step", "20",
-         "--inner-step", "300000", "--workers", "2", "--out", str(out_dir)],
+         "--inner-step", "9000", "--workers", "2", "--out", str(out_dir)],
         capsys,
     )
     assert (code, out) == (3, "")
     assert err == "error: numerical: propagation drift 2.000e-09 exceeds 1e-9\n"
     assert len(started) == 1 and started[0] is not threading.main_thread()
     assert not started[0].is_alive()
+    assert not (out_dir / "data.csv").exists()
 
 
 @pytest.mark.parametrize("bad_row", ["1e5,oops", "2e5", "nan,0.5", "3e5,inf"])

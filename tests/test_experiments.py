@@ -371,35 +371,45 @@ def test_pool_size_is_clamped_to_jobs_and_cpus(table_a1, threads, monkeypatch, c
     _assert_all_joined(threads)
 
 
-def test_every_share_builds_one_engine(table_a1, builds, threads, monkeypatch):
-    """Share r of W holds jobs r, r + W, ... as the cells of one engine,
-    built in its own thread; share 0 is the caller's. Windows longer than
-    CHUNK make batches that cross the cells' edges."""
+def test_one_engine_is_built_in_the_calling_thread(table_a1, builds, threads, monkeypatch):
+    """At every worker count the caller builds one engine that holds every
+    job as a cell. Windows longer than CHUNK make batches that cross the
+    cells' edges."""
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert len(ex.grid(-6e5, 6e5, 9e3)) > CHUNK
     results = {}
     for workers in (1, 2, 3):
         threads.clear()
         results[workers] = ex.sweep_field(table_a1, FIELDS, inner_step=9e3, workers=workers)
-        thread_of = {cells: thread for thread, cells in builds()}
-        assert sorted(thread_of) == sorted(FIELDS[r::workers] for r in range(workers))
-        assert thread_of[FIELDS[0::workers]] is threading.main_thread()
-        assert {thread_of[FIELDS[r::workers]] for r in range(1, workers)} == set(threads)
+        assert builds() == [(threading.main_thread(), FIELDS)]
+        assert len(threads) == workers - 1
         assert results[workers].p.tolist() == results[1].p.tolist()
     _assert_all_joined(threads)
+
+
+def test_an_engine_that_cannot_be_built_starts_no_thread(table_a1, threads, monkeypatch):
+    def broken(preset, systems=None):
+        raise NumericalError("the Hamiltonian couples the driven block to m_s = -1")
+
+    monkeypatch.setattr(ex, "CycleEngine", broken)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    with pytest.raises(NumericalError, match="couples the driven block"):
+        ex.sweep_field(table_a1, FIELDS, inner_step=3e5, workers=3)
+    assert threads == []
 
 
 def test_fan_out_bytes_match_at_one_two_and_three_workers(
     table_a1, threads, monkeypatch, tmp_path
 ):
+    """Every sweep spans several batches, so every rank computes some."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     sweeps = {
-        "field": lambda w: ex.sweep_field(table_a1, FIELDS, inner_step=1e5, workers=w),
+        "field": lambda w: ex.sweep_field(table_a1, FIELDS, inner_step=1e4, workers=w),
         "ani": lambda w: ex.sweep_ani_detuning(
-            table_a1, (0.0, 1e5, 2e5, 3e5, 4e5), ex.grid(-4e5, 4e5, 1e5), workers=w
+            table_a1, (0.0, 1e5, 2e5, 3e5, 4e5), ex.grid(-4e5, 4e5, 1e4), workers=w
         ),
         "field-ani": lambda w: ex.sweep_field_ani(
-            table_a1, FIELDS[:2], (1e5, 3e5), inner_step=2e5, workers=w
+            table_a1, FIELDS[:2], (1e5, 3e5), inner_step=2e4, workers=w
         ),
     }
     for name, sweep in sweeps.items():
@@ -416,67 +426,92 @@ def test_fan_out_bytes_match_at_one_two_and_three_workers(
         assert written[2] == written[1] and written[3] == written[1]
 
 
-def _failing_at(monkeypatch, fails, others=None):
-    """Patches ex.CycleEngine to call fails[b_z]() for the share that holds
-    the field b_z, and others() before building any other share's engine."""
-
-    def engine(preset, systems=None):
-        hit = [s.b_z for s in systems if s.b_z in fails]
-        if hit:
-            fails[hit[0]]()
-        elif others is not None:
-            others()
-        return CycleEngine(preset, systems)
-
-    monkeypatch.setattr(ex, "CycleEngine", engine)
-
-
-def test_a_childs_error_reaches_the_caller_unchanged(table_a1, threads, monkeypatch, no_hang):
-    """Job 1 is share 1 of 3, run on a thread; its error, not a wrapper,
-    comes back."""
+def test_grids_of_unequal_length_give_equal_bytes_at_one_two_and_three_workers(
+    table_a1, threads, monkeypatch
+):
+    """Jobs of 5 to 150 detunings, whose batches cross the jobs' edges at
+    odd places, give at every worker count the bits of one engine per job."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cells = [table_a1.with_system(b_z=b) for b in (500.0, 510.0, 520.0, 530.0, 540.0)]
+    grids = [ex.grid(1e5, 1e5 + (size - 1) * 4e3, 4e3) for size in (150, 5, 97, 31, 64)]
+    jobs = [(q.system, g) for q, g in zip(cells, grids)]
+    want = [CycleEngine(q).polarizations(g).tobytes() for q, g in zip(cells, grids)]
+    for workers in (1, 2, 3):
+        threads.clear()
+        got = ex._evaluate(table_a1, jobs, None, workers)
+        assert [p.tobytes() for p in got] == want
+        assert len(threads) == workers - 1
+    _assert_all_joined(threads)
+
+
+#: CHUNK detunings per job, so batch i of an ani sweep holds exactly job i:
+#: at 3 workers, batches 0 and 3 are the caller's, 1 and 4 thread 1's, and
+#: 2 and 5 thread 2's.
+BATCH_DELTAS = ex.grid(-3.15e5, 3.15e5, 1e4)
+BATCH_ANIS = tuple(k * 5e4 for k in range(6))
+
+
+def _ani_sweep(table_a1):
+    assert len(BATCH_DELTAS) == CHUNK
+    return ex.sweep_ani_detuning(table_a1, BATCH_ANIS, BATCH_DELTAS, workers=3)
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """Patches CycleEngine.polarizations to log (thread, batch) of every call,
+    the batch being the cell of its first pair, and to call faults[batch]()
+    first, or faults["slow"]() for a batch without one. Returns (log, faults)."""
+    log, faults = [], {}
+    polarizations = CycleEngine.polarizations
+
+    def faulty(self, deltas, n_cycles=None, cells=0):
+        batch = int(np.ravel(cells)[0])
+        log.append((threading.current_thread(), batch))
+        faults.get(batch, faults.get("slow", lambda: None))()
+        return polarizations(self, deltas, n_cycles, cells)
+
+    monkeypatch.setattr(CycleEngine, "polarizations", faulty)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return log, faults
+
+
+def test_a_childs_error_reaches_the_caller_unchanged(table_a1, threads, batches, no_hang):
+    """Batch 1 runs on a thread; its error, not a wrapper, comes back."""
+    log, faults = batches
 
     def fail():
         raise NumericalError("propagation drift 2.000e-09 exceeds 1e-9")
 
-    _failing_at(monkeypatch, {FIELDS[1]: fail})
+    faults[1] = fail
     with pytest.raises(NumericalError) as info:
-        ex.sweep_field(table_a1, FIELDS, inner_step=3e5, workers=3)
+        _ani_sweep(table_a1)
     assert type(info.value) is NumericalError
     assert str(info.value) == "propagation drift 2.000e-09 exceeds 1e-9"
     assert len(threads) == 2
+    assert [thread for thread, batch in log if batch == 1] == [threads[0]]
     _assert_all_joined(threads)
 
 
-def test_the_first_error_in_share_order_is_raised(table_a1, threads, monkeypatch, no_hang):
-    """Share 2 fails first in time, share 1 later; share 1's error is raised."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+def test_the_first_error_in_share_order_is_raised(table_a1, threads, batches, no_hang):
+    """Batch 4 fails first in time, while batch 2 runs; batch 2 fails later,
+    and its error, the first in batch order, is raised."""
+    log, faults = batches
+    running = threading.Event()
 
     def late():
+        running.set()
         time.sleep(0.2)
-        raise NumericalError("share 1")
+        raise NumericalError("batch 2")
 
     def early():
-        raise ConfigError("share 2")
+        running.wait(5)
+        raise ConfigError("batch 4")
 
-    _failing_at(monkeypatch, {FIELDS[1]: late, FIELDS[2]: early})
-    with pytest.raises(NumericalError, match="share 1"):
-        ex.sweep_field(table_a1, FIELDS, inner_step=3e5, workers=3)
+    faults.update({2: late, 4: early})
+    with pytest.raises(NumericalError, match="batch 2"):
+        _ani_sweep(table_a1)
+    assert {batch for _, batch in log} >= {2, 4}
     _assert_all_joined(threads)
-
-
-@pytest.fixture
-def computed(monkeypatch):
-    """Patches CycleEngine.polarizations to log the thread of every call."""
-    log = []
-    polarizations = CycleEngine.polarizations
-
-    def logging_polarizations(self, *args):
-        log.append(threading.current_thread())
-        return polarizations(self, *args)
-
-    monkeypatch.setattr(CycleEngine, "polarizations", logging_polarizations)
-    return log
 
 
 @pytest.mark.parametrize(
@@ -484,29 +519,36 @@ def computed(monkeypatch):
     [(0, NumericalError), (0, KeyboardInterrupt), (1, NumericalError)],
 )
 def test_an_error_in_one_share_stops_the_others(
-    table_a1, threads, computed, monkeypatch, no_hang, failing, error
+    table_a1, threads, batches, no_hang, failing, error
 ):
-    """Job 0 is the caller's share, job 1 a thread's. The other shares build
-    their engines after the failure, so they stop before their first batch,
-    although their windows are longer than CHUNK."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    """Batch 0 is the caller's first, batch 1 a thread's. Every other batch
+    waits for the failure, so every other rank stops after its first batch:
+    batches 3, 4 and 5 never run."""
+    log, faults = batches
+    failed = threading.Event()
 
     def fail():
-        raise error("in the failing share")
+        failed.set()
+        raise error("in the failing batch")
 
-    _failing_at(monkeypatch, {FIELDS[failing]: fail}, others=lambda: time.sleep(0.2))
-    with pytest.raises(error, match="in the failing share"):
-        ex.sweep_field(table_a1, FIELDS, inner_step=9e3, workers=3)
-    assert len(threads) == 2 and computed == []
+    def slow():
+        failed.wait(5)
+        time.sleep(0.05)  # for the failing rank to set the stop event
+
+    faults.update({failing: fail, "slow": slow})
+    with pytest.raises(error, match="in the failing batch"):
+        _ani_sweep(table_a1)
+    assert len(threads) == 2 and {batch for _, batch in log} <= {0, 1, 2}
     _assert_all_joined(threads)
 
 
 def test_an_interrupt_while_joining_stops_and_joins_every_thread(
-    table_a1, threads, computed, monkeypatch, no_hang
+    table_a1, threads, batches, monkeypatch, no_hang
 ):
-    """The caller's share is done; an interrupt in its first join stops the
-    other shares before their first batch and joins them before it is raised."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    """The caller's batches 0 and 3 are done; an interrupt in its first join
+    stops the other ranks, which take 0.2 s per batch, before batches 4 and
+    5, and joins them before it is raised."""
+    log, faults = batches
     join = threading.Thread.join
     interrupts = [KeyboardInterrupt("while joining")]
 
@@ -520,8 +562,10 @@ def test_an_interrupt_while_joining_stops_and_joins_every_thread(
             time.sleep(0.2)
 
     monkeypatch.setattr(threading.Thread, "join", interrupted_join)
-    _failing_at(monkeypatch, {}, others=slow)
+    faults["slow"] = slow
     with pytest.raises(KeyboardInterrupt, match="while joining"):
-        ex.sweep_field(table_a1, FIELDS, inner_step=9e3, workers=3)
-    assert len(threads) == 2 and set(computed) == {threading.main_thread()}
+        _ani_sweep(table_a1)
+    assert len(threads) == 2
+    assert {0, 3} <= {batch for _, batch in log} <= {0, 1, 2, 3}
+    assert {thread for thread, batch in log if batch in (0, 3)} == {threading.main_thread()}
     _assert_all_joined(threads)

@@ -216,7 +216,7 @@ def test_curve_fit_recovers_couplings(table_a1):
     deltas = ex.grid(-4.5e5, 4.5e5, 5e4)
     curve = ex.sweep_detuning(table_a1, deltas)
     data = list(zip(deltas, curve.p))
-    report = fit_polarization_curve(data, table_a1, init=CURVE_FIT_INIT)
+    report = fit_polarization_curve(data, table_a1)
     assert report.converged
     f_rel, azz_mag, a_ani = report.params
     true_azz = abs(table_a1.system.a_zz)
