@@ -113,14 +113,13 @@ def _inline_preset(doc: dict) -> Preset:
         for v in values:
             _number(key, v)
     rates = RelaxationRates(**rate_doc)
-    ints = {key: _integer(key, doc[key]) for key in _INT_KEYS if key in doc}
     return Preset(
         name=str(doc.get("name", "custom")),
         description="user configuration",
         system=system,
         rates=rates,
         omega=_number("omega", doc["omega"]),
-        **ints,
+        **{key: doc[key] for key in _INT_KEYS if key in doc},
     )
 
 
@@ -135,18 +134,6 @@ def _number(key: str, value) -> float:
         return float(value)
     except OverflowError as exc:
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
-
-
-def _integer(key: str, value) -> int:
-    """An int or an integral float as an int, or ConfigError naming the key.
-
-    A fractional value is refused rather than truncated, and a bool too.
-    """
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
 def _resolve_preset(args: argparse.Namespace) -> Preset:
@@ -325,8 +312,8 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
     t, s = rm.synthesize_ramsey(model, args.duration, args.dt)
     spectrum = rm.fft_spectrum(s, args.dt)
     guesses = rm.dominant_line_pair(model.peaks)
-    spectral = rm.fit_lorentzian_pair(spectrum, guesses, manifold=args.manifold)
-    time_fit = rm.fit_time_domain(t, s, guesses, manifold=args.manifold)
+    spectral = rm.fit_lorentzian_pair(spectrum, guesses)
+    time_fit = rm.fit_time_domain(t, s, guesses)
 
     out = _out_dir("ramsey", args.out)
     rm.write_signal_csv(out / "data.csv", t, s)
@@ -516,6 +503,19 @@ def _parser() -> argparse.ArgumentParser:
         help="threads that take turns over the one engine's batches: this thread "
         "plus up to N - 1 threads, never more than grids or CPUs (default 1)",
     )
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument(
+        "--inner-step",
+        type=float,
+        default=ex.DELTA_STEP,
+        help="detuning step of the per-field search window (Hz)",
+    )
+    window.add_argument(
+        "--inner-halfwidth",
+        type=float,
+        default=ex.INNER_HALFWIDTH,
+        help="half width of the per-field detuning window (Hz)",
+    )
 
     p = sub.add_parser(
         "sweep-detuning",
@@ -543,24 +543,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep-field",
-        parents=[common, parallel],
+        parents=[common, parallel, window],
         help="best polarization vs axial magnetic field",
     )
     p.add_argument("--min", type=float, default=450.0, help="lowest field (G)")
     p.add_argument("--max", type=float, default=850.0, help="highest field (G)")
     p.add_argument("--step", type=float, default=ex.FIELD_STEP, help="field step (G)")
-    p.add_argument(
-        "--inner-step",
-        type=float,
-        default=ex.DELTA_STEP,
-        help="detuning step of the per-field search window (Hz)",
-    )
-    p.add_argument(
-        "--inner-halfwidth",
-        type=float,
-        default=ex.INNER_HALFWIDTH,
-        help="half width of the per-field detuning window (Hz)",
-    )
     p.set_defaults(func=_cmd_sweep_field)
 
     p = sub.add_parser(
@@ -578,7 +566,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep-field-ani",
-        parents=[common, parallel],
+        parents=[common, parallel, window],
         help="best polarization per (field, transverse coupling) cell",
     )
     p.add_argument("--min", type=float, default=450.0, help="lowest field (G)")
@@ -587,8 +575,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--ani-min", type=float, default=0.0)
     p.add_argument("--ani-max", type=float, default=400e3)
     p.add_argument("--ani-step", type=float, default=50e3)
-    p.add_argument("--inner-step", type=float, default=ex.DELTA_STEP)
-    p.add_argument("--inner-halfwidth", type=float, default=ex.INNER_HALFWIDTH)
     p.set_defaults(func=_cmd_sweep_field_ani)
 
     p = sub.add_parser(

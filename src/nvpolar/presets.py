@@ -60,12 +60,13 @@ class Preset:
     swept: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            if f.type == "int":
+                object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name)))
         if not math.isfinite(self.omega):
             raise ConfigError(f"omega must be finite, got {self.omega}")
         if self.omega < 0:
             raise ConfigError(f"omega must be >= 0, got {self.omega}")
-        if self.t_mw_ns < 0:
-            raise ConfigError(f"t_mw_ns must be >= 0, got {self.t_mw_ns}")
 
     def cycles(self, n_cycles: int | None = None) -> int:
         """n_cycles, or the preset's count if None, checked to lie in 0..MAX_GRID_POINTS."""
@@ -108,6 +109,21 @@ class Preset:
         doc = dataclasses.asdict(self)
         doc["omega_hz"] = doc.pop("omega")
         return doc
+
+
+def _integer(name: str, value) -> int:
+    """An int, or an integral float as an int, that is >= 0; else ConfigError.
+
+    A fraction is refused rather than truncated, and so are a bool and a
+    non-number.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def _base_system(a_zz: float, a_ani: float) -> SystemParams:

@@ -41,6 +41,10 @@ FFT_PAD_FACTOR = 4
 #: Minimum record length for a meaningful spectrum.
 MIN_SAMPLES = 8
 
+#: Model evaluations, Jacobians included, of the line-pair and the time fit.
+LINE_PAIR_BUDGET = 600
+TIME_FIT_BUDGET = 900
+
 _MANIFOLDS = (1, -1)
 #: Eigenstate columns spanning each electron manifold.
 _COLUMNS = {1: (4, 5), -1: (2, 3)}
@@ -138,25 +142,17 @@ def ramsey_model(
     p: SystemParams,
     manifold: int,
     *,
-    rho: np.ndarray | None = None,
-    populations: tuple[float, float] | None = None,
+    rho: np.ndarray,
     probe_detuning: float = PROBE_DETUNING,
     t2_star: float = T2_STAR,
 ) -> RamseyModel:
     """Build the fringe model for a given nuclear state.
 
-    Exactly one of ``rho`` or ``populations`` ((up, down), summing to at most
-    one) selects the nuclear weights. ``rho`` is the full 6x6 density matrix
-    or its 4x4 driven block (CycleEngine.states); either way its first two
-    diagonal entries are the m_s = 0 populations.
+    ``rho`` is the full 6x6 density matrix or its 4x4 driven block
+    (CycleEngine.states); either way its first two diagonal entries are the
+    m_s = 0 nuclear-up and nuclear-down populations that weight the lines.
     """
-    if (rho is None) == (populations is None):
-        raise ConfigError("pass exactly one of rho or populations")
-    if rho is not None:
-        up = float(np.real(rho[0, 0]))
-        down = float(np.real(rho[1, 1]))
-    else:
-        up, down = (float(v) for v in populations)
+    up, down = (float(np.real(rho[i, i])) for i in (0, 1))
     if up < -POPULATION_FLOOR or down < -POPULATION_FLOOR:
         raise ConfigError(f"populations must be non-negative, got ({up}, {down})")
     up, down = max(up, 0.0), max(down, 0.0)
@@ -178,9 +174,11 @@ def ramsey_model(
 
 
 def dominant_line_pair(peaks: tuple[RamseyPeak, ...]) -> tuple[float, float]:
-    """Frequencies of the strongest up-origin and down-origin lines.
+    """Frequencies (up, down) of the strongest line of each nuclear origin.
 
-    Useful as fit guesses; ties resolve to the first line listed.
+    The fit guesses, and the one place that gives fitted lines their roles:
+    both fits keep the order of their guesses, so the first fitted line is
+    nuclear-up. Ties resolve to the first line listed.
     """
     best: dict[bool, RamseyPeak] = {}
     for peak in peaks:
@@ -282,36 +280,27 @@ class PolarizationEstimate:
 
 
 def _estimate(
-    manifold: int,
     lines: tuple[tuple[float, float], tuple[float, float]],
     report: FitReport,
     what: str,
 ) -> PolarizationEstimate:
-    """Polarization from two fitted (frequency, weight) lines.
+    """Polarization from the fitted ((f_up, w_up), (f_down, w_down)) lines.
 
-    In the m_s = -1 manifold the nuclear-up line sits above the down line;
-    in m_s = +1 the order flips because the hyperfine shift enters with the
-    opposite sign relative to the nuclear Zeeman term.
+    The roles come from the guesses' order (see dominant_line_pair), not
+    from the frequencies, so the sign of P holds for either sign of A_zz.
     """
-    lo, hi = sorted(lines, key=lambda fv: fv[0])
-    (f_up, w_up), (f_down, w_down) = (hi, lo) if manifold == -1 else (lo, hi)
+    (f_up, w_up), (f_down, w_down) = lines
     total = w_up + w_down
     if total < POPULATION_FLOOR:
         raise UndefinedPolarizationError(f"fitted {what} vanish")
     return PolarizationEstimate(
-        p=float((w_up - w_down) / total),
-        frequency_up=float(f_up),
-        frequency_down=float(f_down),
-        report=report,
+        float((w_up - w_down) / total), float(f_up), float(f_down), report
     )
 
 
 def fit_lorentzian_pair(
     spectrum: Spectrum,
     center_guesses: tuple[float, float],
-    *,
-    manifold: int,
-    budget: int = 600,
 ) -> PolarizationEstimate:
     """Fit both fringe lines as Lorentzians in one least-squares problem.
 
@@ -319,18 +308,16 @@ def fit_lorentzian_pair(
     cosine record is the additive absorption shape. A flat baseline (the
     spectrum-wide median) is removed, and only a window around each guessed
     center enters, so neither line's tails can bias the other. The search
-    covers the centers and widths, confined near the guesses so the lines
-    cannot swap; each height is solved by projection, h = max(0, b.v / b.b)
-    for its window's values v and unit Lorentzian b, so its uncertainty in
-    report.params (a1, f1, g1, a2, f2, g2) is NaN. budget counts the whole
-    fit. P is the normalized area difference of the two lines, assigned to
-    nuclear orientations by the manifold's ordering rule.
+    covers the centers and widths; each height is solved by projection,
+    h = max(0, b.v / b.b) for its window's values v and unit Lorentzian b,
+    so its uncertainty in report.params (a1, f1, g1, a2, f2, g2) is NaN.
+    Each center stays within 0.3 x separation of its guess, so the lines
+    cannot cross: pass the guesses as dominant_line_pair's (up, down), and
+    P is the normalized area difference, line 1 minus line 2.
 
     Raises:
         FitConvergenceError: The fit spent its budget without converging.
     """
-    if manifold not in _MANIFOLDS:
-        raise ConfigError(f"manifold must be +1 or -1, got {manifold}")
     c1, c2 = (float(c) for c in center_guesses)
     if c1 == c2:
         raise ConfigError("center guesses must be distinct")
@@ -365,7 +352,7 @@ def fit_lorentzian_pair(
             data=np.concatenate([values for _, values in windows]),
             init=np.array([c1, width0, c2, width0]),
             bounds=((c1 - drift, c1 + drift), widths, (c2 - drift, c2 + drift), widths),
-            budget=budget,
+            budget=LINE_PAIR_BUDGET,
         )
     )
     if not report.converged:
@@ -382,29 +369,25 @@ def fit_lorentzian_pair(
         uncertainties=(math.nan, u_f1, u_g1, math.nan, u_f2, u_g2),
     )
     areas = ((f1, np.pi * a1 * g1), (f2, np.pi * a2 * g2))
-    return _estimate(manifold, areas, report, "line areas")
+    return _estimate(areas, report, "line areas")
 
 
 def fit_time_domain(
     t: np.ndarray,
     s: np.ndarray,
     freq_guesses: tuple[float, float],
-    *,
-    manifold: int,
-    budget: int = 900,
 ) -> PolarizationEstimate:
     """Fit a two-tone damped cosine directly to the time record.
 
     The model is two cosines with free amplitude, frequency, and phase under
     one shared Gaussian envelope with a free decay time, started at T2_STAR.
-    Polarization is the normalized amplitude difference with the same
-    line-ordering rule as the spectral fit.
+    Each frequency stays within 0.4 x separation of its guess, so the tones
+    cannot cross: pass the guesses as dominant_line_pair's (up, down), and
+    P is the normalized amplitude difference, tone 1 minus tone 2.
 
     Raises:
         FitConvergenceError: The fit spent its budget without converging.
     """
-    if manifold not in _MANIFOLDS:
-        raise ConfigError(f"manifold must be +1 or -1, got {manifold}")
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     if t.shape != s.shape or t.ndim != 1 or len(t) < MIN_SAMPLES:
@@ -438,7 +421,7 @@ def fit_time_domain(
         (span / len(t), 100.0 * T2_STAR),
     )
     report = least_squares(
-        FitProblem(model=model, data=s, init=init, bounds=bounds, budget=budget)
+        FitProblem(model=model, data=s, init=init, bounds=bounds, budget=TIME_FIT_BUDGET)
     )
     if not report.converged:
         raise FitConvergenceError(
@@ -446,7 +429,7 @@ def fit_time_domain(
             f"without converging: {report.message}"
         )
     a1, fa, _, a2, fb, _, _ = report.params
-    return _estimate(manifold, ((fa, a1), (fb, a2)), report, "amplitudes")
+    return _estimate(((fa, a1), (fb, a2)), report, "amplitudes")
 
 
 def write_signal_csv(path, t: np.ndarray, s: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, and configuration."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvpolar import cli
-from nvpolar.errors import FitModelError, NumericalError, UndefinedPolarizationError
+from nvpolar.errors import (
+    ConfigError,
+    FitModelError,
+    NumericalError,
+    UndefinedPolarizationError,
+)
 from nvpolar.lindblad import CycleEngine
 from nvpolar.presets import Preset
 
@@ -195,6 +201,42 @@ def test_ramsey_artifacts(tmp_path, capsys):
     assert abs(spectral["p"] - meta["polarization_model"]) < 0.05
     assert abs(time_fit["p"] - meta["polarization_model"]) < 0.05
     assert spectral["report"]["converged"] is True
+
+
+@pytest.mark.parametrize("manifold", ["1", "-1"])
+def test_ramsey_reads_the_sign_of_p_for_a_positive_axial_coupling(
+    tmp_path, capsys, manifold
+):
+    """With A_zz > 0 the nuclear-up line swaps sides with the down line on
+    each manifold; the fits still read P with the model's sign."""
+    path = inline_config(tmp_path, n_cycles=6)
+    doc = json.loads(open(path).read())
+    doc["system"]["a_zz"] = 686554.6
+    open(path, "w").write(json.dumps(doc))
+    out_dir = tmp_path / "ramsey"
+    code, _, err = run(
+        ["ramsey", "--config", path, "--manifold", manifold, "--out", str(out_dir)], capsys
+    )
+    assert code == 0, err
+    p_model = json.loads((out_dir / "metadata.json").read_text())["polarization_model"]
+    assert abs(p_model) > 0.05
+    for name in ("fit_spectrum.json", "fit_time.json"):
+        p_fit = json.loads((out_dir / name).read_text())["p"]
+        assert np.sign(p_fit) == np.sign(p_model), (name, p_fit, p_model)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: on m_s = +1 the minor up line sits inside the up "
+    "window and the line-pair fit spends its budget without converging",
+)
+def test_ramsey_reads_the_fig4_state_on_the_upper_manifold(tmp_path, capsys):
+    code, _, err = run(
+        ["ramsey", "--preset", "table-a1-fig4", "--manifold", "1",
+         "--out", str(tmp_path / "fig4")],
+        capsys,
+    )
+    assert code == 0, err
 
 
 def test_trajectory_artifacts(tmp_path, capsys):
@@ -469,6 +511,46 @@ def test_a_negative_pulse_length_or_rabi_frequency_exits_2(
     assert (code, out) == (2, "")
     assert err == f"error: config: {field} must be >= 0, got {value}\n"
     assert not list(out_dir.glob("*.csv"))  # no data.csv, nor trajectory.csv
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("t_gl_ns", -1, "t_gl_ns must be >= 0, got -1"),
+        ("chop_reps", -17.0, "chop_reps must be >= 0, got -17"),
+        ("rest_ns", 2.5, "rest_ns must be an integer, got 2.5"),
+    ],
+)
+def test_a_negative_or_fractional_schedule_field_exits_2(
+    tmp_path, capsys, field, value, message
+):
+    path = inline_config(tmp_path, **{field: value})
+    out_dir = tmp_path / "out"
+    code, out, err = run(
+        ["sweep-n", "--n", "1", "--delta", "3e5", "--config", path, "--out", str(out_dir)],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: config: {message}\n"
+    assert not (out_dir / "data.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("t_mw_ns", 1.5, "t_mw_ns must be an integer, got 1.5"),
+        ("n_cycles", True, "n_cycles must be an integer, got True"),
+        ("chop_on_ns", "30", "chop_on_ns must be an integer, got '30'"),
+        ("t_gl_ns", -1, "t_gl_ns must be >= 0, got -1"),
+    ],
+)
+def test_the_preset_constructor_checks_its_integer_fields(table_a1, field, value, message):
+    with pytest.raises(ConfigError) as exc:
+        dataclasses.replace(table_a1, **{field: value})
+    assert str(exc.value) == message
+    integral = dataclasses.replace(table_a1, t_mw_ns=1700.0, n_cycles=6.0)
+    assert integral == table_a1
+    assert isinstance(integral.t_mw_ns, int) and isinstance(integral.n_cycles, int)
 
 
 @pytest.mark.parametrize("name", [["table-a1-fit"], {"name": "table-a1-fit"}, 1, None])

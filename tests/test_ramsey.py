@@ -19,13 +19,18 @@ DT = 2e-8
 DURATION = 4e-6
 
 
+def nuclear_state(up, down):
+    """A 4x4 driven block holding (up, down) in the m_s = 0 populations."""
+    return np.diag([up, down, 0.0, 0.0])
+
+
 def synth_and_fit(system, manifold, populations, *, duration=DURATION):
-    model = rm.ramsey_model(system, manifold, populations=populations)
+    model = rm.ramsey_model(system, manifold, rho=nuclear_state(*populations))
     t, s = rm.synthesize_ramsey(model, duration, DT)
     spectrum = rm.fft_spectrum(s, DT)
     guesses = rm.dominant_line_pair(rm.analytic_peaks(system, manifold))
-    spectral = rm.fit_lorentzian_pair(spectrum, guesses, manifold=manifold)
-    time_domain = rm.fit_time_domain(t, s, guesses, manifold=manifold)
+    spectral = rm.fit_lorentzian_pair(spectrum, guesses)
+    time_domain = rm.fit_time_domain(t, s, guesses)
     return spectral, time_domain
 
 
@@ -85,7 +90,7 @@ def test_dominant_pair_separation_from_eigen_splittings(table_a1):
 
 
 def test_model_weights_and_polarization(table_a1):
-    model = rm.ramsey_model(table_a1.system, -1, populations=(0.45, 0.05))
+    model = rm.ramsey_model(table_a1.system, -1, rho=nuclear_state(0.45, 0.05))
     up = sum(p.amplitude for p in model.peaks if p.origin_up)
     down = sum(p.amplitude for p in model.peaks if not p.origin_up)
     assert abs(up - 0.45) < 1e-12
@@ -99,19 +104,15 @@ def test_model_weights_and_polarization(table_a1):
 def test_model_argument_validation(table_a1):
     p = table_a1.system
     with pytest.raises(ConfigError):
-        rm.ramsey_model(p, -1)
+        rm.ramsey_model(p, -1, rho=nuclear_state(-0.2, 0.5))
     with pytest.raises(ConfigError):
-        rm.ramsey_model(p, -1, rho=np.eye(6) / 6, populations=(0.5, 0.5))
+        rm.ramsey_model(p, -1, rho=nuclear_state(0.7, 0.7))
     with pytest.raises(ConfigError):
-        rm.ramsey_model(p, -1, populations=(-0.2, 0.5))
+        rm.ramsey_model(p, 0, rho=nuclear_state(0.5, 0.5))
     with pytest.raises(ConfigError):
-        rm.ramsey_model(p, -1, populations=(0.7, 0.7))
-    with pytest.raises(ConfigError):
-        rm.ramsey_model(p, 0, populations=(0.5, 0.5))
-    with pytest.raises(ConfigError):
-        rm.ramsey_model(p, -1, populations=(0.5, 0.5), t2_star=0.0)
+        rm.ramsey_model(p, -1, rho=nuclear_state(0.5, 0.5), t2_star=0.0)
     with pytest.raises(UndefinedPolarizationError):
-        rm.ramsey_model(p, -1, populations=(0.0, 0.0))
+        rm.ramsey_model(p, -1, rho=nuclear_state(0.0, 0.0))
     # A probe detuning below the widest hyperfine shift leaves a fringe at
     # negative frequency.
     with pytest.raises(ConfigError):
@@ -119,7 +120,7 @@ def test_model_argument_validation(table_a1):
 
 
 def test_synthesis_guards(table_a1):
-    model = rm.ramsey_model(table_a1.system, -1, populations=(0.5, 0.5))
+    model = rm.ramsey_model(table_a1.system, -1, rho=nuclear_state(0.5, 0.5))
     with pytest.raises(ConfigError):
         rm.synthesize_ramsey(model, DURATION, 0.0)
     with pytest.raises(ConfigError):
@@ -185,6 +186,46 @@ def test_matched_field_doublet_splits_by_nuclear_zeeman(table_a1):
     assert abs(polarized.p - 0.8) < 0.02
 
 
+#: Axial couplings of both signs: A_zz differs in sign from site to site.
+SIGNED_A_ZZ = (625e3, -625e3, 686.5546e3, -686.5546e3)
+
+
+def signed_fits(table_a1, a_zz, manifold, populations):
+    """(P(model), spectral P, time-domain P) at the given axial coupling."""
+    system = replace(table_a1.system, a_zz=a_zz)
+    model = rm.ramsey_model(system, manifold, rho=nuclear_state(*populations))
+    spectral, time_domain = synth_and_fit(system, manifold, populations)
+    return model.polarization(), spectral.p, time_domain.p
+
+
+@pytest.mark.parametrize("populations", [(0.8, 0.2), (0.2, 0.8)])
+@pytest.mark.parametrize("manifold", [1, -1])
+@pytest.mark.parametrize("a_zz", SIGNED_A_ZZ)
+def test_line_roles_follow_the_model_for_either_sign_of_a_zz(
+    table_a1, a_zz, manifold, populations
+):
+    """The up line sits above the down line on one manifold for A_zz < 0 and
+    below it for A_zz > 0; either way both fits read P with the model's
+    sign (worst |P_fit - P_model| measured 0.028)."""
+    p_model, *fitted = signed_fits(table_a1, a_zz, manifold, populations)
+    for p_fit in fitted:
+        assert np.sign(p_fit) == np.sign(p_model)
+        assert abs(p_fit - p_model) <= 0.05
+
+
+@pytest.mark.parametrize("populations", [(0.8, 0.2), (0.2, 0.8)])
+@pytest.mark.parametrize("manifold", [1, -1])
+@pytest.mark.parametrize("a_zz", [a for a in SIGNED_A_ZZ if a > 0])
+def test_flipping_a_zz_and_the_manifold_mirrors_the_readout(
+    table_a1, a_zz, manifold, populations
+):
+    """(A_zz, m) and (-A_zz, -m) give the same lines up to a reflection, so
+    both fits read the same P (measured to 9e-12)."""
+    here = signed_fits(table_a1, a_zz, manifold, populations)
+    mirror = signed_fits(table_a1, -a_zz, -manifold, populations)
+    assert np.max(np.abs(np.subtract(here, mirror))) <= 1e-6
+
+
 def test_spectral_fit_is_one_joint_fit(table_a1):
     """One report over both lines: six params whose heights are projected
     (NaN uncertainty), fitted centers and widths with finite ones."""
@@ -210,7 +251,7 @@ def test_single_component_signal(table_a1):
 
 def test_linewidth_matches_envelope(table_a1):
     """Real-part FWHM of an isolated line equals the envelope-set width."""
-    model = rm.ramsey_model(table_a1.system, -1, populations=(1.0, 0.0))
+    model = rm.ramsey_model(table_a1.system, -1, rho=nuclear_state(1.0, 0.0))
     t, s = rm.synthesize_ramsey(model, 8e-6, DT)
     spectrum = rm.fft_spectrum(s, DT)
     re = np.real(spectrum.amplitudes) - np.median(np.real(spectrum.amplitudes))
@@ -235,36 +276,36 @@ def test_linewidth_matches_envelope(table_a1):
 
 
 def test_fit_guess_validation(table_a1):
-    model = rm.ramsey_model(table_a1.system, -1, populations=(0.5, 0.5))
+    model = rm.ramsey_model(table_a1.system, -1, rho=nuclear_state(0.5, 0.5))
     t, s = rm.synthesize_ramsey(model, DURATION, DT)
     spectrum = rm.fft_spectrum(s, DT)
     with pytest.raises(ConfigError):
-        rm.fit_lorentzian_pair(spectrum, (5e6, 5e6), manifold=-1)
+        rm.fit_lorentzian_pair(spectrum, (5e6, 5e6))
     with pytest.raises(ConfigError):
         # Guesses so close that the fit window holds almost no bins.
-        rm.fit_lorentzian_pair(spectrum, (5.00e6, 5.01e6), manifold=-1)
+        rm.fit_lorentzian_pair(spectrum, (5.00e6, 5.01e6))
     with pytest.raises(ConfigError):
-        rm.fit_lorentzian_pair(spectrum, (4.6e6, 5.4e6), manifold=0)
+        rm.fit_time_domain(t, s, (5e6, 5e6))
     with pytest.raises(ConfigError):
-        rm.fit_time_domain(t, s, (5e6, 5e6), manifold=-1)
-    with pytest.raises(ConfigError):
-        rm.fit_time_domain(t, np.zeros_like(s), (4.6e6, 5.4e6), manifold=-1)
+        rm.fit_time_domain(t, np.zeros_like(s), (4.6e6, 5.4e6))
 
 
-def test_fit_budget_exhaustion_raises(table_a1):
-    model = rm.ramsey_model(table_a1.system, -1, populations=(0.5, 0.5))
+def test_fit_budget_exhaustion_raises(table_a1, monkeypatch):
+    model = rm.ramsey_model(table_a1.system, -1, rho=nuclear_state(0.5, 0.5))
     t, s = rm.synthesize_ramsey(model, DURATION, DT)
     spectrum = rm.fft_spectrum(s, DT)
     guesses = rm.dominant_line_pair(rm.analytic_peaks(table_a1.system, -1))
     for budget in (1, 6):
+        monkeypatch.setattr(rm, "LINE_PAIR_BUDGET", budget)
         with pytest.raises(FitConvergenceError):
-            rm.fit_lorentzian_pair(spectrum, guesses, manifold=-1, budget=budget)
+            rm.fit_lorentzian_pair(spectrum, guesses)
+    monkeypatch.setattr(rm, "TIME_FIT_BUDGET", 10)
     with pytest.raises(FitConvergenceError):
-        rm.fit_time_domain(t, s, guesses, manifold=-1, budget=10)
+        rm.fit_time_domain(t, s, guesses)
 
 
 def test_csv_writers(table_a1, tmp_path):
-    model = rm.ramsey_model(table_a1.system, -1, populations=(0.5, 0.5))
+    model = rm.ramsey_model(table_a1.system, -1, rho=nuclear_state(0.5, 0.5))
     t, s = rm.synthesize_ramsey(model, DURATION, DT)
     spectrum = rm.fft_spectrum(s, DT)
     sig, spec = tmp_path / "signal.csv", tmp_path / "spectrum.csv"
@@ -282,7 +323,7 @@ def test_csv_writers(table_a1, tmp_path):
 
 
 def test_csv_writers_match_the_row_by_row_formatting(table_a1, tmp_path):
-    model = rm.ramsey_model(table_a1.system, 1, populations=(0.8, 0.2))
+    model = rm.ramsey_model(table_a1.system, 1, rho=nuclear_state(0.8, 0.2))
     t, s = rm.synthesize_ramsey(model, DURATION, DT)
     spectrum = rm.fft_spectrum(s, DT)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
