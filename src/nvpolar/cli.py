@@ -437,9 +437,9 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     _check_delta(args)
     delta = args.delta if args.delta is not None else ex.predicted_resonance(preset)
-    trajectory = CycleEngine(preset).trajectory(delta, args.sample_ns, args.n)
+    times, states = CycleEngine(preset).trajectory(delta, args.sample_ns, args.n)
     out = _out_dir("trajectory", args.out)
-    write_trajectory_csv(trajectory, out / "trajectory.csv")
+    write_trajectory_csv(times, states, out / "trajectory.csv")
     ex.write_json(
         out / "metadata.json",
         {
@@ -449,14 +449,14 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
             "delta_hz": float(delta),
             "n_cycles": args.n if args.n is not None else preset.n_cycles,
             "sample_ns": args.sample_ns,
-            "rows": len(trajectory),
+            "rows": len(times),
         },
     )
     (out / "plot.gp").write_text(
         _plot_xy("trajectory.csv", "time (ns)", "P", ycol=74)
     )
-    final = polarization_of_state(trajectory[-1][1])
-    print(f"wrote {out} ({len(trajectory)} rows); final P = {final.p:+.4f}")
+    final = polarization_of_state(states[-1])
+    print(f"wrote {out} ({len(times)} rows); final P = {final.p:+.4f}")
     return 0
 
 

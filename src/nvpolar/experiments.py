@@ -351,6 +351,17 @@ def sweep_field(
     return SweepResult((SweepAxis("b_z", "gauss", values),), p, meta)
 
 
+def _axes_2d(
+    xs: Sequence[float], ys: Sequence[float]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """A 2-D sweep's axes as floats; more than MAX_GRID_POINTS output rows is
+    a ConfigError, raised before any cell is built."""
+    xs, ys = tuple(float(x) for x in xs), tuple(float(y) for y in ys)
+    if len(xs) * len(ys) > MAX_GRID_POINTS:
+        raise ConfigError(f"sweep of {len(xs) * len(ys)} rows exceeds {MAX_GRID_POINTS}")
+    return xs, ys
+
+
 def sweep_ani_detuning(
     preset: Preset,
     ani_values: Sequence[float],
@@ -359,8 +370,7 @@ def sweep_ani_detuning(
     workers: int = 1,
 ) -> SweepResult:
     """Polarization over a (transverse coupling, detuning) grid."""
-    ani = tuple(float(a) for a in ani_values)
-    dts = tuple(float(d) for d in deltas)
+    ani, dts = _axes_2d(ani_values, deltas)
     jobs = [(preset.with_system(a_ani=a).system, dts) for a in ani]
     p = np.array(_evaluate(preset, jobs, None, workers)).reshape(len(ani), len(dts))
     axes = (SweepAxis("a_ani", "hz", ani), SweepAxis("delta", "hz", dts))
@@ -377,8 +387,7 @@ def sweep_field_ani(
     workers: int = 1,
 ) -> SweepResult:
     """Max-over-detuning polarization per (field, transverse coupling) cell."""
-    bs = tuple(float(b) for b in b_values)
-    ani = tuple(float(a) for a in ani_values)
+    bs, ani = _axes_2d(b_values, ani_values)
     cells = [preset.with_system(b_z=b, a_ani=a) for b in bs for a in ani]
     p, meta = _best_in_windows(preset, "field-ani", cells, inner_halfwidth, inner_step, workers)
     axes = (SweepAxis("b_z", "gauss", bs), SweepAxis("a_ani", "hz", ani))

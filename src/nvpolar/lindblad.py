@@ -13,11 +13,11 @@ in 1/s. Density matrices are vectorized row-major, so
 
 SchedulePropagator propagates the full 6x6 density matrix of any schedule
 segment by segment; it is the reference path that the engine is checked
-against. CycleEngine runs every command: the standard sequence over a grid
-of (cell, drive detuning) pairs at once, where the cells are parameter
-sets that differ only in their SystemParams, and the sampled trajectory of
-one sequence, on the {m_s = 0, +1} block that the sequence never leaves
-(see its docstring).
+against, and the only one with 6x6 states. CycleEngine runs every command:
+the standard sequence over a grid of (cell, drive detuning) pairs at once,
+where the cells are parameter sets that differ only in their SystemParams,
+and the sampled trajectory of one sequence, all on the 4x4 {m_s = 0, +1}
+block that the sequence never leaves (see its docstring).
 Both exponentiate with expm, a NumPy scaling-and-squaring Padé exponential
 that takes one matrix or a stack, so the package needs no SciPy at runtime.
 
@@ -48,9 +48,6 @@ from .schedule import PulseSegment, Schedule, chopped_laser_train
 
 #: Indices of the {m_s = 0, +1} block that the drive and the laser act on.
 DRIVEN_INDICES = (0, 1, 2, 3)
-
-#: Row-major vec indices of the driven block's 4x4 entries in a 6x6 matrix.
-_BLOCK = np.array([i * DIM + j for i in DRIVEN_INDICES for j in DRIVEN_INDICES])
 
 #: (ground, excited) basis-index pairs of the optical channels, which pump
 #: only the driven 0 <-> +1 transition, one pair per nuclear state.
@@ -86,7 +83,7 @@ def initial_mixed_state() -> np.ndarray:
 #: K = i 2 pi (P+ kron I - I kron P+^T), and vec(rho_0) on the block.
 _P_PLUS = np.real(spin_operators().p_plus1[np.ix_(DRIVEN_INDICES, DRIVEN_INDICES)])
 _K_DIAG = 2j * np.pi * np.subtract.outer(np.diag(_P_PLUS), np.diag(_P_PLUS)).reshape(-1)
-_RHO0 = initial_mixed_state().reshape(-1)[_BLOCK]
+_RHO0 = initial_mixed_state()[np.ix_(DRIVEN_INDICES, DRIVEN_INDICES)].reshape(-1)
 
 #: The row vector that takes a vectorized 4x4 block to its trace.
 _TRACE_ROW = np.eye(len(DRIVEN_INDICES)).reshape(-1)
@@ -431,7 +428,7 @@ class CycleEngine:
                 [generators[seg.laser_on] * (seg.duration_ns * 1e-9) for seg in segments]
             )
             *chop_props, rest = expm(gens.reshape(-1, *gens.shape[2:])).reshape(gens.shape)
-            chop = np.eye(len(_BLOCK), dtype=complex)
+            chop = np.eye(len(_K_DIAG), dtype=complex)
             for prop in chop_props:
                 chop = prop @ chop
             chop = np.linalg.matrix_power(chop, preset.chop_reps)
@@ -543,17 +540,17 @@ class CycleEngine:
 
     def trajectory(
         self, delta: float, sample_ns: int, n_cycles: int | None = None
-    ) -> list[tuple[int, np.ndarray]]:
-        """6x6 states along the sequence and its readout tail at one detuning.
+    ) -> tuple[list[int], np.ndarray]:
+        """Driven-block states along the sequence and its readout tail at one detuning.
 
-        Returns the state at t = 0, at every multiple of sample_ns and at the
-        end, splitting segments as needed. A segment's generator is the
-        laser-on, laser-off or pulse block generator plus delta K, and each
-        (segment kind, step) is exponentiated once. A cycle that holds no
-        sample time takes one product with the cycle's propagator, composed
-        once from its whole segments. The carried state goes
-        through _checked every CHUNK cycles, and every returned state through
-        _checked too; their m_s = -1 rows and columns are zero. More than
+        Returns the times in ns, t = 0, every multiple of sample_ns and the
+        end, and the (k, 4, 4) states at those times, splitting segments as
+        needed. A segment's generator is the laser-on, laser-off or pulse
+        block generator plus delta K, and each (segment kind, step) is
+        exponentiated once. A cycle that holds no sample time takes one
+        product with the cycle's propagator, composed once from its whole
+        segments. The carried state goes through _checked every CHUNK cycles,
+        and the returned states through _checked too. More than
         MAX_GRID_POINTS rows is a ConfigError, raised before any propagation.
         """
         if sample_ns <= 0:
@@ -608,10 +605,8 @@ class CycleEngine:
                 vec = _checked(vec).reshape(vec.shape)
         if samples[-1][0] != t:
             samples.append((t, vec))
-        n = len(DRIVEN_INDICES)
-        states = np.zeros((len(samples), DIM, DIM), dtype=complex)
-        states[:, :n, :n] = _checked(np.array([v for _, v in samples]))
-        return [(time, rho) for (time, _), rho in zip(samples, states)]
+        times, vecs = zip(*samples)
+        return list(times), _checked(np.array(vecs))
 
 
 def _check_trace(name: str, maps: np.ndarray) -> None:
@@ -658,40 +653,32 @@ def _checked(vecs: np.ndarray) -> np.ndarray:
     return rho
 
 
-def write_trajectory_csv(
-    trajectory: Sequence[tuple[int, np.ndarray]], path: str | Path
-) -> None:
-    """CSV export: time_ns, interleaved Re/Im of rho (row-major), P.
+def write_trajectory_csv(times: Sequence[int], states: np.ndarray, path: str | Path) -> None:
+    """CSV export: time_ns, interleaved Re/Im of the 6x6 rho (row-major), P.
 
-    The polarization column is left empty at times when both readout
-    populations vanish. When every state is exactly 0.0 outside the driven
-    block, as CycleEngine.trajectory's are, those 40 floats of each row are
-    written as constant text, with the bytes of their reprs.
+    states are the (k, 4, 4) driven blocks at the k times, as returned by
+    CycleEngine.trajectory; any other shape is a ValueError. The 40 m_s = -1
+    floats of each row, all zero, are written as the constant text of their
+    reprs. P is left empty at times when both readout populations vanish.
     """
-    header = ["time_ns"]
-    for i in range(DIM):
-        for j in range(DIM):
-            header += [f"rho_re_{i}{j}", f"rho_im_{i}{j}"]
-    header.append("P")
     n = len(DRIVEN_INDICES)
-    states = np.array([rho for _, rho in trajectory], dtype=complex)
-    bits = states.view(np.uint64)  # each entry as its (Re, Im) bits
-    if bits[:, n:].any() or bits[:, :, 2 * n :].any():
-        block, zeros, n = states, "", DIM  # every entry formatted
-    else:
-        # Each block row's 2n floats end with its m_s = -1 columns' zeros;
-        # the m_s = -1 rows follow, all zeros.
-        block, zeros = states[:, :n, :n], "0.0," * (2 * (DIM - n))
+    states = np.asarray(states, dtype=complex)
+    if states.shape != (len(times), n, n):
+        raise ValueError(f"states of shape {states.shape} are not {len(times)} {n}x{n} blocks")
+    pairs = [f"rho_re_{i}{j},rho_im_{i}{j}" for i in range(DIM) for j in range(DIM)]
     # Viewed as floats, each entry is its (Re, Im) pair, in column order.
-    block = np.ascontiguousarray(block).view(float).reshape(len(states), -1)
+    block = np.ascontiguousarray(states).view(float).reshape(len(states), -1)
     # P of every row with a readout population, in one stacked call.
     defined = ~(states[:, 0, 0].real + states[:, 1, 1].real <= POPULATION_FLOOR)
     cells = np.full(len(states), "", dtype=object)
     cells[defined] = [repr(p) for p in polarization_of_state(states[defined]).p.tolist()]
+    # Each block row's 2n floats end with its m_s = -1 columns' zeros; the
+    # m_s = -1 rows follow, all zeros.
+    zeros = "0.0," * (2 * (DIM - n))
     row = "{}," + ("{!r}," * (2 * n) + zeros) * n + zeros * DIM + "{}\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(["time_ns", *pairs, "P"]) + "\r\n")
         fh.writelines(
             row.format(int(t), *values, cell)
-            for (t, _), values, cell in zip(trajectory, block.tolist(), cells)
+            for t, values, cell in zip(times, block.tolist(), cells)
         )

@@ -22,11 +22,11 @@ import numpy as np
 
 from .eigensystem import eigen_system
 from .errors import ConfigError, FitConvergenceError, UndefinedPolarizationError
-from .experiments import MAX_GRID_POINTS
 from .fitting import FitProblem, FitReport, least_squares
 from .operators import basis_index
 from .params import SystemParams
 from .polarization import POPULATION_FLOOR
+from .presets import MAX_GRID_POINTS
 
 #: Default carrier offset from the bare electron transition (Hz). Large
 #: against the hyperfine structure so every fringe frequency stays positive.
@@ -99,7 +99,7 @@ class RamseyModel:
         """Nuclear polarization implied by the peak weights."""
         up = sum(p.amplitude for p in self.peaks if p.origin_up)
         down = sum(p.amplitude for p in self.peaks if not p.origin_up)
-        if up + down < POPULATION_FLOOR:
+        if up + down <= POPULATION_FLOOR:
             raise UndefinedPolarizationError("model carries no fringe weight")
         return (up - down) / (up + down)
 
@@ -158,7 +158,7 @@ def ramsey_model(
     up, down = max(up, 0.0), max(down, 0.0)
     if up + down > 1.0 + 1e-9:
         raise ConfigError(f"populations sum to {up + down}, above 1")
-    if up + down < POPULATION_FLOOR:
+    if up + down <= POPULATION_FLOOR:
         raise UndefinedPolarizationError(
             "no population in the probed m_s = 0 manifold"
         )
@@ -291,7 +291,7 @@ def _estimate(
     """
     (f_up, w_up), (f_down, w_down) = lines
     total = w_up + w_down
-    if total < POPULATION_FLOOR:
+    if total <= POPULATION_FLOOR:
         raise UndefinedPolarizationError(f"fitted {what} vanish")
     return PolarizationEstimate(
         float((w_up - w_down) / total), float(f_up), float(f_down), report

@@ -224,8 +224,9 @@ def rowwise_spectrum_csv(path, spectrum) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def rowwise_trajectory_csv(trajectory, path) -> None:
-    """lindblad.write_trajectory_csv through csv.writer, one repr per float (CRLF)."""
+def rowwise_trajectory_csv(times, states, path) -> None:
+    """lindblad.write_trajectory_csv through csv.writer: each 4x4 block
+    embedded in 6x6 zeros, one repr per float of all 72 (CRLF)."""
     header = ["time_ns"]
     for i in range(DIM):
         for j in range(DIM):
@@ -233,8 +234,10 @@ def rowwise_trajectory_csv(trajectory, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header + ["P"])
-        for t, rho in trajectory:
-            values = np.asarray(rho, dtype=complex).reshape(-1).view(float).tolist()
+        for t, block in zip(times, states):
+            rho = np.zeros((DIM, DIM), dtype=complex)
+            rho[:4, :4] = block
+            values = rho.reshape(-1).view(float).tolist()
             populated = rho[0, 0].real + rho[1, 1].real > POPULATION_FLOOR
             cell = repr(float(polarization_of_state(rho).p)) if populated else ""
             writer.writerow([repr(int(t)), *map(repr, values), cell])

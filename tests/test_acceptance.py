@@ -257,9 +257,9 @@ def test_criterion_6_state_invariants(table_a1, fig4_preset):
     for preset, n_cycles in ((table_a1, None), (fig4_preset, 1)):
         schedule = preset.schedule(3.2e5, n_cycles=n_cycles) + preset.readout_tail()
         prop = SchedulePropagator(preset.system, preset.rates)
-        states = reference_trajectory(prop, initial_mixed_state(), schedule)
-        states += CycleEngine(preset).trajectory(3.2e5, 10, n_cycles)
-        for _, rho in states:
+        states = [rho for _, rho in reference_trajectory(prop, initial_mixed_state(), schedule)]
+        states += list(CycleEngine(preset).trajectory(3.2e5, 10, n_cycles)[1])
+        for rho in states:
             assert abs(np.real(np.trace(rho)) - 1.0) <= 1e-9
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-9
             assert float(np.min(np.linalg.eigvalsh(rho))) >= -1e-9

@@ -746,6 +746,30 @@ def test_trajectory_beyond_the_row_limit_exits_2(tmp_path, capsys, no_propagatio
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-ani", "--min=0", "--max=1000", "--step=1"]
+        + ["--delta-min=0", "--delta-max=999", "--delta-step=1"],
+        ["sweep-field-ani", "--min=0", "--max=1000", "--step=1"]
+        + ["--ani-min=0", "--ani-max=999", "--ani-step=1"],
+    ],
+    ids=["sweep-ani", "sweep-field-ani"],
+)
+def test_2d_sweep_beyond_the_row_limit_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """1001 x 1000 rows: each axis is within the limit, their product is not."""
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(CycleEngine, "__init__", no_engine)
+    out_dir = tmp_path / "out"
+    code, _, err = run([*argv, "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert err == "error: config: sweep of 1001000 rows exceeds 1000000\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_exit_2(tmp_path, capsys, workers):
     code, _, err = run(

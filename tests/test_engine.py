@@ -338,7 +338,9 @@ def test_engine_refuses_a_channel_that_leaves_the_block(table_a1, monkeypatch):
 def _reference_block(preset, seg):
     """SchedulePropagator's 6-level generator of seg, sliced to the driven block."""
     gen = SchedulePropagator(preset.system, preset.rates).segment_generator(seg)
-    return gen[np.ix_(lindblad._BLOCK, lindblad._BLOCK)]
+    driven = lindblad.DRIVEN_INDICES
+    block = [i * lindblad.DIM + j for i in driven for j in driven]
+    return gen[np.ix_(block, block)]
 
 
 @pytest.mark.parametrize("name", ["table-a1-fit", "table-a1-fig4"])
@@ -448,6 +450,17 @@ def test_states_match_the_reference_driven_block(table_a1):
     assert np.max(np.abs(rho - ref[:4, :4])) < 1e-9
 
 
+def _assert_matches_reference(got, ref):
+    """The engine's 4x4 states against the reference's 6x6 states, whose
+    m_s = -1 rows and columns stay within DP_TOL of zero."""
+    times, states = got
+    assert times == [t for t, _ in ref]
+    assert states.shape == (len(times), 4, 4)
+    for rho, (_, want) in zip(states, ref):
+        assert np.max(np.abs(want[4:, :])) <= DP_TOL and np.max(np.abs(want[:, 4:])) <= DP_TOL
+        assert np.max(np.abs(rho - want[:4, :4])) <= DP_TOL
+
+
 @pytest.mark.parametrize("name", ["table-a1-fit", "table-a1-fig4"])
 @pytest.mark.parametrize("rates", [None, DEPHASED], ids=["default", "dephased"])
 @pytest.mark.parametrize("sample_ns", [10, 7, 10**6])
@@ -462,10 +475,7 @@ def test_trajectory_matches_reference(name, rates, sample_ns, n_cycles):
     schedule = preset.schedule(delta, n_cycles=n_cycles) + preset.readout_tail()
     prop = SchedulePropagator(preset.system, preset.rates, frame_delta=delta)
     ref = reference_trajectory(prop, initial_mixed_state(), schedule, sample_ns)
-    assert [t for t, _ in got] == [t for t, _ in ref]
-    for (_, rho), (_, want) in zip(got, ref):
-        assert np.max(np.abs(rho - want)) <= DP_TOL
-        assert not np.any(rho[4:, :]) and not np.any(rho[:, 4:])
+    _assert_matches_reference(got, ref)
 
 
 @pytest.mark.parametrize("name", ["table-a1-fit", "table-a1-fig4"])
@@ -484,9 +494,7 @@ def test_trajectory_of_whole_cycles_between_samples_matches_reference(name, rate
     for sample_ns in (cycle_ns, cycle_ns + 7, 3 * cycle_ns - 1):
         got = engine.trajectory(delta, sample_ns, n_cycles)
         ref = reference_trajectory(prop, initial_mixed_state(), schedule, sample_ns)
-        assert [t for t, _ in got] == [t for t, _ in ref]
-        for (_, rho), (_, want) in zip(got, ref):
-            assert np.max(np.abs(rho - want)) <= DP_TOL
+        _assert_matches_reference(got, ref)
 
 
 def test_guard_rejects_nan_state():
@@ -540,9 +548,9 @@ def test_trajectory_guards_the_carried_state_every_chunk(table_a1, monkeypatch):
     expm = lindblad.expm
     monkeypatch.setattr(lindblad, "expm", lambda a: expm(a) * (1.0 - 2e-13))
     n_cycles = 3 * lindblad.CHUNK
-    states = engine.trajectory(3.2e5, 10**9, n_cycles)
-    assert len(states) == 2  # t = 0 and the end
-    for _, rho in states:
+    times, states = engine.trajectory(3.2e5, 10**9, n_cycles)
+    assert len(times) == len(states) == 2  # t = 0 and the end
+    for rho in states:
         assert abs(np.trace(rho) - 1.0) <= 1e-9
     monkeypatch.setattr(lindblad, "CHUNK", n_cycles + 2)
     with pytest.raises(NumericalError, match="propagation drift"):
@@ -553,9 +561,9 @@ def test_trajectory_guards_the_carried_state_every_chunk(table_a1, monkeypatch):
 def test_trajectory_row_bound_counts_the_rows(table_a1, monkeypatch, sample_ns):
     """The row count checked before propagating is the trajectory's length."""
     engine = CycleEngine(table_a1)
-    rows = len(engine.trajectory(3.2e5, sample_ns, 2))
+    rows = len(engine.trajectory(3.2e5, sample_ns, 2)[0])
     monkeypatch.setattr(lindblad, "MAX_GRID_POINTS", rows)
-    assert len(engine.trajectory(3.2e5, sample_ns, 2)) == rows
+    assert len(engine.trajectory(3.2e5, sample_ns, 2)[1]) == rows
     monkeypatch.setattr(lindblad, "MAX_GRID_POINTS", rows - 1)
     with pytest.raises(ConfigError, match=f"trajectory of {rows} rows"):
         engine.trajectory(3.2e5, sample_ns, 2)

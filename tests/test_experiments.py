@@ -91,6 +91,42 @@ def test_grid_rejects_oversized_counts_before_allocating(monkeypatch):
         ex.grid(0.0, 5.0, 1.0)
 
 
+def _no_engine(*args, **kwargs):
+    raise AssertionError("an engine was built")
+
+
+@pytest.mark.parametrize(
+    "sweep, small, kwargs",
+    [
+        (ex.sweep_ani_detuning, ((2e5, 2.2e5), (3e5, 3.1e5, 3.2e5)), {}),
+        (ex.sweep_field_ani, ((510.0, 520.0), (2e5, 2.1e5, 2.2e5)), {"inner_step": 3e5}),
+    ],
+    ids=["ani-detuning", "field-ani"],
+)
+def test_2d_sweeps_reject_oversized_grids_before_allocating(
+    table_a1, monkeypatch, sweep, small, kwargs
+):
+    """A 2-D sweep is bounded by its output rows, the product of its axes,
+    before any cell, window or engine is built."""
+    xs, ys = ex.grid(0.0, 2000.0, 1.0), ex.grid(0.0, 1000.0, 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(ex, "CycleEngine", _no_engine)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="sweep of 2003001 rows exceeds 1000000"):
+                sweep(table_a1, xs, ys, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 256 * 1024
+    monkeypatch.setattr(ex, "MAX_GRID_POINTS", 6)
+    assert sweep(table_a1, *small, **kwargs).p.shape == (2, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(ex, "CycleEngine", _no_engine)
+        with pytest.raises(ConfigError, match="sweep of 8 rows exceeds 6"):
+            sweep(table_a1, small[0], (*small[1], 3.3e5), **kwargs)
+
+
 def test_sequence_polarization_reference_value(table_a1):
     """Regression anchor: the standard sequence at its best detuning."""
     p = ex.sequence_polarization(table_a1, 3.2e5)

@@ -321,12 +321,18 @@ def test_validate_density_matrix_rejects_bad_inputs():
         validate_density_matrix(negative)
 
 
+def _parked_block():
+    """A driven block with no m_s = 0 population."""
+    parked = np.zeros((4, 4), dtype=complex)
+    parked[2, 2] = parked[3, 3] = 0.5
+    return parked
+
+
 def test_trajectory_csv_leaves_p_empty_without_readout_population(tmp_path):
     """A state with no m_s = 0 population gets an empty P cell, not a value."""
-    parked = np.zeros((DIM, DIM), dtype=complex)
-    parked[2, 2] = parked[3, 3] = 0.5
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv([(0, initial_mixed_state()), (10, parked)], path)
+    states = np.array([initial_mixed_state()[:4, :4], _parked_block()])
+    write_trajectory_csv([0, 10], states, path)
     with open(path, newline="") as fh:
         header, mixed, empty = csv.reader(fh)
     assert header[-1] == "P" and mixed[-1] == "0.0"
@@ -338,30 +344,30 @@ def test_trajectory_csv_raises_other_readout_errors(tmp_path, monkeypatch):
         raise ValueError("not a readout failure")
 
     monkeypatch.setattr(lindblad, "polarization_of_state", broken)
-    with pytest.raises(ValueError):
-        write_trajectory_csv([(0, initial_mixed_state())], tmp_path / "t.csv")
+    with pytest.raises(ValueError, match="not a readout failure"):
+        write_trajectory_csv([0], initial_mixed_state()[None, :4, :4], tmp_path / "t.csv")
 
 
 def test_trajectory_csv_matches_the_row_by_row_formatting(tmp_path):
     """The constant text of the m_s = -1 floats has the bytes of their reprs."""
-    parked = np.zeros((DIM, DIM), dtype=complex)
-    parked[2, 2] = parked[3, 3] = 0.5
-    trajectory = CycleEngine(get_preset("table-a1-fig4")).trajectory(3.9e5, 997, 2)
-    trajectory.append((10**9, parked))
+    times, states = CycleEngine(get_preset("table-a1-fig4")).trajectory(3.9e5, 997, 2)
+    times.append(10**9)
+    states = np.concatenate([states, _parked_block()[None]])
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_trajectory_csv(trajectory, got)
-    rowwise_trajectory_csv(trajectory, want)
+    write_trajectory_csv(times, states, got)
+    rowwise_trajectory_csv(times, states, want)
     assert got.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("entry", [(4, 4), (0, 5), (5, 1)])
-@pytest.mark.parametrize("value", [1e-300, -0.0, -0.0j])
-def test_trajectory_csv_writes_any_other_bits_outside_the_block(tmp_path, entry, value):
-    """A state that is not 0.0 outside the block has every entry formatted."""
-    rho = initial_mixed_state()
-    rho[entry] = value
-    trajectory = [(0, initial_mixed_state()), (10, rho)]
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    write_trajectory_csv(trajectory, got)
-    rowwise_trajectory_csv(trajectory, want)
-    assert got.read_bytes() == want.read_bytes()
+@pytest.mark.parametrize(
+    "times, shape",
+    [([0, 10], (2, 6, 6)), ([0], (2, 4, 4)), ([0, 10, 20], (2, 4, 4)), ([0], (4, 4))],
+    ids=["6x6", "fewer-times", "more-times", "unstacked"],
+)
+def test_trajectory_csv_rejects_states_that_are_not_driven_blocks(tmp_path, times, shape):
+    """Only a (len(times), 4, 4) stack is written; anything else writes no file."""
+    states = np.zeros(shape, dtype=complex)
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=rf"states of shape \({shape[0]}, "):
+        write_trajectory_csv(times, states, path)
+    assert not path.exists()
