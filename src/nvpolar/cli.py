@@ -39,7 +39,7 @@ from .fitting import CURVE_FIT_INIT, curve_model, fit_polarization_curve
 from .lindblad import CycleEngine, write_trajectory_csv
 from .params import RelaxationRates, SystemParams
 from .polarization import polarization_of_state
-from .presets import Preset, format_presets, get_preset
+from .presets import MAX_GRID_POINTS, Preset, format_presets, get_preset
 
 CONFIG_SCHEMA = "nvpolar-run/1"
 
@@ -361,25 +361,29 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
 
 
 def _read_curve(path: str) -> list[tuple[float, float]]:
-    """(detuning, P) rows of a CSV file; only its first row may be a header."""
+    """(detuning, P) rows of a CSV file; only its first row may be a header.
+
+    Reading stops with a ConfigError at a row past MAX_GRID_POINTS pairs.
+    """
+    pairs = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            for line, row in enumerate(csv.reader(fh), start=1):
+                if not row:
+                    continue
+                try:
+                    pair = (float(row[0]), float(row[1]))
+                except (ValueError, IndexError):
+                    if line == 1:
+                        continue
+                    raise ConfigError(f"{path} line {line}: not a (detuning, P) row") from None
+                if not all(np.isfinite(pair)):
+                    raise ConfigError(f"{path} line {line}: non-finite value")
+                if len(pairs) == MAX_GRID_POINTS:
+                    raise ConfigError(f"{path}: more than {MAX_GRID_POINTS} (detuning, P) rows")
+                pairs.append(pair)
     except OSError as exc:
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
-    pairs = []
-    for line, row in enumerate(rows, start=1):
-        if not row:
-            continue
-        try:
-            pair = (float(row[0]), float(row[1]))
-        except (ValueError, IndexError):
-            if line == 1:
-                continue
-            raise ConfigError(f"{path} line {line}: not a (detuning, P) row") from None
-        if not all(np.isfinite(pair)):
-            raise ConfigError(f"{path} line {line}: non-finite value")
-        pairs.append(pair)
     if not pairs:
         raise ConfigError(f"no numeric (detuning, P) rows in {path}")
     return pairs

@@ -136,11 +136,17 @@ def content_hash(doc: dict) -> str:
 
 
 def grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
-    """Closed uniform grid from lo to hi (hi included when step divides).
+    """Closed uniform grid from lo to hi (hi included when step divides);
+    grid_size checks it before it is allocated."""
+    return tuple(lo + k * step for k in range(grid_size(lo, hi, step)))
+
+
+def grid_size(lo: float, hi: float, step: float) -> int:
+    """Number of points of grid(lo, hi, step), without building it.
 
     Raises:
         ConfigError: A non-finite bound or step, a step <= 0, hi < lo, or
-            more than MAX_GRID_POINTS points (checked before allocating).
+            more than MAX_GRID_POINTS points.
     """
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ConfigError(f"grid bounds and step must be finite, got {lo}, {hi}, {step}")
@@ -151,7 +157,7 @@ def grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     steps = np.floor((hi - lo) / step + 1e-9)
     if not steps < MAX_GRID_POINTS:
         raise ConfigError(f"grid of {steps + 1:.3g} points exceeds {MAX_GRID_POINTS}")
-    return tuple(lo + k * step for k in range(int(steps) + 1))
+    return int(steps) + 1
 
 
 # -- point evaluation ---------------------------------------------------------
@@ -345,21 +351,21 @@ def sweep_field(
     workers: int = 1,
 ) -> SweepResult:
     """Best polarization vs axial field, re-optimizing the detuning per field."""
+    _check_pairs(len(b_values), grid_size(-inner_halfwidth, inner_halfwidth, inner_step))
     values = tuple(float(b) for b in b_values)
     cells = [preset.with_system(b_z=b) for b in values]
     p, meta = _best_in_windows(preset, "field", cells, inner_halfwidth, inner_step, workers)
     return SweepResult((SweepAxis("b_z", "gauss", values),), p, meta)
 
 
-def _axes_2d(
-    xs: Sequence[float], ys: Sequence[float]
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """A 2-D sweep's axes as floats; more than MAX_GRID_POINTS output rows is
-    a ConfigError, raised before any cell is built."""
-    xs, ys = tuple(float(x) for x in xs), tuple(float(y) for y in ys)
-    if len(xs) * len(ys) > MAX_GRID_POINTS:
-        raise ConfigError(f"sweep of {len(xs) * len(ys)} rows exceeds {MAX_GRID_POINTS}")
-    return xs, ys
+def _check_pairs(cells: int, per_cell: int) -> None:
+    """The bound of every multi-cell sweep: more than MAX_GRID_POINTS (cell,
+    detuning) pairs is a ConfigError, raised before any cell, window or
+    engine is built."""
+    if cells * per_cell > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"sweep of {cells * per_cell} (cell, detuning) pairs exceeds {MAX_GRID_POINTS}"
+        )
 
 
 def sweep_ani_detuning(
@@ -370,7 +376,8 @@ def sweep_ani_detuning(
     workers: int = 1,
 ) -> SweepResult:
     """Polarization over a (transverse coupling, detuning) grid."""
-    ani, dts = _axes_2d(ani_values, deltas)
+    _check_pairs(len(ani_values), len(deltas))
+    ani, dts = tuple(float(a) for a in ani_values), tuple(float(d) for d in deltas)
     jobs = [(preset.with_system(a_ani=a).system, dts) for a in ani]
     p = np.array(_evaluate(preset, jobs, None, workers)).reshape(len(ani), len(dts))
     axes = (SweepAxis("a_ani", "hz", ani), SweepAxis("delta", "hz", dts))
@@ -387,7 +394,9 @@ def sweep_field_ani(
     workers: int = 1,
 ) -> SweepResult:
     """Max-over-detuning polarization per (field, transverse coupling) cell."""
-    bs, ani = _axes_2d(b_values, ani_values)
+    window = grid_size(-inner_halfwidth, inner_halfwidth, inner_step)
+    _check_pairs(len(b_values) * len(ani_values), window)
+    bs, ani = tuple(float(b) for b in b_values), tuple(float(a) for a in ani_values)
     cells = [preset.with_system(b_z=b, a_ani=a) for b in bs for a in ani]
     p, meta = _best_in_windows(preset, "field-ani", cells, inner_halfwidth, inner_step, workers)
     axes = (SweepAxis("b_z", "gauss", bs), SweepAxis("a_ani", "hz", ani))

@@ -44,7 +44,7 @@ from .operators import DIM, basis_index, spin_operators
 from .params import RelaxationRates, SystemParams
 from .polarization import POPULATION_FLOOR, polarization_of_state
 from .presets import MAX_GRID_POINTS, Preset
-from .schedule import PulseSegment, Schedule, chopped_laser_train
+from .schedule import PulseSegment, Schedule, chopped_laser_train, duration_ns
 
 #: Indices of the {m_s = 0, +1} block that the drive and the laser act on.
 DRIVEN_INDICES = (0, 1, 2, 3)
@@ -282,7 +282,7 @@ class SchedulePropagator:
             seg.mw_rabi,
         )
 
-    def _resolve_frame(self, schedule: Sequence[PulseSegment] | Schedule) -> float:
+    def _resolve_frame(self, schedule: Schedule) -> float:
         if self.frame_delta is not None:
             return self.frame_delta
         for seg in schedule:
@@ -441,7 +441,7 @@ class CycleEngine:
             tail_rho0.append(tail @ _RHO0)
         self._tail_rest = np.concatenate(tail_rest)
         self._tail_rho0 = np.concatenate(tail_rho0)
-        self._tail_s = (pair.duration_ns * preset.chop_reps + preset.rest_ns) * 1e-9
+        self._tail_s = (duration_ns(pair) * preset.chop_reps + preset.rest_ns) * 1e-9
         self._shift_s = self._tail_s + preset.rest_ns * 1e-9
         self._mw_s = preset.t_mw_ns * 1e-9
         self._h = np.array(h_mw)
@@ -558,7 +558,8 @@ class CycleEngine:
         preset = self._preset
         n_cycles, tail = preset.cycles(n_cycles), preset.readout_tail()
         cycle = preset.schedule(delta, n_cycles=1)
-        end = n_cycles * cycle.duration_ns + tail.duration_ns
+        cycle_ns = duration_ns(cycle)
+        end = n_cycles * cycle_ns + duration_ns(tail)
         rows = -(-end // sample_ns) + 1  # t = 0, each multiple of sample_ns, the end
         if rows > MAX_GRID_POINTS:
             raise ConfigError(f"trajectory of {rows} rows exceeds {MAX_GRID_POINTS}")
@@ -586,9 +587,9 @@ class CycleEngine:
         # state is guarded after every CHUNK passes, as in _carried.
         passes = itertools.chain(itertools.repeat(cycle, n_cycles), [tail])
         for count, segments in enumerate(passes, start=1):
-            if segments is cycle and sample_ns - t % sample_ns >= cycle.duration_ns:
+            if segments is cycle and sample_ns - t % sample_ns >= cycle_ns:
                 vec = whole @ vec
-                t += cycle.duration_ns
+                t += cycle_ns
                 if t % sample_ns == 0:
                     samples.append((t, vec))
             else:

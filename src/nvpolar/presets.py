@@ -86,8 +86,7 @@ class Preset:
         """
         n = self.cycles(n_cycles)
         pulse = PulseSegment(self.t_mw_ns, mw_on=True, mw_delta=delta, mw_rabi=self.omega)
-        cycle = self.readout_tail().segments + (pulse, PulseSegment(self.rest_ns))
-        return Schedule(cycle * n)
+        return (*self.readout_tail(), pulse, PulseSegment(self.rest_ns)) * n
 
     def readout_tail(self) -> Schedule:
         """Terminal relaxation train placed before reading the populations.
@@ -98,7 +97,7 @@ class Preset:
         equals the conserved nuclear polarization of the final state.
         """
         train = chopped_laser_train(self.chop_on_ns, self.chop_off_ns, self.chop_reps)
-        return train + Schedule((PulseSegment(self.rest_ns),))
+        return (*train, PulseSegment(self.rest_ns))
 
     def with_system(self, **changes) -> "Preset":
         """Copy of this preset with SystemParams fields replaced."""

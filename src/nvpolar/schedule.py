@@ -9,7 +9,6 @@ equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import ConfigError
 
@@ -46,27 +45,13 @@ class PulseSegment:
             object.__setattr__(self, "mw_rabi", 0.0)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """An ordered pulse sequence."""
+#: A pulse sequence: its segments in order.
+Schedule = tuple[PulseSegment, ...]
 
-    segments: tuple[PulseSegment, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-    def __iter__(self) -> Iterator[PulseSegment]:
-        return iter(self.segments)
-
-    @property
-    def duration_ns(self) -> int:
-        return sum(s.duration_ns for s in self.segments)
-
-    def __add__(self, other: "Schedule") -> "Schedule":
-        return Schedule(self.segments + other.segments)
+def duration_ns(segments: Schedule) -> int:
+    """Total length of a sequence in nanoseconds."""
+    return sum(seg.duration_ns for seg in segments)
 
 
 def chopped_laser_train(on_ns: int, off_ns: int, reps: int) -> Schedule:
@@ -82,11 +67,5 @@ def chopped_laser_train(on_ns: int, off_ns: int, reps: int) -> Schedule:
         pair = [PulseSegment(on_ns, laser_on=True)]
         if off_ns > 0:
             pair.append(PulseSegment(off_ns))
-    return Schedule(tuple(pair) * reps)
+    return tuple(pair) * reps
 
-
-__all__ = [
-    "PulseSegment",
-    "Schedule",
-    "chopped_laser_train",
-]

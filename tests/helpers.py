@@ -160,7 +160,7 @@ def random_schedule(rng: np.random.Generator) -> Schedule:
                     mw_rabi=float(rng.uniform(5e4, 4e5)),
                 )
             )
-    return Schedule(tuple(segments))
+    return tuple(segments)
 
 
 # -- row-by-row artifact writers ------------------------------------------------

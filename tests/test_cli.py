@@ -747,17 +747,26 @@ def test_trajectory_beyond_the_row_limit_exits_2(tmp_path, capsys, no_propagatio
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, pairs",
     [
-        ["sweep-ani", "--min=0", "--max=1000", "--step=1"]
-        + ["--delta-min=0", "--delta-max=999", "--delta-step=1"],
-        ["sweep-field-ani", "--min=0", "--max=1000", "--step=1"]
-        + ["--ani-min=0", "--ani-max=999", "--ani-step=1"],
+        (
+            ["sweep-ani", "--min=0", "--max=1000", "--step=1"]
+            + ["--delta-min=0", "--delta-max=999", "--delta-step=1"],
+            1001 * 1000,
+        ),
+        (
+            ["sweep-field-ani", "--min=0", "--max=1000", "--step=1"]
+            + ["--ani-min=0", "--ani-max=999", "--ani-step=1"],
+            1001 * 1000 * 241,
+        ),
+        (["sweep-field", "--min=0", "--max=5000", "--step=1"], 5001 * 241),
     ],
-    ids=["sweep-ani", "sweep-field-ani"],
+    ids=["sweep-ani", "sweep-field-ani", "sweep-field"],
 )
-def test_2d_sweep_beyond_the_row_limit_exits_2(tmp_path, capsys, monkeypatch, argv):
-    """1001 x 1000 rows: each axis is within the limit, their product is not."""
+def test_2d_sweep_beyond_the_row_limit_exits_2(tmp_path, capsys, monkeypatch, argv, pairs):
+    """Each axis is within the limit, the (cell, detuning) pairs are not: the
+    product of the axes, times 241 points per default window for the window
+    sweeps."""
 
     def no_engine(*args, **kwargs):
         raise AssertionError("an engine was built")
@@ -766,8 +775,27 @@ def test_2d_sweep_beyond_the_row_limit_exits_2(tmp_path, capsys, monkeypatch, ar
     out_dir = tmp_path / "out"
     code, _, err = run([*argv, "--out", str(out_dir)], capsys)
     assert code == 2
-    assert err == "error: config: sweep of 1001000 rows exceeds 1000000\n"
+    assert err == f"error: config: sweep of {pairs} (cell, detuning) pairs exceeds 1000000\n"
     assert not out_dir.exists()
+
+
+def test_fit_curve_beyond_the_row_limit_exits_2(tmp_path, capsys, monkeypatch):
+    """Reading stops at the first row past MAX_GRID_POINTS pairs, and no fit runs."""
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(cli, "fit_polarization_curve", no_fit)
+    data = tmp_path / "curve.csv"
+    data.write_text("delta_hz,P\n" + "".join(f"{d}e4,0.5\n\n" for d in range(6)) + "x\n")
+    out_dir = tmp_path / "fit"
+    code, _, err = run(["fit-curve", str(data), "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert err == f"error: config: {data}: more than 5 (detuning, P) rows\n"
+    assert not out_dir.exists()
+    data.write_text("delta_hz,P\n" + "".join(f"{d}e4,0.5\n" for d in range(5)))
+    assert cli._read_curve(str(data)) == [(d * 1e4, 0.5) for d in range(5)]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -21,7 +21,7 @@ from nvpolar.lindblad import CycleEngine, SchedulePropagator, initial_mixed_stat
 from nvpolar.params import RelaxationRates
 from nvpolar.polarization import polarization_of_state
 from nvpolar.presets import get_preset, preset_names
-from nvpolar.schedule import PulseSegment
+from nvpolar.schedule import PulseSegment, duration_ns
 
 #: Largest |P_engine - P_reference| accepted anywhere.
 DP_TOL = 1e-9
@@ -487,7 +487,7 @@ def test_trajectory_of_whole_cycles_between_samples_matches_reference(name, rate
     if rates is not None:
         preset = dataclasses.replace(preset, rates=rates)
     delta, n_cycles = 3.2e5, 9
-    cycle_ns = preset.schedule(delta, n_cycles=1).duration_ns
+    cycle_ns = duration_ns(preset.schedule(delta, n_cycles=1))
     schedule = preset.schedule(delta, n_cycles=n_cycles) + preset.readout_tail()
     prop = SchedulePropagator(preset.system, preset.rates, frame_delta=delta)
     engine = CycleEngine(preset)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import signal
 import threading
 import time
@@ -95,36 +96,69 @@ def _no_engine(*args, **kwargs):
     raise AssertionError("an engine was built")
 
 
-@pytest.mark.parametrize(
-    "sweep, small, kwargs",
-    [
-        (ex.sweep_ani_detuning, ((2e5, 2.2e5), (3e5, 3.1e5, 3.2e5)), {}),
-        (ex.sweep_field_ani, ((510.0, 520.0), (2e5, 2.1e5, 2.2e5)), {"inner_step": 3e5}),
-    ],
-    ids=["ani-detuning", "field-ani"],
-)
-def test_2d_sweeps_reject_oversized_grids_before_allocating(
-    table_a1, monkeypatch, sweep, small, kwargs
-):
-    """A 2-D sweep is bounded by its output rows, the product of its axes,
-    before any cell, window or engine is built."""
-    xs, ys = ex.grid(0.0, 2000.0, 1.0), ex.grid(0.0, 1000.0, 1.0)
+def _peak_of_refused_sweep(monkeypatch, message, sweep, *args, **kwargs) -> int:
+    """Traced peak bytes of a sweep call that must raise ConfigError(message)
+    with no engine built."""
     with monkeypatch.context() as patch:
         patch.setattr(ex, "CycleEngine", _no_engine)
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigError, match="sweep of 2003001 rows exceeds 1000000"):
-                sweep(table_a1, xs, ys, **kwargs)
-            peak = tracemalloc.get_traced_memory()[1]
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                sweep(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "sweep, small, kwargs, pairs",
+    [
+        (ex.sweep_ani_detuning, ((2e5, 2.2e5), (3e5, 3.1e5, 3.2e5)), {}, (2003001, 6, 8)),
+        (
+            ex.sweep_field_ani,
+            ((510.0, 520.0), (2e5, 2.1e5, 2.2e5)),
+            {"inner_step": 3e5},
+            (10015005, 30, 40),
+        ),
+    ],
+    ids=["ani-detuning", "field-ani"],
+)
+def test_2d_sweeps_reject_oversized_grids_before_allocating(
+    table_a1, monkeypatch, sweep, small, kwargs, pairs
+):
+    """A 2-D sweep is bounded by its (cell, detuning) pairs, before any cell,
+    window or engine is built: the product of its axes, times the points of
+    a detuning window (5 at a 300 kHz step) for field-ani."""
+    big, fits, over = pairs
+    xs, ys = ex.grid(0.0, 2000.0, 1.0), ex.grid(0.0, 1000.0, 1.0)
+    message = f"sweep of {big} (cell, detuning) pairs exceeds 1000000"
+    peak = _peak_of_refused_sweep(monkeypatch, message, sweep, table_a1, xs, ys, **kwargs)
     assert peak < 256 * 1024
-    monkeypatch.setattr(ex, "MAX_GRID_POINTS", 6)
+    monkeypatch.setattr(ex, "MAX_GRID_POINTS", fits)
     assert sweep(table_a1, *small, **kwargs).p.shape == (2, 3)
-    with monkeypatch.context() as patch:
-        patch.setattr(ex, "CycleEngine", _no_engine)
-        with pytest.raises(ConfigError, match="sweep of 8 rows exceeds 6"):
-            sweep(table_a1, small[0], (*small[1], 3.3e5), **kwargs)
+    message = f"sweep of {over} (cell, detuning) pairs exceeds {fits}"
+    _peak_of_refused_sweep(
+        monkeypatch, message, sweep, table_a1, small[0], (*small[1], 3.3e5), **kwargs
+    )
+
+
+def test_field_sweep_bounds_its_window_pairs_before_allocating(table_a1, monkeypatch):
+    """A field sweep's pairs are its fields times the points of a detuning
+    window: 2001 fields of 1001-point windows (a 1.2 kHz step) are refused
+    with no window built."""
+    fields = ex.grid(0.0, 2000.0, 1.0)
+    message = "sweep of 2003001 (cell, detuning) pairs exceeds 1000000"
+    peak = _peak_of_refused_sweep(
+        monkeypatch, message, ex.sweep_field, table_a1, fields, inner_step=1.2e3
+    )
+    assert peak < 256 * 1024
+    small = (500.0, 510.0, 520.0)
+    monkeypatch.setattr(ex, "MAX_GRID_POINTS", 15)
+    assert ex.sweep_field(table_a1, small, inner_step=3e5).p.shape == (3,)
+    message = "sweep of 20 (cell, detuning) pairs exceeds 15"
+    _peak_of_refused_sweep(
+        monkeypatch, message, ex.sweep_field, table_a1, (*small, 530.0), inner_step=3e5
+    )
 
 
 def test_sequence_polarization_reference_value(table_a1):

@@ -32,7 +32,7 @@ from nvpolar.lindblad import (
 from nvpolar.params import RelaxationRates, SystemParams
 from nvpolar.polarization import polarization_of_state
 from nvpolar.presets import get_preset, preset_names
-from nvpolar.schedule import PulseSegment, Schedule
+from nvpolar.schedule import PulseSegment
 
 A_ZZ = -686.5546e3
 A_ANI = 215.3535e3
@@ -208,7 +208,7 @@ def test_laser_segment_depletes_excited_manifold():
     rho = np.zeros((DIM, DIM), dtype=complex)
     rho[2, 2] = 0.7
     rho[3, 3] = 0.3
-    out = prop.propagate(rho, Schedule((PulseSegment(30, laser_on=True),)))
+    out = prop.propagate(rho, (PulseSegment(30, laser_on=True),))
     excited = float(np.real(out[2, 2] + out[3, 3]))
     assert abs(excited - np.exp(-0.24)) < 1e-9
 
@@ -290,12 +290,10 @@ def test_no_drive_keeps_polarization_at_zero(table_a1):
 
 
 def test_trajectory_sampling_grid(table_a1):
-    schedule = Schedule(
-        (
-            PulseSegment(30, laser_on=True),
-            PulseSegment(45),
-            PulseSegment(25, mw_on=True, mw_delta=1e5, mw_rabi=2e5),
-        )
+    schedule = (
+        PulseSegment(30, laser_on=True),
+        PulseSegment(45),
+        PulseSegment(25, mw_on=True, mw_delta=1e5, mw_rabi=2e5),
     )
     prop = SchedulePropagator(table_a1.system, table_a1.rates)
     samples = reference_trajectory(prop, initial_mixed_state(), schedule, 20)

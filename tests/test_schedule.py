@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nvpolar.errors import ConfigError
-from nvpolar.schedule import PulseSegment, Schedule, chopped_laser_train
+from nvpolar.schedule import PulseSegment, chopped_laser_train, duration_ns
 
 
 def test_segment_validation():
@@ -16,8 +16,8 @@ def test_segment_validation():
 
 def test_chopped_train_structure():
     train = chopped_laser_train(30, 60, 17)
-    assert len(train) == 34
-    assert train.duration_ns == 17 * 90
+    assert isinstance(train, tuple) and len(train) == 34
+    assert duration_ns(train) == 17 * 90
     on = [seg for seg in train if seg.laser_on]
     off = [seg for seg in train if not seg.laser_on]
     assert len(on) == len(off) == 17
@@ -35,8 +35,8 @@ def test_chopped_train_without_dark_gaps():
 def test_standard_schedule_cycle_layout(table_a1):
     schedule = table_a1.schedule(3.2e5, n_cycles=2)
     per_cycle = 34 + 3
-    assert len(schedule) == 2 * per_cycle
-    cycle = list(schedule)[:per_cycle]
+    assert isinstance(schedule, tuple) and len(schedule) == 2 * per_cycle
+    cycle = schedule[:per_cycle]
     assert all(seg.laser_on for seg in cycle[:34:2])
     rest1, mw, rest2 = cycle[34], cycle[35], cycle[36]
     assert rest1.duration_ns == rest2.duration_ns == 100
@@ -44,15 +44,19 @@ def test_standard_schedule_cycle_layout(table_a1):
     assert mw.mw_on and not mw.laser_on
     assert mw.duration_ns == 1700
     assert mw.mw_delta == 3.2e5 and mw.mw_rabi == 294.1176e3
-    assert schedule.duration_ns == 2 * (17 * 90 + 100 + 1700 + 100)
+    assert duration_ns(schedule) == 2 * (17 * 90 + 100 + 1700 + 100)
+    assert schedule[per_cycle:] == cycle
+    assert table_a1.readout_tail() == cycle[:35]
 
 
 def test_schedule_concatenation_and_repeat():
     a = chopped_laser_train(30, 60, 2)
-    b = Schedule((PulseSegment(50),))
+    b = (PulseSegment(50),)
     combined = a + b
     assert len(combined) == len(a) + 1
-    assert combined.duration_ns == a.duration_ns + 50
+    assert duration_ns(combined) == duration_ns(a) + 50 == 230
+    assert duration_ns(a * 3) == 3 * duration_ns(a)
+    assert duration_ns(()) == 0
 
 
 def test_bundled_drives_are_exact_pi_pulses():

@@ -1,6 +1,7 @@
 """The public names that callers and the benchmark's layer tracer look up."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,16 +10,10 @@ import pytest
 
 import nvpolar
 import nvpolar.cli  # noqa: F401  (the tracer wraps cli.main)
-from nvpolar import schedule
 from nvpolar.experiments import sequence_polarization
 from nvpolar.presets import get_preset
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-@pytest.mark.parametrize("module", [nvpolar, schedule], ids=lambda m: m.__name__)
-def test_all_names_resolve(module):
-    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def _loaded_by_cli_import(*prefixes: str, module: str = "nvpolar.cli") -> list[str]:
@@ -93,3 +88,13 @@ def test_bench_reference_path_matches_the_engine(monkeypatch, n_cycles):
         ref = workloads.reference_p(preset, delta, n_cycles)
         got = sequence_polarization(preset, delta, n_cycles=n_cycles)
         assert abs(ref - got) <= workloads.DP_TOL
+
+
+def test_readme_python_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """README's Python example, which imports every name from its submodule."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert len((tmp_path / "curve.csv").read_text().splitlines()) == 402
+    assert 0.85 < abs(float(capsys.readouterr().out)) < 0.95
