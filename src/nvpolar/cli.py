@@ -60,7 +60,7 @@ def _load_config(path: str) -> Preset:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -313,7 +313,7 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
     spectrum = rm.fft_spectrum(s, args.dt)
     guesses = rm.dominant_line_pair(model.peaks)
     spectral = rm.fit_lorentzian_pair(spectrum, guesses)
-    time_fit = rm.fit_time_domain(t, s, guesses)
+    time_fit = rm.fit_time_domain(t, s, model.peaks)
 
     out = _out_dir("ramsey", args.out)
     rm.write_signal_csv(out / "data.csv", t, s)
@@ -382,7 +382,7 @@ def _read_curve(path: str) -> list[tuple[float, float]]:
                 if len(pairs) == MAX_GRID_POINTS:
                     raise ConfigError(f"{path}: more than {MAX_GRID_POINTS} (detuning, P) rows")
                 pairs.append(pair)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
     if not pairs:
         raise ConfigError(f"no numeric (detuning, P) rows in {path}")

@@ -2,11 +2,12 @@
 
 The engine is a damped Gauss-Newton (Levenberg-Marquardt style) loop with
 bounds enforced by projection and strictly monotone accepted steps. Its
-Jacobian is differenced forward at every iterate, or, for a problem that
+Jacobian comes from the problem's own ``jacobian`` where one is given, and
+is otherwise differenced forward at every iterate, or, for a problem that
 sets ``secant``, differenced once and then carried by rank-one (Broyden)
 updates along the accepted steps. It is deterministic: identical problems
 produce identical reports, and the evaluation budget counts model calls,
-including the ones spent on Jacobian columns.
+including the ones spent on Jacobian columns, and analytic Jacobian calls.
 """
 
 from __future__ import annotations
@@ -47,7 +48,11 @@ class FitProblem:
             it at every iterate. It pays where a model call is dear and the
             fit walks a long curved valley with few rejected trials (the
             curve fit); it costs more calls on fits with many rejected
-            trials (the Ramsey fits).
+            trials.
+        jacobian: Maps a parameter vector to the (len(data), len(init))
+            Jacobian of the residual model(x) - data. Where it is set, the
+            fit calls it wherever it would difference a Jacobian, at one
+            budget unit a call instead of one a column (the Ramsey fits).
     """
 
     model: Callable[[np.ndarray], np.ndarray]
@@ -56,6 +61,7 @@ class FitProblem:
     bounds: tuple[tuple[float, float], ...] | None = None
     budget: int = 500
     secant: bool = False
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def lo_hi(self) -> tuple[np.ndarray, np.ndarray]:
         n = len(self.init)
@@ -74,16 +80,18 @@ class FitProblem:
 class FitReport:
     """Outcome of a least-squares run.
 
-    Uncertainties are the square roots of the covariance diagonal estimated
-    from a finite-difference Jacobian; NaN where the normal matrix is
-    singular or no Jacobian was differenced. With secant updates that
+    Uncertainties are the square roots of the covariance diagonal,
+    (J^T J)^-1 times the residual variance, for the problem's analytic
+    Jacobian or else a finite-difference one; NaN where the normal matrix is
+    singular or no Jacobian was taken (a fit that meets the residual
+    tolerance at its start point takes none). With secant updates that
     Jacobian is differenced at the returned parameters, and its columns count
     against the budget (NaN if the budget cannot pay for them). Otherwise it
-    is the last one differenced: at the returned parameters when the fit
-    ends on rejected trials (the damping limit, or a budget spent on
-    trials), and at the iterate before the last accepted step when it ends
-    on that step (the step or residual tolerance, or a budget too small for
-    the next Jacobian).
+    is the last one taken: at the returned parameters when the fit ends on
+    rejected trials (the damping limit, or a budget spent on trials), and at
+    the iterate before the last accepted step when it ends on that step (the
+    step or residual tolerance, or a budget too small for the next
+    Jacobian).
     """
 
     params: tuple[float, ...]
@@ -131,10 +139,22 @@ def _evaluate(model, x: np.ndarray, data: np.ndarray) -> np.ndarray:
     return out - data
 
 
-def _jacobian(model, x, data, residual, budget) -> np.ndarray | None:
-    """Forward-difference Jacobian; None, calling no model, if the budget
-    cannot pay for every column."""
+def _jacobian(model, x, data, residual, budget, analytic=None) -> np.ndarray | None:
+    """analytic(x) (one budget unit) if given, else a forward-difference
+    Jacobian (one unit a column); None, calling nothing, if the budget
+    cannot pay for it."""
     n = len(x)
+    if analytic is not None:
+        if not budget.spend():
+            return None
+        jac = np.asarray(analytic(x), dtype=float)
+        if jac.shape != (len(data), n):
+            raise ConfigError(
+                f"Jacobian shape {jac.shape} does not match {(len(data), n)}"
+            )
+        if not np.isfinite(jac).all():
+            raise FitModelError(f"Jacobian has non-finite values at {x.tolist()}")
+        return jac
     if not budget.spend(n):
         return None
     jac = np.empty((len(data), n))
@@ -144,6 +164,14 @@ def _jacobian(model, x, data, residual, budget) -> np.ndarray | None:
         xp[j] += step
         jac[:, j] = (_evaluate(model, xp, data) - residual) / step
     return jac
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b, or the least-squares solution where a is singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
 def least_squares(problem: FitProblem) -> FitReport:
@@ -175,7 +203,7 @@ def least_squares(problem: FitProblem) -> FitReport:
             converged, message = True, "residual tolerance reached"
             break
         if jac is None:
-            jac = _jacobian(problem.model, x, data, residual, budget)
+            jac = _jacobian(problem.model, x, data, residual, budget, problem.jacobian)
             if jac is None:
                 break
             last_jac, fresh = jac, True
@@ -183,11 +211,7 @@ def least_squares(problem: FitProblem) -> FitReport:
         if not budget.spend():
             break
         jtj, rhs, damping = system
-        normal = jtj + lam * damping
-        try:
-            delta = np.linalg.solve(normal, rhs)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(normal, rhs, rcond=None)[0]
+        delta = solve(jtj + lam * damping, rhs)
         trial = np.clip(x + delta, lo, hi)
         trial_residual = _evaluate(problem.model, trial, data)
         trial_cost = float(trial_residual @ trial_residual)
@@ -214,7 +238,7 @@ def least_squares(problem: FitProblem) -> FitReport:
                 break
 
     if problem.secant and not fresh:
-        last_jac = _jacobian(problem.model, x, data, residual, budget)
+        last_jac = _jacobian(problem.model, x, data, residual, budget, problem.jacobian)
     uncertainties = _uncertainties(last_jac, cost, len(data), len(x))
     return FitReport(
         params=tuple(float(v) for v in x),

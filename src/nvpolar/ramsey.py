@@ -22,7 +22,7 @@ import numpy as np
 
 from .eigensystem import eigen_system
 from .errors import ConfigError, FitConvergenceError, UndefinedPolarizationError
-from .fitting import FitProblem, FitReport, least_squares
+from .fitting import FitProblem, FitReport, least_squares, solve
 from .operators import basis_index
 from .params import SystemParams
 from .polarization import POPULATION_FLOOR
@@ -41,7 +41,7 @@ FFT_PAD_FACTOR = 4
 #: Minimum record length for a meaningful spectrum.
 MIN_SAMPLES = 8
 
-#: Model evaluations, Jacobians included, of the line-pair and the time fit.
+#: Model evaluations and Jacobians of the line-pair and the time fit.
 LINE_PAIR_BUDGET = 600
 TIME_FIT_BUDGET = 900
 
@@ -176,9 +176,9 @@ def ramsey_model(
 def dominant_line_pair(peaks: tuple[RamseyPeak, ...]) -> tuple[float, float]:
     """Frequencies (up, down) of the strongest line of each nuclear origin.
 
-    The fit guesses, and the one place that gives fitted lines their roles:
-    both fits keep the order of their guesses, so the first fitted line is
-    nuclear-up. Ties resolve to the first line listed.
+    The line-pair fit's guesses, in the order that fit keeps, so its first
+    line is nuclear-up; the time fit reports the fitted frequencies of these
+    two lines. Ties resolve to the first line listed.
     """
     best: dict[bool, RamseyPeak] = {}
     for peak in peaks:
@@ -311,6 +311,7 @@ def fit_lorentzian_pair(
     covers the centers and widths; each height is solved by projection,
     h = max(0, b.v / b.b) for its window's values v and unit Lorentzian b,
     so its uncertainty in report.params (a1, f1, g1, a2, f2, g2) is NaN.
+    The Jacobian is the exact derivative of that projected model.
     Each center stays within 0.3 x separation of its guess, so the lines
     cannot cross: pass the guesses as dominant_line_pair's (up, down), and
     P is the normalized area difference, line 1 minus line 2.
@@ -337,22 +338,45 @@ def fit_lorentzian_pair(
         if not np.any(values):
             raise ConfigError("spectrum carries no signal near a guessed line")
         windows.append((spectrum.frequencies[mask], values))
+    freqs = np.concatenate([f for f, _ in windows])
+    data = np.concatenate([values for _, values in windows])
+    which = np.repeat([0, 1], [len(f) for f, _ in windows])  # window of each row
+    rows = np.arange(len(data))
 
     def lines(x):
-        """(projected height, unit Lorentzian) of each window at centers and widths x."""
-        for (freqs, values), f0, g in zip(windows, x[0::2], x[1::2]):
-            b = g**2 / ((freqs - f0) ** 2 + g**2)
-            yield max(0.0, float(b @ values / (b @ b))), b
+        """Each row's unit Lorentzian b, offset from its center and width, and
+        each window's projected height, at centers and widths x."""
+        u, g = freqs - x[0::2][which], x[1::2][which]
+        b = g**2 / (u**2 + g**2)
+        return b, u, g, np.maximum(0.0, np.bincount(which, b * data) / np.bincount(which, b * b))
+
+    def model(x):
+        b, _, _, h = lines(x)
+        return h[which] * b
+
+    def jacobian(x):
+        """d(h b)/dθ = h db/dθ + b dh/dθ, with dh/dθ = (db.(v - h b) - h b.db) / b.b
+        for h > 0 and zero for a clamped height."""
+        b, u, g, h = lines(x)
+        den = (u**2 + g**2) ** 2
+        rest = data - h[which] * b
+        jac = np.zeros((len(data), len(x)))
+        for j, db in enumerate((2.0 * g**2 * u / den, 2.0 * g * u**2 / den)):
+            dh = np.bincount(which, db * rest) - h * np.bincount(which, b * db)
+            dh = np.where(h > 0, dh / np.bincount(which, b * b), 0.0)
+            jac[rows, 2 * which + j] = h[which] * db + dh[which] * b
+        return jac
 
     drift = 0.3 * separation
     widths = (spectrum.bin_width / 4.0, 1.5 * separation)
     report = least_squares(
         FitProblem(
-            model=lambda x: np.concatenate([h * b for h, b in lines(x)]),
-            data=np.concatenate([values for _, values in windows]),
+            model=model,
+            data=data,
             init=np.array([c1, width0, c2, width0]),
             bounds=((c1 - drift, c1 + drift), widths, (c2 - drift, c2 + drift), widths),
             budget=LINE_PAIR_BUDGET,
+            jacobian=jacobian,
         )
     )
     if not report.converged:
@@ -361,7 +385,7 @@ def fit_lorentzian_pair(
             f"{report.n_evaluations} evaluations without converging: {report.message}"
         )
     f1, g1, f2, g2 = report.params
-    (a1, _), (a2, _) = lines(report.params)
+    a1, a2 = (float(h) for h in lines(np.array(report.params))[3])
     u_f1, u_g1, u_f2, u_g2 = report.uncertainties
     report = replace(
         report,
@@ -375,15 +399,25 @@ def fit_lorentzian_pair(
 def fit_time_domain(
     t: np.ndarray,
     s: np.ndarray,
-    freq_guesses: tuple[float, float],
+    peaks: tuple[RamseyPeak, ...],
 ) -> PolarizationEstimate:
-    """Fit a two-tone damped cosine directly to the time record.
+    """Fit every fringe line of peaks to the time record by variable projection.
 
-    The model is two cosines with free amplitude, frequency, and phase under
-    one shared Gaussian envelope with a free decay time, started at T2_STAR.
-    Each frequency stays within 0.4 x separation of its guess, so the tones
-    cannot cross: pass the guesses as dominant_line_pair's (up, down), and
-    P is the normalized amplitude difference, tone 1 minus tone 2.
+    Each fitted line is a cosine and a sine column under one shared Gaussian
+    envelope. At given line frequencies and T2* the columns' coefficients
+    (c, d) are solved linearly, so the search covers only the frequencies,
+    started at peaks', and T2*, started at T2_STAR, with Kaufman's Jacobian
+    of the projected residual. A line's amplitude is hypot(c, d), and P sums
+    the amplitudes of each nuclear origin (origin_up), up minus down.
+
+    Lines of one origin closer than half the record's resolution,
+    1/(2 N dt), cannot be told apart and are fitted as one line, started at
+    the stronger one's frequency (the matched-field doublet). Each
+    frequency stays within 0.4 x the distance to its nearest fitted line.
+    report.params holds (c, d, f) for each fitted line in the order of
+    peaks, then T2*; c and d have NaN uncertainty. frequency_up and
+    frequency_down are the fitted frequencies of the lines started at
+    dominant_line_pair's.
 
     Raises:
         FitConvergenceError: The fit spent its budget without converging.
@@ -392,44 +426,91 @@ def fit_time_domain(
     s = np.asarray(s, dtype=float)
     if t.shape != s.shape or t.ndim != 1 or len(t) < MIN_SAMPLES:
         raise ConfigError("need matching 1-D records of at least 8 samples")
-    f1, f2 = (float(f) for f in freq_guesses)
-    if f1 == f2:
-        raise ConfigError("frequency guesses must be distinct")
-    separation = abs(f2 - f1)
-    scale = float(np.max(np.abs(s)))
-    if scale <= 0:
+    span = float(t[-1] - t[0])
+    if not span > 0:
+        raise ConfigError("time record must run forward")
+    if not float(np.max(np.abs(s))) > 0:
         raise ConfigError("signal record is all zeros")
+    frequencies = [peak.frequency for peak in peaks]
+    if not all(0 < f < math.inf for f in frequencies):
+        raise ConfigError("line frequencies must be positive and finite")
+    if len(set(frequencies)) < len(frequencies):
+        raise ConfigError("line frequencies must be distinct")
+    f_up, f_down = dominant_line_pair(peaks)
 
-    def model(x: np.ndarray) -> np.ndarray:
-        a1, fa, p1, a2, fb, p2, t2 = x
-        env = np.exp(-((t / t2) ** 2))
-        return env * (
-            a1 * np.cos(2.0 * np.pi * fa * t + p1)
-            + a2 * np.cos(2.0 * np.pi * fb * t + p2)
+    # The search runs in record units: frequencies in cycles per record span
+    # and T2* in spans, so the step tolerance weighs both alike.
+    tau = t / span
+    merge = 0.5 * (len(t) - 1) / len(t)
+    fitted: list[RamseyPeak] = []
+    for peak in sorted(peaks, key=lambda q: -q.amplitude):
+        if not any(
+            q.origin_up == peak.origin_up and abs(q.frequency - peak.frequency) * span < merge
+            for q in fitted
+        ):
+            fitted.append(peak)
+    fitted.sort(key=peaks.index)
+    n_lines = len(fitted)
+    start = np.array([q.frequency for q in fitted]) * span
+    gaps = np.abs(start[:, None] - start[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    drift = 0.4 * gaps.min(axis=1)
+
+    def project(x):
+        """Columns, their Gram matrix and coefficients at frequencies and T2* x."""
+        env = np.exp(-((tau / x[-1]) ** 2))[:, None]
+        phase = np.outer(2.0 * np.pi * tau, x[:-1])
+        phi = np.hstack((env * np.cos(phase), env * np.sin(phase)))
+        gram = phi.T @ phi
+        return phi, gram, solve(gram, phi.T @ s)
+
+    def model(x):
+        phi, _, coef = project(x)
+        return phi @ coef
+
+    def jacobian(x):
+        phi, gram, coef = project(x)
+        cos, sin = phi[:, :n_lines], phi[:, n_lines:]
+        c, d = coef[:n_lines], coef[n_lines:]
+        dphi_c = np.column_stack(
+            (2.0 * np.pi * tau[:, None] * (d * cos - c * sin), 2.0 * tau**2 / x[-1] ** 3 * (phi @ coef))
         )
+        return dphi_c - phi @ solve(gram, phi.T @ dphi_c)
 
-    init = np.array([scale / 2.0, f1, 0.0, scale / 2.0, f2, 0.0, T2_STAR])
-    drift = 0.4 * separation
-    span = float(t[-1] - t[0]) if len(t) > 1 else T2_STAR
-    bounds = (
-        (0.0, 4.0 * scale),
-        (f1 - drift, f1 + drift),
-        (-np.pi, np.pi),
-        (0.0, 4.0 * scale),
-        (f2 - drift, f2 + drift),
-        (-np.pi, np.pi),
-        (span / len(t), 100.0 * T2_STAR),
-    )
     report = least_squares(
-        FitProblem(model=model, data=s, init=init, bounds=bounds, budget=TIME_FIT_BUDGET)
+        FitProblem(
+            model=model,
+            data=s,
+            init=np.append(start, T2_STAR / span),
+            bounds=(*zip(start - drift, start + drift), (1.0 / len(t), 100.0 * T2_STAR / span)),
+            budget=TIME_FIT_BUDGET,
+            jacobian=jacobian,
+        )
     )
     if not report.converged:
         raise FitConvergenceError(
             f"time-domain fit used {report.n_evaluations} evaluations "
             f"without converging: {report.message}"
         )
-    a1, fa, _, a2, fb, _, _ = report.params
-    return _estimate(((fa, a1), (fb, a2)), report, "amplitudes")
+    x, u = np.array(report.params), np.array(report.uncertainties)
+    coef = project(x)[2]
+    c, d, f = coef[:n_lines], coef[n_lines:], x[:-1] / span
+    unsolved = np.full(n_lines, math.nan)
+    report = replace(
+        report,
+        params=(*np.column_stack((c, d, f)).ravel().tolist(), float(x[-1] * span)),
+        uncertainties=(
+            *np.column_stack((unsolved, unsolved, u[:-1] / span)).ravel().tolist(),
+            float(u[-1] * span),
+        ),
+    )
+    amplitudes = np.hypot(c, d)
+    up = float(sum(a for a, q in zip(amplitudes, fitted) if q.origin_up))
+    down = float(sum(a for a, q in zip(amplitudes, fitted) if not q.origin_up))
+    starts = [q.frequency for q in fitted]
+    return _estimate(
+        ((f[starts.index(f_up)], up), (f[starts.index(f_down)], down)), report, "amplitudes"
+    )
 
 
 def write_signal_csv(path, t: np.ndarray, s: np.ndarray) -> None:

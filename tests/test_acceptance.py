@@ -297,9 +297,9 @@ def _fringe_fits(system, manifold, populations):
     model = rm.ramsey_model(system, manifold, rho=np.diag([*populations, 0.0, 0.0]))
     t, s = rm.synthesize_ramsey(model, 4e-6, 2e-8)
     spectrum = rm.fft_spectrum(s, 2e-8)
-    guesses = rm.dominant_line_pair(rm.analytic_peaks(system, manifold))
-    spectral = rm.fit_lorentzian_pair(spectrum, guesses)
-    time_domain = rm.fit_time_domain(t, s, guesses)
+    peaks = rm.analytic_peaks(system, manifold)
+    spectral = rm.fit_lorentzian_pair(spectrum, rm.dominant_line_pair(peaks))
+    time_domain = rm.fit_time_domain(t, s, peaks)
     return spectral, time_domain
 
 

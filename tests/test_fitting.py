@@ -140,6 +140,28 @@ def test_a_jacobian_the_budget_cannot_pay_for_calls_no_model(secant):
     assert all(np.isnan(report.uncertainties))
 
 
+def test_an_analytic_jacobian_costs_one_budget_unit():
+    """Each FitProblem.jacobian call costs one unit, like a model call, and
+    one the budget cannot pay for is not made."""
+    jacobians = []
+
+    def jacobian(x):
+        jacobians.append(x.copy())
+        decay = np.exp(-T_GRID / x[1])
+        return np.column_stack((decay, x[0] * T_GRID / x[1] ** 2 * decay, np.ones_like(T_GRID)))
+
+    for budget in range(1, 30):
+        calls, jacobians[:] = [], []
+        report = least_squares(offset_decay_problem(calls, budget=budget, jacobian=jacobian))
+        assert report.n_evaluations == len(calls) + len(jacobians) <= budget
+    calls, jacobians[:] = [], []
+    report = least_squares(offset_decay_problem(calls, jacobian=jacobian))
+    assert report.converged and len(jacobians) > 0
+    assert report.n_evaluations == len(calls) + len(jacobians)
+    np.testing.assert_allclose(report.params, (2.0, 0.5, 0.3), rtol=1e-6)
+    assert np.isfinite(report.uncertainties).all()
+
+
 def test_secant_fit_uncertainties_come_from_a_jacobian_at_its_result():
     problem = offset_decay_problem([], secant=True)
     report = least_squares(problem)
