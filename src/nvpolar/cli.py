@@ -105,35 +105,14 @@ def _inline_preset(doc: dict) -> Preset:
         raise ConfigError("'rates' must be an object")
     if set(rate_doc) - _RATE_KEYS:
         raise ConfigError(f"unknown rate keys: {sorted(set(rate_doc) - _RATE_KEYS)}")
-    system = SystemParams(**{k: _number(k, v) for k, v in sys_doc.items()})
-    for key, value in rate_doc.items():
-        values = value if key == "gamma_d" else [value]
-        if not isinstance(values, list):
-            raise ConfigError(f"gamma_d must be a list of numbers, got {value!r}")
-        for v in values:
-            _number(key, v)
-    rates = RelaxationRates(**rate_doc)
     return Preset(
         name=str(doc.get("name", "custom")),
         description="user configuration",
-        system=system,
-        rates=rates,
-        omega=_number("omega", doc["omega"]),
+        system=SystemParams(**sys_doc),
+        rates=RelaxationRates(**rate_doc),
+        omega=doc["omega"],
         **{key: doc[key] for key in _INT_KEYS if key in doc},
     )
-
-
-def _number(key: str, value) -> float:
-    """A JSON number as a float, or ConfigError naming the config key.
-
-    Strings and bools are refused, not converted.
-    """
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
 
 def _resolve_preset(args: argparse.Namespace) -> Preset:
@@ -212,7 +191,7 @@ def _report_extreme(result: ex.SweepResult) -> tuple[float, float]:
 def _cmd_sweep_detuning(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     deltas = ex.grid(args.min, args.max, args.step)
-    result = ex.sweep_detuning(preset, deltas, n_cycles=args.n, workers=args.workers)
+    result = ex.sweep_detuning(preset, deltas, n_cycles=args.n)
     out = _write_sweep(
         "sweep-detuning", args, result, _plot_xy("data.csv", "drive detuning (Hz)", "P")
     )
@@ -244,7 +223,6 @@ def _cmd_sweep_field(args: argparse.Namespace) -> int:
         fields,
         inner_halfwidth=args.inner_halfwidth,
         inner_step=args.inner_step,
-        workers=args.workers,
     )
     out = _write_sweep(
         "sweep-field", args, result, _plot_xy("data.csv", "field B_z (G)", "best P")
@@ -258,7 +236,7 @@ def _cmd_sweep_ani(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     ani = ex.grid(args.min, args.max, args.step)
     deltas = ex.grid(args.delta_min, args.delta_max, args.delta_step)
-    result = ex.sweep_ani_detuning(preset, ani, deltas, workers=args.workers)
+    result = ex.sweep_ani_detuning(preset, ani, deltas)
     out = _write_sweep(
         "sweep-ani",
         args,
@@ -285,7 +263,6 @@ def _cmd_sweep_field_ani(args: argparse.Namespace) -> int:
         ani,
         inner_halfwidth=args.inner_halfwidth,
         inner_step=args.inner_step,
-        workers=args.workers,
     )
     out = _write_sweep(
         "sweep-field-ani",
@@ -498,14 +475,13 @@ def _parser() -> argparse.ArgumentParser:
         "--out",
         help=f"output directory (default: ${OUT_ENV}/<command> or ./nvpolar-<command>)",
     )
-    parallel = argparse.ArgumentParser(add_help=False)
-    parallel.add_argument(
+    compat = argparse.ArgumentParser(add_help=False)
+    compat.add_argument(
         "--workers",
         type=int,
         default=1,
         metavar="N",
-        help="threads that take turns over the one engine's batches: this thread "
-        "plus up to N - 1 threads, never more than grids or CPUs (default 1)",
+        help="accepted for compatibility; every sweep runs in one thread (default 1)",
     )
     window = argparse.ArgumentParser(add_help=False)
     window.add_argument(
@@ -523,7 +499,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep-detuning",
-        parents=[common, parallel],
+        parents=[common, compat],
         help="polarization vs drive detuning",
     )
     lo, hi = ex.DETUNING_RANGE
@@ -547,7 +523,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep-field",
-        parents=[common, parallel, window],
+        parents=[common, compat, window],
         help="best polarization vs axial magnetic field",
     )
     p.add_argument("--min", type=float, default=450.0, help="lowest field (G)")
@@ -557,7 +533,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep-ani",
-        parents=[common, parallel],
+        parents=[common, compat],
         help="polarization over a (transverse coupling, detuning) grid",
     )
     p.add_argument("--min", type=float, default=0.0, help="lowest coupling (Hz)")
@@ -570,7 +546,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep-field-ani",
-        parents=[common, parallel, window],
+        parents=[common, compat, window],
         help="best polarization per (field, transverse coupling) cell",
     )
     p.add_argument("--min", type=float, default=450.0, help="lowest field (G)")
@@ -643,6 +619,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"workers must be >= 1, got {args.workers}")
         return args.func(args)
     except ConfigError as exc:
         _fail("config", exc)

@@ -4,10 +4,8 @@ Every sweep is a set of (parameter set, detuning grid) jobs on one preset,
 whose parameter sets differ only in their SystemParams. One
 lindblad.CycleEngine holds the jobs as cells, runs the standard schedule
 plus the terminal relaxation train over every (cell, detuning) pair and
-reads out the polarization, CHUNK pairs per batch. The batches are dealt
-round-robin over min(workers, jobs, CPUs) ranks: this thread and one
-thread per other rank (see _evaluate). A pair's result does not depend on
-the batch it falls in, so the CSV bytes do not depend on the worker count.
+reads out the polarization, CHUNK pairs per batch, in the calling thread.
+A pair's result does not depend on the batch it falls in.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -27,7 +23,7 @@ import numpy as np
 
 from .eigensystem import eigen_system
 from .errors import ConfigError
-from .lindblad import CHUNK, CycleEngine
+from .lindblad import CycleEngine
 from .params import SystemParams
 from .presets import MAX_GRID_POINTS, Preset
 
@@ -184,70 +180,21 @@ def _evaluate(
     preset: Preset,
     jobs: list[tuple[SystemParams, tuple[float, ...]]],
     n_cycles: int | None,
-    workers: int,
 ) -> list[np.ndarray]:
     """Polarization over the detuning grid of every (system, grid) job.
 
-    This thread builds one engine that holds the jobs as cells (each job
-    runs the preset with its own SystemParams) and cuts their (cell,
-    detuning) pairs, in job order, into batches of CHUNK. Batch i goes to
-    rank i mod W, W = min(workers, jobs, CPUs): rank 0 is this thread and
-    W - 1 threads are the others. They share the engine without a lock, as
-    no CycleEngine method writes to the engine after __init__. numpy
-    releases the GIL in the engine's stacked products and element-wise
-    work, though not in eigh, so the threads overlap only there. A batch
-    that fails, or an interrupt of this thread, stops the other ranks before
-    their next batch. Every thread is joined before this returns or raises;
-    the first error in batch order is raised unchanged, and an error
-    building the engine before any thread starts.
+    One engine holds the jobs as cells (each job runs the preset with its
+    own SystemParams) and evaluates their (cell, detuning) pairs, in job
+    order, in one call.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     n = preset.cycles(n_cycles)
     if not jobs:
         return []
     engine = CycleEngine(preset, [system for system, _ in jobs])
     sizes = [len(deltas) for _, deltas in jobs]
     cells = np.repeat(np.arange(len(jobs)), sizes)
-    deltas = np.concatenate([d for _, d in jobs])
-    starts = range(0, len(deltas), CHUNK)
-    # Clamped by jobs as well: splitting one 401-point grid over 2 threads
-    # gained nothing (on 2 vCPUs, 0.0111-0.0125 s against 0.0120-0.0124 s on
-    # one thread for table-a1-fit, 0.0123-0.0134 s against 0.0118-0.0128 s
-    # for table-a1-fig4).
-    width = min(workers, len(jobs), os.cpu_count() or 1)
-    answers: list = [None] * len(starts)  # per batch: its P, or the error it raised
-    stop = threading.Event()
-
-    def run(rank: int) -> None:
-        for i in range(rank, len(starts), width):
-            if stop.is_set():
-                return
-            part = slice(starts[i], starts[i] + CHUNK)
-            try:
-                answers[i] = engine.polarizations(deltas[part], n, cells[part])
-            except BaseException as exc:  # handed to the caller, which raises it
-                stop.set()
-                answers[i] = exc
-                return
-
-    threads = [
-        threading.Thread(target=run, args=(rank,), daemon=True) for rank in range(1, width)
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        run(0)
-        for thread in threads:
-            thread.join()
-    finally:  # after an interrupt while joining, stop and join the rest
-        stop.set()
-        for thread in threads:
-            thread.join()
-    errors = [answer for answer in answers if isinstance(answer, BaseException)]
-    if errors:
-        raise errors[0]
-    return np.split(np.concatenate(answers), np.cumsum(sizes)[:-1])
+    p = engine.polarizations(np.concatenate([d for _, d in jobs]), n, cells)
+    return np.split(p, np.cumsum(sizes)[:-1])
 
 
 def predicted_resonance(preset: Preset) -> float:
@@ -277,11 +224,10 @@ def sweep_detuning(
     deltas: Sequence[float],
     *,
     n_cycles: int | None = None,
-    workers: int = 1,
 ) -> SweepResult:
     """Polarization vs drive detuning (the two-lobed response curve)."""
     values = tuple(float(d) for d in deltas)
-    (p,) = _evaluate(preset, [(preset.system, values)], n_cycles, workers)
+    (p,) = _evaluate(preset, [(preset.system, values)], n_cycles)
     axis = SweepAxis("delta", "hz", values)
     return SweepResult((axis,), p, _base_metadata(preset, "detuning", n_cycles))
 
@@ -323,7 +269,6 @@ def _best_in_windows(
     cells: list[Preset],
     inner_halfwidth: float,
     inner_step: float,
-    workers: int,
 ) -> tuple[np.ndarray, dict]:
     """Signed P of largest |P| in each cell's detuning window, and the metadata.
 
@@ -335,7 +280,7 @@ def _best_in_windows(
         (q.system, grid(c - inner_halfwidth, c + inner_halfwidth, inner_step))
         for q, c in zip(cells, centers)
     ]
-    p = np.array([w[peak(w)] for w in _evaluate(preset, jobs, None, workers)])
+    p = np.array([w[peak(w)] for w in _evaluate(preset, jobs, None)])
     meta = _base_metadata(preset, kind)
     meta["inner_halfwidth_hz"] = inner_halfwidth
     meta["inner_step_hz"] = inner_step
@@ -348,13 +293,12 @@ def sweep_field(
     *,
     inner_halfwidth: float = INNER_HALFWIDTH,
     inner_step: float = DELTA_STEP,
-    workers: int = 1,
 ) -> SweepResult:
     """Best polarization vs axial field, re-optimizing the detuning per field."""
     _check_pairs(len(b_values), grid_size(-inner_halfwidth, inner_halfwidth, inner_step))
     values = tuple(float(b) for b in b_values)
     cells = [preset.with_system(b_z=b) for b in values]
-    p, meta = _best_in_windows(preset, "field", cells, inner_halfwidth, inner_step, workers)
+    p, meta = _best_in_windows(preset, "field", cells, inner_halfwidth, inner_step)
     return SweepResult((SweepAxis("b_z", "gauss", values),), p, meta)
 
 
@@ -372,14 +316,12 @@ def sweep_ani_detuning(
     preset: Preset,
     ani_values: Sequence[float],
     deltas: Sequence[float],
-    *,
-    workers: int = 1,
 ) -> SweepResult:
     """Polarization over a (transverse coupling, detuning) grid."""
     _check_pairs(len(ani_values), len(deltas))
     ani, dts = tuple(float(a) for a in ani_values), tuple(float(d) for d in deltas)
     jobs = [(preset.with_system(a_ani=a).system, dts) for a in ani]
-    p = np.array(_evaluate(preset, jobs, None, workers)).reshape(len(ani), len(dts))
+    p = np.array(_evaluate(preset, jobs, None)).reshape(len(ani), len(dts))
     axes = (SweepAxis("a_ani", "hz", ani), SweepAxis("delta", "hz", dts))
     return SweepResult(axes, p, _base_metadata(preset, "ani-detuning"))
 
@@ -391,14 +333,13 @@ def sweep_field_ani(
     *,
     inner_halfwidth: float = INNER_HALFWIDTH,
     inner_step: float = DELTA_STEP,
-    workers: int = 1,
 ) -> SweepResult:
     """Max-over-detuning polarization per (field, transverse coupling) cell."""
     window = grid_size(-inner_halfwidth, inner_halfwidth, inner_step)
     _check_pairs(len(b_values) * len(ani_values), window)
     bs, ani = tuple(float(b) for b in b_values), tuple(float(a) for a in ani_values)
     cells = [preset.with_system(b_z=b, a_ani=a) for b in bs for a in ani]
-    p, meta = _best_in_windows(preset, "field-ani", cells, inner_halfwidth, inner_step, workers)
+    p, meta = _best_in_windows(preset, "field-ani", cells, inner_halfwidth, inner_step)
     axes = (SweepAxis("b_z", "gauss", bs), SweepAxis("a_ani", "hz", ani))
     return SweepResult(axes, p.reshape(len(bs), len(ani)), meta)
 

@@ -370,7 +370,7 @@ class CycleEngine:
     _carried, which passes it through _checked every CHUNK cycles; every
     read-out goes through _checked too.
 
-    No method writes to the engine after __init__, so threads may share one.
+    No method writes to the engine after __init__.
     buildup() and trajectory() run cell 0. trajectory() samples the state
     along one sequence at one detuning: it steps the same block generators,
     each plus delta K, through the preset's cycle n_cycles times (one

@@ -12,18 +12,38 @@ Unit conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
 
+def _number(name: str, value) -> float:
+    """A finite number as a float, or ConfigError naming the field.
+
+    A bool or a non-number is refused, not converted.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    return number
+
+
 def _require_finite(params) -> None:
-    """Raise ConfigError naming the first NaN or infinite field."""
+    """Replace every field by _number of it (a tuple field element-wise)."""
     for f in fields(params):
         value = getattr(params, f.name)
-        values = value if isinstance(value, tuple) else (value,)
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
+        if isinstance(value, tuple):
+            number = tuple(_number(f.name, v) for v in value)
+        else:
+            number = _number(f.name, value)
+        object.__setattr__(params, f.name, number)
 
 
 @dataclass(frozen=True)
@@ -73,13 +93,6 @@ class SystemParams:
         return self.d + self.gamma_e * self.b_z
 
 
-def _four(values) -> tuple[float, float, float, float]:
-    out = tuple(float(v) for v in values)
-    if len(out) != 4:
-        raise ConfigError(f"gamma_d needs exactly four rates, got {len(out)}")
-    return out
-
-
 @dataclass(frozen=True)
 class RelaxationRates:
     """Linear rates (1/s) for the open-system channels.
@@ -102,8 +115,12 @@ class RelaxationRates:
     gamma_n_gl: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma_d", _four(self.gamma_d))
+        if isinstance(self.gamma_d, str) or not isinstance(self.gamma_d, Iterable):
+            raise ConfigError(f"gamma_d must be a list of numbers, got {self.gamma_d!r}")
+        object.__setattr__(self, "gamma_d", tuple(self.gamma_d))
         _require_finite(self)
+        if len(self.gamma_d) != 4:
+            raise ConfigError(f"gamma_d needs exactly four rates, got {len(self.gamma_d)}")
         if self.gamma_gl < 0 or self.n_th < 0 or self.gamma_n_gl < 0:
             raise ConfigError("rates must be non-negative")
         if any(g < 0 for g in self.gamma_d):

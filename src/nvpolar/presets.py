@@ -9,11 +9,10 @@ their fitted-coupling defaults and are listed in ``swept``.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .params import RelaxationRates, SystemParams
+from .params import RelaxationRates, SystemParams, _number
 from .schedule import Schedule, PulseSegment, chopped_laser_train
 
 #: Hyperfine couplings recovered by the detuning-curve fit (Hz). The axial
@@ -60,11 +59,10 @@ class Preset:
     swept: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "omega", _number("omega", self.omega))
         for f in dataclasses.fields(self):
             if f.type == "int":
                 object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name)))
-        if not math.isfinite(self.omega):
-            raise ConfigError(f"omega must be finite, got {self.omega}")
         if self.omega < 0:
             raise ConfigError(f"omega must be >= 0, got {self.omega}")
 

@@ -18,6 +18,7 @@ from helpers import (
     reference_trajectory,
     rk4_schedule,
 )
+from nvpolar import cli
 from nvpolar import experiments as ex
 from nvpolar import ramsey as rm
 from nvpolar.eigensystem import eigen_system
@@ -348,14 +349,13 @@ def test_criterion_8_closed_loop_fit(table_a1, curve_fit_report):
 # -- criterion 9: worker-count determinism ------------------------------------
 
 
-def test_criterion_9_worker_independent_bytes(table_a1, tmp_path):
-    deltas = ex.grid(-4e5, 4e5, 1e5)
+def test_criterion_9_worker_independent_bytes(tmp_path):
+    """The CLI's --workers flag leaves data.csv and metadata.json unchanged."""
     blobs = []
-    for workers in (1, 2, 3):
-        result = ex.sweep_detuning(table_a1, deltas, workers=workers)
-        data = tmp_path / f"w{workers}.csv"
-        meta = tmp_path / f"w{workers}.json"
-        result.write_csv(data)
-        result.write_metadata(meta)
-        blobs.append((data.read_bytes(), meta.read_bytes()))
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"w{workers}"
+        argv = ["sweep-detuning", "--preset", "table-a1-fit", "--min=-400000",
+                "--max", "400000", "--step", "100000", "--workers", workers, "--out", str(out)]
+        assert cli.main(argv) == 0
+        blobs.append(((out / "data.csv").read_bytes(), (out / "metadata.json").read_bytes()))
     assert blobs[0] == blobs[1] == blobs[2]

@@ -5,7 +5,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import threading
 
 import numpy as np
@@ -21,6 +20,7 @@ from nvpolar.errors import (
     UndefinedPolarizationError,
 )
 from nvpolar.lindblad import CycleEngine
+from nvpolar.params import RelaxationRates, SystemParams
 from nvpolar.presets import Preset
 
 SMALL_SWEEP = ["--min=280000", "--max=360000", "--step", "40000"]
@@ -126,8 +126,10 @@ def test_negative_bounds_use_equals_form(tmp_path, capsys):
     assert rows[1].startswith("-320000.0,")
 
 
-def test_worker_count_does_not_change_bytes(tmp_path, capsys):
-    """sweep-detuning runs its one grid in this thread; the others fan out over threads."""
+def test_worker_count_does_not_change_bytes(tmp_path, capsys, monkeypatch):
+    """--workers is accepted and starts no thread: every sweep runs in this one."""
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
     window = ["--inner-halfwidth", "200000", "--inner-step", "50000"]
     commands = [
         ["sweep-detuning", *SMALL_SWEEP],
@@ -139,7 +141,7 @@ def test_worker_count_does_not_change_bytes(tmp_path, capsys):
     ]
     for k, argv in enumerate(commands):
         outputs = []
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "3"):
             out_dir = tmp_path / f"{k}-w{workers}"
             code, out, _ = run([*argv, "--workers", workers, "--out", str(out_dir)], capsys)
             assert code == 0
@@ -147,7 +149,8 @@ def test_worker_count_does_not_change_bytes(tmp_path, capsys):
                 (out.replace(str(out_dir), "<out>"),
                  {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
             )
-        assert outputs[0] == outputs[1], argv[0]
+        assert outputs[0] == outputs[1] == outputs[2], argv[0]
+    assert started == []
 
 
 def test_sweep_n_zero_cycles(tmp_path, capsys):
@@ -499,16 +502,26 @@ def test_non_finite_config_exits_2(tmp_path, capsys, field, value):
         ("b_z", True, "b_z must be a number, got True"),
         ("b_z", "520", "b_z must be a number, got '520'"),
         ("omega", False, "omega must be a number, got False"),
+        ("gamma_gl", False, "gamma_gl must be a number, got False"),
+        pytest.param("b_z", 10**400, f"b_z must be a number, got {10**400}", id="b_z-1e400"),
     ],
 )
 def test_config_numbers_of_the_wrong_kind_exit_2(tmp_path, capsys, field, value, message):
+    """The CLI's rule is the parameter classes' own: their constructors
+    refuse the same values with the same message."""
     path = inline_config(tmp_path)
     doc = json.loads(open(path).read())
-    (doc["system"] if field in doc["system"] else doc)[field] = value
+    owner = next((d for d in (doc["system"], doc["rates"]) if field in d), doc)
+    owner[field] = value
     open(path, "w").write(json.dumps(doc))
     code, _, err = run(["sweep-n", "--n", "0", "--delta", "0", "--config", path], capsys)
     assert code == 2
     assert err == f"error: config: {message}\n"
+    for params in (SystemParams, RelaxationRates):
+        if field in {f.name for f in dataclasses.fields(params)}:
+            with pytest.raises(ConfigError) as exc:
+                params(**{field: value})
+            assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("field,value", [("t_mw_ns", -1700), ("omega", -294117.6)])
@@ -837,19 +850,15 @@ def test_workers_below_one_exit_2(tmp_path, capsys, workers):
 
 def test_a_numerical_error_in_another_share_exits_3(tmp_path, capsys, monkeypatch):
     """The 500, 520 and 540 G windows hold 134 pairs each, so batch 3 (pairs
-    192-255) holds only the 520 G cell and goes to rank 1 of 2, a thread;
-    its error is the one line printed, and the thread has ended."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    polarizations = CycleEngine.polarizations
-    started = []
+    192-255) holds only the 520 G cell; its error is the one line printed."""
+    maps = CycleEngine.maps
 
-    def failing(self, deltas, n_cycles=None, cells=0):
+    def failing(self, deltas, cells=0):
         if set(np.ravel(cells)) == {1}:
-            started.append(threading.current_thread())
             raise NumericalError("propagation drift 2.000e-09 exceeds 1e-9")
-        return polarizations(self, deltas, n_cycles, cells)
+        return maps(self, deltas, cells)
 
-    monkeypatch.setattr(CycleEngine, "polarizations", failing)
+    monkeypatch.setattr(CycleEngine, "maps", failing)
     out_dir = tmp_path / "field"
     code, out, err = run(
         ["sweep-field", "--min", "500", "--max", "540", "--step", "20",
@@ -858,8 +867,6 @@ def test_a_numerical_error_in_another_share_exits_3(tmp_path, capsys, monkeypatc
     )
     assert (code, out) == (3, "")
     assert err == "error: numerical: propagation drift 2.000e-09 exceeds 1e-9\n"
-    assert len(started) == 1 and started[0] is not threading.main_thread()
-    assert not started[0].is_alive()
     assert not (out_dir / "data.csv").exists()
 
 

@@ -1,8 +1,6 @@
 """The batched cycle-map engine against the exact 6-level reference path."""
 
 import dataclasses
-import os
-import sys
 import threading
 
 import numpy as np
@@ -192,9 +190,8 @@ def test_a_bad_engine_map_makes_sweep_detuning_exit_3(tmp_path, capsys, monkeypa
 def test_a_bad_engine_map_makes_sweep_field_on_two_workers_exit_3(
     tmp_path, capsys, monkeypatch, fault
 ):
-    """Seven batches, every odd one on a thread; the first error is the one
-    line printed, and no thread is left running."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    """Seven batches; the first error is the one line printed, and no
+    thread is left running."""
     threads = threading.active_count()
     _break_the_maps(monkeypatch, fault)
     out_dir = tmp_path / "sweep"
@@ -243,41 +240,6 @@ def test_a_stacked_engine_equals_per_cell_engines_bit_for_bit(table_a1, monkeypa
         assert got.tobytes() == np.concatenate(want).tobytes()
         p = engine.polarizations(deltas, n_cycles, index)
         assert p.tobytes() == polarization_of_state(got).p.tobytes()
-
-
-def test_threads_on_one_engine_get_the_bits_of_serial_calls(table_a1):
-    """No method writes to the engine after __init__, so concurrent batches,
-    each across several cells, need no lock: four threads, more than the
-    two cores the sweeps are measured on, switching every microsecond."""
-    systems = [q.system for q in _cells(table_a1, "b_z", 4)]
-    engine = CycleEngine(table_a1, systems)
-    rng = np.random.default_rng(7)
-    calls = [
-        (rng.uniform(-6e5, 6e5, lindblad.CHUNK), rng.integers(0, len(systems), lindblad.CHUNK))
-        for _ in range(4)
-    ]
-    want = [engine.polarizations(d, None, c).tobytes() for d, c in calls]
-    start = threading.Barrier(len(calls), timeout=30)
-    got = [[] for _ in calls]
-
-    def run(k):
-        deltas, cells = calls[k]
-        start.wait()
-        for _ in range(10):
-            got[k].append(engine.polarizations(deltas, None, cells).tobytes())
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(calls))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert got == [[w] * 10 for w in want]
 
 
 def test_a_fault_in_one_cell_of_a_stack_is_a_numerical_error(table_a1, monkeypatch):

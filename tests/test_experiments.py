@@ -1,11 +1,8 @@
 """Sweep drivers, polarization readout, and result serialization."""
 
 import json
-import os
 import re
-import signal
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -262,16 +259,6 @@ def test_writers_match_the_row_by_row_formatting(table_a1, tmp_path):
         assert got.read_bytes() == want.read_bytes()
 
 
-def test_worker_pool_is_deterministic(table_a1, tmp_path):
-    deltas = ex.grid(-4e5, 4e5, 1e5)
-    serial = ex.sweep_detuning(table_a1, deltas, workers=1)
-    parallel = ex.sweep_detuning(table_a1, deltas, workers=3)
-    p1, p2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    serial.write_csv(p1)
-    parallel.write_csv(p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 def test_sweep_repetitions_builds_up(table_a1):
     result = ex.sweep_repetitions(table_a1, 3, delta=3.2e5)
     assert result.axes[0].unit == "count"
@@ -353,21 +340,15 @@ def test_sweep_result_shape_validation():
         ex.SweepAxis("x", "hz", ())
 
 
-@pytest.mark.parametrize("workers", [0, -3])
-def test_sweeps_reject_worker_counts_below_one(table_a1, workers):
-    with pytest.raises(ConfigError, match="workers"):
-        ex.sweep_detuning(table_a1, (1e5,), workers=workers)
-    with pytest.raises(ConfigError, match="workers"):
-        ex.sweep_field(table_a1, (520.0,), inner_step=3e5, workers=workers)
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_an_empty_field_grid_is_a_config_error(table_a1, workers):
+@pytest.mark.parametrize("n_ani", [1, 3])
+def test_an_empty_field_grid_is_a_config_error(table_a1, n_ani):
     with pytest.raises(ConfigError, match="empty grid"):
-        ex.sweep_field(table_a1, (), workers=workers)
+        ex.sweep_field(table_a1, ())
+    with pytest.raises(ConfigError, match="empty grid"):
+        ex.sweep_field_ani(table_a1, (), tuple(1e3 * k for k in range(n_ani)))
 
 
-# -- the fan-out over threads -----------------------------------------------------
+# -- one engine per sweep, in the calling thread ------------------------------------
 
 FIELDS = (500.0, 520.0, 540.0, 560.0)
 
@@ -384,11 +365,6 @@ def threads(monkeypatch):
 
     monkeypatch.setattr(threading, "Thread", Recording)
     return started
-
-
-def _assert_all_joined(started):
-    """No thread that the fan-out started is still running."""
-    assert [t for t in started if t.is_alive()] == []
 
 
 @pytest.fixture
@@ -411,50 +387,14 @@ def builds(monkeypatch):
     return read
 
 
-@pytest.fixture
-def no_hang():
-    """Fails the test with TimeoutError rather than letting it wait 30 s."""
-
-    def expire(signum, frame):
-        raise TimeoutError("the fan-out did not return within 30 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(30)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.mark.parametrize("cpus", [2, 8])
-def test_pool_size_is_clamped_to_jobs_and_cpus(table_a1, threads, monkeypatch, cpus):
-    """The caller plus min(workers, jobs, CPUs) - 1 threads."""
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    fields = FIELDS[:3]
-    pooled = ex.sweep_field(table_a1, fields, inner_step=3e5, workers=10**6)
-    assert len(threads) == min(3, cpus) - 1
-    serial = ex.sweep_field(table_a1, fields, inner_step=3e5, workers=1)
-    ex.sweep_detuning(table_a1, (1e5, 2e5), workers=10**6)
-    assert len(threads) == min(3, cpus) - 1  # one worker or one job starts none
-    assert pooled.p.tolist() == serial.p.tolist()
-    _assert_all_joined(threads)
-
-
-def test_one_engine_is_built_in_the_calling_thread(table_a1, builds, threads, monkeypatch):
-    """At every worker count the caller builds one engine that holds every
-    job as a cell. Windows longer than CHUNK make batches that cross the
+def test_one_engine_is_built_in_the_calling_thread(table_a1, builds, threads):
+    """The caller builds one engine that holds every job as a cell and
+    starts no thread. Windows longer than CHUNK make batches that cross the
     cells' edges."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert len(ex.grid(-6e5, 6e5, 9e3)) > CHUNK
-    results = {}
-    for workers in (1, 2, 3):
-        threads.clear()
-        results[workers] = ex.sweep_field(table_a1, FIELDS, inner_step=9e3, workers=workers)
-        assert builds() == [(threading.main_thread(), FIELDS)]
-        assert len(threads) == workers - 1
-        assert results[workers].p.tolist() == results[1].p.tolist()
-    _assert_all_joined(threads)
+    ex.sweep_field(table_a1, FIELDS, inner_step=9e3)
+    assert builds() == [(threading.main_thread(), FIELDS)]
+    assert threads == []
 
 
 def test_an_engine_that_cannot_be_built_starts_no_thread(table_a1, threads, monkeypatch):
@@ -462,180 +402,17 @@ def test_an_engine_that_cannot_be_built_starts_no_thread(table_a1, threads, monk
         raise NumericalError("the Hamiltonian couples the driven block to m_s = -1")
 
     monkeypatch.setattr(ex, "CycleEngine", broken)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     with pytest.raises(NumericalError, match="couples the driven block"):
-        ex.sweep_field(table_a1, FIELDS, inner_step=3e5, workers=3)
+        ex.sweep_field(table_a1, FIELDS, inner_step=3e5)
     assert threads == []
 
 
-def test_fan_out_bytes_match_at_one_two_and_three_workers(
-    table_a1, threads, monkeypatch, tmp_path
-):
-    """Every sweep spans several batches, so every rank computes some."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    sweeps = {
-        "field": lambda w: ex.sweep_field(table_a1, FIELDS, inner_step=1e4, workers=w),
-        "ani": lambda w: ex.sweep_ani_detuning(
-            table_a1, (0.0, 1e5, 2e5, 3e5, 4e5), ex.grid(-4e5, 4e5, 1e4), workers=w
-        ),
-        "field-ani": lambda w: ex.sweep_field_ani(
-            table_a1, FIELDS[:2], (1e5, 3e5), inner_step=2e4, workers=w
-        ),
-    }
-    for name, sweep in sweeps.items():
-        written = {}
-        for workers in (1, 2, 3):
-            threads.clear()
-            result = sweep(workers)
-            assert len(threads) == workers - 1
-            _assert_all_joined(threads)
-            data, meta = tmp_path / f"{name}-{workers}.csv", tmp_path / f"{name}-{workers}.json"
-            result.write_csv(data)
-            result.write_metadata(meta)
-            written[workers] = data.read_bytes() + meta.read_bytes()
-        assert written[2] == written[1] and written[3] == written[1]
-
-
-def test_grids_of_unequal_length_give_equal_bytes_at_one_two_and_three_workers(
-    table_a1, threads, monkeypatch
-):
+def test_grids_of_unequal_length_give_the_bits_of_one_engine_per_job(table_a1):
     """Jobs of 5 to 150 detunings, whose batches cross the jobs' edges at
-    odd places, give at every worker count the bits of one engine per job."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    odd places, give the bits of one engine per job."""
     cells = [table_a1.with_system(b_z=b) for b in (500.0, 510.0, 520.0, 530.0, 540.0)]
     grids = [ex.grid(1e5, 1e5 + (size - 1) * 4e3, 4e3) for size in (150, 5, 97, 31, 64)]
     jobs = [(q.system, g) for q, g in zip(cells, grids)]
     want = [CycleEngine(q).polarizations(g).tobytes() for q, g in zip(cells, grids)]
-    for workers in (1, 2, 3):
-        threads.clear()
-        got = ex._evaluate(table_a1, jobs, None, workers)
-        assert [p.tobytes() for p in got] == want
-        assert len(threads) == workers - 1
-    _assert_all_joined(threads)
-
-
-#: CHUNK detunings per job, so batch i of an ani sweep holds exactly job i:
-#: at 3 workers, batches 0 and 3 are the caller's, 1 and 4 thread 1's, and
-#: 2 and 5 thread 2's.
-BATCH_DELTAS = ex.grid(-3.15e5, 3.15e5, 1e4)
-BATCH_ANIS = tuple(k * 5e4 for k in range(6))
-
-
-def _ani_sweep(table_a1):
-    assert len(BATCH_DELTAS) == CHUNK
-    return ex.sweep_ani_detuning(table_a1, BATCH_ANIS, BATCH_DELTAS, workers=3)
-
-
-@pytest.fixture
-def batches(monkeypatch):
-    """Patches CycleEngine.polarizations to log (thread, batch) of every call,
-    the batch being the cell of its first pair, and to call faults[batch]()
-    first, or faults["slow"]() for a batch without one. Returns (log, faults)."""
-    log, faults = [], {}
-    polarizations = CycleEngine.polarizations
-
-    def faulty(self, deltas, n_cycles=None, cells=0):
-        batch = int(np.ravel(cells)[0])
-        log.append((threading.current_thread(), batch))
-        faults.get(batch, faults.get("slow", lambda: None))()
-        return polarizations(self, deltas, n_cycles, cells)
-
-    monkeypatch.setattr(CycleEngine, "polarizations", faulty)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    return log, faults
-
-
-def test_a_childs_error_reaches_the_caller_unchanged(table_a1, threads, batches, no_hang):
-    """Batch 1 runs on a thread; its error, not a wrapper, comes back."""
-    log, faults = batches
-
-    def fail():
-        raise NumericalError("propagation drift 2.000e-09 exceeds 1e-9")
-
-    faults[1] = fail
-    with pytest.raises(NumericalError) as info:
-        _ani_sweep(table_a1)
-    assert type(info.value) is NumericalError
-    assert str(info.value) == "propagation drift 2.000e-09 exceeds 1e-9"
-    assert len(threads) == 2
-    assert [thread for thread, batch in log if batch == 1] == [threads[0]]
-    _assert_all_joined(threads)
-
-
-def test_the_first_error_in_share_order_is_raised(table_a1, threads, batches, no_hang):
-    """Batch 4 fails first in time, while batch 2 runs; batch 2 fails later,
-    and its error, the first in batch order, is raised."""
-    log, faults = batches
-    running = threading.Event()
-
-    def late():
-        running.set()
-        time.sleep(0.2)
-        raise NumericalError("batch 2")
-
-    def early():
-        running.wait(5)
-        raise ConfigError("batch 4")
-
-    faults.update({2: late, 4: early})
-    with pytest.raises(NumericalError, match="batch 2"):
-        _ani_sweep(table_a1)
-    assert {batch for _, batch in log} >= {2, 4}
-    _assert_all_joined(threads)
-
-
-@pytest.mark.parametrize(
-    "failing, error",
-    [(0, NumericalError), (0, KeyboardInterrupt), (1, NumericalError)],
-)
-def test_an_error_in_one_share_stops_the_others(
-    table_a1, threads, batches, no_hang, failing, error
-):
-    """Batch 0 is the caller's first, batch 1 a thread's. Every other batch
-    waits for the failure, so every other rank stops after its first batch:
-    batches 3, 4 and 5 never run."""
-    log, faults = batches
-    failed = threading.Event()
-
-    def fail():
-        failed.set()
-        raise error("in the failing batch")
-
-    def slow():
-        failed.wait(5)
-        time.sleep(0.05)  # for the failing rank to set the stop event
-
-    faults.update({failing: fail, "slow": slow})
-    with pytest.raises(error, match="in the failing batch"):
-        _ani_sweep(table_a1)
-    assert len(threads) == 2 and {batch for _, batch in log} <= {0, 1, 2}
-    _assert_all_joined(threads)
-
-
-def test_an_interrupt_while_joining_stops_and_joins_every_thread(
-    table_a1, threads, batches, monkeypatch, no_hang
-):
-    """The caller's batches 0 and 3 are done; an interrupt in its first join
-    stops the other ranks, which take 0.2 s per batch, before batches 4 and
-    5, and joins them before it is raised."""
-    log, faults = batches
-    join = threading.Thread.join
-    interrupts = [KeyboardInterrupt("while joining")]
-
-    def interrupted_join(self, timeout=None):
-        if interrupts:
-            raise interrupts.pop()
-        join(self, timeout)
-
-    def slow():
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(0.2)
-
-    monkeypatch.setattr(threading.Thread, "join", interrupted_join)
-    faults["slow"] = slow
-    with pytest.raises(KeyboardInterrupt, match="while joining"):
-        _ani_sweep(table_a1)
-    assert len(threads) == 2
-    assert {0, 3} <= {batch for _, batch in log} <= {0, 1, 2, 3}
-    assert {thread for thread, batch in log if batch in (0, 3)} == {threading.main_thread()}
-    _assert_all_joined(threads)
+    got = ex._evaluate(table_a1, jobs, None)
+    assert [p.tobytes() for p in got] == want

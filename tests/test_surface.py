@@ -35,7 +35,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_pool_machinery():
-    """The fan-out needs threading only, and numpy loads it anyway."""
+    """No pool or signal machinery; threading comes with numpy, and the sweeps start no thread."""
     assert _loaded_by_cli_import("concurrent", "multiprocessing", "signal") == []
     assert _loaded_by_cli_import("threading", module="numpy") == ["threading"]
 
