@@ -288,8 +288,7 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
     )
     t, s = rm.synthesize_ramsey(model, args.duration, args.dt)
     spectrum = rm.fft_spectrum(s, args.dt)
-    guesses = rm.dominant_line_pair(model.peaks)
-    spectral = rm.fit_lorentzian_pair(spectrum, guesses)
+    spectral = rm.fit_spectrum(spectrum, t, model.peaks)
     time_fit = rm.fit_time_domain(t, s, model.peaks)
 
     out = _out_dir("ramsey", args.out)

@@ -3,8 +3,7 @@
 The engine is a damped Gauss-Newton (Levenberg-Marquardt style) loop with
 bounds enforced by projection and strictly monotone accepted steps. Its
 Jacobian comes from the problem's own ``jacobian`` where one is given, and
-is otherwise differenced forward at every iterate, or, for a problem that
-sets ``secant``, differenced once and then carried by rank-one (Broyden)
+is otherwise differenced forward and then carried by rank-one (Broyden)
 updates along the accepted steps. It is deterministic: identical problems
 produce identical reports, and the evaluation budget counts model calls,
 including the ones spent on Jacobian columns, and analytic Jacobian calls.
@@ -44,15 +43,12 @@ class FitProblem:
         init: Initial parameter vector, already within bounds.
         bounds: Per-parameter (lo, hi) pairs; None means unbounded.
         budget: Maximum number of model evaluations.
-        secant: Carry the Jacobian by secant updates instead of differencing
-            it at every iterate. It pays where a model call is dear and the
-            fit walks a long curved valley with few rejected trials (the
-            curve fit); it costs more calls on fits with many rejected
-            trials.
         jacobian: Maps a parameter vector to the (len(data), len(init))
-            Jacobian of the residual model(x) - data. Where it is set, the
-            fit calls it wherever it would difference a Jacobian, at one
-            budget unit a call instead of one a column (the Ramsey fits).
+            Jacobian of the residual model(x) - data, called at every
+            iterate at one budget unit a call (the Ramsey fits). Where it is
+            None, the fit differences a Jacobian (one unit a column) and
+            carries it by secant updates along the accepted steps, which
+            pays where a model call is dear (the curve fit).
     """
 
     model: Callable[[np.ndarray], np.ndarray]
@@ -60,7 +56,6 @@ class FitProblem:
     init: np.ndarray
     bounds: tuple[tuple[float, float], ...] | None = None
     budget: int = 500
-    secant: bool = False
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def lo_hi(self) -> tuple[np.ndarray, np.ndarray]:
@@ -83,15 +78,15 @@ class FitReport:
     Uncertainties are the square roots of the covariance diagonal,
     (J^T J)^-1 times the residual variance, for the problem's analytic
     Jacobian or else a finite-difference one; NaN where the normal matrix is
-    singular or no Jacobian was taken (a fit that meets the residual
-    tolerance at its start point takes none). With secant updates that
-    Jacobian is differenced at the returned parameters, and its columns count
-    against the budget (NaN if the budget cannot pay for them). Otherwise it
-    is the last one taken: at the returned parameters when the fit ends on
-    rejected trials (the damping limit, or a budget spent on trials), and at
-    the iterate before the last accepted step when it ends on that step (the
-    step or residual tolerance, or a budget too small for the next
-    Jacobian).
+    singular or no Jacobian was taken (a fit with an analytic Jacobian that
+    meets the residual tolerance at its start point takes none). A
+    differenced Jacobian is taken at the returned parameters, and its
+    columns count against the budget (NaN if the budget cannot pay for
+    them). An analytic one is the last one taken: at the returned parameters
+    when the fit ends on rejected trials (the damping limit, or a budget
+    spent on trials), and at the iterate before the last accepted step when
+    it ends on that step (the step or residual tolerance, or a budget too
+    small for the next Jacobian).
     """
 
     params: tuple[float, ...]
@@ -182,6 +177,7 @@ def least_squares(problem: FitProblem) -> FitReport:
     """
     data = np.asarray(problem.data, dtype=float)
     lo, hi = problem.lo_hi()
+    secant = problem.jacobian is None
     x = np.clip(np.asarray(problem.init, dtype=float), lo, hi)
     budget = _Budget(problem.budget)
 
@@ -217,7 +213,7 @@ def least_squares(problem: FitProblem) -> FitReport:
         trial_cost = float(trial_residual @ trial_residual)
         if trial_cost < cost:
             step = trial - x
-            if problem.secant:
+            if secant:
                 jac = _secant_update(jac, step, trial_residual - residual)
                 system = _normal_system(jac, trial_residual)
             else:
@@ -237,8 +233,8 @@ def least_squares(problem: FitProblem) -> FitReport:
                 converged, message = True, "no descent direction below damping limit"
                 break
 
-    if problem.secant and not fresh:
-        last_jac = _jacobian(problem.model, x, data, residual, budget, problem.jacobian)
+    if secant and not fresh:
+        last_jac = _jacobian(problem.model, x, data, residual, budget)
     uncertainties = _uncertainties(last_jac, cost, len(data), len(x))
     return FitReport(
         params=tuple(float(v) for v in x),
@@ -346,7 +342,6 @@ def fit_polarization_curve(
         init=np.array(CURVE_FIT_INIT),
         bounds=CURVE_FIT_BOUNDS,
         budget=budget,
-        secant=True,
     )
     report = least_squares(problem)
 

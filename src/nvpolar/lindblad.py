@@ -134,6 +134,7 @@ def build_channels(
     return ops
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def liouvillian(h: np.ndarray, channels: Iterable[np.ndarray]) -> np.ndarray:
     """Generator matrix acting on row-major vectorized density matrices.
 
@@ -424,9 +425,11 @@ class CycleEngine:
             }
             if start == 0:  # cell 0's, for trajectory()
                 self._generators = {laser_on: g[:1] for laser_on, g in generators.items()}
-            gens = np.array(
-                [generators[seg.laser_on] * (seg.duration_ns * 1e-9) for seg in segments]
-            )
+            # A non-finite generator fails the trace checks below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                gens = np.array(
+                    [generators[seg.laser_on] * (seg.duration_ns * 1e-9) for seg in segments]
+                )
             *chop_props, rest = expm(gens.reshape(-1, *gens.shape[2:])).reshape(gens.shape)
             chop = np.eye(len(_K_DIAG), dtype=complex)
             for prop in chop_props:

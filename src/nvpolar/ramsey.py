@@ -41,7 +41,7 @@ FFT_PAD_FACTOR = 4
 #: Minimum record length for a meaningful spectrum.
 MIN_SAMPLES = 8
 
-#: Model evaluations and Jacobians of the line-pair and the time fit.
+#: Model evaluations and Jacobians of the spectral and the time fit.
 LINE_PAIR_BUDGET = 600
 TIME_FIT_BUDGET = 900
 
@@ -176,9 +176,9 @@ def ramsey_model(
 def dominant_line_pair(peaks: tuple[RamseyPeak, ...]) -> tuple[float, float]:
     """Frequencies (up, down) of the strongest line of each nuclear origin.
 
-    The line-pair fit's guesses, in the order that fit keeps, so its first
-    line is nuclear-up; the time fit reports the fitted frequencies of these
-    two lines. Ties resolve to the first line listed.
+    Both fits report the fitted frequencies of these two lines, and the
+    spectral fit keeps the bins around them. Ties resolve to the first line
+    listed.
     """
     best: dict[bool, RamseyPeak] = {}
     for peak in peaks:
@@ -298,102 +298,43 @@ def _estimate(
     )
 
 
-def fit_lorentzian_pair(
-    spectrum: Spectrum,
-    center_guesses: tuple[float, float],
+def fit_spectrum(
+    spectrum: Spectrum, t: np.ndarray, peaks: tuple[RamseyPeak, ...]
 ) -> PolarizationEstimate:
-    """Fit both fringe lines as Lorentzians in one least-squares problem.
+    """Fit every fringe line of peaks to the spectrum of the record sampled at t.
 
-    The fit runs on the real part of the one-sided spectrum, which for a
-    cosine record is the additive absorption shape. A flat baseline (the
-    spectrum-wide median) is removed, and only a window around each guessed
-    center enters, so neither line's tails can bias the other. The search
-    covers the centers and widths; each height is solved by projection,
-    h = max(0, b.v / b.b) for its window's values v and unit Lorentzian b,
-    so its uncertainty in report.params (a1, f1, g1, a2, f2, g2) is NaN.
-    The Jacobian is the exact derivative of that projected model.
-    Each center stays within 0.3 x separation of its guess, so the lines
-    cannot cross: pass the guesses as dominant_line_pair's (up, down), and
-    P is the normalized area difference, line 1 minus line 2.
+    The model is fit_time_domain's, carried into the spectrum by the real FFT
+    that fft_spectrum takes (zero-padded FFT_PAD_FACTOR times, scaled by
+    2/N). Only the bins within 0.35 x separation of either line of
+    dominant_line_pair enter, their real and imaginary parts as separate
+    rows. Lines, bounds, report layout and P are fit_time_domain's.
 
     Raises:
+        ConfigError: A spectrum that is not the padded transform of a record
+            of len(t) samples, or a window with fewer than 6 bins.
         FitConvergenceError: The fit spent its budget without converging.
     """
-    c1, c2 = (float(c) for c in center_guesses)
-    if c1 == c2:
-        raise ConfigError("center guesses must be distinct")
-    separation = abs(c2 - c1)
-    baseline = float(np.median(np.real(spectrum.amplitudes)))
-    width0 = max(4.0 * spectrum.bin_width, 0.05 * separation)
+    n = np.size(t)
+    n_pad = n * FFT_PAD_FACTOR
+    if len(spectrum.frequencies) != n_pad // 2 + 1:
+        raise ConfigError(f"spectrum does not match a record of {n} samples")
+    pair = np.array(dominant_line_pair(peaks))
+    windows = np.abs(spectrum.frequencies[:, None] - pair) <= 0.35 * abs(pair[1] - pair[0])
+    if windows.sum(axis=0).min() < 6:
+        raise ConfigError("fewer than 6 spectrum bins around a line; use a longer record")
+    bins = windows.any(axis=1)
 
-    windows = []
-    for center in (c1, c2):
-        mask = np.abs(spectrum.frequencies - center) <= 0.35 * separation
-        if int(np.sum(mask)) < 6:
-            raise ConfigError(
-                "fewer than 6 spectrum points around a guessed line; "
-                "use a longer record or more padding"
-            )
-        values = np.real(spectrum.amplitudes)[mask] - baseline
-        if not np.any(values):
-            raise ConfigError("spectrum carries no signal near a guessed line")
-        windows.append((spectrum.frequencies[mask], values))
-    freqs = np.concatenate([f for f, _ in windows])
-    data = np.concatenate([values for _, values in windows])
-    which = np.repeat([0, 1], [len(f) for f, _ in windows])  # window of each row
-    rows = np.arange(len(data))
+    def rows(a):
+        z = np.fft.rfft(a, n=n_pad, axis=0)[bins] * (2.0 / n)
+        return np.concatenate((z.real, z.imag))
 
-    def lines(x):
-        """Each row's unit Lorentzian b, offset from its center and width, and
-        each window's projected height, at centers and widths x."""
-        u, g = freqs - x[0::2][which], x[1::2][which]
-        b = g**2 / (u**2 + g**2)
-        return b, u, g, np.maximum(0.0, np.bincount(which, b * data) / np.bincount(which, b * b))
+    z = spectrum.amplitudes[bins]
+    data = np.concatenate((z.real, z.imag))
+    return _fit_lines(t, data, peaks, rows, LINE_PAIR_BUDGET, "spectral fit")
 
-    def model(x):
-        b, _, _, h = lines(x)
-        return h[which] * b
 
-    def jacobian(x):
-        """d(h b)/dθ = h db/dθ + b dh/dθ, with dh/dθ = (db.(v - h b) - h b.db) / b.b
-        for h > 0 and zero for a clamped height."""
-        b, u, g, h = lines(x)
-        den = (u**2 + g**2) ** 2
-        rest = data - h[which] * b
-        jac = np.zeros((len(data), len(x)))
-        for j, db in enumerate((2.0 * g**2 * u / den, 2.0 * g * u**2 / den)):
-            dh = np.bincount(which, db * rest) - h * np.bincount(which, b * db)
-            dh = np.where(h > 0, dh / np.bincount(which, b * b), 0.0)
-            jac[rows, 2 * which + j] = h[which] * db + dh[which] * b
-        return jac
-
-    drift = 0.3 * separation
-    widths = (spectrum.bin_width / 4.0, 1.5 * separation)
-    report = least_squares(
-        FitProblem(
-            model=model,
-            data=data,
-            init=np.array([c1, width0, c2, width0]),
-            bounds=((c1 - drift, c1 + drift), widths, (c2 - drift, c2 + drift), widths),
-            budget=LINE_PAIR_BUDGET,
-            jacobian=jacobian,
-        )
-    )
-    if not report.converged:
-        raise FitConvergenceError(
-            f"line-pair fit near {c1:.3e} and {c2:.3e} Hz used "
-            f"{report.n_evaluations} evaluations without converging: {report.message}"
-        )
-    f1, g1, f2, g2 = report.params
-    a1, a2 = (float(h) for h in lines(np.array(report.params))[3])
-    u_f1, u_g1, u_f2, u_g2 = report.uncertainties
-    report = replace(
-        report,
-        params=(a1, f1, g1, a2, f2, g2),
-        uncertainties=(math.nan, u_f1, u_g1, math.nan, u_f2, u_g2),
-    )
-    areas = ((f1, np.pi * a1 * g1), (f2, np.pi * a2 * g2))
-    return _estimate(areas, report, "line areas")
+# bench/layers.py traces the spectral fit by this name.
+fit_lorentzian_pair = fit_spectrum
 
 
 def fit_time_domain(
@@ -422,15 +363,25 @@ def fit_time_domain(
     Raises:
         FitConvergenceError: The fit spent its budget without converging.
     """
-    t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    if t.shape != s.shape or t.ndim != 1 or len(t) < MIN_SAMPLES:
-        raise ConfigError("need matching 1-D records of at least 8 samples")
+    if np.shape(t) != s.shape:
+        raise ConfigError("time and signal records must match")
+    return _fit_lines(t, s, peaks, lambda a: a, TIME_FIT_BUDGET, "time-domain fit")
+
+
+def _fit_lines(t, data, peaks, rows, budget: int, what: str) -> PolarizationEstimate:
+    """fit_time_domain's fit of data = rows(signal), for a linear row map rows
+    that acts on each column of a record sampled at t (Golub & Pereyra's
+    variable projection: the columns, and their derivatives, pass through
+    rows before they are projected)."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or len(t) < MIN_SAMPLES:
+        raise ConfigError(f"need a 1-D record of at least {MIN_SAMPLES} samples")
     span = float(t[-1] - t[0])
     if not span > 0:
         raise ConfigError("time record must run forward")
-    if not float(np.max(np.abs(s))) > 0:
-        raise ConfigError("signal record is all zeros")
+    if not float(np.max(np.abs(data))) > 0:
+        raise ConfigError(f"no signal for the {what}")
     frequencies = [peak.frequency for peak in peaks]
     if not all(0 < f < math.inf for f in frequencies):
         raise ConfigError("line frequencies must be positive and finite")
@@ -457,43 +408,46 @@ def fit_time_domain(
     drift = 0.4 * gaps.min(axis=1)
 
     def project(x):
-        """Columns, their Gram matrix and coefficients at frequencies and T2* x."""
+        """Time columns, their rows, the rows' Gram matrix and coefficients at
+        frequencies and T2* x."""
         env = np.exp(-((tau / x[-1]) ** 2))[:, None]
         phase = np.outer(2.0 * np.pi * tau, x[:-1])
         phi = np.hstack((env * np.cos(phase), env * np.sin(phase)))
-        gram = phi.T @ phi
-        return phi, gram, solve(gram, phi.T @ s)
+        a = rows(phi)
+        gram = a.T @ a
+        return phi, a, gram, solve(gram, a.T @ data)
 
     def model(x):
-        phi, _, coef = project(x)
-        return phi @ coef
+        _, a, _, coef = project(x)
+        return a @ coef
 
     def jacobian(x):
-        phi, gram, coef = project(x)
+        phi, a, gram, coef = project(x)
         cos, sin = phi[:, :n_lines], phi[:, n_lines:]
         c, d = coef[:n_lines], coef[n_lines:]
         dphi_c = np.column_stack(
             (2.0 * np.pi * tau[:, None] * (d * cos - c * sin), 2.0 * tau**2 / x[-1] ** 3 * (phi @ coef))
         )
-        return dphi_c - phi @ solve(gram, phi.T @ dphi_c)
+        da_c = rows(dphi_c)
+        return da_c - a @ solve(gram, a.T @ da_c)
 
     report = least_squares(
         FitProblem(
             model=model,
-            data=s,
+            data=data,
             init=np.append(start, T2_STAR / span),
             bounds=(*zip(start - drift, start + drift), (1.0 / len(t), 100.0 * T2_STAR / span)),
-            budget=TIME_FIT_BUDGET,
+            budget=budget,
             jacobian=jacobian,
         )
     )
     if not report.converged:
         raise FitConvergenceError(
-            f"time-domain fit used {report.n_evaluations} evaluations "
+            f"{what} used {report.n_evaluations} evaluations "
             f"without converging: {report.message}"
         )
     x, u = np.array(report.params), np.array(report.uncertainties)
-    coef = project(x)[2]
+    coef = project(x)[3]
     c, d, f = coef[:n_lines], coef[n_lines:], x[:-1] / span
     unsolved = np.full(n_lines, math.nan)
     report = replace(

@@ -299,7 +299,7 @@ def _fringe_fits(system, manifold, populations):
     t, s = rm.synthesize_ramsey(model, 4e-6, 2e-8)
     spectrum = rm.fft_spectrum(s, 2e-8)
     peaks = rm.analytic_peaks(system, manifold)
-    spectral = rm.fit_lorentzian_pair(spectrum, rm.dominant_line_pair(peaks))
+    spectral = rm.fit_spectrum(spectrum, t, peaks)
     time_domain = rm.fit_time_domain(t, s, peaks)
     return spectral, time_domain
 

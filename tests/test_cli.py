@@ -228,24 +228,29 @@ def test_ramsey_reads_the_sign_of_p_for_a_positive_axial_coupling(
         assert np.sign(p_fit) == np.sign(p_model), (name, p_fit, p_model)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 3: on m_s = +1 the minor up line sits inside the up "
-    "window, so the Lorentzian line-pair fit reads P = 0.8956 against the "
-    "model's 0.9832 (the time fit reads 0.9832)",
+#: The benchmark's bound on |P_fit - P_model| (bench/workloads.py RAMSEY_TOL).
+RAMSEY_TOL = 0.05
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--preset", "table-a1-fig4", "--manifold", "1"],
+        ["--manifold", "1", "--delta", "250e3", "--t2-star", "1.2e-6"],
+    ],
+    ids=["fig4-upper", "short-t2-star"],
 )
-def test_ramsey_reads_the_fig4_state_on_the_upper_manifold(tmp_path, capsys):
-    out_dir = tmp_path / "fig4"
-    code, _, err = run(
-        ["ramsey", "--preset", "table-a1-fig4", "--manifold", "1", "--out", str(out_dir)],
-        capsys,
-    )
+def test_both_ramsey_fits_read_the_model_polarization(tmp_path, capsys, flags):
+    """The fig4 state on m_s = +1, whose minor up line sits inside the up
+    window, and a record of broad lines (T2* = 1.2 us): both fits read the
+    model's P (measured <= 1.9e-5)."""
+    out_dir = tmp_path / "ramsey"
+    code, _, err = run(["ramsey", *flags, "--out", str(out_dir)], capsys)
     assert code == 0, err
     p_model = json.loads((out_dir / "metadata.json").read_text())["polarization_model"]
     for name in ("fit_time.json", "fit_spectrum.json"):
         p_fit = json.loads((out_dir / name).read_text())["p"]
-        assert abs(p_fit - p_model) <= 0.05, (name, p_fit, p_model)
+        assert abs(p_fit - p_model) <= RAMSEY_TOL, (name, p_fit, p_model)
 
 
 def test_trajectory_artifacts(tmp_path, capsys):
@@ -445,6 +450,10 @@ def test_numerical_failures_exit_3(capsys, monkeypatch, exc, expected_code, cate
         pytest.param("gamma_e", 1e306, 2, "config", id="gamma_e-1e+306"),
         pytest.param("b_z", 6e301, 2, "config", id="b_z-6e+301"),
         pytest.param("a_zz", 1e300, 3, "numerical", id="a_zz-1e+300"),
+        pytest.param("a_zz", 1e308, 3, "numerical", id="a_zz-1e+308"),
+        pytest.param("gamma_gl", 1e308, 3, "numerical", id="gamma_gl-1e+308"),
+        pytest.param("n_th", 1e308, 3, "numerical", id="n_th-1e+308"),
+        pytest.param("gamma_n_gl", 1e308, 3, "numerical", id="gamma_n_gl-1e+308"),
     ],
 )
 def test_overflowing_config_exits_3(tmp_path, capsys, field, value, code, category):
@@ -452,7 +461,7 @@ def test_overflowing_config_exits_3(tmp_path, capsys, field, value, code, catego
     values whose generators overflow fail as numerical errors."""
     path = inline_config(tmp_path)
     doc = json.loads(open(path).read())
-    doc["system"][field] = value
+    doc["rates" if field in doc["rates"] else "system"][field] = value
     open(path, "w").write(json.dumps(doc))
     out_dir = tmp_path / "overflow"
     got, _, err = run(

@@ -35,7 +35,7 @@ def synth_and_fit(system, manifold, populations, *, duration=DURATION):
     t, s = rm.synthesize_ramsey(model, duration, DT)
     spectrum = rm.fft_spectrum(s, DT)
     peaks = rm.analytic_peaks(system, manifold)
-    spectral = rm.fit_lorentzian_pair(spectrum, rm.dominant_line_pair(peaks))
+    spectral = rm.fit_spectrum(spectrum, t, peaks)
     time_domain = rm.fit_time_domain(t, s, peaks)
     return spectral, time_domain
 
@@ -262,27 +262,12 @@ def test_flipping_a_zz_and_the_manifold_mirrors_the_readout(
     assert np.max(np.abs(np.subtract(here, mirror))) <= 1e-6
 
 
-def test_spectral_fit_is_one_joint_fit(table_a1):
-    """One report over both lines: six params whose heights are projected
-    (NaN uncertainty), fitted centers and widths with finite ones."""
-    spectral, _ = synth_and_fit(table_a1.system, -1, (0.7, 0.3))
-    report = spectral.report
-    assert len(report.params) == 6
-    assert np.isnan(report.uncertainties[0]) and np.isnan(report.uncertainties[3])
-    for i in (1, 2, 4, 5):
-        assert np.isfinite(report.uncertainties[i])
-    assert ";" not in report.message
-    assert report.converged and report.n_evaluations <= 600
-
-
 def test_single_component_signal(table_a1):
-    """The projected height is clamped at zero, so a record with no down
-    population reads exactly P = 1 from the spectrum."""
+    """A record with no down population reads P = 1 from the spectrum to
+    rounding (measured <= 2.2e-14): the down lines' fitted amplitudes are
+    rounding noise."""
     spectral, _ = synth_and_fit(table_a1.system, -1, (1.0, 0.0))
-    params = spectral.report.params
-    height_at = dict(zip(params[1::3], params[0::3]))
-    assert height_at[spectral.frequency_down] == 0.0
-    assert spectral.p == 1.0
+    assert abs(1.0 - spectral.p) <= 1e-13
 
 
 def test_linewidth_matches_envelope(table_a1):
@@ -315,16 +300,18 @@ def test_fit_guess_validation(table_a1):
     model = rm.ramsey_model(table_a1.system, -1, rho=nuclear_state(0.5, 0.5))
     t, s = rm.synthesize_ramsey(model, DURATION, DT)
     spectrum = rm.fft_spectrum(s, DT)
-    with pytest.raises(ConfigError):
-        rm.fit_lorentzian_pair(spectrum, (5e6, 5e6))
-    with pytest.raises(ConfigError):
-        # Guesses so close that the fit window holds almost no bins.
-        rm.fit_lorentzian_pair(spectrum, (5.00e6, 5.01e6))
     peaks = rm.analytic_peaks(table_a1.system, -1)
     up, down = rm.RamseyPeak(5e6, 0.5, True), rm.RamseyPeak(5e6, 0.5, False)
+    with pytest.raises(ConfigError):
+        # Lines so close that the fit windows hold almost no bins.
+        rm.fit_spectrum(spectrum, t, (up, replace(down, frequency=5.01e6)))
+    with pytest.raises(ConfigError):
+        rm.fit_spectrum(spectrum, t[:-1], peaks)  # not this record's spectrum
     for bad in ((up, down), (replace(up, frequency=0.0), down), (replace(up, frequency=-4e6), down)):
         with pytest.raises(ConfigError):
             rm.fit_time_domain(t, s, bad)
+        with pytest.raises(ConfigError):
+            rm.fit_spectrum(spectrum, t, bad)
     with pytest.raises(ConfigError):
         rm.fit_time_domain(t, np.zeros_like(s), peaks)
     with pytest.raises(ConfigError):
@@ -334,18 +321,14 @@ def test_fit_guess_validation(table_a1):
 
 
 def test_fit_budget_exhaustion_raises(table_a1, monkeypatch):
-    model = rm.ramsey_model(table_a1.system, -1, rho=nuclear_state(0.5, 0.5))
-    t, s = rm.synthesize_ramsey(model, DURATION, DT)
-    spectrum = rm.fft_spectrum(s, DT)
-    guesses = rm.dominant_line_pair(rm.analytic_peaks(table_a1.system, -1))
-    for budget in (1, 6):
-        monkeypatch.setattr(rm, "LINE_PAIR_BUDGET", budget)
-        with pytest.raises(FitConvergenceError):
-            rm.fit_lorentzian_pair(spectrum, guesses)
-    # At T2* = 3 us the fit, started at T2_STAR, needs 14 evaluations.
+    """At T2* = 3 us the fits, started at T2_STAR, need 16 (spectral) and 14
+    (time) evaluations."""
     slow = rm.ramsey_model(table_a1.system, 1, rho=nuclear_state(0.5, 0.5), t2_star=3e-6)
     t, s = rm.synthesize_ramsey(slow, DURATION, DT)
+    monkeypatch.setattr(rm, "LINE_PAIR_BUDGET", 10)
     monkeypatch.setattr(rm, "TIME_FIT_BUDGET", 10)
+    with pytest.raises(FitConvergenceError):
+        rm.fit_spectrum(rm.fft_spectrum(s, DT), t, slow.peaks)
     with pytest.raises(FitConvergenceError):
         rm.fit_time_domain(t, s, slow.peaks)
 
@@ -367,9 +350,9 @@ def fit_both(system, manifold, populations, t2_star):
     """Run both fits on one record; return its time axis."""
     model = rm.ramsey_model(system, manifold, rho=nuclear_state(*populations), t2_star=t2_star)
     t, s = rm.synthesize_ramsey(model, DURATION, DT)
-    rm.fit_lorentzian_pair(rm.fft_spectrum(s, DT), rm.dominant_line_pair(model.peaks))
+    rm.fit_spectrum(rm.fft_spectrum(s, DT), t, model.peaks)
     rm.fit_time_domain(t, s, model.peaks)
-    return t
+    return t, model.peaks
 
 
 def central_difference(problem, x, rel=1e-6):
@@ -381,54 +364,45 @@ def central_difference(problem, x, rel=1e-6):
     return jac
 
 
+def spectral_rows(t, peaks):
+    """fit_spectrum's row map for a record sampled at t: the padded,
+    2/N-scaled real FFT, kept in the windows around the dominant pair, its
+    real and imaginary parts stacked."""
+    n_pad = rm.FFT_PAD_FACTOR * len(t)
+    f_up, f_down = rm.dominant_line_pair(peaks)
+    offsets = np.fft.rfftfreq(n_pad, DT)[:, None] - np.array([f_up, f_down])
+    bins = np.any(np.abs(offsets) <= 0.35 * abs(f_up - f_down), axis=1)
+
+    def rows(a):
+        z = np.fft.rfft(a, n=n_pad, axis=0)[bins] * (2.0 / len(t))
+        return np.concatenate((z.real, z.imag))
+
+    return rows
+
+
 @pytest.mark.parametrize("manifold", [1, -1])
 def test_time_fit_jacobian_is_the_projected_difference(table_a1, manifold, monkeypatch):
     """At a point off the optimum (frequencies 0.1 cycle per record high, T2*
-    20% long) the time fit's Jacobian is Kaufman's: orthogonal to the span of
-    the cos/sin columns, and equal to the central difference with its
-    component in that span removed, the term Kaufman drops. Both hold to
-    1e-8 of max |jac| (measured <= 5.4e-10); the unprojected difference
-    differs by up to 97% there."""
+    20% long) the Jacobian of either fit, spectral or time, is Kaufman's:
+    orthogonal to the span of its rows of the cos/sin columns, and equal to
+    the central difference with its component in that span removed, the
+    term Kaufman drops. Both hold to 1e-8 of max |jac| (measured <= 5.4e-10);
+    the unprojected difference differs by up to 43% of max |jac| there."""
     problems = captured_problems(monkeypatch)
-    t = fit_both(table_a1.system, manifold, (0.7, 0.3), 3e-6)
-    time_fit = problems[1]
-    x = np.array(time_fit.init)
-    x[:-1] += 0.1  # the search runs in cycles per record span and spans
-    x[-1] *= 1.2
-    tau = t / (t[-1] - t[0])
-    env = np.exp(-((tau / x[-1]) ** 2))[:, None]
-    phase = np.outer(2.0 * np.pi * tau, x[:-1])
-    basis = np.linalg.qr(np.hstack((env * np.cos(phase), env * np.sin(phase))))[0]
-    jac, diff = time_fit.jacobian(x), central_difference(time_fit, x)
-    scale = np.abs(jac).max()
-    assert np.abs(basis.T @ jac).max() <= 1e-8 * scale
-    assert np.abs(diff - basis @ (basis.T @ diff) - jac).max() <= 1e-8 * scale
-
-
-@pytest.mark.parametrize("manifold", [1, -1])
-def test_line_pair_jacobian_is_the_central_difference(table_a1, manifold, monkeypatch):
-    """At centers 20 kHz off and widths 30% wide, the line-pair Jacobian is
-    the exact derivative of the projected model: it matches the central
-    difference to 1e-8 of max |jac| (measured <= 3.3e-10)."""
-    problems = captured_problems(monkeypatch)
-    fit_both(table_a1.system, manifold, (0.7, 0.3), 3e-6)
-    pair = problems[0]
-    x = np.array(pair.init)
-    x[0::2] += 20e3
-    x[1::2] *= 1.3
-    jac = pair.jacobian(x)
-    assert np.abs(central_difference(pair, x) - jac).max() <= 1e-8 * np.abs(jac).max()
-
-
-def test_line_pair_jacobian_is_zero_for_a_clamped_height(table_a1, monkeypatch):
-    """With no down population the down window's height is clamped at zero,
-    so its center and width have no gradient."""
-    problems = captured_problems(monkeypatch)
-    spectral, _ = synth_and_fit(table_a1.system, -1, (1.0, 0.0))
-    pair = problems[0]
-    x = np.array([spectral.report.params[i] for i in (1, 2, 4, 5)])
-    jac = pair.jacobian(x)
-    assert not np.any(jac[:, 2:]) and np.any(jac[:, :2])
+    t, peaks = fit_both(table_a1.system, manifold, (0.7, 0.3), 3e-6)
+    spectral, time = problems
+    for problem, rows in ((spectral, spectral_rows(t, peaks)), (time, lambda a: a)):
+        x = np.array(problem.init)
+        x[:-1] += 0.1  # the search runs in cycles per record span and spans
+        x[-1] *= 1.2
+        tau = t / (t[-1] - t[0])
+        env = np.exp(-((tau / x[-1]) ** 2))[:, None]
+        phase = np.outer(2.0 * np.pi * tau, x[:-1])
+        basis = np.linalg.qr(rows(np.hstack((env * np.cos(phase), env * np.sin(phase)))))[0]
+        jac, diff = problem.jacobian(x), central_difference(problem, x)
+        scale = np.abs(jac).max()
+        assert np.abs(basis.T @ jac).max() <= 1e-8 * scale
+        assert np.abs(diff - basis @ (basis.T @ diff) - jac).max() <= 1e-8 * scale
 
 
 def buildup_readout_states():
@@ -440,18 +414,26 @@ def buildup_readout_states():
     return [(preset.system, rho) for rho in CycleEngine(preset).states(deltas)]
 
 
-def time_fit_error(system, manifold, rho, t2_star=rm.T2_STAR):
+def fit_record(system, manifold, rho, t2_star=rm.T2_STAR):
+    """P(model) and the spectral and the time fit of one record."""
     model = rm.ramsey_model(system, manifold, rho=rho, t2_star=t2_star)
     t, s = rm.synthesize_ramsey(model, DURATION, DT)
-    estimate = rm.fit_time_domain(t, s, model.peaks)
-    return abs(estimate.p - model.polarization()), estimate.report
+    spectral = rm.fit_spectrum(rm.fft_spectrum(s, DT), t, model.peaks)
+    return model.polarization(), (spectral, rm.fit_time_domain(t, s, model.peaks))
+
+
+def fit_errors(*record):
+    """|P_fit - P_model| and the report of each fit of one record."""
+    p_model, estimates = fit_record(*record)
+    return [(abs(e.p - p_model), e.report) for e in estimates]
 
 
 def test_time_fit_reads_the_model_polarization_over_the_check_set(table_a1):
-    """Every line modelled, the time fit reads the model's P to rounding
-    (measured <= 4.8e-15) wherever the record resolves each origin's lines:
-    the 24 buildup-readout states on both manifolds, A_zz = +-625 and
-    +-686.5546 kHz, and table-a1-fig4 on m_s = +1."""
+    """Every line modelled, both fits read the model's P to rounding
+    (measured <= 1.7e-14 spectral, 4.8e-15 time) wherever the record
+    resolves each origin's lines: the 24 buildup-readout states on both
+    manifolds, A_zz = +-625 and +-686.5546 kHz, and table-a1-fig4 on
+    m_s = +1."""
     cases = [(system, m, rho) for system, rho in buildup_readout_states() for m in (1, -1)]
     for a_zz in SIGNED_A_ZZ:
         system = replace(table_a1.system, a_zz=a_zz)
@@ -460,23 +442,40 @@ def test_time_fit_reads_the_model_polarization_over_the_check_set(table_a1):
     fig4 = get_preset("table-a1-fig4")
     cases.append((fig4.system, 1, CycleEngine(fig4).states([predicted_resonance(fig4)])[0]))
     for case in cases:
-        error, report = time_fit_error(*case)
-        assert error <= 1e-12
-        assert len(report.params) == 13  # four (c, d, f) lines and T2*
+        for error, report in fit_errors(*case):
+            assert error <= 1e-12
+            assert len(report.params) == 13  # four (c, d, f) lines and T2*
+
+
+def test_a_last_bit_change_of_the_state_moves_no_fit_step():
+    """rho_00 one ulp either way on the 24 buildup-readout states, on both
+    manifolds: each fit takes the same evaluations to the same frequencies,
+    and P moves by rounding only (measured <= 3.0e-15)."""
+    for system, rho in buildup_readout_states():
+        for manifold in (1, -1):
+            _, base = fit_record(system, manifold, rho)
+            for direction in (-np.inf, np.inf):
+                nudged = rho.copy()
+                nudged[0, 0] = np.nextafter(rho[0, 0].real, direction)
+                _, moved = fit_record(system, manifold, nudged)
+                for a, b in zip(base, moved):
+                    assert b.report.n_evaluations == a.report.n_evaluations
+                    assert (b.frequency_up, b.frequency_down) == (a.frequency_up, a.frequency_down)
+                    assert abs(b.p - a.p) <= 1e-13
 
 
 @pytest.mark.parametrize("t2_star", [1.2e-6, 2e-6, 3e-6])
 def test_time_fit_merges_the_matched_field_doublet(table_a1, t2_star):
     """The matched-field lines of each origin sit 20 kHz apart, under half
     the 250 kHz resolution of the record, so each origin is fitted as one
-    line. P stays within 2e-6 of the model (measured 1.7e-6; the two-tone
-    fit read 1.9e-6)."""
+    line. P stays within 2e-6 of the model (measured 1.7e-6 time, 1.9e-6
+    spectral; the two-tone time fit read 1.9e-6)."""
     p = table_a1.system
     matched = replace(p, a_zz=-p.nuclear_zeeman, a_ani=20e3)
     for populations in ((0.5, 0.5), (0.9, 0.1)):
-        error, report = time_fit_error(matched, 1, nuclear_state(*populations), t2_star)
-        assert error <= 2e-6
-        assert len(report.params) == 7  # two (c, d, f) lines and T2*
+        for error, report in fit_errors(matched, 1, nuclear_state(*populations), t2_star):
+            assert error <= 2e-6
+            assert len(report.params) == 7  # two (c, d, f) lines and T2*
 
 
 def test_csv_writers(table_a1, tmp_path):
