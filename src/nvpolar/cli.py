@@ -287,13 +287,12 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
         t2_star=args.t2_star,
     )
     t, s = rm.synthesize_ramsey(model, args.duration, args.dt)
-    spectrum = rm.fft_spectrum(s, args.dt)
-    spectral = rm.fit_spectrum(spectrum, t, model.peaks)
+    spectral = rm.fit_spectrum(t, s, model.peaks)
     time_fit = rm.fit_time_domain(t, s, model.peaks)
 
     out = _out_dir("ramsey", args.out)
     rm.write_signal_csv(out / "data.csv", t, s)
-    rm.write_spectrum_csv(out / "spectrum.csv", spectrum)
+    rm.write_spectrum_csv(out / "spectrum.csv", *rm.fft_spectrum(t, s))
     base = {
         "command": "ramsey",
         "schema": "nvpolar-ramsey/1",

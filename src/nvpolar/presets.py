@@ -204,14 +204,10 @@ def format_presets() -> str:
     names = preset_names()
     presets = [get_preset(n) for n in names]
 
+    scale = {"kHz": 1e3, "MHz": 1e6, "GHz": 1e9}
+
     def fmt(value: float, unit: str) -> str:
-        if unit == "kHz":
-            return f"{value / 1e3:g} kHz"
-        if unit == "GHz":
-            return f"{value / 1e9:g} GHz"
-        if unit == "MHz":
-            return f"{value / 1e6:g} MHz"
-        return f"{value:g}"
+        return f"{value / scale[unit]:g} {unit}"
 
     rows: list[tuple[str, list[str]]] = [
         ("t_gl", [f"{p.t_gl_ns} ns (train {p.chop_on_ns}/{p.chop_off_ns} x{p.chop_reps})" for p in presets]),

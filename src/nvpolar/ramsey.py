@@ -41,9 +41,8 @@ FFT_PAD_FACTOR = 4
 #: Minimum record length for a meaningful spectrum.
 MIN_SAMPLES = 8
 
-#: Model evaluations and Jacobians of the spectral and the time fit.
-LINE_PAIR_BUDGET = 600
-TIME_FIT_BUDGET = 900
+#: Model evaluations and Jacobians of either fit.
+FIT_BUDGET = 900
 
 _MANIFOLDS = (1, -1)
 #: Eigenstate columns spanning each electron manifold.
@@ -229,47 +228,45 @@ def synthesize_ramsey(
     return t, s
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """One-sided amplitude spectrum of a real signal.
-
-    Amplitudes are scaled by 2/N so an unwindowed full-record cosine of unit
-    amplitude lands near unit magnitude at its bin.
-    """
-
-    frequencies: np.ndarray
-    amplitudes: np.ndarray
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.amplitudes)
-
-    @property
-    def bin_width(self) -> float:
-        return float(self.frequencies[1] - self.frequencies[0])
-
-
-def fft_spectrum(signal: np.ndarray, dt: float) -> Spectrum:
-    """Windowless real FFT of a fringe record, zero-padded FFT_PAD_FACTOR times."""
-    s = np.asarray(signal, dtype=float)
-    if s.ndim != 1 or len(s) < MIN_SAMPLES:
+def _record(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The record (t, s) as float arrays, checked: 1-D, at least MIN_SAMPLES
+    long, of equal shapes, finite, and running forward in time."""
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    if t.ndim != 1 or len(t) < MIN_SAMPLES:
         raise ConfigError(f"need a 1-D record of at least {MIN_SAMPLES} samples")
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    n_pad = len(s) * FFT_PAD_FACTOR
-    amplitudes = np.fft.rfft(s, n=n_pad) * (2.0 / len(s))
-    frequencies = np.fft.rfftfreq(n_pad, dt)
-    return Spectrum(frequencies, amplitudes)
+    if s.shape != t.shape:
+        raise ConfigError("time and signal records must match")
+    if not (np.isfinite(t).all() and np.isfinite(s).all()):
+        raise ConfigError("time and signal records must be finite")
+    if not (t[1:] > t[:-1]).all():
+        raise ConfigError("time record must run forward")
+    return t, s
+
+
+def _rfft(a: np.ndarray, bins=slice(None)) -> np.ndarray:
+    """The real FFT of the records in a's columns (axis 0), zero-padded
+    FFT_PAD_FACTOR times, at bins, scaled by 2/N so that an unwindowed
+    full-record cosine of unit amplitude lands near unit magnitude."""
+    n = len(a)
+    return np.fft.rfft(a, n=n * FFT_PAD_FACTOR, axis=0)[bins] * (2.0 / n)
+
+
+def fft_spectrum(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies (Hz) and complex amplitudes of the windowless real FFT of
+    the record, zero-padded FFT_PAD_FACTOR times and scaled by 2/N."""
+    t, s = _record(t, s)
+    return np.fft.rfftfreq(len(t) * FFT_PAD_FACTOR, t[1] - t[0]), _rfft(s)
 
 
 @dataclass(frozen=True)
 class PolarizationEstimate:
-    """A polarization recovered from a fitted line pair.
+    """A polarization read from the fitted lines, their amplitudes summed by
+    nuclear origin.
 
     Attributes:
         p: Estimated nuclear polarization in [-1, 1].
-        frequency_up: Fitted frequency assigned to the nuclear-up line (Hz).
-        frequency_down: Fitted frequency of the nuclear-down line (Hz).
+        frequency_up: Fitted frequency of the dominant nuclear-up line (Hz).
+        frequency_down: Fitted frequency of the dominant nuclear-down line (Hz).
         report: Underlying least-squares report.
     """
 
@@ -299,41 +296,38 @@ def _estimate(
 
 
 def fit_spectrum(
-    spectrum: Spectrum, t: np.ndarray, peaks: tuple[RamseyPeak, ...]
+    t: np.ndarray, s: np.ndarray, peaks: tuple[RamseyPeak, ...]
 ) -> PolarizationEstimate:
-    """Fit every fringe line of peaks to the spectrum of the record sampled at t.
+    """Fit every fringe line of peaks to the spectrum of the record (t, s).
 
-    The model is fit_time_domain's, carried into the spectrum by the real FFT
-    that fft_spectrum takes (zero-padded FFT_PAD_FACTOR times, scaled by
-    2/N). Only the bins within 0.35 x separation of either line of
-    dominant_line_pair enter, their real and imaginary parts as separate
-    rows. Lines, bounds, report layout and P are fit_time_domain's.
+    The model is fit_time_domain's, carried into the spectrum by
+    fft_spectrum's transform. Only the bins within 0.35 x separation of
+    either line of dominant_line_pair enter, their real and imaginary parts
+    as separate rows. Lines, bounds, report layout and P are
+    fit_time_domain's.
 
     Raises:
-        ConfigError: A spectrum that is not the padded transform of a record
-            of len(t) samples, or a window with fewer than 6 bins.
+        ConfigError: A bad record or bad lines, or a window with fewer than
+            6 bins.
         FitConvergenceError: The fit spent its budget without converging.
     """
-    n = np.size(t)
-    n_pad = n * FFT_PAD_FACTOR
-    if len(spectrum.frequencies) != n_pad // 2 + 1:
-        raise ConfigError(f"spectrum does not match a record of {n} samples")
+    t, s = _record(t, s)
     pair = np.array(dominant_line_pair(peaks))
-    windows = np.abs(spectrum.frequencies[:, None] - pair) <= 0.35 * abs(pair[1] - pair[0])
+    frequencies = np.fft.rfftfreq(len(t) * FFT_PAD_FACTOR, t[1] - t[0])
+    windows = np.abs(frequencies[:, None] - pair) <= 0.35 * abs(pair[1] - pair[0])
     if windows.sum(axis=0).min() < 6:
         raise ConfigError("fewer than 6 spectrum bins around a line; use a longer record")
     bins = windows.any(axis=1)
 
     def rows(a):
-        z = np.fft.rfft(a, n=n_pad, axis=0)[bins] * (2.0 / n)
+        z = _rfft(a, bins)
         return np.concatenate((z.real, z.imag))
 
-    z = spectrum.amplitudes[bins]
-    data = np.concatenate((z.real, z.imag))
-    return _fit_lines(t, data, peaks, rows, LINE_PAIR_BUDGET, "spectral fit")
+    return _fit_lines(t, s, peaks, rows, "spectral fit")
 
 
-# bench/layers.py traces the spectral fit by this name.
+# bench/layers.py traces the spectral fit by this name; it must stay the same
+# object, since the tracer rebinds every module name bound to it.
 fit_lorentzian_pair = fit_spectrum
 
 
@@ -361,25 +355,19 @@ def fit_time_domain(
     dominant_line_pair's.
 
     Raises:
+        ConfigError: A bad record or bad lines.
         FitConvergenceError: The fit spent its budget without converging.
     """
-    s = np.asarray(s, dtype=float)
-    if np.shape(t) != s.shape:
-        raise ConfigError("time and signal records must match")
-    return _fit_lines(t, s, peaks, lambda a: a, TIME_FIT_BUDGET, "time-domain fit")
+    return _fit_lines(*_record(t, s), peaks, lambda a: a, "time-domain fit")
 
 
-def _fit_lines(t, data, peaks, rows, budget: int, what: str) -> PolarizationEstimate:
-    """fit_time_domain's fit of data = rows(signal), for a linear row map rows
-    that acts on each column of a record sampled at t (Golub & Pereyra's
-    variable projection: the columns, and their derivatives, pass through
-    rows before they are projected)."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or len(t) < MIN_SAMPLES:
-        raise ConfigError(f"need a 1-D record of at least {MIN_SAMPLES} samples")
+def _fit_lines(t, s, peaks, rows, what: str) -> PolarizationEstimate:
+    """fit_time_domain's fit of rows(s), for a checked record (t, s) and a
+    linear row map rows that acts on each column of a record sampled at t
+    (Golub & Pereyra's variable projection: the columns, and their
+    derivatives, pass through rows before they are projected)."""
+    data = rows(s)
     span = float(t[-1] - t[0])
-    if not span > 0:
-        raise ConfigError("time record must run forward")
     if not float(np.max(np.abs(data))) > 0:
         raise ConfigError(f"no signal for the {what}")
     frequencies = [peak.frequency for peak in peaks]
@@ -437,7 +425,7 @@ def _fit_lines(t, data, peaks, rows, budget: int, what: str) -> PolarizationEsti
             data=data,
             init=np.append(start, T2_STAR / span),
             bounds=(*zip(start - drift, start + drift), (1.0 / len(t), 100.0 * T2_STAR / span)),
-            budget=budget,
+            budget=FIT_BUDGET,
             jacobian=jacobian,
         )
     )
@@ -473,13 +461,10 @@ def write_signal_csv(path, t: np.ndarray, s: np.ndarray) -> None:
     _write_pairs(path, "time_ns,signal", times, np.asarray(s, dtype=float).tolist())
 
 
-def write_spectrum_csv(path, spectrum: Spectrum) -> None:
-    """Write a (frequency_hz, magnitude) spectrum."""
+def write_spectrum_csv(path, frequencies: np.ndarray, amplitudes: np.ndarray) -> None:
+    """Write fft_spectrum's (frequencies, amplitudes) as (frequency_hz, magnitude)."""
     _write_pairs(
-        path,
-        "frequency_hz,magnitude",
-        spectrum.frequencies.tolist(),
-        spectrum.magnitude.tolist(),
+        path, "frequency_hz,magnitude", frequencies.tolist(), np.abs(amplitudes).tolist()
     )
 
 

@@ -215,10 +215,10 @@ def rowwise_signal_csv(path, t, s) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def rowwise_spectrum_csv(path, spectrum) -> None:
+def rowwise_spectrum_csv(path, frequencies, amplitudes) -> None:
     """ramsey.write_spectrum_csv, formatting one bin at a time (LF)."""
     lines = ["frequency_hz,magnitude"]
-    for f, m in zip(spectrum.frequencies, spectrum.magnitude):
+    for f, m in zip(frequencies, abs(amplitudes)):
         lines.append(f"{repr(float(f))},{repr(float(m))}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

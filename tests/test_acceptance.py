@@ -297,9 +297,8 @@ def test_criterion_6_exact_vs_integrator(table_a1):
 def _fringe_fits(system, manifold, populations):
     model = rm.ramsey_model(system, manifold, rho=np.diag([*populations, 0.0, 0.0]))
     t, s = rm.synthesize_ramsey(model, 4e-6, 2e-8)
-    spectrum = rm.fft_spectrum(s, 2e-8)
     peaks = rm.analytic_peaks(system, manifold)
-    spectral = rm.fit_spectrum(spectrum, t, peaks)
+    spectral = rm.fit_spectrum(t, s, peaks)
     time_domain = rm.fit_time_domain(t, s, peaks)
     return spectral, time_domain
 

@@ -33,9 +33,8 @@ def nuclear_state(up, down):
 def synth_and_fit(system, manifold, populations, *, duration=DURATION):
     model = rm.ramsey_model(system, manifold, rho=nuclear_state(*populations))
     t, s = rm.synthesize_ramsey(model, duration, DT)
-    spectrum = rm.fft_spectrum(s, DT)
     peaks = rm.analytic_peaks(system, manifold)
-    spectral = rm.fit_spectrum(spectrum, t, peaks)
+    spectral = rm.fit_spectrum(t, s, peaks)
     time_domain = rm.fit_time_domain(t, s, peaks)
     return spectral, time_domain
 
@@ -169,13 +168,20 @@ def test_fft_bin_accuracy():
     dt = 1e-7
     t = np.arange(256) * dt
     f0 = 1.037e6
-    spectrum = rm.fft_spectrum(np.cos(2.0 * np.pi * f0 * t), dt)
-    peak = spectrum.frequencies[int(np.argmax(spectrum.magnitude))]
-    assert abs(peak - f0) <= spectrum.bin_width
-    assert spectrum.magnitude.max() > 0.8
-    assert abs(spectrum.bin_width - 1.0 / (4 * 256 * dt)) < 1e-9
+    s = np.cos(2.0 * np.pi * f0 * t)
+    frequencies, amplitudes = rm.fft_spectrum(t, s)
+    bin_width = frequencies[1] - frequencies[0]
+    peak = frequencies[int(np.argmax(np.abs(amplitudes)))]
+    assert abs(peak - f0) <= bin_width
+    assert np.abs(amplitudes).max() > 0.8
+    assert abs(bin_width - 1.0 / (4 * 256 * dt)) < 1e-9
     with pytest.raises(ConfigError):
-        rm.fft_spectrum(np.zeros(4), dt)
+        rm.fft_spectrum(t[:4], np.zeros(4))
+    # Time axes of a NaN or an infinite sample spacing, and ones that do not
+    # run forward.
+    for bad in (t * np.nan, np.where(t > 0, np.inf, 0.0), t[::-1], np.zeros_like(t)):
+        with pytest.raises(ConfigError):
+            rm.fft_spectrum(bad, s)
 
 
 @pytest.mark.parametrize("p_true", [0.0, 0.5, 0.9, -0.7])
@@ -274,44 +280,43 @@ def test_linewidth_matches_envelope(table_a1):
     """Real-part FWHM of an isolated line equals the envelope-set width."""
     model = rm.ramsey_model(table_a1.system, -1, rho=nuclear_state(1.0, 0.0))
     t, s = rm.synthesize_ramsey(model, 8e-6, DT)
-    spectrum = rm.fft_spectrum(s, DT)
-    re = np.real(spectrum.amplitudes) - np.median(np.real(spectrum.amplitudes))
+    frequencies, amplitudes = rm.fft_spectrum(t, s)
+    re = np.real(amplitudes) - np.median(np.real(amplitudes))
     line = max(
         (p for p in rm.analytic_peaks(table_a1.system, -1) if p.origin_up),
         key=lambda q: q.amplitude,
     )
-    idx = int(np.argmin(np.abs(spectrum.frequencies - line.frequency)))
+    idx = int(np.argmin(np.abs(frequencies - line.frequency)))
     half = re[idx] / 2.0
 
     def crossing(direction):
         i = idx
         while re[i + direction] > half:
             i += direction
-        f1, f2 = spectrum.frequencies[i], spectrum.frequencies[i + direction]
+        f1, f2 = frequencies[i], frequencies[i + direction]
         m1, m2 = re[i], re[i + direction]
         return f1 + (half - m1) / (m2 - m1) * (f2 - f1)
 
     fwhm = crossing(+1) - crossing(-1)
     envelope_fwhm = 2.0 * np.sqrt(np.log(2.0)) / (np.pi * rm.T2_STAR)
-    assert abs(fwhm - envelope_fwhm) < spectrum.bin_width
+    assert abs(fwhm - envelope_fwhm) < frequencies[1] - frequencies[0]
 
 
 def test_fit_guess_validation(table_a1):
     model = rm.ramsey_model(table_a1.system, -1, rho=nuclear_state(0.5, 0.5))
     t, s = rm.synthesize_ramsey(model, DURATION, DT)
-    spectrum = rm.fft_spectrum(s, DT)
     peaks = rm.analytic_peaks(table_a1.system, -1)
     up, down = rm.RamseyPeak(5e6, 0.5, True), rm.RamseyPeak(5e6, 0.5, False)
     with pytest.raises(ConfigError):
         # Lines so close that the fit windows hold almost no bins.
-        rm.fit_spectrum(spectrum, t, (up, replace(down, frequency=5.01e6)))
+        rm.fit_spectrum(t, s, (up, replace(down, frequency=5.01e6)))
     with pytest.raises(ConfigError):
-        rm.fit_spectrum(spectrum, t[:-1], peaks)  # not this record's spectrum
+        rm.fit_spectrum(t[:-1], s, peaks)
     for bad in ((up, down), (replace(up, frequency=0.0), down), (replace(up, frequency=-4e6), down)):
         with pytest.raises(ConfigError):
             rm.fit_time_domain(t, s, bad)
         with pytest.raises(ConfigError):
-            rm.fit_spectrum(spectrum, t, bad)
+            rm.fit_spectrum(t, s, bad)
     with pytest.raises(ConfigError):
         rm.fit_time_domain(t, np.zeros_like(s), peaks)
     with pytest.raises(ConfigError):
@@ -325,10 +330,9 @@ def test_fit_budget_exhaustion_raises(table_a1, monkeypatch):
     (time) evaluations."""
     slow = rm.ramsey_model(table_a1.system, 1, rho=nuclear_state(0.5, 0.5), t2_star=3e-6)
     t, s = rm.synthesize_ramsey(slow, DURATION, DT)
-    monkeypatch.setattr(rm, "LINE_PAIR_BUDGET", 10)
-    monkeypatch.setattr(rm, "TIME_FIT_BUDGET", 10)
+    monkeypatch.setattr(rm, "FIT_BUDGET", 10)
     with pytest.raises(FitConvergenceError):
-        rm.fit_spectrum(rm.fft_spectrum(s, DT), t, slow.peaks)
+        rm.fit_spectrum(t, s, slow.peaks)
     with pytest.raises(FitConvergenceError):
         rm.fit_time_domain(t, s, slow.peaks)
 
@@ -350,7 +354,7 @@ def fit_both(system, manifold, populations, t2_star):
     """Run both fits on one record; return its time axis."""
     model = rm.ramsey_model(system, manifold, rho=nuclear_state(*populations), t2_star=t2_star)
     t, s = rm.synthesize_ramsey(model, DURATION, DT)
-    rm.fit_spectrum(rm.fft_spectrum(s, DT), t, model.peaks)
+    rm.fit_spectrum(t, s, model.peaks)
     rm.fit_time_domain(t, s, model.peaks)
     return t, model.peaks
 
@@ -364,14 +368,19 @@ def central_difference(problem, x, rel=1e-6):
     return jac
 
 
+def window_bins(frequencies, peaks):
+    """The spectrum bins within 0.35 x separation of the dominant pair."""
+    f_up, f_down = rm.dominant_line_pair(peaks)
+    offsets = frequencies[:, None] - np.array([f_up, f_down])
+    return np.any(np.abs(offsets) <= 0.35 * abs(f_up - f_down), axis=1)
+
+
 def spectral_rows(t, peaks):
     """fit_spectrum's row map for a record sampled at t: the padded,
     2/N-scaled real FFT, kept in the windows around the dominant pair, its
     real and imaginary parts stacked."""
     n_pad = rm.FFT_PAD_FACTOR * len(t)
-    f_up, f_down = rm.dominant_line_pair(peaks)
-    offsets = np.fft.rfftfreq(n_pad, DT)[:, None] - np.array([f_up, f_down])
-    bins = np.any(np.abs(offsets) <= 0.35 * abs(f_up - f_down), axis=1)
+    bins = window_bins(np.fft.rfftfreq(n_pad, DT), peaks)
 
     def rows(a):
         z = np.fft.rfft(a, n=n_pad, axis=0)[bins] * (2.0 / len(t))
@@ -405,6 +414,20 @@ def test_time_fit_jacobian_is_the_projected_difference(table_a1, manifold, monke
         assert np.abs(diff - basis @ (basis.T @ diff) - jac).max() <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("manifold", [1, -1])
+def test_spectral_fit_rows_are_the_spectrum_on_the_window_bins(table_a1, manifold, monkeypatch):
+    """The spectral fit fits fft_spectrum's own amplitudes on the window
+    bins, real parts then imaginary parts, bit for bit."""
+    problems = captured_problems(monkeypatch)
+    model = rm.ramsey_model(table_a1.system, manifold, rho=nuclear_state(0.7, 0.3), t2_star=3e-6)
+    t, s = rm.synthesize_ramsey(model, DURATION, DT)
+    rm.fit_spectrum(t, s, model.peaks)
+    frequencies, amplitudes = rm.fft_spectrum(t, s)
+    z = amplitudes[window_bins(frequencies, model.peaks)]
+    (problem,) = problems
+    assert np.array_equal(problem.data, np.concatenate((z.real, z.imag)))
+
+
 def buildup_readout_states():
     """The 24 states the buildup-readout benchmark workload reads out at
     seed 1: table-a1-fit at its drawn detunings (bench/workloads.py)."""
@@ -418,7 +441,7 @@ def fit_record(system, manifold, rho, t2_star=rm.T2_STAR):
     """P(model) and the spectral and the time fit of one record."""
     model = rm.ramsey_model(system, manifold, rho=rho, t2_star=t2_star)
     t, s = rm.synthesize_ramsey(model, DURATION, DT)
-    spectral = rm.fit_spectrum(rm.fft_spectrum(s, DT), t, model.peaks)
+    spectral = rm.fit_spectrum(t, s, model.peaks)
     return model.polarization(), (spectral, rm.fit_time_domain(t, s, model.peaks))
 
 
@@ -481,10 +504,10 @@ def test_time_fit_merges_the_matched_field_doublet(table_a1, t2_star):
 def test_csv_writers(table_a1, tmp_path):
     model = rm.ramsey_model(table_a1.system, -1, rho=nuclear_state(0.5, 0.5))
     t, s = rm.synthesize_ramsey(model, DURATION, DT)
-    spectrum = rm.fft_spectrum(s, DT)
+    frequencies, amplitudes = rm.fft_spectrum(t, s)
     sig, spec = tmp_path / "signal.csv", tmp_path / "spectrum.csv"
     rm.write_signal_csv(sig, t, s)
-    rm.write_spectrum_csv(spec, spectrum)
+    rm.write_spectrum_csv(spec, frequencies, amplitudes)
     lines = sig.read_text().strip().split("\n")
     assert lines[0] == "time_ns,signal"
     assert len(lines) == len(t) + 1
@@ -493,17 +516,16 @@ def test_csv_writers(table_a1, tmp_path):
     assert float(s0) == s[0]
     lines = spec.read_text().strip().split("\n")
     assert lines[0] == "frequency_hz,magnitude"
-    assert len(lines) == len(spectrum.frequencies) + 1
+    assert len(lines) == len(frequencies) + 1
 
 
 def test_csv_writers_match_the_row_by_row_formatting(table_a1, tmp_path):
     model = rm.ramsey_model(table_a1.system, 1, rho=nuclear_state(0.8, 0.2))
     t, s = rm.synthesize_ramsey(model, DURATION, DT)
-    spectrum = rm.fft_spectrum(s, DT)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     for write, reference, args in (
         (rm.write_signal_csv, rowwise_signal_csv, (t, s)),
-        (rm.write_spectrum_csv, rowwise_spectrum_csv, (spectrum,)),
+        (rm.write_spectrum_csv, rowwise_spectrum_csv, rm.fft_spectrum(t, s)),
     ):
         write(got, *args)
         reference(want, *args)

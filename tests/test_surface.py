@@ -60,6 +60,10 @@ def _traced(layers) -> dict:
     for mod_name, _ in layers.SOLVERS:
         mod = sys.modules[mod_name]
         found[mod, "least_squares"] = mod.least_squares
+    # The CLI calls the spectral fit as fit_spectrum; the tracer reaches it
+    # through fit_lorentzian_pair, the same object.
+    ramsey = sys.modules["nvpolar.ramsey"]
+    found[ramsey, "fit_spectrum"] = ramsey.fit_spectrum
     return found
 
 
