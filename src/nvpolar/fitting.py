@@ -318,10 +318,10 @@ def fit_polarization_curve(
     call that moves the couplings builds an engine. So the fit carries its
     Jacobian by secant updates and differences it only at the start, after
     a rejected trial and at the returned parameters (for the uncertainties).
-    It keeps the engine of its last (|A_zz|, A_ani) pair, so an evaluation
-    that moves only f_rel (its Jacobian column) builds none; the engine goes
-    with the fit. Warnings flag parameters whose estimated relative
-    uncertainty exceeds 20%.
+    It keeps the engines of its last two (|A_zz|, A_ani) pairs, so an
+    evaluation that moves only f_rel (its Jacobian column) builds none, also
+    after a rejected trial; the engines go with the fit. Warnings flag
+    parameters whose estimated relative uncertainty exceeds 20%.
 
     Args:
         data: (delta_hz, P) pairs; at least 10 points.
@@ -335,7 +335,7 @@ def fit_polarization_curve(
     n_cycles = preset.cycles(n_cycles)
     deltas = np.array([d for d, _ in pairs])
     observed = np.array([v for _, v in pairs])
-    engine = functools.lru_cache(maxsize=1)(CycleEngine)
+    engine = functools.lru_cache(maxsize=2)(CycleEngine)
     problem = FitProblem(
         model=lambda x: curve_model(preset, x, deltas, n_cycles, engine=engine),
         data=observed,

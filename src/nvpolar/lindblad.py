@@ -65,10 +65,10 @@ DRIVE_SCALE = 2.0**-0.5
 _HERM_DRIFT_FIX = 1e-12
 _HERM_DRIFT_FAIL = 1e-9
 
-#: (cell, detuning) pairs per CycleEngine batch and slices per set-up expm
-#: (64 keep the working set near 2 MiB; 401 would take 12.8 MiB), and cycles
-#: between two guards of the carried state. A pair's result does not depend
-#: on the batch it falls in.
+#: (cell, detuning) pairs per CycleEngine batch and slices per set-up expm,
+#: and cycles between two guards of the carried state. A call's batches are
+#: written into one 512 KiB workspace (401 pairs at once would take 3.1 MiB),
+#: and a pair's result does not depend on the batch it falls in.
 CHUNK = 64
 
 
@@ -371,6 +371,9 @@ class CycleEngine:
     _carried, which passes it through _checked every CHUNK cycles; every
     read-out goes through _checked too.
 
+    states() and polarizations() allocate one (2, CHUNK, 16, 16) workspace
+    per call (smaller for fewer pairs), and maps() writes each batch's
+    unitary pulse maps and cycle maps into it instead of new stacks.
     No method writes to the engine after __init__.
     buildup() and trajectory() run cell 0. trajectory() samples the state
     along one sequence at one detuning: it steps the same block generators,
@@ -478,21 +481,25 @@ class CycleEngine:
             raise NumericalError(f"pulse unitary is off by {worst:.3e}")
         return u
 
-    def maps(self, deltas: Sequence[float], cells=0) -> tuple[np.ndarray, np.ndarray]:
+    def maps(self, deltas: Sequence[float], cells=0, work=None) -> tuple[np.ndarray, np.ndarray]:
         """One batch's cycle maps C' (n, 16, 16) and read-out states after 0 cycles (n, 16).
 
-        cells is the cell index of each detuning, or one index for all.
+        cells is the cell index of each detuning, or one index for all. work,
+        a (2, k >= n, 16, 16) block (new by default), holds the pulse maps and C'.
         """
         d = np.asarray(deltas, dtype=float)
+        work = np.empty((2, len(d), 16, 16), complex) if work is None else work
+        pulse, cycle = work[:, : len(d)]
         if self._mw is None:
             u = self._unitaries(d, cells)
-            pulse = _kron(u, u.conj())
+            a, b = u[:, :, None, :, None], u.conj()[:, None, :, None, :]
+            np.multiply(a, b, out=pulse.reshape(-1, 4, 4, 4, 4))  # U kron conj(U), as in _kron
         else:
             frames = np.multiply.outer(d * self._mw_s, np.diag(_K_DIAG))
             pulse = expm(self._of(self._mw, cells) * self._mw_s + frames)
             _check_trace("pulse", pulse)
-        shift = self._phases(d, self._shift_s)[:, :, None]
-        cycle = shift * (self._of(self._tail_rest, cells) @ pulse)
+        np.matmul(self._of(self._tail_rest, cells), pulse, out=cycle)
+        np.multiply(self._phases(d, self._shift_s)[:, :, None], cycle, out=cycle)
         return cycle, self._phases(d, self._tail_s) * self._of(self._tail_rho0, cells)
 
     def _batches(
@@ -502,10 +509,11 @@ class CycleEngine:
         for each batch of CHUNK (cell, detuning) pairs in turn."""
         n = self._preset.cycles(n_cycles)
         d = np.asarray(deltas, dtype=float)
+        work = np.empty((2, min(CHUNK, len(d)), 16, 16), complex)  # the call's one workspace
         for start in range(0, len(d), CHUNK):
             batch = slice(start, start + CHUNK)
             part = cells[batch] if np.ndim(cells) else cells
-            for vec in _carried(*self.maps(d[batch], part), n):
+            for vec in _carried(*self.maps(d[batch], part, work), n):
                 pass  # the state after n cycles is the stepper's last
             yield _checked(vec)
 

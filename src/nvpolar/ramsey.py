@@ -41,6 +41,9 @@ FFT_PAD_FACTOR = 4
 #: Minimum record length for a meaningful spectrum.
 MIN_SAMPLES = 8
 
+#: Largest departure of a spectrum record's step from its first, relative to it.
+STEP_TOLERANCE = 1e-6
+
 #: Model evaluations and Jacobians of either fit.
 FIT_BUDGET = 900
 
@@ -251,11 +254,20 @@ def _rfft(a: np.ndarray, bins=slice(None)) -> np.ndarray:
     return np.fft.rfft(a, n=n * FFT_PAD_FACTOR, axis=0)[bins] * (2.0 / n)
 
 
+def _frequencies(t: np.ndarray) -> np.ndarray:
+    """_rfft's bin frequencies (Hz) for a checked time record, which must be
+    uniform to STEP_TOLERANCE (else ConfigError)."""
+    dt = t[1] - t[0]
+    if not np.max(np.abs(np.diff(t) - dt)) <= STEP_TOLERANCE * dt:
+        raise ConfigError("a spectrum needs a uniformly sampled record")
+    return np.fft.rfftfreq(len(t) * FFT_PAD_FACTOR, dt)
+
+
 def fft_spectrum(t: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies (Hz) and complex amplitudes of the windowless real FFT of
-    the record, zero-padded FFT_PAD_FACTOR times and scaled by 2/N."""
+    """Frequencies (Hz) and complex amplitudes of the windowless real FFT of a
+    uniform record, zero-padded FFT_PAD_FACTOR times and scaled by 2/N."""
     t, s = _record(t, s)
-    return np.fft.rfftfreq(len(t) * FFT_PAD_FACTOR, t[1] - t[0]), _rfft(s)
+    return _frequencies(t), _rfft(s)
 
 
 @dataclass(frozen=True)
@@ -307,14 +319,13 @@ def fit_spectrum(
     fit_time_domain's.
 
     Raises:
-        ConfigError: A bad record or bad lines, or a window with fewer than
-            6 bins.
+        ConfigError: A bad or non-uniform record, bad lines, or a window
+            with fewer than 6 bins.
         FitConvergenceError: The fit spent its budget without converging.
     """
     t, s = _record(t, s)
     pair = np.array(dominant_line_pair(peaks))
-    frequencies = np.fft.rfftfreq(len(t) * FFT_PAD_FACTOR, t[1] - t[0])
-    windows = np.abs(frequencies[:, None] - pair) <= 0.35 * abs(pair[1] - pair[0])
+    windows = np.abs(_frequencies(t)[:, None] - pair) <= 0.35 * abs(pair[1] - pair[0])
     if windows.sum(axis=0).min() < 6:
         raise ConfigError("fewer than 6 spectrum bins around a line; use a longer record")
     bins = windows.any(axis=1)

@@ -862,10 +862,10 @@ def test_a_numerical_error_in_another_share_exits_3(tmp_path, capsys, monkeypatc
     192-255) holds only the 520 G cell; its error is the one line printed."""
     maps = CycleEngine.maps
 
-    def failing(self, deltas, cells=0):
+    def failing(self, deltas, cells=0, work=None):
         if set(np.ravel(cells)) == {1}:
             raise NumericalError("propagation drift 2.000e-09 exceeds 1e-9")
-        return maps(self, deltas, cells)
+        return maps(self, deltas, cells, work)
 
     monkeypatch.setattr(CycleEngine, "maps", failing)
     out_dir = tmp_path / "field"

@@ -256,10 +256,12 @@ def test_curve_fit_recovers_couplings(table_a1):
     assert report.warnings == ()
 
 
-def test_curve_fit_reuses_the_engine_only_when_f_rel_moves(table_a1, monkeypatch):
+def test_curve_fit_builds_one_engine_per_coupling_pair(table_a1, monkeypatch):
     """The fit equals a secant least_squares on plain curve_model calls, and
-    builds one engine per evaluation except where only f_rel moved (its
-    Jacobian column)."""
+    builds one engine per distinct (|A_zz|, A_ani) pair it evaluates: none
+    where only f_rel moved (its Jacobian column), and none for the Jacobian
+    at the couplings that a rejected trial moved away from (22 engines on
+    this curve, not 23)."""
     deltas = ex.grid(-4.5e5, 4.5e5, 5e4)
     observed = ex.sweep_detuning(table_a1, deltas).p
     plain = least_squares(
@@ -289,7 +291,7 @@ def test_curve_fit_reuses_the_engine_only_when_f_rel_moves(table_a1, monkeypatch
     assert report == plain
     assert len(params) == report.n_evaluations
     moved = [not np.array_equal(x[1:], prev[1:]) for prev, x in zip(params, params[1:])]
-    assert len(built) == 1 + sum(moved) < len(params)
+    assert len(built) == len({tuple(x[1:]) for x in params}) < 1 + sum(moved) < len(params)
     for prev, x, couplings_moved in zip(params, params[1:], moved):
         if not couplings_moved:
             step = JACOBIAN_REL_STEP * max(abs(prev[0]), JACOBIAN_ABS_FLOOR)

@@ -184,6 +184,38 @@ def test_fft_bin_accuracy():
             rm.fft_spectrum(bad, s)
 
 
+def test_fft_spectrum_refuses_a_non_uniform_record():
+    """With t[1] moved from 0.1 to 0.05 us, a 1.037 MHz cosine on 256
+    samples read its peak at 2.070 MHz instead of 1.035 MHz, with no error.
+    A step that departs from the first by more than STEP_TOLERANCE of it is
+    refused; one within it is not."""
+    dt = 1e-7
+    t = np.arange(256) * dt
+    s = np.cos(2.0 * np.pi * 1.037e6 * t)
+    moved = t.copy()
+    moved[1] = 0.5e-7
+    with pytest.raises(ConfigError, match="uniformly sampled"):
+        rm.fft_spectrum(moved, s)
+    last = t.copy()
+    last[-1] = t[-2] + dt * (1.0 + 0.5 * rm.STEP_TOLERANCE)
+    assert np.array_equal(rm.fft_spectrum(last, s)[1], rm.fft_spectrum(t, s)[1])
+    last[-1] = t[-2] + dt * (1.0 + 2.0 * rm.STEP_TOLERANCE)
+    with pytest.raises(ConfigError, match="uniformly sampled"):
+        rm.fft_spectrum(last, s)
+
+
+def test_fit_spectrum_refuses_a_non_uniform_record(table_a1):
+    """A record with every third sample dropped has no spectrum to fit; the
+    time fit needs no uniform grid and reads P from it."""
+    model = rm.ramsey_model(table_a1.system, -1, rho=nuclear_state(0.75, 0.25))
+    t, s = rm.synthesize_ramsey(model, DURATION, DT)
+    kept = np.arange(len(t)) % 3 != 2
+    peaks = rm.analytic_peaks(table_a1.system, -1)
+    with pytest.raises(ConfigError, match="uniformly sampled"):
+        rm.fit_spectrum(t[kept], s[kept], peaks)
+    assert abs(rm.fit_time_domain(t[kept], s[kept], peaks).p - 0.5) < 0.01
+
+
 @pytest.mark.parametrize("p_true", [0.0, 0.5, 0.9, -0.7])
 def test_round_trip_minus_manifold(table_a1, p_true):
     pops = ((1 + p_true) / 2, (1 - p_true) / 2)
