@@ -44,7 +44,7 @@ from .operators import DIM, basis_index, spin_operators
 from .params import RelaxationRates, SystemParams
 from .polarization import POPULATION_FLOOR, polarization_of_state
 from .presets import MAX_GRID_POINTS, Preset
-from .schedule import PulseSegment, Schedule, chopped_laser_train, duration_ns
+from .schedule import PulseSegment, Schedule, duration_ns
 
 #: Indices of the {m_s = 0, +1} block that the drive and the laser act on.
 DRIVEN_INDICES = (0, 1, 2, 3)
@@ -65,10 +65,11 @@ DRIVE_SCALE = 2.0**-0.5
 _HERM_DRIFT_FIX = 1e-12
 _HERM_DRIFT_FAIL = 1e-9
 
-#: (cell, detuning) pairs per CycleEngine batch and slices per set-up expm,
-#: and cycles between two guards of the carried state. A call's batches are
-#: written into one 512 KiB workspace (401 pairs at once would take 3.1 MiB),
-#: and a pair's result does not depend on the batch it falls in.
+#: (cell, detuning) pairs per CycleEngine batch, most slices per set-up expm
+#: (one per cell, three with a dephased laser-off gate), and cycles between
+#: two guards of the carried state. A call's batches are written into one
+#: 512 KiB workspace (401 pairs at once would take 3.1 MiB), and a pair's
+#: result does not depend on the batch it falls in.
 CHUNK = 64
 
 
@@ -80,9 +81,11 @@ def initial_mixed_state() -> np.ndarray:
 
 
 #: P+ on the driven block, the frame term delta K's diagonal
-#: K = i 2 pi (P+ kron I - I kron P+^T), and vec(rho_0) on the block.
+#: K = i 2 pi (P+ kron I - I kron P+^T), its three values 2 pi i {-1, 0, +1}
+#: with the index that gathers them into it, and vec(rho_0) on the block.
 _P_PLUS = np.real(spin_operators().p_plus1[np.ix_(DRIVEN_INDICES, DRIVEN_INDICES)])
 _K_DIAG = 2j * np.pi * np.subtract.outer(np.diag(_P_PLUS), np.diag(_P_PLUS)).reshape(-1)
+_K_VALUES, _K_INDEX = np.unique(_K_DIAG, return_inverse=True)
 _RHO0 = initial_mixed_state()[np.ix_(DRIVEN_INDICES, DRIVEN_INDICES)].reshape(-1)
 
 #: The row vector that takes a vectorized 4x4 block to its trace.
@@ -346,18 +349,20 @@ class CycleEngine:
       bit for bit.
     * delta enters every generator only as the frame term delta K, with
       K = i 2 pi (P+ kron I - I kron P+^T) diagonal. K commutes with the
-      laser and rest generators, so their maps T and R are exponentiated
-      once per cell at delta = 0, in stacked expm calls of at most CHUNK
-      slices, and shifted by the phases exp(delta K t). K comes from the projector:
-      the difference of two generators would lose ~1e-6 to the 4.3 GHz
-      carrier. So T(delta) C^N = C'^N T(delta), where the cycle map C' =
-      diag(exp(delta K (t_tail + t_rest))) T(0) R(0) Pulse takes one
-      read-out state to the next.
-    * The laser is off during the microwave pulse, so with no dephasing
-      channel (as in the bundled presets) the pulse is unitary and its map
-      is U kron conj(U) (row-major vec), with U = exp(-2 pi i t H(delta))
-      and H(delta) = H(0) - delta P+ on the block: one batched 4x4 eigh
-      per batch gives U. A pulse with channels exponentiates G(0) + delta K.
+      laser and rest generators, so their maps T and R are formed once per
+      cell at delta = 0 and shifted by the phases exp(delta K t). K comes
+      from the projector: the difference of two generators would lose ~1e-6
+      to the 4.3 GHz carrier. So T(delta) C^N = C'^N T(delta), where the
+      cycle map C' = diag(exp(delta K (t_tail + t_rest))) T(0) R(0) Pulse
+      takes one read-out state to the next.
+    * The laser is off in the chop-off, the rest and the microwave pulse.
+      With no laser-off channel (no dephasing, as in the bundled presets)
+      each of them is unitary, and its map is U kron conj(U) (row-major
+      vec) with U = exp(-2 pi i t H) from one batched 4x4 eigh: at set-up,
+      V of both the chop-off and the rest from every cell's H(0), so the
+      set-up's stacked expm holds only each cell's chop-on slice; per
+      batch, the pulse's U from H(delta) = H(0) - delta P+. With channels,
+      expm takes all three set-up segments, and the pulse's G(0) + delta K.
     * The cells share every duration, so the phases of a detuning are the
       same in every cell. A batch of CHUNK (cell, detuning) pairs, which
       may span several cells, gathers each pair's H(0), T R and T vec(rho_0)
@@ -365,8 +370,8 @@ class CycleEngine:
     * eigh, expm and matmul treat every slice of a stack on its own, so a
       result depends neither on its batch nor on the other cells.
 
-    T and R have their trace checked once per engine, and each batch its
-    pulses: max |U+ U - I| <= 1e-9, or the trace of a dephased pulse's maps.
+    Every U and V is checked to max |U+ U - I| <= 1e-9, T and R have their
+    trace checked once per engine, and a dephased pulse's maps per batch.
     states() and buildup() advance the read-out state through one stepper,
     _carried, which passes it through _checked every CHUNK cycles; every
     read-out goes through _checked too.
@@ -384,76 +389,72 @@ class CycleEngine:
 
     def __init__(self, preset: Preset, systems: Sequence[SystemParams] | None = None) -> None:
         n = len(DRIVEN_INDICES)
+        systems = (preset.system,) if systems is None else systems
         # rotating_hamiltonian(system, 0, omega) is its omega = 0 matrix plus
         # this drive term, so the sum has its bits. The drive acts inside the
         # block, so h couples across the block's edge wherever h0 does.
-        drive = (preset.omega * DRIVE_SCALE) * spin_operators().s_x_driven
-        h0, h_mw, channels = [], [], {True: [], False: []}
-        for system in (preset.system,) if systems is None else systems:
-            h = rotating_hamiltonian(system, 0.0, 0.0)
-            h0.append(h[:n, :n])
-            h = h + drive
-            if np.any(h[:n, n:]) or np.any(h[n:, :n]):
-                raise NumericalError("the Hamiltonian couples the driven block to m_s = -1")
-            h_mw.append(h[:n, :n])
-            for laser_on, cell_ops in channels.items():
-                ops = build_channels(preset.rates, system, laser_on=laser_on)
-                if any(np.any(op[:n, n:]) or np.any(op[n:, :]) for op in ops):
-                    raise NumericalError("a collapse operator acts outside the driven block")
-                cell_ops.append([op[:n, :n] for op in ops])
+        h0 = np.array([rotating_hamiltonian(system, 0.0, 0.0) for system in systems])
+        h = h0 + (preset.omega * DRIVE_SCALE) * spin_operators().s_x_driven
+        if np.any(h[:, :n, n:]) or np.any(h[:, n:, :n]):
+            raise NumericalError("the Hamiltonian couples the driven block to m_s = -1")
+        self._h0, self._h = h0[:, :n, :n].copy(), h[:, :n, :n].copy()
         # The rates fix which channels exist, so every cell has the same
-        # list: each channel becomes one (cells, 4, 4) stack.
-        channels = {
-            laser_on: [np.array(op) for op in zip(*cell_ops)]
-            for laser_on, cell_ops in channels.items()
-        }
-        h0 = np.array(h0)
+        # list: each channel becomes one (cells, 4, 4) stack, keyed by the
+        # laser gate. The blocks are copies, so no 6x6 stack is kept.
+        self._channels = {}
+        for on in (True, False):
+            cell_ops = [build_channels(preset.rates, system, laser_on=on) for system in systems]
+            ops = [np.array(op) for op in zip(*cell_ops)]
+            if any(np.any(op[:, :n, n:]) or np.any(op[:, n:, :]) for op in ops):
+                raise NumericalError("a collapse operator acts outside the driven block")
+            self._channels[on] = [op[:, :n, :n].copy() for op in ops]
+        # The 16x16 pulse generators, built only for a laser-off gate with
+        # channels; without them every laser-off segment is unitary.
+        self._mw = self._generator(True, False) if self._channels[False] else None
 
-        # One on/off pair of the train (none for zero reps), validated as
-        # such, and the rest. Per step of cells: the block generators at
-        # delta = 0, keyed by the laser gate, and one stacked expm of every
-        # cell's segments, at most CHUNK slices, which bounds the set-up's
-        # memory as CHUNK bounds a batch's.
-        pair = chopped_laser_train(
-            preset.chop_on_ns, preset.chop_off_ns, min(preset.chop_reps, 1)
-        )
-        segments = (*pair, PulseSegment(preset.rest_ns))
+        # The tail: a chop on/off pair taken chop_reps times, then the rest.
+        # Unitary off and rest maps are V kron conj(V), with V of both from
+        # one batched eigh; a dephased laser-off gate exponentiates them with
+        # the chop-on segment. Per step of cells, one stacked expm of at most
+        # CHUNK slices bounds the set-up's memory as CHUNK bounds a batch's.
+        self._tail_s = duration_ns(preset.readout_tail()) * 1e-9  # validates the train
+        durations = (preset.chop_on_ns, preset.chop_off_ns, preset.rest_ns)
+        on_s, off_s, rest_s = (ns * 1e-9 for ns in durations)
+        if self._mw is None:
+            v = _unitary_propagators(self._h0, (off_s, rest_s), "laser-off")
+        step = CHUNK if self._mw is None else max(CHUNK // 3, 1)
         tail_rest, tail_rho0 = [], []
-        step = max(CHUNK // len(segments), 1)
-        for start in range(0, len(h0), step):
+        for start in range(0, len(systems), step):
             cells = slice(start, start + step)
-            generators = {
-                laser_on: liouvillian(h0[cells], [op[cells] for op in ops])
-                for laser_on, ops in channels.items()
-            }
-            if start == 0:  # cell 0's, for trajectory()
-                self._generators = {laser_on: g[:1] for laser_on, g in generators.items()}
+            on = self._generator(False, True, cells)
             # A non-finite generator fails the trace checks below.
             with np.errstate(over="ignore", invalid="ignore"):
-                gens = np.array(
-                    [generators[seg.laser_on] * (seg.duration_ns * 1e-9) for seg in segments]
-                )
-            *chop_props, rest = expm(gens.reshape(-1, *gens.shape[2:])).reshape(gens.shape)
-            chop = np.eye(len(_K_DIAG), dtype=complex)
-            for prop in chop_props:
-                chop = prop @ chop
-            chop = np.linalg.matrix_power(chop, preset.chop_reps)
+                if self._mw is None:
+                    on = expm(np.multiply(on, on_s, out=on))
+                    off, rest = _kron(v[:, cells], v[:, cells].conj())
+                else:
+                    off = self._generator(False, False, cells)
+                    gens = np.concatenate([on * on_s, off * off_s, off * rest_s])
+                    on, off, rest = expm(gens).reshape(3, -1, 16, 16)
             # The readout tail T (chop train, rest). T and R do not depend on
             # delta, so one trace check each covers every batch.
-            tail = rest @ chop
+            tail = rest @ np.linalg.matrix_power(off @ on, preset.chop_reps)
             _check_trace("rest", rest)
             _check_trace("tail", tail)
             tail_rest.append(tail @ rest)
             tail_rho0.append(tail @ _RHO0)
+            del on, off, rest, tail  # freed before the next expm
         self._tail_rest = np.concatenate(tail_rest)
         self._tail_rho0 = np.concatenate(tail_rho0)
-        self._tail_s = (duration_ns(pair) * preset.chop_reps + preset.rest_ns) * 1e-9
-        self._shift_s = self._tail_s + preset.rest_ns * 1e-9
+        self._shift_s = self._tail_s + rest_s
         self._mw_s = preset.t_mw_ns * 1e-9
-        self._h = np.array(h_mw)
-        # The 16x16 pulse generators, built only for a pulse with channels.
-        self._mw = liouvillian(self._h, channels[False]) if channels[False] else None
         self._preset = preset
+
+    def _generator(self, mw_on: bool, laser_on: bool, cells=slice(None)) -> np.ndarray:
+        """Block generators at delta = 0 of the segments with these gates, for
+        the cells given (all by default; one index gives one 16x16 matrix)."""
+        h = self._h if mw_on else self._h0
+        return liouvillian(h[cells], [op[cells] for op in self._channels[laser_on]])
 
     @staticmethod
     def _of(stack: np.ndarray, cells) -> np.ndarray:
@@ -462,24 +463,13 @@ class CycleEngine:
         return stack if len(stack) == 1 else stack[cells]
 
     def _phases(self, deltas: np.ndarray, seconds: float) -> np.ndarray:
-        """diag(exp(delta K t)) per detuning, shape (n, 16)."""
-        return np.exp(np.multiply.outer(deltas * seconds, _K_DIAG))
+        """diag(exp(delta K t)) per detuning, shape (n, 16), from K's three values."""
+        return np.exp(np.multiply.outer(deltas * seconds, _K_VALUES)).take(_K_INDEX, axis=1)
 
     def _unitaries(self, deltas: np.ndarray, cells=0) -> np.ndarray:
         """Pulse unitaries exp(-2 pi i t H(delta)), (n, 4, 4), from one batched eigh."""
         h = self._of(self._h, cells) - np.multiply.outer(deltas, _P_PLUS)
-        if not np.isfinite(h).all():
-            raise NumericalError("the pulse Hamiltonian is not finite")
-        try:
-            levels, vecs = np.linalg.eigh(h)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"pulse eigendecomposition failed: {exc}") from None
-        phases = np.exp(-2j * np.pi * self._mw_s * levels)[:, None, :]
-        u = (vecs * phases) @ vecs.conj().transpose(0, 2, 1)
-        worst = float(np.max(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(4)), initial=0.0))
-        if not worst <= _HERM_DRIFT_FAIL:
-            raise NumericalError(f"pulse unitary is off by {worst:.3e}")
-        return u
+        return _unitary_propagators(h, self._mw_s, "pulse")
 
     def maps(self, deltas: Sequence[float], cells=0, work=None) -> tuple[np.ndarray, np.ndarray]:
         """One batch's cycle maps C' (n, 16, 16) and read-out states after 0 cycles (n, 16).
@@ -575,10 +565,9 @@ class CycleEngine:
         if rows > MAX_GRID_POINTS:
             raise ConfigError(f"trajectory of {rows} rows exceeds {MAX_GRID_POINTS}")
         frame = np.diag(delta * _K_DIAG)
-        pulse = self._mw[0] if self._mw is not None else liouvillian(self._h[0], ())
         # Cell 0's generators, keyed by the segment's (mw_on, laser_on) gates.
-        generators = {(False, on): gen[0] + frame for on, gen in self._generators.items()}
-        generators[True, False] = pulse + frame
+        kinds = ((False, True), (False, False), (True, False))
+        generators = {kind: self._generator(*kind, 0) + frame for kind in kinds}
         props: dict[tuple, np.ndarray] = {}
 
         def propagator(seg: PulseSegment, step: int) -> np.ndarray:
@@ -619,6 +608,24 @@ class CycleEngine:
             samples.append((t, vec))
         times, vecs = zip(*samples)
         return list(times), _checked(np.array(vecs))
+
+
+def _unitary_propagators(h: np.ndarray, seconds, what: str) -> np.ndarray:
+    """exp(-2 pi i t H) of each H of a (k, 4, 4) stack, for a duration t, (k, 4, 4),
+    or each of several, (m, k, 4, 4), from one batched eigh. A non-finite H, a
+    failed eigh or max |U+ U - I| > 1e-9 is a NumericalError naming what."""
+    if not np.isfinite(h).all():
+        raise NumericalError(f"the {what} Hamiltonian is not finite")
+    try:
+        levels, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} eigendecomposition failed: {exc}") from None
+    phases = np.exp(np.multiply.outer(-2j * np.pi * np.asarray(seconds), levels))
+    u = (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-2, -1)
+    worst = float(np.max(np.abs(u.conj().swapaxes(-2, -1) @ u - np.eye(4)), initial=0.0))
+    if not worst <= _HERM_DRIFT_FAIL:
+        raise NumericalError(f"{what} unitary is off by {worst:.3e}")
+    return u
 
 
 def _check_trace(name: str, maps: np.ndarray) -> None:

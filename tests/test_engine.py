@@ -110,8 +110,9 @@ def test_unitary_pulse_is_exponentiated_as_4x4_blocks(name, monkeypatch):
             assert np.max(np.abs(u - scipy_expm(-2j * np.pi * engine._mw_s * h))) <= 1e-13
 
 
-def test_a_401_point_grid_takes_one_expm_and_seven_eighs(table_a1, monkeypatch):
-    """The set-up is the engine's one expm call; each CHUNK batch makes one eigh."""
+def test_a_401_point_grid_takes_one_expm_slice_and_eight_eighs(table_a1, monkeypatch):
+    """The set-up makes the engine's one expm call, of the chop-on slice,
+    and one eigh for its laser-off segments; each CHUNK batch makes one eigh."""
     shapes = _traced_expm(monkeypatch)
     eighs = []
     eigh = np.linalg.eigh
@@ -124,8 +125,67 @@ def test_a_401_point_grid_takes_one_expm_and_seven_eighs(table_a1, monkeypatch):
     deltas = ex.grid(-1e6, 1e6, 5e3)
     assert len(deltas) == 401
     CycleEngine(table_a1).polarizations(deltas)
-    assert len(shapes) == 1
-    assert eighs == [(lindblad.CHUNK, 4, 4)] * 6 + [(401 - 6 * lindblad.CHUNK, 4, 4)]
+    assert shapes == [(1, 16, 16)]
+    batches = [(lindblad.CHUNK, 4, 4)] * 6 + [(401 - 6 * lindblad.CHUNK, 4, 4)]
+    assert eighs == [(1, 4, 4)] + batches
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_phases_are_the_bits_of_exponentiating_every_entry(name):
+    """_phases exponentiates K's three values and gathers the 16 columns."""
+    engine = CycleEngine(get_preset(name))
+    deltas = np.linspace(-1e6, 5e6, 40_001)
+    for seconds in (engine._shift_s, engine._tail_s):
+        want = np.exp(np.multiply.outer(deltas * seconds, lindblad._K_DIAG))
+        assert engine._phases(deltas, seconds).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_laser_off_maps_are_exponentiated_as_4x4_blocks(name, monkeypatch):
+    """With no laser-off channels the set-up's chop-off and rest maps are
+    V kron conj(V), with V of both from one eigh; they match scipy's expm
+    of the laser-off block generator, also at a_ani = 0."""
+    calls = []
+    unitaries = lindblad._unitary_propagators
+
+    def recorded(h, seconds, what):
+        calls.append((what, unitaries(h, seconds, what)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(lindblad, "_unitary_propagators", recorded)
+    for a_ani in (None, 0.0):
+        preset = get_preset(name)
+        if a_ani is not None:
+            preset = preset.with_system(a_ani=a_ani)
+        calls.clear()
+        CycleEngine(preset)
+        [(what, v)] = calls
+        assert what == "laser-off" and v.shape == (2, 1, 4, 4)
+        generator = _reference_block(preset, PulseSegment(10))
+        for u, ns in zip(v[:, 0], (preset.chop_off_ns, preset.rest_ns)):
+            want = scipy_expm(generator * (ns * 1e-9))
+            assert np.max(np.abs(lindblad._kron(u, u.conj()) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["table-a1-fit", "table-a1-fig4"])
+def test_a_dephased_laser_off_gate_takes_three_expm_slices_per_cell(name, monkeypatch):
+    """Dephasing puts channels on the laser-off gate: the set-up makes no
+    eigh and exponentiates chop on, chop off and rest of every cell."""
+    base = get_preset(name)
+    preset = dataclasses.replace(
+        base, rates=dataclasses.replace(base.rates, gamma_d=DEPHASED.gamma_d)
+    )
+    cells = _cells(preset, "b_z", 2)
+    with monkeypatch.context() as patch:
+        shapes = _traced_expm(patch)
+        patch.setattr(np.linalg, "eigh", _eigh_raising)
+        engine = CycleEngine(preset, [q.system for q in cells])
+    assert shapes == [(3 * len(cells), 16, 16)]
+    deltas = [-3.2e5, 0.0, 3.2e5]
+    for n_cycles in (0, 6):
+        got = engine.polarizations(deltas * 2, n_cycles, [0, 0, 0, 1, 1, 1])
+        want = [reference_p(q, delta, n_cycles) for q in cells for delta in deltas]
+        assert np.max(np.abs(got - want)) <= DP_TOL
 
 
 def _eigh_raising(a):
@@ -144,6 +204,10 @@ def _break_the_maps(monkeypatch, fault):
         monkeypatch.setattr(np.linalg, "eigh", _eigh_raising)
     elif fault == "leaky-set-up":
         monkeypatch.setattr(lindblad, "expm", lambda a: expm(a) * (1.0 - 1e-6))
+    elif fault == "nan-hamiltonian":  # inside the driven block
+        h = lindblad.rotating_hamiltonian
+        nan = np.diag([np.nan] + [0.0] * (lindblad.DIM - 1))
+        monkeypatch.setattr(lindblad, "rotating_hamiltonian", lambda *args: h(*args) + nan)
 
 
 @pytest.mark.parametrize(
@@ -162,19 +226,53 @@ def test_a_bad_pulse_unitary_is_a_numerical_error(table_a1, monkeypatch, fault, 
         engine.polarizations(deltas)
 
 
-@pytest.mark.parametrize("name", ["rest", "tail"])
-def test_a_set_up_map_that_changes_the_trace_is_a_numerical_error(table_a1, monkeypatch, name):
-    """The stacked set-up expm holds the chop pair and then the rest: scaling
-    the rest's slice breaks R and T, scaling a chop slice breaks T alone."""
-    expm = lindblad.expm
-    leaky = -1 if name == "rest" else 0
+def _leaking(monkeypatch, name, where):
+    """Scale, by 1 - 1e-6, the slice at where of what lindblad.<name> returns."""
+    function = getattr(lindblad, name)
 
-    def leaking(a):
-        out = expm(a)
-        out[leaky] *= 1.0 - 1e-6
+    def leaking(*args):
+        out = function(*args)
+        out[where] *= 1.0 - 1e-6
         return out
 
-    monkeypatch.setattr(lindblad, "expm", leaking)
+    monkeypatch.setattr(lindblad, name, leaking)
+
+
+@pytest.mark.parametrize(
+    "fault,match",
+    [
+        ("skewed-eigh", "laser-off unitary is off by"),
+        ("raising-eigh", "laser-off eigendecomposition failed"),
+        ("nan-hamiltonian", "the laser-off Hamiltonian is not finite"),
+    ],
+)
+def test_a_bad_set_up_unitary_is_a_numerical_error(
+    table_a1, tmp_path, capsys, monkeypatch, fault, match
+):
+    """The set-up's laser-off unitaries take the pulse's guards: a fresh
+    engine raises with the segment's name, and the CLI exits 3 with one line."""
+    _break_the_maps(monkeypatch, fault)
+    with pytest.raises(NumericalError, match=match):
+        CycleEngine(table_a1)
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep-detuning", "--min=0", "--max=1e5", "--step=5e4", "--out", str(out_dir)]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: numerical: {match}")
+    assert "\n" not in err.strip()
+    assert not (out_dir / "data.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["rest", "tail"])
+def test_a_set_up_map_that_changes_the_trace_is_a_numerical_error(table_a1, monkeypatch, name):
+    """The set-up's laser-off eigh gives V for the chop-off and then the
+    rest, and its expm the chop-on map: scaling the rest's V breaks R and T,
+    scaling the chop-on map breaks T alone."""
+    if name == "rest":
+        _leaking(monkeypatch, "_unitary_propagators", -1)
+    else:
+        _leaking(monkeypatch, "expm", 0)
     with pytest.raises(NumericalError, match=f"{name} map changes the trace"):
         CycleEngine(table_a1)
 
@@ -224,10 +322,11 @@ def _cells(preset, kind, count):
 @pytest.mark.parametrize("rates", [None, DEPHASED], ids=["default", "dephased"])
 @pytest.mark.parametrize("kind", ["b_z", "a_ani"])
 def test_a_stacked_engine_equals_per_cell_engines_bit_for_bit(table_a1, monkeypatch, kind, rates):
-    """More cells than one set-up expm takes, and windows of unequal length,
+    """More cells than one set-up expm takes (one slice per cell, three
+    when the laser-off gate is dephased), and windows of unequal length,
     some longer than CHUNK, so batches cross the cells' edges."""
     preset = table_a1 if rates is None else dataclasses.replace(table_a1, rates=rates)
-    cells = _cells(preset, kind, 25)
+    cells = _cells(preset, kind, lindblad.CHUNK + 5)
     grids = [
         np.linspace(-6e5, 6e5, lindblad.CHUNK + 11 if k % 6 == 0 else 3 + k)
         for k in range(len(cells))
@@ -235,7 +334,8 @@ def test_a_stacked_engine_equals_per_cell_engines_bit_for_bit(table_a1, monkeypa
     with monkeypatch.context() as patch:
         shapes = _traced_expm(patch)
         engine = CycleEngine(preset, [q.system for q in cells])
-    assert sum(shape[0] for shape in shapes) == 3 * len(cells)  # chop on, chop off, rest
+    slices = 1 if rates is None else 3  # chop on; or chop on, chop off, rest
+    assert sum(shape[0] for shape in shapes) == slices * len(cells)
     assert len(shapes) > 1 and max(shape[0] for shape in shapes) <= lindblad.CHUNK
     index = np.repeat(np.arange(len(cells)), [len(g) for g in grids])
     deltas = np.concatenate(grids)
@@ -252,15 +352,8 @@ def test_a_fault_in_one_cell_of_a_stack_is_a_numerical_error(table_a1, monkeypat
     """A set-up map of the last cell that loses 1e-6 of the trace, and a
     batch whose last pair (a pair of the last cell) gets a skewed eigh."""
     systems = [q.system for q in _cells(table_a1, "b_z", 3)]
-    expm = lindblad.expm
-
-    def leaking(a):
-        out = expm(a)
-        out[-1] *= 1.0 - 1e-6  # the last cell's rest
-        return out
-
     with monkeypatch.context() as patch:
-        patch.setattr(lindblad, "expm", leaking)
+        _leaking(patch, "_unitary_propagators", (-1, -1))  # the last cell's rest
         with pytest.raises(NumericalError, match="rest map changes the trace"):
             CycleEngine(table_a1, systems)
     engine = CycleEngine(table_a1, systems)
@@ -318,7 +411,7 @@ def test_block_generators_are_the_reference_generators_sliced(name, rates, laser
     preset = get_preset(name)
     if rates is not None:
         preset = dataclasses.replace(preset, rates=rates)
-    got = CycleEngine(preset)._generators[laser_on]
+    got = CycleEngine(preset)._generator(False, laser_on, 0)  # trajectory's
     ref = _reference_block(preset, PulseSegment(10, laser_on=laser_on))
     assert got.tobytes() == ref.tobytes()
 
