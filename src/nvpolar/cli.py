@@ -384,11 +384,9 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
     )
     f_rel, azz_mag, a_ani = report.params
     model_p = curve_model(preset, report.params, [delta for delta, _ in pairs], args.n)
-    with open(out / "fitted.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta_hz", "P_data", "P_fit"])
-        for (delta, value), p_fit in zip(pairs, model_p):
-            writer.writerow([repr(delta), repr(value), repr(float(p_fit))])
+    rows = [f"{d!r},{value!r},{float(fit)!r}\r\n" for (d, value), fit in zip(pairs, model_p)]
+    text = "delta_hz,P_data,P_fit\r\n" + "".join(rows)
+    (out / "fitted.csv").write_text(text, encoding="utf-8", newline="")
     (out / "plot.gp").write_text(
         "set datafile separator ','\n"
         "set terminal pngcairo size 900,600\n"
@@ -622,6 +620,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         _fail("config", exc)
+        return 2
+    except OSError as exc:  # every read is checked where it happens: a write failed
+        _fail("config", f"cannot write {exc.filename or 'output'}: {exc.strerror or exc}")
         return 2
     except (NumericalError, UndefinedPolarizationError, FitModelError) as exc:
         _fail("numerical", exc)

@@ -10,7 +10,6 @@ A pair's result does not depend on the batch it falls in.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import json
@@ -90,38 +89,48 @@ class SweepResult:
         return len(self.axes)
 
     def write_csv(self, path: str | Path) -> None:
-        """1-D sweeps as (x, P); 2-D sweeps as long-form (x, y, P)."""
-        columns = [[_cell(v, ax) for v in ax.values] for ax in self.axes]
-        cells = itertools.product(*columns)
+        """1-D sweeps as (x, P); 2-D sweeps as long-form (x, y, P); CRLF rows."""
+        columns = [map(repr, map(int if ax.unit == "count" else float, ax.values)) for ax in self.axes]
         p = np.asarray(self.p, dtype=float).reshape(-1).tolist()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([ax.header for ax in self.axes] + ["P"])
-            writer.writerows([*row, repr(value)] for row, value in zip(cells, p))
+        rows = [",".join([ax.header for ax in self.axes] + ["P"])]
+        rows += [f"{','.join(row)},{v!r}" for row, v in zip(itertools.product(*columns), p)]
+        Path(path).write_text("\r\n".join(rows) + "\r\n", newline="")
 
     def write_metadata(self, path: str | Path) -> None:
         """JSON sidecar with the resolved configuration and its content hash."""
-        doc = dict(self.metadata)
-        doc["schema"] = _METADATA_SCHEMA
-        doc["axes"] = [
+        axes = [
             {"name": ax.name, "unit": ax.unit, "count": len(ax.values), "values": list(ax.values)}
             for ax in self.axes
         ]
-        write_json(path, doc)
-
-
-def _cell(value: float, axis: SweepAxis) -> str:
-    if axis.unit == "count":
-        return repr(int(value))
-    return repr(float(value))
+        write_json(path, dict(self.metadata, schema=_METADATA_SCHEMA, axes=axes))
 
 
 def write_json(path: str | Path, doc: dict) -> None:
     """Write doc plus its config_hash as indented, key-sorted JSON, in one call."""
     doc = dict(doc, config_hash=content_hash(doc))
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(_indented(doc) + "\n", encoding="utf-8")
+
+
+def _indented(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) with its newlines as pad; strings,
+    ints, finite floats, None, str-keyed dicts and lists skip json's Python encoder."""
+    if type(value) is str:
+        return json.encoder.encode_basestring_ascii(value)
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        items = (f"{_indented(k)}: {_indented(value[k], inner)}" for k in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if type(value) in (list, tuple) and value:
+        floats = set(map(type, value)) == {float} and all(map(math.isfinite, value))
+        items = map(repr, value) if floats else (_indented(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, (dict, list, tuple)):  # empty, subclassed or non-str keys
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+    return json.dumps(value)
 
 
 def content_hash(doc: dict) -> str:

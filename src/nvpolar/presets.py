@@ -103,7 +103,7 @@ class Preset:
 
     def to_dict(self) -> dict:
         """JSON-ready description (used by sweep metadata), omega as omega_hz."""
-        doc = dataclasses.asdict(self)
+        doc = {**vars(self), "system": dict(vars(self.system)), "rates": dict(vars(self.rates))}
         doc["omega_hz"] = doc.pop("omega")
         return doc
 

@@ -207,12 +207,12 @@ def synthesize_ramsey(
 
     Raises:
         ConfigError: A non-finite dt or duration, a record outside
-            MIN_SAMPLES..MAX_GRID_POINTS, or a dt that undersamples a fringe.
+            MIN_SAMPLES..MAX_GRID_POINTS, or a dt that undersamples a fringe or exceeds t2_star.
     """
     if not (math.isfinite(duration) and math.isfinite(dt)):
         raise ConfigError(f"duration and dt must be finite, got {duration}, {dt}")
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
+    if not 0 < dt <= model.t2_star:
+        raise ConfigError(f"dt must be positive and at most t2_star {model.t2_star:.3e} s, got {dt}")
     if not duration / dt <= MAX_GRID_POINTS:
         raise ConfigError(f"record of {duration / dt:.3g} samples exceeds {MAX_GRID_POINTS}")
     n = int(round(duration / dt))

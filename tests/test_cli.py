@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, and configuration."""
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -30,6 +31,15 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_artifact(path):
+    """A JSON artifact's document, after checking that its bytes are those
+    json.dumps(indent=2, sort_keys=True) writes for it."""
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return doc
 
 
 def inline_config(tmp_path, **overrides):
@@ -87,7 +97,7 @@ def test_parser_is_built_once_and_keeps_no_parsed_values(tmp_path, capsys):
     assert code == 0
     assert len((first / "data.csv").read_text().splitlines()) == 1 + 4
     assert len((second / "data.csv").read_text().splitlines()) == 1 + 21
-    meta = json.loads((second / "metadata.json").read_text())
+    meta = read_artifact(second / "metadata.json")
     assert meta["delta_hz"] != 123457.0
 
 
@@ -108,7 +118,7 @@ def test_sweep_detuning_artifacts(tmp_path, capsys):
     data = (out_dir / "data.csv").read_text().strip().split("\n")
     assert data[0] == "delta_hz,P"
     assert len(data) == 4
-    meta = json.loads((out_dir / "metadata.json").read_text())
+    meta = read_artifact(out_dir / "metadata.json")
     assert meta["schema"] == "nvpolar-sweep/1"
     assert "config_hash" in meta
     assert "plot.png" in (out_dir / "plot.gp").read_text()
@@ -197,9 +207,9 @@ def test_ramsey_artifacts(tmp_path, capsys):
     for name in ("data.csv", "spectrum.csv", "metadata.json",
                  "fit_spectrum.json", "fit_time.json", "plot.gp"):
         assert (out_dir / name).exists()
-    meta = json.loads((out_dir / "metadata.json").read_text())
-    spectral = json.loads((out_dir / "fit_spectrum.json").read_text())
-    time_fit = json.loads((out_dir / "fit_time.json").read_text())
+    meta = read_artifact(out_dir / "metadata.json")
+    spectral = read_artifact(out_dir / "fit_spectrum.json")
+    time_fit = read_artifact(out_dir / "fit_time.json")
     assert meta["polarization_model"] > 0.5
     assert abs(spectral["p"] - meta["polarization_model"]) < 0.05
     assert abs(time_fit["p"] - meta["polarization_model"]) < 0.05
@@ -221,10 +231,10 @@ def test_ramsey_reads_the_sign_of_p_for_a_positive_axial_coupling(
         ["ramsey", "--config", path, "--manifold", manifold, "--out", str(out_dir)], capsys
     )
     assert code == 0, err
-    p_model = json.loads((out_dir / "metadata.json").read_text())["polarization_model"]
+    p_model = read_artifact(out_dir / "metadata.json")["polarization_model"]
     assert abs(p_model) > 0.05
     for name in ("fit_spectrum.json", "fit_time.json"):
-        p_fit = json.loads((out_dir / name).read_text())["p"]
+        p_fit = read_artifact(out_dir / name)["p"]
         assert np.sign(p_fit) == np.sign(p_model), (name, p_fit, p_model)
 
 
@@ -247,9 +257,9 @@ def test_both_ramsey_fits_read_the_model_polarization(tmp_path, capsys, flags):
     out_dir = tmp_path / "ramsey"
     code, _, err = run(["ramsey", *flags, "--out", str(out_dir)], capsys)
     assert code == 0, err
-    p_model = json.loads((out_dir / "metadata.json").read_text())["polarization_model"]
+    p_model = read_artifact(out_dir / "metadata.json")["polarization_model"]
     for name in ("fit_time.json", "fit_spectrum.json"):
-        p_fit = json.loads((out_dir / name).read_text())["p"]
+        p_fit = read_artifact(out_dir / name)["p"]
         assert abs(p_fit - p_model) <= RAMSEY_TOL, (name, p_fit, p_model)
 
 
@@ -261,7 +271,7 @@ def test_trajectory_artifacts(tmp_path, capsys):
     )
     assert code == 0
     rows = (out_dir / "trajectory.csv").read_text().strip().split("\n")
-    meta = json.loads((out_dir / "metadata.json").read_text())
+    meta = read_artifact(out_dir / "metadata.json")
     assert meta["rows"] == len(rows) - 1
     assert meta["n_cycles"] == 1
     assert "using 1:74" in (out_dir / "plot.gp").read_text()
@@ -306,7 +316,7 @@ def test_fit_curve_closed_loop(curve_file, tmp_path, capsys):
     )
     assert code == 0
     assert "|A_zz|" in out
-    doc = json.loads((out_dir / "report.json").read_text())
+    doc = read_artifact(out_dir / "report.json")
     assert doc["report"]["converged"] is True
     f_rel, azz_mag, a_ani = doc["report"]["params"]
     assert abs(f_rel) < 0.02 * 686554.6
@@ -315,6 +325,12 @@ def test_fit_curve_closed_loop(curve_file, tmp_path, capsys):
     fitted = (out_dir / "fitted.csv").read_text().strip().split("\n")
     assert fitted[0] == "delta_hz,P_data,P_fit"
     assert len(fitted) == 11
+    # The bytes csv.writer gives the rows, each float as its repr, in CRLF rows.
+    text = (out_dir / "fitted.csv").read_bytes().decode("utf-8")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    want = io.StringIO(newline="")
+    csv.writer(want).writerows([rows[0], *([repr(float(x)) for x in row] for row in rows[1:])])
+    assert text == want.getvalue()
 
 
 def test_fit_curve_budget_exhaustion_exits_4(curve_file, tmp_path, capsys):
@@ -365,7 +381,7 @@ def test_inline_config_runs(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    meta = json.loads((out_dir / "metadata.json").read_text())
+    meta = read_artifact(out_dir / "metadata.json")
     assert meta["preset"]["name"] == "custom-a"
     assert meta["preset"]["n_cycles"] == 2
 
@@ -626,7 +642,7 @@ def test_integral_float_config_integers_run(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    preset = json.loads((out_dir / "metadata.json").read_text())["preset"]
+    preset = read_artifact(out_dir / "metadata.json")["preset"]
     assert (preset["t_mw_ns"], preset["n_cycles"]) == (1700, 2)
     assert isinstance(preset["t_mw_ns"], int)
 
@@ -694,6 +710,9 @@ def test_bad_grid_exits_2(tmp_path, capsys, flags):
     assert not (tmp_path / "g" / "data.csv").exists()
 
 
+# A T2* shorter than dt would overflow (t / T2*)^2 while sampling; the
+# RuntimeWarning that would print is an error here.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "flags",
     [
@@ -702,6 +721,8 @@ def test_bad_grid_exits_2(tmp_path, capsys, flags):
         ["--duration", "inf"],
         ["--dt", "nan"],
         ["--t2-star", "nan"],
+        ["--t2-star", "1e-300"],
+        ["--t2-star", "1.9e-8"],
     ],
     ids=lambda flags: "=".join(flags).lstrip("-"),
 )
@@ -710,6 +731,24 @@ def test_bad_ramsey_record_exits_2(tmp_path, capsys, flags):
     assert code == 2
     assert err.startswith("error: config:")
     assert not (tmp_path / "r" / "data.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["sweep-detuning", *SMALL_SWEEP], "data.csv"),
+        (["sweep-detuning", *SMALL_SWEEP], "metadata.json"),
+        (["ramsey"], "metadata.json"),
+    ],
+    ids=["sweep-data.csv", "sweep-metadata.json", "ramsey-metadata.json"],
+)
+def test_a_failed_write_exits_2(tmp_path, capsys, argv, name):
+    """An artifact path that is a directory is reported in one line."""
+    out_dir = tmp_path / "out"
+    (out_dir / name).mkdir(parents=True)
+    code, _, err = run([*argv, "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert err == f"error: config: cannot write {out_dir / name}: Is a directory\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

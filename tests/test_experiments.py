@@ -1,5 +1,7 @@
 """Sweep drivers, polarization readout, and result serialization."""
 
+import dataclasses
+import hashlib
 import json
 import re
 import threading
@@ -15,6 +17,7 @@ from nvpolar.eigensystem import eigen_system
 from nvpolar.lindblad import CHUNK, CycleEngine, SchedulePropagator, initial_mixed_state
 from nvpolar.operators import spin_operators
 from nvpolar.polarization import polarization_of_state
+from nvpolar.presets import get_preset, preset_names
 
 
 def test_polarization_of_diagonal_state():
@@ -257,6 +260,67 @@ def test_writers_match_the_row_by_row_formatting(table_a1, tmp_path):
         result.write_metadata(got)
         rowwise_sweep_metadata(result, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_content_hash_is_pinned():
+    """The hashed form is compact, key-sorted, ASCII-escaped JSON without the
+    config_hash field; a change to it changes this literal."""
+    doc = {
+        "config_hash": "not hashed",
+        "b": {"zero": -0.0, "tiny": 5e-324, "n": {"k": [1, True, None]}},
+        "a": (1.5, "\u00b5s"),
+        "\u00e9": "\u00fc\n",
+    }
+    canonical = (
+        b'{"a":[1.5,"\\u00b5s"],"b":{"n":{"k":[1,true,null]},"tiny":5e-324,"zero":-0.0},'
+        b'"\\u00e9":"\\u00fc\\n"}'
+    )
+    digest = "6234f6236352f0a88b89fd25fa301f229b32f0947b03864ff46a32538af0c102"
+    assert hashlib.sha256(canonical).hexdigest() == digest
+    assert ex.content_hash(doc) == digest
+
+
+AWKWARD_JSON = [
+    np.float64(0.1),
+    -0.0,
+    1e308,
+    float("nan"),
+    float("inf"),
+    -float("inf"),
+    {},
+    [],
+    (),
+    (1.5, (2, "x"), []),
+    [0.25, float("nan"), np.float64(3.0)],
+    [0.5, -0.0, float("inf")],
+    True,
+    False,
+    None,
+    7,
+    "\u00b5s\n\"",
+    {"b": {}, "a": [None, None]},
+    {10: "keys json", 9: "turns into strings"},
+]
+
+
+@pytest.mark.parametrize("value", AWKWARD_JSON, ids=repr)
+def test_json_writer_matches_json_dumps(tmp_path, value):
+    assert ex._indented(value) == json.dumps(value, indent=2, sort_keys=True)
+    doc = {"nested": {"value": value}, "values": [value, 1.0], "floats": (0.5, -0.0)}
+    ex.write_json(tmp_path / "doc.json", doc)
+    want = json.dumps(dict(doc, config_hash=ex.content_hash(doc)), indent=2, sort_keys=True)
+    assert (tmp_path / "doc.json").read_text(encoding="utf-8") == want + "\n"
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_to_dict_is_a_copy_of_its_fields(name):
+    preset = get_preset(name)
+    want = dataclasses.asdict(preset)
+    want["omega_hz"] = want.pop("omega")
+    doc = preset.to_dict()
+    assert doc == want
+    doc["system"]["b_z"] = doc["rates"]["gamma_gl"] = -1.0
+    assert preset.system.b_z > 0 and preset.rates.gamma_gl > 0
 
 
 def test_sweep_repetitions_builds_up(table_a1):

@@ -162,6 +162,8 @@ def test_synthesis_guards(table_a1):
         rm.synthesize_ramsey(model, 5 * DT, DT)  # record too short
     with pytest.raises(ConfigError):
         rm.synthesize_ramsey(model, DURATION, 1e-7)  # undersampled
+    with pytest.raises(ConfigError, match="at most t2_star"):
+        rm.synthesize_ramsey(replace(model, t2_star=DT / 2), DURATION, DT)
 
 
 def test_fft_bin_accuracy():
