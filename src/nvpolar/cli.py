@@ -2,9 +2,9 @@
 
 Every data-producing subcommand resolves a parameter set (a named preset or
 a JSON config), runs the simulation, and writes a small artifact directory:
-a CSV data file, a metadata sidecar with a content hash, and a standalone
-gnuplot script. Outputs are deterministic; metadata carries no timestamps,
-so reruns of the same configuration are byte-identical.
+a metadata sidecar with a content hash, a standalone gnuplot script and,
+last (so a failed write leaves none), a CSV data file. Outputs are
+deterministic; metadata carries no timestamps, so reruns are byte-identical.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure,
 4 fit did not converge. Errors print a single machine-parseable line to
@@ -172,11 +172,11 @@ def _plot_map(csv_name: str, xlabel: str, ylabel: str) -> str:
 def _write_sweep(
     command: str, args: argparse.Namespace, result: ex.SweepResult, plot: str
 ) -> Path:
-    """Write a sweep's data.csv, metadata.json and plot.gp; return the directory."""
+    """Write a sweep's metadata.json, plot.gp and, last, data.csv; return the directory."""
     out = _out_dir(command, args.out)
-    result.write_csv(out / "data.csv")
     result.write_metadata(out / "metadata.json")
     (out / "plot.gp").write_text(plot)
+    result.write_csv(out / "data.csv")
     return out
 
 
@@ -237,14 +237,14 @@ def _cmd_sweep_ani(args: argparse.Namespace) -> int:
     ani = ex.grid(args.min, args.max, args.step)
     deltas = ex.grid(args.delta_min, args.delta_max, args.delta_step)
     result = ex.sweep_ani_detuning(preset, ani, deltas)
+    reduced = ex.max_trace(result)
+    reduced.write_csv(_out_dir("sweep-ani", args.out) / "max.csv")  # before data.csv
     out = _write_sweep(
         "sweep-ani",
         args,
         result,
         _plot_map("data.csv", "transverse coupling (Hz)", "drive detuning (Hz)"),
     )
-    reduced = ex.max_trace(result)
-    reduced.write_csv(out / "max.csv")
     at, best = _report_extreme(reduced)
     print(
         f"wrote {out} ({result.p.size} points); "
@@ -290,8 +290,7 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
     spectral = rm.fit_spectrum(t, s, model.peaks)
     time_fit = rm.fit_time_domain(t, s, model.peaks)
 
-    out = _out_dir("ramsey", args.out)
-    rm.write_signal_csv(out / "data.csv", t, s)
+    out = _out_dir("ramsey", args.out)  # data.csv is written last
     rm.write_spectrum_csv(out / "spectrum.csv", *rm.fft_spectrum(t, s))
     base = {
         "command": "ramsey",
@@ -328,6 +327,7 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
         "plot 'spectrum.csv' skip 1 using 1:2 with lines notitle\n"
         "unset multiplot\n"
     )
+    rm.write_signal_csv(out / "data.csv", t, s)
     print(
         f"wrote {out}; P(model) = {model.polarization():+.4f}, "
         f"P(spectral fit) = {spectral.p:+.4f}, P(time fit) = {time_fit.p:+.4f}"
@@ -384,9 +384,6 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
     )
     f_rel, azz_mag, a_ani = report.params
     model_p = curve_model(preset, report.params, [delta for delta, _ in pairs], args.n)
-    rows = [f"{d!r},{value!r},{float(fit)!r}\r\n" for (d, value), fit in zip(pairs, model_p)]
-    text = "delta_hz,P_data,P_fit\r\n" + "".join(rows)
-    (out / "fitted.csv").write_text(text, encoding="utf-8", newline="")
     (out / "plot.gp").write_text(
         "set datafile separator ','\n"
         "set terminal pngcairo size 900,600\n"
@@ -395,6 +392,9 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
         "plot 'fitted.csv' skip 1 using 1:2 with points pointtype 7 title 'data', \\\n"
         "     'fitted.csv' skip 1 using 1:3 with lines title 'fit'\n"
     )
+    rows = [f"{d!r},{value!r},{float(fit)!r}\r\n" for (d, value), fit in zip(pairs, model_p)]
+    text = "delta_hz,P_data,P_fit\r\n" + "".join(rows)
+    (out / "fitted.csv").write_text(text, encoding="utf-8", newline="")
     print(
         f"wrote {out}; f_rel = {f_rel:+.1f} Hz, |A_zz| = {azz_mag:.1f} Hz, "
         f"A_ani = {a_ani:.1f} Hz ({report.n_evaluations} evaluations)"
@@ -416,7 +416,6 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     delta = args.delta if args.delta is not None else ex.predicted_resonance(preset)
     times, states = CycleEngine(preset).trajectory(delta, args.sample_ns, args.n)
     out = _out_dir("trajectory", args.out)
-    write_trajectory_csv(times, states, out / "trajectory.csv")
     ex.write_json(
         out / "metadata.json",
         {
@@ -432,6 +431,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     (out / "plot.gp").write_text(
         _plot_xy("trajectory.csv", "time (ns)", "P", ycol=74)
     )
+    write_trajectory_csv(times, states, out / "trajectory.csv")
     final = polarization_of_state(states[-1])
     print(f"wrote {out} ({len(times)} rows); final P = {final.p:+.4f}")
     return 0

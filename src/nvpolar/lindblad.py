@@ -23,13 +23,15 @@ that takes one matrix or a stack, so the package needs no SciPy at runtime.
 
 _checked is the one state guard of both paths: it raises NumericalError on
 a drift above 1e-9 and makes a state whose drift is above 1e-12 Hermitian
-with unit trace again. CycleEngine also applies it, every CHUNK cycles, to
-the state it carries from one cycle to the next, in the sweeps and the
-buildup as in the trajectory.
+with unit trace again. CycleEngine's one stepper, _carried, applies it every
+CHUNK cycles to the state it carries from one cycle to the next, in the
+sweeps, the buildup and the trajectory, whose segment maps come from the
+engine's one map owner, _segment_maps, as the set-up's do.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from pathlib import Path
@@ -65,11 +67,11 @@ DRIVE_SCALE = 2.0**-0.5
 _HERM_DRIFT_FIX = 1e-12
 _HERM_DRIFT_FAIL = 1e-9
 
-#: (cell, detuning) pairs per CycleEngine batch, most slices per set-up expm
-#: (one per cell, three with a dephased laser-off gate), and cycles between
-#: two guards of the carried state. A call's batches are written into one
-#: 512 KiB workspace (401 pairs at once would take 3.1 MiB), and a pair's
-#: result does not depend on the batch it falls in.
+#: (cell, detuning) pairs per CycleEngine batch, cells per set-up step (so
+#: most slices per set-up expm), and cycles between two guards of the
+#: carried state. A call's batches are written into one 512 KiB workspace
+#: (401 pairs at once would take 3.1 MiB), and a pair's result does not
+#: depend on the batch it falls in.
 CHUNK = 64
 
 
@@ -358,11 +360,11 @@ class CycleEngine:
     * The laser is off in the chop-off, the rest and the microwave pulse.
       With no laser-off channel (no dephasing, as in the bundled presets)
       each of them is unitary, and its map is U kron conj(U) (row-major
-      vec) with U = exp(-2 pi i t H) from one batched 4x4 eigh: at set-up,
-      V of both the chop-off and the rest from every cell's H(0), so the
-      set-up's stacked expm holds only each cell's chop-on slice; per
-      batch, the pulse's U from H(delta) = H(0) - delta P+. With channels,
-      expm takes all three set-up segments, and the pulse's G(0) + delta K.
+      vec) with U = exp(-2 pi i t H) from one batched 4x4 eigh: V of the
+      chop-off and the rest from H(0), the pulse's U from H(delta) =
+      H(0) - delta P+. With channels, expm takes them, the pulse as
+      G(0) + delta K. _segment_maps makes this choice for the set-up and
+      the trajectory, and maps() forms each batch's pulse maps the same way.
     * The cells share every duration, so the phases of a detuning are the
       same in every cell. A batch of CHUNK (cell, detuning) pairs, which
       may span several cells, gathers each pair's H(0), T R and T vec(rho_0)
@@ -372,19 +374,16 @@ class CycleEngine:
 
     Every U and V is checked to max |U+ U - I| <= 1e-9, T and R have their
     trace checked once per engine, and a dephased pulse's maps per batch.
-    states() and buildup() advance the read-out state through one stepper,
-    _carried, which passes it through _checked every CHUNK cycles; every
-    read-out goes through _checked too.
+    states(), buildup() and trajectory() carry the state from cycle to
+    cycle through one stepper, _carried, which passes it through _checked
+    every CHUNK cycles; every read-out goes through _checked too.
 
     states() and polarizations() allocate one (2, CHUNK, 16, 16) workspace
     per call (smaller for fewer pairs), and maps() writes each batch's
     unitary pulse maps and cycle maps into it instead of new stacks.
-    No method writes to the engine after __init__.
-    buildup() and trajectory() run cell 0. trajectory() samples the state
-    along one sequence at one detuning: it steps the same block generators,
-    each plus delta K, through the preset's cycle n_cycles times (one
-    product for a cycle that holds no sample time) and then the readout
-    tail, and guards the carried state every CHUNK cycles as _carried does.
+    No method writes to the engine after __init__. buildup() and
+    trajectory() run cell 0; trajectory() samples one sequence at one
+    detuning, with every segment map from _segment_maps.
     """
 
     def __init__(self, preset: Preset, systems: Sequence[SystemParams] | None = None) -> None:
@@ -413,31 +412,19 @@ class CycleEngine:
         self._mw = self._generator(True, False) if self._channels[False] else None
 
         # The tail: a chop on/off pair taken chop_reps times, then the rest.
-        # Unitary off and rest maps are V kron conj(V), with V of both from
-        # one batched eigh; a dephased laser-off gate exponentiates them with
-        # the chop-on segment. Per step of cells, one stacked expm of at most
-        # CHUNK slices bounds the set-up's memory as CHUNK bounds a batch's.
+        # Per step of CHUNK cells, each expm of at most CHUNK slices bounds
+        # the set-up's memory as CHUNK bounds a batch's.
         self._tail_s = duration_ns(preset.readout_tail()) * 1e-9  # validates the train
         durations = (preset.chop_on_ns, preset.chop_off_ns, preset.rest_ns)
         on_s, off_s, rest_s = (ns * 1e-9 for ns in durations)
-        if self._mw is None:
-            v = _unitary_propagators(self._h0, (off_s, rest_s), "laser-off")
-        step = CHUNK if self._mw is None else max(CHUNK // 3, 1)
         tail_rest, tail_rho0 = [], []
-        for start in range(0, len(systems), step):
-            cells = slice(start, start + step)
-            on = self._generator(False, True, cells)
-            # A non-finite generator fails the trace checks below.
-            with np.errstate(over="ignore", invalid="ignore"):
-                if self._mw is None:
-                    on = expm(np.multiply(on, on_s, out=on))
-                    off, rest = _kron(v[:, cells], v[:, cells].conj())
-                else:
-                    off = self._generator(False, False, cells)
-                    gens = np.concatenate([on * on_s, off * off_s, off * rest_s])
-                    on, off, rest = expm(gens).reshape(3, -1, 16, 16)
+        for start in range(0, len(systems), CHUNK):
+            cells = slice(start, start + CHUNK)
+            [on] = self._segment_maps(False, True, (on_s,), cells=cells)
+            off, rest = self._segment_maps(False, False, (off_s, rest_s), cells=cells)
             # The readout tail T (chop train, rest). T and R do not depend on
-            # delta, so one trace check each covers every batch.
+            # delta, so one trace check each covers every batch; a non-finite
+            # generator fails them.
             tail = rest @ np.linalg.matrix_power(off @ on, preset.chop_reps)
             _check_trace("rest", rest)
             _check_trace("tail", tail)
@@ -456,6 +443,33 @@ class CycleEngine:
         h = self._h if mw_on else self._h0
         return liouvillian(h[cells], [op[cells] for op in self._channels[laser_on]])
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def _segment_maps(
+        self, mw_on: bool, laser_on: bool, seconds: Sequence[float], delta: float = 0.0, cells=0
+    ) -> np.ndarray:
+        """Maps of the segments with these gates, one per duration, as the batches form them.
+
+        The one place where a segment becomes a map: a laser-off segment
+        without channels is V kron conj(V), V from one eigh of H(0), or of
+        H(0) - delta P+ for a pulse, and any other is expm of its block
+        generator, plus delta K for a pulse. A segment without microwave
+        is its delta = 0 map times diag(exp(delta K t)). cells is one index,
+        or a slice at delta = 0 that adds a cell axis after the first. A
+        non-finite generator gives a non-finite map.
+        """
+        if not laser_on and self._mw is None:
+            h = self._h[cells] - delta * _P_PLUS if mw_on else self._h0[cells]
+            v = _unitary_propagators(h, seconds, "pulse" if mw_on else "laser-off")
+            maps = _kron(v, v.conj())
+        else:
+            gen = self._generator(mw_on, laser_on, cells)
+            if mw_on:
+                gen = gen + np.diag(delta * _K_DIAG)
+            maps = np.array([expm(gen * t) for t in seconds])
+        if delta and not mw_on:
+            maps = self._phases(delta, np.asarray(seconds))[:, :, None] * maps
+        return maps
+
     @staticmethod
     def _of(stack: np.ndarray, cells) -> np.ndarray:
         """The slices of a per-cell stack for a batch's cells; a one-cell
@@ -465,11 +479,6 @@ class CycleEngine:
     def _phases(self, deltas: np.ndarray, seconds: float) -> np.ndarray:
         """diag(exp(delta K t)) per detuning, shape (n, 16), from K's three values."""
         return np.exp(np.multiply.outer(deltas * seconds, _K_VALUES)).take(_K_INDEX, axis=1)
-
-    def _unitaries(self, deltas: np.ndarray, cells=0) -> np.ndarray:
-        """Pulse unitaries exp(-2 pi i t H(delta)), (n, 4, 4), from one batched eigh."""
-        h = self._of(self._h, cells) - np.multiply.outer(deltas, _P_PLUS)
-        return _unitary_propagators(h, self._mw_s, "pulse")
 
     def maps(self, deltas: Sequence[float], cells=0, work=None) -> tuple[np.ndarray, np.ndarray]:
         """One batch's cycle maps C' (n, 16, 16) and read-out states after 0 cycles (n, 16).
@@ -481,7 +490,8 @@ class CycleEngine:
         work = np.empty((2, len(d), 16, 16), complex) if work is None else work
         pulse, cycle = work[:, : len(d)]
         if self._mw is None:
-            u = self._unitaries(d, cells)
+            h = self._of(self._h, cells) - np.multiply.outer(d, _P_PLUS)
+            u = _unitary_propagators(h, self._mw_s, "pulse")
             a, b = u[:, :, None, :, None], u.conj()[:, None, :, None, :]
             np.multiply(a, b, out=pulse.reshape(-1, 4, 4, 4, 4))  # U kron conj(U), as in _kron
         else:
@@ -545,14 +555,13 @@ class CycleEngine:
         """Driven-block states along the sequence and its readout tail at one detuning.
 
         Returns the times in ns, t = 0, every multiple of sample_ns and the
-        end, and the (k, 4, 4) states at those times, splitting segments as
-        needed. A segment's generator is the laser-on, laser-off or pulse
-        block generator plus delta K, and each (segment kind, step) is
-        exponentiated once. A cycle that holds no sample time takes one
-        product with the cycle's propagator, composed once from its whole
-        segments. The carried state goes through _checked every CHUNK cycles,
-        and the returned states through _checked too. More than
-        MAX_GRID_POINTS rows is a ConfigError, raised before any propagation.
+        end, and the (k, 4, 4) states at those times. Every map, of a whole
+        segment or of a step up to a sample time, comes from _segment_maps,
+        once per (segment, step). The state at each cycle's start comes from
+        _carried, the one stepper, with the cycle's map; a cycle that holds a
+        sample time, and the tail, step from it segment by segment. The
+        returned states go through _checked. More than MAX_GRID_POINTS rows
+        is a ConfigError, raised before any propagation.
         """
         if sample_ns <= 0:
             raise ConfigError("sample_ns must be positive")
@@ -564,48 +573,35 @@ class CycleEngine:
         rows = -(-end // sample_ns) + 1  # t = 0, each multiple of sample_ns, the end
         if rows > MAX_GRID_POINTS:
             raise ConfigError(f"trajectory of {rows} rows exceeds {MAX_GRID_POINTS}")
-        frame = np.diag(delta * _K_DIAG)
-        # Cell 0's generators, keyed by the segment's (mw_on, laser_on) gates.
-        kinds = ((False, True), (False, False), (True, False))
-        generators = {kind: self._generator(*kind, 0) + frame for kind in kinds}
-        props: dict[tuple, np.ndarray] = {}
 
-        def propagator(seg: PulseSegment, step: int) -> np.ndarray:
-            kind = (seg.mw_on, seg.laser_on)
-            prop = props.get((kind, step))
-            if prop is None:
-                prop = props[kind, step] = expm(generators[kind] * (step * 1e-9))
-            return prop
+        @functools.cache
+        def segment_map(seg: PulseSegment, ns: int) -> np.ndarray:
+            return self._segment_maps(seg.mw_on, seg.laser_on, (ns * 1e-9,), delta)[0]
 
-        whole = np.eye(len(_K_DIAG), dtype=complex)  # the cycle's propagator
+        samples = [(0, _RHO0)]
+
+        def walk(t: int, vec: np.ndarray, segments: Schedule) -> np.ndarray:
+            for seg in segments:
+                remaining = seg.duration_ns
+                while remaining > 0:
+                    ns = min(sample_ns - t % sample_ns, remaining)
+                    vec = segment_map(seg, ns) @ vec
+                    t, remaining = t + ns, remaining - ns
+                    if t % sample_ns == 0:
+                        samples.append((t, vec))
+            return vec
+
+        whole = np.eye(len(_K_DIAG), dtype=complex)  # the cycle's map
         for seg in cycle:
             if seg.duration_ns:
-                whole = propagator(seg, seg.duration_ns) @ whole
-        vec, t = _RHO0, 0
-        samples = [(t, vec)]
-        # n_cycles passes of one cycle, then one of the tail; the carried
-        # state is guarded after every CHUNK passes, as in _carried.
-        passes = itertools.chain(itertools.repeat(cycle, n_cycles), [tail])
-        for count, segments in enumerate(passes, start=1):
-            if segments is cycle and sample_ns - t % sample_ns >= cycle_ns:
-                vec = whole @ vec
-                t += cycle_ns
-                if t % sample_ns == 0:
-                    samples.append((t, vec))
-            else:
-                for seg in segments:
-                    remaining = seg.duration_ns
-                    while remaining > 0:
-                        step = min(sample_ns - t % sample_ns, remaining)
-                        vec = propagator(seg, step) @ vec
-                        t += step
-                        remaining -= step
-                        if t % sample_ns == 0:
-                            samples.append((t, vec))
-            if count % CHUNK == 0:
-                vec = _checked(vec).reshape(vec.shape)
-        if samples[-1][0] != t:
-            samples.append((t, vec))
+                whole = segment_map(seg, seg.duration_ns) @ whole
+        for count, start in enumerate(_carried(whole[None], _RHO0[None], n_cycles)):
+            t, vec = count * cycle_ns, start[0]
+            if count < n_cycles and sample_ns - t % sample_ns <= cycle_ns:
+                walk(t, vec, cycle)
+        vec = walk(t, vec, tail)
+        if samples[-1][0] != end:
+            samples.append((end, vec))
         times, vecs = zip(*samples)
         return list(times), _checked(np.array(vecs))
 

@@ -733,22 +733,66 @@ def test_bad_ramsey_record_exits_2(tmp_path, capsys, flags):
     assert not (tmp_path / "r" / "data.csv").exists()
 
 
+#: Stands for the curve_file fixture's path in a parametrized argv.
+CURVE = object()
+
+
 @pytest.mark.parametrize(
-    "argv,name",
+    "argv,name,data",
     [
-        (["sweep-detuning", *SMALL_SWEEP], "data.csv"),
-        (["sweep-detuning", *SMALL_SWEEP], "metadata.json"),
-        (["ramsey"], "metadata.json"),
+        (["sweep-detuning", *SMALL_SWEEP], "data.csv", "data.csv"),
+        (["sweep-detuning", *SMALL_SWEEP], "metadata.json", "data.csv"),
+        (["ramsey"], "metadata.json", "data.csv"),
+        (["ramsey"], "spectrum.csv", "data.csv"),
+        (["sweep-ani", "--max=1e5", "--step=1e5", "--delta-step=3e5"], "max.csv", "data.csv"),
+        (["trajectory", "--n", "1", "--sample-ns", "1000"], "metadata.json", "trajectory.csv"),
+        (["trajectory", "--n", "1", "--sample-ns", "1000"], "plot.gp", "trajectory.csv"),
+        (["fit-curve", CURVE], "report.json", "fitted.csv"),
+        (["fit-curve", CURVE], "plot.gp", "fitted.csv"),
     ],
-    ids=["sweep-data.csv", "sweep-metadata.json", "ramsey-metadata.json"],
+    ids=[
+        "sweep-data.csv",
+        "sweep-metadata.json",
+        "ramsey-metadata.json",
+        "ramsey-spectrum.csv",
+        "sweep-ani-max.csv",
+        "trajectory-metadata.json",
+        "trajectory-plot.gp",
+        "fit-curve-report.json",
+        "fit-curve-plot.gp",
+    ],
 )
-def test_a_failed_write_exits_2(tmp_path, capsys, argv, name):
-    """An artifact path that is a directory is reported in one line."""
+def test_a_failed_write_exits_2(tmp_path, capsys, curve_file, argv, name, data):
+    """An artifact path that is a directory is reported in one line, and
+    the data file, written last, is not left behind."""
     out_dir = tmp_path / "out"
     (out_dir / name).mkdir(parents=True)
+    argv = [curve_file if arg is CURVE else arg for arg in argv]
     code, _, err = run([*argv, "--out", str(out_dir)], capsys)
     assert code == 2
     assert err == f"error: config: cannot write {out_dir / name}: Is a directory\n"
+    if name != data:
+        assert not (out_dir / data).exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("delta", ["1e20", "1e308"])
+def test_trajectory_at_a_huge_detuning_ends_where_sweep_n_does(tmp_path, capsys, delta):
+    """Far off resonance delta enters the trajectory's maps only as phases
+    and through H(0) - delta P+, never inside an expm, so it exits 0 with
+    sweep-n's P; at 1e308 it may instead exit 3 in one line."""
+    argv = ["--n", "2", f"--delta={delta}", "--out"]
+    code, out, err = run(["trajectory", *argv, str(tmp_path / "t")], capsys)
+    if delta == "1e308" and code == 3:
+        assert err.startswith("error: numerical:") and err.count("\n") == 1
+        return
+    assert (code, err) == (0, "")
+    code, swept, _ = run(["sweep-n", *argv, str(tmp_path / "n")], capsys)
+    assert code == 0
+    assert out.split("final P = ")[1] == swept.split("P(2) = ")[1].split(" ")[0] + "\n"
+    last = (tmp_path / "t" / "trajectory.csv").read_text().splitlines()[-1]
+    want = (tmp_path / "n" / "data.csv").read_text().splitlines()[-1]
+    assert abs(float(last.split(",")[-1]) - float(want.split(",")[-1])) <= 1e-12
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -84,6 +84,20 @@ def _level_crossing(h):
     return brentq(lambda d: upper(d, [0, 2]) - upper(d, [1, 3]), -1e6, 0.0, xtol=1e-12)
 
 
+def _recorded_unitaries(monkeypatch):
+    """Patch lindblad._unitary_propagators to record (what, result) of
+    every call; return the list."""
+    calls = []
+    unitaries = lindblad._unitary_propagators
+
+    def recorded(h, seconds, what):
+        calls.append((what, unitaries(h, seconds, what)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(lindblad, "_unitary_propagators", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_unitary_pulse_is_exponentiated_as_4x4_blocks(name, monkeypatch):
     """The bundled presets' pulses have no channels: maps() runs no expm, and
@@ -102,9 +116,11 @@ def test_unitary_pulse_is_exponentiated_as_4x4_blocks(name, monkeypatch):
             assert np.min(np.diff(levels)) <= 1e-9
         with monkeypatch.context() as patch:
             shapes = _traced_expm(patch)
+            calls = _recorded_unitaries(patch)
             engine.maps(deltas)
             assert shapes == []
-        got = engine._unitaries(np.array(deltas))
+        [(what, got)] = calls
+        assert what == "pulse" and got.shape == (len(deltas), 4, 4)
         for u, delta in zip(got, deltas):
             h = h_mw - delta * lindblad._P_PLUS
             assert np.max(np.abs(u - scipy_expm(-2j * np.pi * engine._mw_s * h))) <= 1e-13
@@ -145,14 +161,7 @@ def test_laser_off_maps_are_exponentiated_as_4x4_blocks(name, monkeypatch):
     """With no laser-off channels the set-up's chop-off and rest maps are
     V kron conj(V), with V of both from one eigh; they match scipy's expm
     of the laser-off block generator, also at a_ani = 0."""
-    calls = []
-    unitaries = lindblad._unitary_propagators
-
-    def recorded(h, seconds, what):
-        calls.append((what, unitaries(h, seconds, what)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(lindblad, "_unitary_propagators", recorded)
+    calls = _recorded_unitaries(monkeypatch)
     for a_ani in (None, 0.0):
         preset = get_preset(name)
         if a_ani is not None:
@@ -170,7 +179,8 @@ def test_laser_off_maps_are_exponentiated_as_4x4_blocks(name, monkeypatch):
 @pytest.mark.parametrize("name", ["table-a1-fit", "table-a1-fig4"])
 def test_a_dephased_laser_off_gate_takes_three_expm_slices_per_cell(name, monkeypatch):
     """Dephasing puts channels on the laser-off gate: the set-up makes no
-    eigh and exponentiates chop on, chop off and rest of every cell."""
+    eigh and exponentiates chop on, chop off and rest of every cell, in
+    calls of at most CHUNK slices."""
     base = get_preset(name)
     preset = dataclasses.replace(
         base, rates=dataclasses.replace(base.rates, gamma_d=DEPHASED.gamma_d)
@@ -180,7 +190,8 @@ def test_a_dephased_laser_off_gate_takes_three_expm_slices_per_cell(name, monkey
         shapes = _traced_expm(patch)
         patch.setattr(np.linalg, "eigh", _eigh_raising)
         engine = CycleEngine(preset, [q.system for q in cells])
-    assert shapes == [(3 * len(cells), 16, 16)]
+    assert sum(shape[0] for shape in shapes) == 3 * len(cells)
+    assert max(shape[0] for shape in shapes) <= lindblad.CHUNK
     deltas = [-3.2e5, 0.0, 3.2e5]
     for n_cycles in (0, 6):
         got = engine.polarizations(deltas * 2, n_cycles, [0, 0, 0, 1, 1, 1])
@@ -558,6 +569,31 @@ def test_trajectory_of_whole_cycles_between_samples_matches_reference(name, rate
         _assert_matches_reference(got, ref)
 
 
+@pytest.mark.parametrize(
+    "name,rates,delta",
+    [
+        (name, rates, delta)
+        for name in ("table-a1-fit", "table-a1-fig4")
+        for rates, deltas in ((None, (3.2e5, 1e9, 1e20)), (DEPHASED, (3.2e5, 1e9)))
+        for delta in deltas
+    ],
+    ids=lambda value: "dephased" if value is DEPHASED else str(value),
+)
+def test_the_trajectory_ends_where_the_batches_do(name, rates, delta):
+    """The trajectory's segment maps and its carried state come from the
+    engine's own map owner and stepper, so its last state is the read-out
+    state of states(), also far off resonance."""
+    preset = get_preset(name)
+    if rates is not None:
+        preset = dataclasses.replace(preset, rates=rates)
+    engine = CycleEngine(preset)
+    times, states = engine.trajectory(delta, 1000, 3)
+    assert times[-1] == 3 * duration_ns(preset.schedule(delta, n_cycles=1)) + duration_ns(
+        preset.readout_tail()
+    )
+    assert np.max(np.abs(states[-1] - engine.states([delta], 3)[0])) <= 1e-13
+
+
 def test_guard_rejects_nan_state():
     rho = initial_mixed_state()
     rho[0, 0] = np.nan
@@ -602,12 +638,14 @@ def test_carried_state_is_guarded_every_chunk(table_a1, monkeypatch):
 
 
 def test_trajectory_guards_the_carried_state_every_chunk(table_a1, monkeypatch):
-    """Propagators that lose 2e-13 of trace per segment (37 segments a cycle)
+    """Segment maps that lose 2e-13 of trace each (37 segments a cycle)
     stay inside the 1e-9 bound for CHUNK cycles but not for 3 CHUNK; the
     guard every CHUNK cycles keeps a 3 CHUNK trajectory inside it."""
     engine = CycleEngine(table_a1)
-    expm = lindblad.expm
-    monkeypatch.setattr(lindblad, "expm", lambda a: expm(a) * (1.0 - 2e-13))
+    segment_maps = engine._segment_maps
+    monkeypatch.setattr(
+        engine, "_segment_maps", lambda *args: segment_maps(*args) * (1.0 - 2e-13)
+    )
     n_cycles = 3 * lindblad.CHUNK
     times, states = engine.trajectory(3.2e5, 10**9, n_cycles)
     assert len(times) == len(states) == 2  # t = 0 and the end
