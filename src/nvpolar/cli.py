@@ -180,6 +180,11 @@ def _write_sweep(
     return out
 
 
+def _hz(delta: float) -> str:
+    """A stdout line's detuning: whole Hz below 1e16, the float's shortest digits above."""
+    return f"{delta:+.0f}" if abs(delta) < 1e16 else f"{delta:+}"
+
+
 def _report_extreme(result: ex.SweepResult) -> tuple[float, float]:
     idx = ex.peak(result.p)
     return float(result.axes[0].values[idx]), float(result.p[idx])
@@ -196,7 +201,7 @@ def _cmd_sweep_detuning(args: argparse.Namespace) -> int:
         "sweep-detuning", args, result, _plot_xy("data.csv", "drive detuning (Hz)", "P")
     )
     at, best = _report_extreme(result)
-    print(f"wrote {out} ({len(result.p)} points); peak P = {best:+.4f} at {at:+.0f} Hz")
+    print(f"wrote {out} ({len(result.p)} points); peak P = {best:+.4f} at {_hz(at)} Hz")
     return 0
 
 
@@ -210,7 +215,7 @@ def _cmd_sweep_n(args: argparse.Namespace) -> int:
     print(
         f"wrote {out} ({len(result.p)} points); "
         f"P({args.n}) = {float(result.p[-1]):+.4f} "
-        f"at delta = {result.metadata['delta_hz']:+.0f} Hz"
+        f"at delta = {_hz(result.metadata['delta_hz'])} Hz"
     )
     return 0
 

@@ -25,8 +25,8 @@ _checked is the one state guard of both paths: it raises NumericalError on
 a drift above 1e-9 and makes a state whose drift is above 1e-12 Hermitian
 with unit trace again. CycleEngine's one stepper, _carried, applies it every
 CHUNK cycles to the state it carries from one cycle to the next, in the
-sweeps, the buildup and the trajectory, whose segment maps come from the
-engine's one map owner, _segment_maps, as the set-up's do.
+sweeps, the buildup and the trajectory. Every segment map comes from the
+engine's one map owner, _segment_maps.
 """
 
 from __future__ import annotations
@@ -170,11 +170,15 @@ def liouvillian(h: np.ndarray, channels: Iterable[np.ndarray]) -> np.ndarray:
     return gen
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _kron(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.kron of two square matrices, or of each pair of slices of two
     (k, n, n) and (k, m, m) stacks (a matrix broadcasts against a stack),
-    as one broadcast product (same bits)."""
+    as one broadcast product (same bits), written into out if given."""
     n, m = a.shape[-1], b.shape[-1]
+    if out is not None:
+        shape = out.shape[:-2] + (n, m, n, m)
+        np.multiply(a[..., :, None, :, None], b[..., None, :, None, :], out=out.reshape(shape))
+        return out
     prod = a[..., :, None, :, None] * b[..., None, :, None, :]
     return prod.reshape(*prod.shape[:-4], n * m, n * m)
 
@@ -363,8 +367,8 @@ class CycleEngine:
       vec) with U = exp(-2 pi i t H) from one batched 4x4 eigh: V of the
       chop-off and the rest from H(0), the pulse's U from H(delta) =
       H(0) - delta P+. With channels, expm takes them, the pulse as
-      G(0) + delta K. _segment_maps makes this choice for the set-up and
-      the trajectory, and maps() forms each batch's pulse maps the same way.
+      G(0) t + delta K t. _segment_maps makes this choice for every
+      segment, so the batches and the trajectory form one pulse map.
     * The cells share every duration, so the phases of a detuning are the
       same in every cell. A batch of CHUNK (cell, detuning) pairs, which
       may span several cells, gathers each pair's H(0), T R and T vec(rho_0)
@@ -373,14 +377,14 @@ class CycleEngine:
       result depends neither on its batch nor on the other cells.
 
     Every U and V is checked to max |U+ U - I| <= 1e-9, T and R have their
-    trace checked once per engine, and a dephased pulse's maps per batch.
+    trace checked once per engine, and _segment_maps checks each dephased pulse's.
     states(), buildup() and trajectory() carry the state from cycle to
     cycle through one stepper, _carried, which passes it through _checked
     every CHUNK cycles; every read-out goes through _checked too.
 
     states() and polarizations() allocate one (2, CHUNK, 16, 16) workspace
-    per call (smaller for fewer pairs), and maps() writes each batch's
-    unitary pulse maps and cycle maps into it instead of new stacks.
+    per call (smaller for fewer pairs). maps() has _segment_maps write each
+    batch's pulse maps into it, and writes the cycle maps C' there too.
     No method writes to the engine after __init__. buildup() and
     trajectory() run cell 0; trajectory() samples one sequence at one
     detuning, with every segment map from _segment_maps.
@@ -445,29 +449,36 @@ class CycleEngine:
 
     @np.errstate(over="ignore", invalid="ignore")
     def _segment_maps(
-        self, mw_on: bool, laser_on: bool, seconds: Sequence[float], delta: float = 0.0, cells=0
+        self, mw_on: bool, laser_on: bool, seconds, deltas=(0.0,), cells=0, out=None
     ) -> np.ndarray:
-        """Maps of the segments with these gates, one per duration, as the batches form them.
+        """Maps (m, n, 16, 16) of the segments with these gates for m durations
+        and n (cell, detuning) pairs; a pulse's or a unitary segment's go into out.
 
-        The one place where a segment becomes a map: a laser-off segment
-        without channels is V kron conj(V), V from one eigh of H(0), or of
-        H(0) - delta P+ for a pulse, and any other is expm of its block
-        generator, plus delta K for a pulse. A segment without microwave
-        is its delta = 0 map times diag(exp(delta K t)). cells is one index,
-        or a slice at delta = 0 that adds a cell axis after the first. A
-        non-finite generator gives a non-finite map.
+        The one place where a segment becomes a map, for the set-up, the
+        batches and the trajectory: a laser-off segment without channels is
+        V kron conj(V), V from one eigh of H(0), or of H(0) - delta P+ for a
+        pulse; any other is expm of its block generator times t, plus
+        delta K t for a pulse, whose trace is then checked. A segment without
+        microwave is its delta = 0 map times diag(exp(delta K t)). deltas
+        holds each pair's detuning and cells each pair's cell, or one index
+        for all (a pulse only), or, at delta = 0, a slice of cells, one pair
+        each. A non-finite generator gives a non-finite map.
         """
+        d = np.asarray(deltas, dtype=float)
         if not laser_on and self._mw is None:
-            h = self._h[cells] - delta * _P_PLUS if mw_on else self._h0[cells]
+            h = self._of(self._h, cells) - d[:, None, None] * _P_PLUS if mw_on else self._h0[cells]
             v = _unitary_propagators(h, seconds, "pulse" if mw_on else "laser-off")
-            maps = _kron(v, v.conj())
+            maps = _kron(v, v.conj(), out)
+        elif mw_on:
+            gen, frame = self._of(self._mw, cells), np.diag(_K_DIAG)
+            maps = [expm(gen * t + np.multiply.outer(d * t, frame)) for t in seconds]
+            maps = np.stack(maps, out=out)
+            _check_trace("pulse", maps)
         else:
-            gen = self._generator(mw_on, laser_on, cells)
-            if mw_on:
-                gen = gen + np.diag(delta * _K_DIAG)
+            gen = self._generator(False, laser_on, cells)
             maps = np.array([expm(gen * t) for t in seconds])
-        if delta and not mw_on:
-            maps = self._phases(delta, np.asarray(seconds))[:, :, None] * maps
+        if not mw_on and d.any():
+            np.multiply(self._phases(d, np.asarray(seconds)[:, None])[..., None], maps, out=maps)
         return maps
 
     @staticmethod
@@ -476,9 +487,10 @@ class CycleEngine:
         engine's stack broadcasts as it is, with no gather."""
         return stack if len(stack) == 1 else stack[cells]
 
-    def _phases(self, deltas: np.ndarray, seconds: float) -> np.ndarray:
-        """diag(exp(delta K t)) per detuning, shape (n, 16), from K's three values."""
-        return np.exp(np.multiply.outer(deltas * seconds, _K_VALUES)).take(_K_INDEX, axis=1)
+    def _phases(self, deltas: np.ndarray, seconds) -> np.ndarray:
+        """diag(exp(delta K t)) per detuning, (n, 16), or (m, n, 16) for seconds
+        (m, 1), from K's three values."""
+        return np.exp(np.multiply.outer(deltas * seconds, _K_VALUES)).take(_K_INDEX, axis=-1)
 
     def maps(self, deltas: Sequence[float], cells=0, work=None) -> tuple[np.ndarray, np.ndarray]:
         """One batch's cycle maps C' (n, 16, 16) and read-out states after 0 cycles (n, 16).
@@ -489,15 +501,7 @@ class CycleEngine:
         d = np.asarray(deltas, dtype=float)
         work = np.empty((2, len(d), 16, 16), complex) if work is None else work
         pulse, cycle = work[:, : len(d)]
-        if self._mw is None:
-            h = self._of(self._h, cells) - np.multiply.outer(d, _P_PLUS)
-            u = _unitary_propagators(h, self._mw_s, "pulse")
-            a, b = u[:, :, None, :, None], u.conj()[:, None, :, None, :]
-            np.multiply(a, b, out=pulse.reshape(-1, 4, 4, 4, 4))  # U kron conj(U), as in _kron
-        else:
-            frames = np.multiply.outer(d * self._mw_s, np.diag(_K_DIAG))
-            pulse = expm(self._of(self._mw, cells) * self._mw_s + frames)
-            _check_trace("pulse", pulse)
+        self._segment_maps(True, False, (self._mw_s,), d, cells, pulse[None])
         np.matmul(self._of(self._tail_rest, cells), pulse, out=cycle)
         np.multiply(self._phases(d, self._shift_s)[:, :, None], cycle, out=cycle)
         return cycle, self._phases(d, self._tail_s) * self._of(self._tail_rho0, cells)
@@ -576,7 +580,7 @@ class CycleEngine:
 
         @functools.cache
         def segment_map(seg: PulseSegment, ns: int) -> np.ndarray:
-            return self._segment_maps(seg.mw_on, seg.laser_on, (ns * 1e-9,), delta)[0]
+            return self._segment_maps(seg.mw_on, seg.laser_on, (ns * 1e-9,), (delta,), [0])[0, 0]
 
         samples = [(0, _RHO0)]
 

@@ -21,11 +21,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .eigensystem import eigen_system
-from .errors import ConfigError, FitConvergenceError, UndefinedPolarizationError
+from .errors import ConfigError, FitConvergenceError
 from .fitting import FitProblem, FitReport, least_squares, solve
 from .operators import basis_index
 from .params import SystemParams
-from .polarization import POPULATION_FLOOR
+from .polarization import POPULATION_FLOOR, polarization_of_populations
 from .presets import MAX_GRID_POINTS
 
 #: Default carrier offset from the bare electron transition (Hz). Large
@@ -101,9 +101,7 @@ class RamseyModel:
         """Nuclear polarization implied by the peak weights."""
         up = sum(p.amplitude for p in self.peaks if p.origin_up)
         down = sum(p.amplitude for p in self.peaks if not p.origin_up)
-        if up + down <= POPULATION_FLOOR:
-            raise UndefinedPolarizationError("model carries no fringe weight")
-        return (up - down) / (up + down)
+        return polarization_of_populations(up, down)
 
 
 def analytic_peaks(
@@ -160,10 +158,7 @@ def ramsey_model(
     up, down = max(up, 0.0), max(down, 0.0)
     if up + down > 1.0 + 1e-9:
         raise ConfigError(f"populations sum to {up + down}, above 1")
-    if up + down <= POPULATION_FLOOR:
-        raise UndefinedPolarizationError(
-            "no population in the probed m_s = 0 manifold"
-        )
+    polarization_of_populations(up, down)  # raises without m_s = 0 population
     weighted = tuple(
         RamseyPeak(
             peak.frequency,
@@ -286,25 +281,6 @@ class PolarizationEstimate:
     frequency_up: float
     frequency_down: float
     report: FitReport
-
-
-def _estimate(
-    lines: tuple[tuple[float, float], tuple[float, float]],
-    report: FitReport,
-    what: str,
-) -> PolarizationEstimate:
-    """Polarization from the fitted ((f_up, w_up), (f_down, w_down)) lines.
-
-    The roles come from the guesses' order (see dominant_line_pair), not
-    from the frequencies, so the sign of P holds for either sign of A_zz.
-    """
-    (f_up, w_up), (f_down, w_down) = lines
-    total = w_up + w_down
-    if total <= POPULATION_FLOOR:
-        raise UndefinedPolarizationError(f"fitted {what} vanish")
-    return PolarizationEstimate(
-        float((w_up - w_down) / total), float(f_up), float(f_down), report
-    )
 
 
 def fit_spectrum(
@@ -460,10 +436,11 @@ def _fit_lines(t, s, peaks, rows, what: str) -> PolarizationEstimate:
     amplitudes = np.hypot(c, d)
     up = float(sum(a for a, q in zip(amplitudes, fitted) if q.origin_up))
     down = float(sum(a for a, q in zip(amplitudes, fitted) if not q.origin_up))
+    # The roles come from the guesses' order (see dominant_line_pair), not
+    # from the frequencies, so the sign of P holds for either sign of A_zz.
     starts = [q.frequency for q in fitted]
-    return _estimate(
-        ((f[starts.index(f_up)], up), (f[starts.index(f_down)], down)), report, "amplitudes"
-    )
+    at_up, at_down = (float(f[starts.index(start)]) for start in (f_up, f_down))
+    return PolarizationEstimate(polarization_of_populations(up, down), at_up, at_down, report)
 
 
 def write_signal_csv(path, t: np.ndarray, s: np.ndarray) -> None:

@@ -192,6 +192,28 @@ def test_tied_peaks_resolve_to_the_first_point(tmp_path, capsys, monkeypatch):
     assert out.endswith("at delta = -300000 Hz\n")
 
 
+@pytest.mark.parametrize(
+    "delta, shown",
+    [
+        ("320000", "+320000"),
+        ("-9999999999999998", "-9999999999999998"),
+        ("1e16", "+1e+16"),
+        ("-1.2345678901234567e20", "-1.2345678901234567e+20"),
+        ("1e308", "+1e+308"),
+    ],
+)
+def test_stdout_detunings_are_whole_hz_below_1e16_and_shortest_digits_above(
+    tmp_path, capsys, delta, shown
+):
+    """sweep-n's detuning and sweep-detuning's peak detuning share one format."""
+    argv = ["--n", "0", "--out"]
+    code, out, _ = run(["sweep-n", f"--delta={delta}", *argv, str(tmp_path / "n")], capsys)
+    assert code == 0 and out.endswith(f"at delta = {shown} Hz\n")
+    grid = [f"--min={delta}", f"--max={delta}", "--step=1"]
+    code, out, _ = run(["sweep-detuning", *grid, *argv, str(tmp_path / "d")], capsys)
+    assert code == 0 and out.endswith(f"at {shown} Hz\n")
+
+
 def test_out_env_var_sets_default_root(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "root"))
     code, _, _ = run(["sweep-n", "--n", "0", "--delta", "320000"], capsys)

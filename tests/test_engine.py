@@ -120,8 +120,8 @@ def test_unitary_pulse_is_exponentiated_as_4x4_blocks(name, monkeypatch):
             engine.maps(deltas)
             assert shapes == []
         [(what, got)] = calls
-        assert what == "pulse" and got.shape == (len(deltas), 4, 4)
-        for u, delta in zip(got, deltas):
+        assert what == "pulse" and got.shape == (1, len(deltas), 4, 4)
+        for u, delta in zip(got[0], deltas):
             h = h_mw - delta * lindblad._P_PLUS
             assert np.max(np.abs(u - scipy_expm(-2j * np.pi * engine._mw_s * h))) <= 1e-13
 
@@ -592,6 +592,80 @@ def test_the_trajectory_ends_where_the_batches_do(name, rates, delta):
         preset.readout_tail()
     )
     assert np.max(np.abs(states[-1] - engine.states([delta], 3)[0])) <= 1e-13
+
+
+def _trajectory_pulse(engine, delta, monkeypatch):
+    """The whole-pulse map that trajectory(delta) takes from _segment_maps."""
+    pulses = []
+    segment_maps = engine._segment_maps
+
+    def recorded(mw_on, *args):
+        maps = segment_maps(mw_on, *args)
+        if mw_on:
+            pulses.append(maps)
+        return maps
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_segment_maps", recorded)
+        engine.trajectory(delta, 10**9, 1)  # no sample inside the cycle
+    [pulse] = pulses
+    return pulse.reshape(16, 16)
+
+
+def _batch_pulses(engine, deltas, cells=0):
+    """The pulse maps that maps() leaves in its workspace, (n, 16, 16)."""
+    work = np.empty((2, len(deltas), 16, 16), complex)
+    engine.maps(deltas, cells, work)
+    return work[0]
+
+
+@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("rates", [None, DEPHASED], ids=["default", "dephased"])
+def test_the_trajectory_and_the_batches_form_one_pulse(name, rates, monkeypatch):
+    """There is one pulse formation: the trajectory's whole-pulse map is
+    maps()' pulse bit for bit, with dephasing too."""
+    preset = get_preset(name)
+    if rates is not None:
+        preset = dataclasses.replace(preset, rates=rates)
+    engine = CycleEngine(preset)
+    deltas = [-3.2e5, 0.0, 1.7e5, 3.2e5, 1e9]
+    for delta, pulse in zip(deltas, _batch_pulses(engine, deltas)):
+        assert _trajectory_pulse(engine, delta, monkeypatch).tobytes() == pulse.tobytes()
+
+
+def test_a_dephased_stack_forms_the_pulses_of_per_cell_engines(table_a1, monkeypatch):
+    """A dephased stack's pulse maps, in a batch that spans its cells, are
+    those of each cell's own engine, in its batches and its trajectory."""
+    preset = dataclasses.replace(table_a1, rates=DEPHASED)
+    cells = _cells(preset, "a_ani", 3)
+    deltas = [-3.2e5, 0.0, 3.2e5]
+    stack = CycleEngine(preset, [q.system for q in cells])
+    index = np.repeat(np.arange(len(cells)), len(deltas))
+    got = _batch_pulses(stack, deltas * len(cells), index).reshape(len(cells), len(deltas), 16, 16)
+    for q, pulses in zip(cells, got):
+        engine = CycleEngine(q)
+        assert _batch_pulses(engine, deltas).tobytes() == pulses.tobytes()
+        for delta, pulse in zip(deltas, pulses):
+            assert _trajectory_pulse(engine, delta, monkeypatch).tobytes() == pulse.tobytes()
+
+
+def test_the_dephased_trajectory_checks_the_pulse_trace(monkeypatch):
+    """A dephased pulse map that loses 1e-6 of the trace, after the set-up:
+    the trajectory's pulse steps fail the batches' trace check."""
+    preset = dataclasses.replace(get_preset("table-a1-fit"), rates=DEPHASED)
+    engine = CycleEngine(preset)
+    segment_maps = engine._segment_maps
+
+    def leaky_pulse(mw_on, *args):
+        with monkeypatch.context() as patch:
+            if mw_on:
+                _leaking(patch, "expm", ...)
+            return segment_maps(mw_on, *args)
+
+    monkeypatch.setattr(engine, "_segment_maps", leaky_pulse)
+    for run in (lambda: engine.trajectory(3.2e5, 100, 2), lambda: engine.states([3.2e5], 2)):
+        with pytest.raises(NumericalError, match="pulse map changes the trace by 1.000e-06"):
+            run()
 
 
 def test_guard_rejects_nan_state():
