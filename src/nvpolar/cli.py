@@ -9,6 +9,10 @@ deterministic; metadata carries no timestamps, so reruns are byte-identical.
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure,
 4 fit did not converge. Errors print a single machine-parseable line to
 stderr of the form ``error: <category>: <message>``.
+
+``ramsey`` and ``fitting`` are lazy: only their own commands run their code.
+Unlike function-local imports, they are bound in sys.modules and on the
+package at import, where later imports and bench/layers.py's tracer look.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import importlib.util
 import json
 import math
 import os
@@ -27,7 +32,6 @@ import numpy as np
 
 from . import __version__
 from . import experiments as ex
-from . import ramsey as rm
 from .errors import (
     ConfigError,
     FitConvergenceError,
@@ -35,11 +39,26 @@ from .errors import (
     NumericalError,
     UndefinedPolarizationError,
 )
-from .fitting import CURVE_FIT_INIT, curve_model, fit_polarization_curve
 from .lindblad import CycleEngine, write_trajectory_csv
 from .params import RelaxationRates, SystemParams
 from .polarization import polarization_of_state
 from .presets import MAX_GRID_POINTS, Preset, format_presets, get_preset
+
+
+def _lazy(name: str):
+    """``nvpolar.<name>``, bound as an import binds it, run on its first attribute access."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[full])
+        setattr(sys.modules[__package__], name, sys.modules[full])
+    return sys.modules[full]
+
+
+fitting = _lazy("fitting")  # run by fit-curve and by ramsey's line fits
+rm = _lazy("ramsey")  # run by the ramsey command only
 
 CONFIG_SCHEMA = "nvpolar-run/1"
 
@@ -283,13 +302,11 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     _check_delta(args)
     delta = args.delta if args.delta is not None else ex.predicted_resonance(preset)
+    probe = rm.PROBE_DETUNING if args.probe_detuning is None else args.probe_detuning
+    t2_star = rm.T2_STAR if args.t2_star is None else args.t2_star
     rho = CycleEngine(preset).states([delta])[0]
     model = rm.ramsey_model(
-        preset.system,
-        args.manifold,
-        rho=rho,
-        probe_detuning=args.probe_detuning,
-        t2_star=args.t2_star,
+        preset.system, args.manifold, rho=rho, probe_detuning=probe, t2_star=t2_star
     )
     t, s = rm.synthesize_ramsey(model, args.duration, args.dt)
     spectral = rm.fit_spectrum(t, s, model.peaks)
@@ -303,8 +320,8 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
         "preset": preset.to_dict(),
         "delta_hz": float(delta),
         "manifold": args.manifold,
-        "probe_detuning_hz": args.probe_detuning,
-        "t2_star_s": args.t2_star,
+        "probe_detuning_hz": probe,
+        "t2_star_s": t2_star,
         "duration_s": args.duration,
         "dt_s": args.dt,
         "polarization_model": model.polarization(),
@@ -372,9 +389,7 @@ def _read_curve(path: str) -> list[tuple[float, float]]:
 def _cmd_fit_curve(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     pairs = _read_curve(args.data)
-    report = fit_polarization_curve(
-        pairs, preset, n_cycles=args.n, budget=args.budget
-    )
+    report = fitting.fit_polarization_curve(pairs, preset, n_cycles=args.n, budget=args.budget)
     out = _out_dir("fit-curve", args.out)
     ex.write_json(
         out / "report.json",
@@ -383,12 +398,12 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
             "preset": preset.to_dict(),
             "data_file": str(args.data),
             "n_points": len(pairs),
-            "init": list(CURVE_FIT_INIT),
+            "init": list(fitting.CURVE_FIT_INIT),
             "report": report.to_dict(),
         },
     )
     f_rel, azz_mag, a_ani = report.params
-    model_p = curve_model(preset, report.params, [delta for delta, _ in pairs], args.n)
+    model_p = fitting.curve_model(preset, report.params, [delta for delta, _ in pairs], args.n)
     (out / "plot.gp").write_text(
         "set datafile separator ','\n"
         "set terminal pngcairo size 900,600\n"
@@ -576,8 +591,8 @@ def _parser() -> argparse.ArgumentParser:
         default=-1,
         help="electron manifold probed by the fringe sequence",
     )
-    p.add_argument("--probe-detuning", type=float, default=rm.PROBE_DETUNING)
-    p.add_argument("--t2-star", type=float, default=rm.T2_STAR)
+    p.add_argument("--probe-detuning", type=float, default=None)
+    p.add_argument("--t2-star", type=float, default=None)
     p.add_argument("--duration", type=float, default=4e-6, help="record length (s)")
     p.add_argument("--dt", type=float, default=2e-8, help="sample spacing (s)")
     p.set_defaults(func=_cmd_ramsey)

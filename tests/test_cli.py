@@ -238,6 +238,51 @@ def test_ramsey_artifacts(tmp_path, capsys):
     assert spectral["report"]["converged"] is True
 
 
+def test_ramsey_defaults_are_the_ramsey_module_constants(tmp_path, capsys):
+    """The parser's None defaults become PROBE_DETUNING and T2_STAR before
+    anything is written: every artifact has the bytes of the explicit flags."""
+    explicit = ["--probe-detuning", "5e6", "--t2-star", "2e-6"]
+    for name, flags in (("default", []), ("explicit", explicit)):
+        code, _, _ = run(["ramsey", *flags, "--out", str(tmp_path / name)], capsys)
+        assert code == 0
+    files = sorted(path.name for path in (tmp_path / "default").iterdir())
+    assert files == sorted(path.name for path in (tmp_path / "explicit").iterdir())
+    for name in files:
+        assert (tmp_path / "default" / name).read_bytes() == (
+            tmp_path / "explicit" / name
+        ).read_bytes(), name
+
+
+RAMSEY_HELP = """\
+usage: nvpolar ramsey [-h] [--preset PRESET] [--config CONFIG] [--out OUT]
+                      [--delta DELTA] [--manifold {1,-1}]
+                      [--probe-detuning PROBE_DETUNING] [--t2-star T2_STAR]
+                      [--duration DURATION] [--dt DT]
+
+options:
+  -h, --help            show this help message and exit
+  --preset PRESET       named parameter set (see list-presets); default
+                        table-a1-fit
+  --config CONFIG       JSON run configuration file
+  --out OUT             output directory (default: $NVPOLAR_OUT/<command> or
+                        ./nvpolar-<command>)
+  --delta DELTA         drive detuning of the preparation sequence (Hz);
+                        default: predicted line
+  --manifold {1,-1}     electron manifold probed by the fringe sequence
+  --probe-detuning PROBE_DETUNING
+  --t2-star T2_STAR
+  --duration DURATION   record length (s)
+  --dt DT               sample spacing (s)
+"""
+
+
+def test_ramsey_help_is_pinned(capsys, monkeypatch):
+    """The ramsey defaults come from the ramsey module, not from the parser,
+    and the help shows neither."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["ramsey", "--help"], capsys) == (0, RAMSEY_HELP, "")
+
+
 @pytest.mark.parametrize("manifold", ["1", "-1"])
 def test_ramsey_reads_the_sign_of_p_for_a_positive_axial_coupling(
     tmp_path, capsys, manifold
@@ -928,7 +973,7 @@ def test_fit_curve_beyond_the_row_limit_exits_2(tmp_path, capsys, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("a fit ran")
 
-    monkeypatch.setattr(cli, "fit_polarization_curve", no_fit)
+    monkeypatch.setattr("nvpolar.fitting.fit_polarization_curve", no_fit)
     data = tmp_path / "curve.csv"
     data.write_text("delta_hz,P\n" + "".join(f"{d}e4,0.5\n\n" for d in range(6)) + "x\n")
     out_dir = tmp_path / "fit"

@@ -16,17 +16,20 @@ from nvpolar.presets import get_preset
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+def _fresh(code: str, *argv: str) -> str:
+    """Standard output of `code` run in a fresh interpreter that imports this nvpolar."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nvpolar.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 def _loaded_by_cli_import(*prefixes: str, module: str = "nvpolar.cli") -> list[str]:
     """Modules whose names start with a prefix, after a fresh `import <module>`."""
-    env = dict(os.environ, PYTHONPATH=str(Path(nvpolar.__file__).parent.parent))
-    code = (
+    return _fresh(
         f"import sys, {module}; "
         f"print(*sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    return out.split()
+    ).split()
 
 
 def test_cli_import_loads_no_scipy():
@@ -38,6 +41,63 @@ def test_cli_import_loads_no_pool_machinery():
     """No pool or signal machinery; threading comes with numpy, and the sweeps start no thread."""
     assert _loaded_by_cli_import("concurrent", "multiprocessing", "signal") == []
     assert _loaded_by_cli_import("threading", module="numpy") == ["threading"]
+
+
+#: Prints, after each step, the lazily imported modules whose code has run.
+#: A module's own namespace is read through object.__getattribute__, which
+#: does not load it, and gains __builtins__ once its code runs.
+_COLD_START = """
+import contextlib, io, sys
+import nvpolar, nvpolar.cli
+
+def executed():
+    names = []
+    for name in ("fitting", "ramsey"):
+        module = sys.modules["nvpolar." + name]
+        assert getattr(nvpolar, name) is module
+        if "__builtins__" in object.__getattribute__(module, "__dict__"):
+            names.append(name)
+    return names
+
+out = sys.argv[1]
+for argv in (
+    ["sweep-detuning", "--min=0", "--max=40000", "--step=20000", "--out", out + "/sweep"],
+    ["list-presets"],
+    ["ramsey", "--out", out + "/ramsey"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = nvpolar.cli.main(argv)
+    print(argv[0], code, *executed())
+"""
+
+
+def test_only_the_commands_that_use_them_run_ramsey_and_fitting(tmp_path):
+    """import nvpolar.cli registers both modules without running them; a sweep
+    and list-presets leave them unrun, ramsey runs both (it fits lines)."""
+    assert _fresh(_COLD_START, str(tmp_path)).splitlines() == [
+        "sweep-detuning 0",
+        "list-presets 0",
+        "ramsey 0 fitting ramsey",
+    ]
+
+
+def test_a_lazy_module_imports_as_usual_after_the_cli():
+    assert _fresh("import nvpolar.cli; import nvpolar.ramsey; print(nvpolar.ramsey.T2_STAR)") == (
+        "2e-06\n"
+    )
+    assert _fresh(
+        "import nvpolar.cli; from nvpolar.fitting import CURVE_FIT_INIT; print(CURVE_FIT_INIT)"
+    ) == "(0.0, 600000.0, 100000.0)\n"
+
+
+def test_the_tracer_installs_after_a_bare_cli_import():
+    """bench/layers.py looks every traced module up in sys.modules, so the
+    lazy modules must be there before any command has used them."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import nvpolar.cli, layers; "
+        "tracer = layers.Tracer(); tracer.install(); tracer.uninstall(); print('ok')"
+    )
+    assert _fresh(code, str(BENCH)) == "ok\n"
 
 
 @pytest.fixture
