@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
     NumericalError,
     UndefinedPolarizationError,
 )
-from .lindblad import CycleEngine, write_trajectory_csv
+from .lindblad import CycleEngine
 from .params import RelaxationRates, SystemParams
 from .polarization import polarization_of_state
 from .presets import MAX_GRID_POINTS, Preset, format_presets, get_preset
@@ -59,6 +60,14 @@ def _lazy(name: str):
 
 fitting = _lazy("fitting")  # run by fit-curve and by ramsey's line fits
 rm = _lazy("ramsey")  # run by the ramsey command only
+_RUNNING = threading.Lock()
+
+
+def _run(module) -> None:
+    """Run a lazy module's code, if it has not run, under the one lock (LazyLoader takes none)."""
+    with _RUNNING:
+        module.__spec__  # the first attribute access runs the code
+
 
 CONFIG_SCHEMA = "nvpolar-run/1"
 
@@ -161,40 +170,37 @@ def _out_dir(command: str, flag: str | None) -> Path:
     return root
 
 
+def _gnuplot(height: int, body: str) -> str:
+    """A plot.gp script: the CSV separator, pngcairo 900 px wide, plot.png, then body."""
+    head = "set datafile separator ','\nset terminal pngcairo size 900,{}\nset output 'plot.png'\n"
+    return head.format(height) + body
+
+
 def _plot_xy(csv_name: str, xlabel: str, ylabel: str, ycol: int = 2) -> str:
-    return (
-        "set datafile separator ','\n"
-        "set terminal pngcairo size 900,600\n"
-        "set output 'plot.png'\n"
-        f"set xlabel '{xlabel}'\n"
-        f"set ylabel '{ylabel}'\n"
-        "set grid\n"
-        f"plot '{csv_name}' skip 1 using 1:{ycol} "
-        "with linespoints pointtype 7 pointsize 0.5 notitle\n"
+    return _gnuplot(
+        600,
+        f"set xlabel '{xlabel}'\nset ylabel '{ylabel}'\nset grid\nplot '{csv_name}' skip 1 "
+        f"using 1:{ycol} with linespoints pointtype 7 pointsize 0.5 notitle\n",
     )
 
 
 def _plot_map(csv_name: str, xlabel: str, ylabel: str) -> str:
-    return (
-        "set datafile separator ','\n"
-        "set terminal pngcairo size 900,700\n"
-        "set output 'plot.png'\n"
-        f"set xlabel '{xlabel}'\n"
-        f"set ylabel '{ylabel}'\n"
-        "set view map\n"
-        "set cblabel 'P'\n"
+    return _gnuplot(
+        700,
+        f"set xlabel '{xlabel}'\nset ylabel '{ylabel}'\nset view map\nset cblabel 'P'\n"
         f"splot '{csv_name}' skip 1 using 1:2:3 "
-        "with points pointtype 5 pointsize 1.6 palette notitle\n"
+        "with points pointtype 5 pointsize 1.6 palette notitle\n",
     )
 
 
 def _write_sweep(
-    command: str, args: argparse.Namespace, result: ex.SweepResult, plot: str
+    command: str, args: argparse.Namespace, result: ex.SweepResult, xlabel: str, ylabel: str
 ) -> Path:
-    """Write a sweep's metadata.json, plot.gp and, last, data.csv; return the directory."""
+    """Write metadata.json, plot.gp (a map if 2-D) and, last, data.csv; return the directory."""
     out = _out_dir(command, args.out)
     result.write_metadata(out / "metadata.json")
-    (out / "plot.gp").write_text(plot)
+    plot = _plot_xy if result.ndim == 1 else _plot_map
+    (out / "plot.gp").write_text(plot("data.csv", xlabel, ylabel))
     result.write_csv(out / "data.csv")
     return out
 
@@ -216,9 +222,7 @@ def _cmd_sweep_detuning(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     deltas = ex.grid(args.min, args.max, args.step)
     result = ex.sweep_detuning(preset, deltas, n_cycles=args.n)
-    out = _write_sweep(
-        "sweep-detuning", args, result, _plot_xy("data.csv", "drive detuning (Hz)", "P")
-    )
+    out = _write_sweep("sweep-detuning", args, result, "drive detuning (Hz)", "P")
     at, best = _report_extreme(result)
     print(f"wrote {out} ({len(result.p)} points); peak P = {best:+.4f} at {_hz(at)} Hz")
     return 0
@@ -228,9 +232,7 @@ def _cmd_sweep_n(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     _check_delta(args)
     result = ex.sweep_repetitions(preset, args.n, delta=args.delta)
-    out = _write_sweep(
-        "sweep-n", args, result, _plot_xy("data.csv", "completed cycles", "P")
-    )
+    out = _write_sweep("sweep-n", args, result, "completed cycles", "P")
     print(
         f"wrote {out} ({len(result.p)} points); "
         f"P({args.n}) = {float(result.p[-1]):+.4f} "
@@ -248,9 +250,7 @@ def _cmd_sweep_field(args: argparse.Namespace) -> int:
         inner_halfwidth=args.inner_halfwidth,
         inner_step=args.inner_step,
     )
-    out = _write_sweep(
-        "sweep-field", args, result, _plot_xy("data.csv", "field B_z (G)", "best P")
-    )
+    out = _write_sweep("sweep-field", args, result, "field B_z (G)", "best P")
     at, best = _report_extreme(result)
     print(f"wrote {out} ({len(result.p)} points); peak P = {best:+.4f} at {at:.0f} G")
     return 0
@@ -264,10 +264,7 @@ def _cmd_sweep_ani(args: argparse.Namespace) -> int:
     reduced = ex.max_trace(result)
     reduced.write_csv(_out_dir("sweep-ani", args.out) / "max.csv")  # before data.csv
     out = _write_sweep(
-        "sweep-ani",
-        args,
-        result,
-        _plot_map("data.csv", "transverse coupling (Hz)", "drive detuning (Hz)"),
+        "sweep-ani", args, result, "transverse coupling (Hz)", "drive detuning (Hz)"
     )
     at, best = _report_extreme(reduced)
     print(
@@ -289,10 +286,7 @@ def _cmd_sweep_field_ani(args: argparse.Namespace) -> int:
         inner_step=args.inner_step,
     )
     out = _write_sweep(
-        "sweep-field-ani",
-        args,
-        result,
-        _plot_map("data.csv", "field B_z (G)", "transverse coupling (Hz)"),
+        "sweep-field-ani", args, result, "field B_z (G)", "transverse coupling (Hz)"
     )
     print(f"wrote {out} ({result.p.size} points)")
     return 0
@@ -302,6 +296,7 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     _check_delta(args)
     delta = args.delta if args.delta is not None else ex.predicted_resonance(preset)
+    _run(rm)
     probe = rm.PROBE_DETUNING if args.probe_detuning is None else args.probe_detuning
     t2_star = rm.T2_STAR if args.t2_star is None else args.t2_star
     rho = CycleEngine(preset).states([delta])[0]
@@ -339,15 +334,15 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
             },
         )
     (out / "plot.gp").write_text(
-        "set datafile separator ','\n"
-        "set terminal pngcairo size 900,900\n"
-        "set output 'plot.png'\n"
-        "set multiplot layout 2,1\n"
-        "set xlabel 'time (ns)'\nset ylabel 'fringe signal'\n"
-        "plot 'data.csv' skip 1 using 1:2 with lines notitle\n"
-        "set xlabel 'frequency (Hz)'\nset ylabel 'magnitude'\n"
-        "plot 'spectrum.csv' skip 1 using 1:2 with lines notitle\n"
-        "unset multiplot\n"
+        _gnuplot(
+            900,
+            "set multiplot layout 2,1\n"
+            "set xlabel 'time (ns)'\nset ylabel 'fringe signal'\n"
+            "plot 'data.csv' skip 1 using 1:2 with lines notitle\n"
+            "set xlabel 'frequency (Hz)'\nset ylabel 'magnitude'\n"
+            "plot 'spectrum.csv' skip 1 using 1:2 with lines notitle\n"
+            "unset multiplot\n",
+        )
     )
     rm.write_signal_csv(out / "data.csv", t, s)
     print(
@@ -389,6 +384,7 @@ def _read_curve(path: str) -> list[tuple[float, float]]:
 def _cmd_fit_curve(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     pairs = _read_curve(args.data)
+    _run(fitting)
     report = fitting.fit_polarization_curve(pairs, preset, n_cycles=args.n, budget=args.budget)
     out = _out_dir("fit-curve", args.out)
     ex.write_json(
@@ -405,16 +401,15 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
     f_rel, azz_mag, a_ani = report.params
     model_p = fitting.curve_model(preset, report.params, [delta for delta, _ in pairs], args.n)
     (out / "plot.gp").write_text(
-        "set datafile separator ','\n"
-        "set terminal pngcairo size 900,600\n"
-        "set output 'plot.png'\n"
-        "set xlabel 'drive detuning (Hz)'\nset ylabel 'P'\nset grid\n"
-        "plot 'fitted.csv' skip 1 using 1:2 with points pointtype 7 title 'data', \\\n"
-        "     'fitted.csv' skip 1 using 1:3 with lines title 'fit'\n"
+        _gnuplot(
+            600,
+            "set xlabel 'drive detuning (Hz)'\nset ylabel 'P'\nset grid\n"
+            "plot 'fitted.csv' skip 1 using 1:2 with points pointtype 7 title 'data', \\\n"
+            "     'fitted.csv' skip 1 using 1:3 with lines title 'fit'\n",
+        )
     )
-    rows = [f"{d!r},{value!r},{float(fit)!r}\r\n" for (d, value), fit in zip(pairs, model_p)]
-    text = "delta_hz,P_data,P_fit\r\n" + "".join(rows)
-    (out / "fitted.csv").write_text(text, encoding="utf-8", newline="")
+    rows = (f"{d!r},{value!r},{float(fit)!r}" for (d, value), fit in zip(pairs, model_p))
+    ex.write_rows(out / "fitted.csv", "delta_hz,P_data,P_fit", rows)
     print(
         f"wrote {out}; f_rel = {f_rel:+.1f} Hz, |A_zz| = {azz_mag:.1f} Hz, "
         f"A_ani = {a_ani:.1f} Hz ({report.n_evaluations} evaluations)"
@@ -448,10 +443,8 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
             "rows": len(times),
         },
     )
-    (out / "plot.gp").write_text(
-        _plot_xy("trajectory.csv", "time (ns)", "P", ycol=74)
-    )
-    write_trajectory_csv(times, states, out / "trajectory.csv")
+    (out / "plot.gp").write_text(_plot_xy("trajectory.csv", "time (ns)", "P", ycol=74))
+    ex.write_trajectory_csv(times, states, out / "trajectory.csv")
     final = polarization_of_state(states[-1])
     print(f"wrote {out} ({len(times)} rows); final P = {final.p:+.4f}")
     return 0

@@ -6,6 +6,9 @@ lindblad.CycleEngine holds the jobs as cells, runs the standard schedule
 plus the terminal relaxation train over every (cell, detuning) pair and
 reads out the polarization, CHUNK pairs per batch, in the calling thread.
 A pair's result does not depend on the batch it falls in.
+
+It also owns the artifact format: write_rows writes every CSV file and
+write_json every JSON file; no other module but cli opens a file.
 """
 
 from __future__ import annotations
@@ -16,14 +19,16 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .eigensystem import eigen_system
 from .errors import ConfigError
-from .lindblad import CycleEngine
+from .lindblad import DRIVEN_INDICES, CycleEngine
+from .operators import DIM
 from .params import SystemParams
+from .polarization import POPULATION_FLOOR, polarization_of_state
 from .presets import MAX_GRID_POINTS, Preset
 
 #: Default grid steps; the coefficient tables give none, so these are
@@ -48,6 +53,9 @@ DETUNING_RANGE = (-1e6, 1e6)
 PEAK_TIE = 1e-12
 
 _METADATA_SCHEMA = "nvpolar-sweep/1"
+
+#: Rows per write call of write_rows: a trajectory's text is never held whole.
+ROW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -92,9 +100,8 @@ class SweepResult:
         """1-D sweeps as (x, P); 2-D sweeps as long-form (x, y, P); CRLF rows."""
         columns = [map(repr, map(int if ax.unit == "count" else float, ax.values)) for ax in self.axes]
         p = np.asarray(self.p, dtype=float).reshape(-1).tolist()
-        rows = [",".join([ax.header for ax in self.axes] + ["P"])]
-        rows += [f"{','.join(row)},{v!r}" for row, v in zip(itertools.product(*columns), p)]
-        Path(path).write_text("\r\n".join(rows) + "\r\n", newline="")
+        rows = (f"{','.join(row)},{v!r}" for row, v in zip(itertools.product(*columns), p))
+        write_rows(path, ",".join([ax.header for ax in self.axes] + ["P"]), rows)
 
     def write_metadata(self, path: str | Path) -> None:
         """JSON sidecar with the resolved configuration and its content hash."""
@@ -103,6 +110,43 @@ class SweepResult:
             for ax in self.axes
         ]
         write_json(path, dict(self.metadata, schema=_METADATA_SCHEMA, axes=axes))
+
+
+def write_rows(path: str | Path, header: str, rows: Iterable[str], eol: str = "\r\n") -> None:
+    """Write a CSV file: the header, then the formatted rows, each line ended by
+    eol; opened once, as UTF-8, and written ROW_BLOCK rows per call."""
+    rows = iter(rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + eol)
+        while block := list(itertools.islice(rows, ROW_BLOCK)):
+            fh.write(eol.join(block) + eol)
+
+
+def write_trajectory_csv(times: Sequence[int], states: np.ndarray, path: str | Path) -> None:
+    """CSV export: time_ns, interleaved Re/Im of the 6x6 rho (row-major), P.
+
+    states are the (k, 4, 4) driven blocks at the k times of
+    CycleEngine.trajectory; any other shape is a ValueError. The 40 m_s = -1
+    floats of each row, all zero, are the constant text of their reprs. P is
+    empty at times when both readout populations vanish."""
+    n = len(DRIVEN_INDICES)
+    states = np.asarray(states, dtype=complex)
+    if states.shape != (len(times), n, n):
+        raise ValueError(f"states of shape {states.shape} are not {len(times)} {n}x{n} blocks")
+    pairs = [f"rho_re_{i}{j},rho_im_{i}{j}" for i in range(DIM) for j in range(DIM)]
+    # Viewed as floats, each entry is its (Re, Im) pair, in column order. Each row
+    # becomes Python floats only when it is formatted, so they are never all alive.
+    block = np.ascontiguousarray(states).view(float).reshape(len(states), -1)
+    # P of every row with a readout population, in one stacked call.
+    defined = ~(states[:, 0, 0].real + states[:, 1, 1].real <= POPULATION_FLOOR)
+    cells = np.full(len(states), "", dtype=object)
+    cells[defined] = [repr(p) for p in polarization_of_state(states[defined]).p.tolist()]
+    # Each block row's 2n floats end with its m_s = -1 columns' zeros; the
+    # m_s = -1 rows follow, all zeros.
+    zeros = "0.0," * (2 * (DIM - n))
+    row = ("{}," + ("{!r}," * (2 * n) + zeros) * n + zeros * DIM + "{}").format
+    rows = (row(int(t), *values.tolist(), cell) for t, values, cell in zip(times, block, cells))
+    write_rows(path, ",".join(["time_ns", *pairs, "P"]), rows)
 
 
 def write_json(path: str | Path, doc: dict) -> None:

@@ -26,7 +26,7 @@ a drift above 1e-9 and makes a state whose drift is above 1e-12 Hermitian
 with unit trace again. CycleEngine's one stepper, _carried, applies it every
 CHUNK cycles to the state it carries from one cycle to the next, in the
 sweeps, the buildup and the trajectory. Every segment map comes from the
-engine's one map owner, _segment_maps.
+engine's one map owner, _segment_maps. The module does no file I/O.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -44,7 +43,7 @@ from .errors import ConfigError, NumericalError
 from .hamiltonian import rotating_hamiltonian
 from .operators import DIM, basis_index, spin_operators
 from .params import RelaxationRates, SystemParams
-from .polarization import POPULATION_FLOOR, polarization_of_state
+from .polarization import polarization_of_state
 from .presets import MAX_GRID_POINTS, Preset
 from .schedule import PulseSegment, Schedule, duration_ns
 
@@ -670,34 +669,3 @@ def _checked(vecs: np.ndarray) -> np.ndarray:
         bad = (bad + bad.conj().transpose(0, 2, 1)) / 2.0
         rho[fix] = bad / np.real(np.trace(bad, axis1=1, axis2=2))[:, None, None]
     return rho
-
-
-def write_trajectory_csv(times: Sequence[int], states: np.ndarray, path: str | Path) -> None:
-    """CSV export: time_ns, interleaved Re/Im of the 6x6 rho (row-major), P.
-
-    states are the (k, 4, 4) driven blocks at the k times, as returned by
-    CycleEngine.trajectory; any other shape is a ValueError. The 40 m_s = -1
-    floats of each row, all zero, are written as the constant text of their
-    reprs. P is left empty at times when both readout populations vanish.
-    """
-    n = len(DRIVEN_INDICES)
-    states = np.asarray(states, dtype=complex)
-    if states.shape != (len(times), n, n):
-        raise ValueError(f"states of shape {states.shape} are not {len(times)} {n}x{n} blocks")
-    pairs = [f"rho_re_{i}{j},rho_im_{i}{j}" for i in range(DIM) for j in range(DIM)]
-    # Viewed as floats, each entry is its (Re, Im) pair, in column order.
-    block = np.ascontiguousarray(states).view(float).reshape(len(states), -1)
-    # P of every row with a readout population, in one stacked call.
-    defined = ~(states[:, 0, 0].real + states[:, 1, 1].real <= POPULATION_FLOOR)
-    cells = np.full(len(states), "", dtype=object)
-    cells[defined] = [repr(p) for p in polarization_of_state(states[defined]).p.tolist()]
-    # Each block row's 2n floats end with its m_s = -1 columns' zeros; the
-    # m_s = -1 rows follow, all zeros.
-    zeros = "0.0," * (2 * (DIM - n))
-    row = "{}," + ("{!r}," * (2 * n) + zeros) * n + zeros * DIM + "{}\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["time_ns", *pairs, "P"]) + "\r\n")
-        fh.writelines(
-            row.format(int(t), *values, cell)
-            for t, values, cell in zip(times, block.tolist(), cells)
-        )

@@ -22,6 +22,7 @@ import numpy as np
 
 from .eigensystem import eigen_system
 from .errors import ConfigError, FitConvergenceError
+from .experiments import write_rows
 from .fitting import FitProblem, FitReport, least_squares, solve
 from .operators import basis_index
 from .params import SystemParams
@@ -444,20 +445,13 @@ def _fit_lines(t, s, peaks, rows, what: str) -> PolarizationEstimate:
 
 
 def write_signal_csv(path, t: np.ndarray, s: np.ndarray) -> None:
-    """Write a (time_ns, signal) fringe record."""
+    """Write a (time_ns, signal) fringe record, LF rows."""
     times = (np.asarray(t, dtype=float) * 1e9).tolist()
-    _write_pairs(path, "time_ns,signal", times, np.asarray(s, dtype=float).tolist())
+    rows = map("{!r},{!r}".format, times, np.asarray(s, dtype=float).tolist())
+    write_rows(path, "time_ns,signal", rows, "\n")
 
 
 def write_spectrum_csv(path, frequencies: np.ndarray, amplitudes: np.ndarray) -> None:
-    """Write fft_spectrum's (frequencies, amplitudes) as (frequency_hz, magnitude)."""
-    _write_pairs(
-        path, "frequency_hz,magnitude", frequencies.tolist(), np.abs(amplitudes).tolist()
-    )
-
-
-def _write_pairs(path, header: str, xs: list[float], ys: list[float]) -> None:
-    """Write a two-column CSV with LF line ends, formatted first, in one call."""
-    lines = [header] + [f"{x!r},{y!r}" for x, y in zip(xs, ys)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write fft_spectrum's (frequencies, amplitudes) as (frequency_hz, magnitude), LF rows."""
+    rows = map("{!r},{!r}".format, frequencies.tolist(), np.abs(amplitudes).tolist())
+    write_rows(path, "frequency_hz,magnitude", rows, "\n")

@@ -225,7 +225,7 @@ def rowwise_spectrum_csv(path, frequencies, amplitudes) -> None:
 
 
 def rowwise_trajectory_csv(times, states, path) -> None:
-    """lindblad.write_trajectory_csv through csv.writer: each 4x4 block
+    """experiments.write_trajectory_csv through csv.writer: each 4x4 block
     embedded in 6x6 zeros, one repr per float of all 72 (CRLF)."""
     header = ["time_ns"]
     for i in range(DIM):

@@ -803,35 +803,62 @@ def test_bad_ramsey_record_exits_2(tmp_path, capsys, flags):
 #: Stands for the curve_file fixture's path in a parametrized argv.
 CURVE = object()
 
+WINDOW = ["--inner-halfwidth", "200000", "--inner-step", "50000"]
+
+#: A small run of each data command, and the files it writes, in order: its data file last.
+SMALL_RUNS = {
+    "sweep-detuning": (
+        ["sweep-detuning", *SMALL_SWEEP], ("metadata.json", "plot.gp", "data.csv")
+    ),
+    "sweep-n": (
+        ["sweep-n", "--n", "1", "--delta", "3e5"], ("metadata.json", "plot.gp", "data.csv")
+    ),
+    "sweep-field": (
+        ["sweep-field", "--min=500", "--max=520", "--step=20", *WINDOW],
+        ("metadata.json", "plot.gp", "data.csv"),
+    ),
+    "sweep-ani": (
+        ["sweep-ani", "--max=1e5", "--step=1e5", "--delta-step=3e5"],
+        ("max.csv", "metadata.json", "plot.gp", "data.csv"),
+    ),
+    "sweep-field-ani": (
+        ["sweep-field-ani", "--min=500", "--max=520", "--step=20", "--ani-max=1e5",
+         "--ani-step=1e5", *WINDOW],
+        ("metadata.json", "plot.gp", "data.csv"),
+    ),
+    "ramsey": (
+        ["ramsey"],
+        ("spectrum.csv", "metadata.json", "fit_spectrum.json", "fit_time.json", "plot.gp",
+         "data.csv"),
+    ),
+    "trajectory": (
+        ["trajectory", "--n", "1", "--sample-ns", "1000"],
+        ("metadata.json", "plot.gp", "trajectory.csv"),
+    ),
+    "fit-curve": (["fit-curve", CURVE], ("report.json", "plot.gp", "fitted.csv")),
+}
+
+
+#: The ids that two sweep-detuning rows of test_a_failed_write_exits_2 were first given.
+FIRST_IDS = {
+    ("sweep-detuning", "data.csv"): "sweep-data.csv",
+    ("sweep-detuning", "metadata.json"): "sweep-metadata.json",
+}
+
 
 @pytest.mark.parametrize(
-    "argv,name,data",
+    "command,name",
     [
-        (["sweep-detuning", *SMALL_SWEEP], "data.csv", "data.csv"),
-        (["sweep-detuning", *SMALL_SWEEP], "metadata.json", "data.csv"),
-        (["ramsey"], "metadata.json", "data.csv"),
-        (["ramsey"], "spectrum.csv", "data.csv"),
-        (["sweep-ani", "--max=1e5", "--step=1e5", "--delta-step=3e5"], "max.csv", "data.csv"),
-        (["trajectory", "--n", "1", "--sample-ns", "1000"], "metadata.json", "trajectory.csv"),
-        (["trajectory", "--n", "1", "--sample-ns", "1000"], "plot.gp", "trajectory.csv"),
-        (["fit-curve", CURVE], "report.json", "fitted.csv"),
-        (["fit-curve", CURVE], "plot.gp", "fitted.csv"),
-    ],
-    ids=[
-        "sweep-data.csv",
-        "sweep-metadata.json",
-        "ramsey-metadata.json",
-        "ramsey-spectrum.csv",
-        "sweep-ani-max.csv",
-        "trajectory-metadata.json",
-        "trajectory-plot.gp",
-        "fit-curve-report.json",
-        "fit-curve-plot.gp",
+        pytest.param(command, name, id=FIRST_IDS.get((command, name), f"{command}-{name}"))
+        for command, (_, names) in SMALL_RUNS.items()
+        for name in names
     ],
 )
-def test_a_failed_write_exits_2(tmp_path, capsys, curve_file, argv, name, data):
+def test_a_failed_write_exits_2(tmp_path, capsys, curve_file, command, name):
     """An artifact path that is a directory is reported in one line, and
     the data file, written last, is not left behind."""
+    argv, names = SMALL_RUNS[command]
+    data = names[-1]
     out_dir = tmp_path / "out"
     (out_dir / name).mkdir(parents=True)
     argv = [curve_file if arg is CURVE else arg for arg in argv]
@@ -840,6 +867,98 @@ def test_a_failed_write_exits_2(tmp_path, capsys, curve_file, argv, name, data):
     assert err == f"error: config: cannot write {out_dir / name}: Is a directory\n"
     if name != data:
         assert not (out_dir / data).exists()
+
+
+#: The bytes of each data command's plot.gp.
+PLOTS = {
+    "sweep-detuning": """\
+set datafile separator ','
+set terminal pngcairo size 900,600
+set output 'plot.png'
+set xlabel 'drive detuning (Hz)'
+set ylabel 'P'
+set grid
+plot 'data.csv' skip 1 using 1:2 with linespoints pointtype 7 pointsize 0.5 notitle
+""",
+    "sweep-n": """\
+set datafile separator ','
+set terminal pngcairo size 900,600
+set output 'plot.png'
+set xlabel 'completed cycles'
+set ylabel 'P'
+set grid
+plot 'data.csv' skip 1 using 1:2 with linespoints pointtype 7 pointsize 0.5 notitle
+""",
+    "sweep-field": """\
+set datafile separator ','
+set terminal pngcairo size 900,600
+set output 'plot.png'
+set xlabel 'field B_z (G)'
+set ylabel 'best P'
+set grid
+plot 'data.csv' skip 1 using 1:2 with linespoints pointtype 7 pointsize 0.5 notitle
+""",
+    "sweep-ani": """\
+set datafile separator ','
+set terminal pngcairo size 900,700
+set output 'plot.png'
+set xlabel 'transverse coupling (Hz)'
+set ylabel 'drive detuning (Hz)'
+set view map
+set cblabel 'P'
+splot 'data.csv' skip 1 using 1:2:3 with points pointtype 5 pointsize 1.6 palette notitle
+""",
+    "sweep-field-ani": """\
+set datafile separator ','
+set terminal pngcairo size 900,700
+set output 'plot.png'
+set xlabel 'field B_z (G)'
+set ylabel 'transverse coupling (Hz)'
+set view map
+set cblabel 'P'
+splot 'data.csv' skip 1 using 1:2:3 with points pointtype 5 pointsize 1.6 palette notitle
+""",
+    "ramsey": """\
+set datafile separator ','
+set terminal pngcairo size 900,900
+set output 'plot.png'
+set multiplot layout 2,1
+set xlabel 'time (ns)'
+set ylabel 'fringe signal'
+plot 'data.csv' skip 1 using 1:2 with lines notitle
+set xlabel 'frequency (Hz)'
+set ylabel 'magnitude'
+plot 'spectrum.csv' skip 1 using 1:2 with lines notitle
+unset multiplot
+""",
+    "trajectory": """\
+set datafile separator ','
+set terminal pngcairo size 900,600
+set output 'plot.png'
+set xlabel 'time (ns)'
+set ylabel 'P'
+set grid
+plot 'trajectory.csv' skip 1 using 1:74 with linespoints pointtype 7 pointsize 0.5 notitle
+""",
+    "fit-curve": """\
+set datafile separator ','
+set terminal pngcairo size 900,600
+set output 'plot.png'
+set xlabel 'drive detuning (Hz)'
+set ylabel 'P'
+set grid
+plot 'fitted.csv' skip 1 using 1:2 with points pointtype 7 title 'data', \\
+     'fitted.csv' skip 1 using 1:3 with lines title 'fit'
+""",
+}
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_plot_scripts_are_pinned(tmp_path, capsys, curve_file, command):
+    argv = [curve_file if arg is CURVE else arg for arg in SMALL_RUNS[command][0]]
+    code, _, _ = run([*argv, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert (tmp_path / "plot.gp").read_bytes() == PLOTS[command].encode()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -16,9 +16,9 @@ from helpers import (
 )
 from scipy.linalg import expm as scipy_expm
 
-from nvpolar import lindblad
+from nvpolar import experiments, lindblad
 from nvpolar.errors import NumericalError
-from nvpolar.experiments import predicted_resonance
+from nvpolar.experiments import predicted_resonance, write_trajectory_csv
 from nvpolar.hamiltonian import rotating_hamiltonian
 from nvpolar.lindblad import (
     DIM,
@@ -28,7 +28,6 @@ from nvpolar.lindblad import (
     build_channels,
     initial_mixed_state,
     liouvillian,
-    write_trajectory_csv,
 )
 from nvpolar.params import RelaxationRates, SystemParams
 from nvpolar.polarization import polarization_of_state
@@ -388,7 +387,7 @@ def test_trajectory_csv_raises_other_readout_errors(tmp_path, monkeypatch):
     def broken(rho):
         raise ValueError("not a readout failure")
 
-    monkeypatch.setattr(lindblad, "polarization_of_state", broken)
+    monkeypatch.setattr(experiments, "polarization_of_state", broken)
     with pytest.raises(ValueError, match="not a readout failure"):
         write_trajectory_csv([0], initial_mixed_state()[None, :4, :4], tmp_path / "t.csv")
 

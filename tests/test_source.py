@@ -1,6 +1,7 @@
 """Static checks of the package source with the stdlib ast: every import is
-used, and every module-level private name is referenced somewhere in the
-package, so code left behind by a fold cannot stay."""
+used, every module-level private name is referenced somewhere in the
+package, so code left behind by a fold cannot stay, and only the artifact
+owner and the CLI open files."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,23 @@ def test_every_module_level_private_name_is_referenced(name):
         if n.startswith("_") and not n.startswith("__")
     }
     assert {n: line for n, line in private.items() if n not in read} == {}
+
+
+#: The modules that may open files: experiments owns the artifact format,
+#: and cli reads configs and curves and writes the plot scripts.
+FILE_IO_MODULES = {"experiments.py", "cli.py"}
+
+
+@pytest.mark.parametrize("name", sorted(set(TREES) - FILE_IO_MODULES))
+def test_only_the_artifact_owner_and_the_cli_open_files(name):
+    calls = {
+        node.lineno
+        for node in ast.walk(TREES[name])
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "open"
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr in {"open", "read_text", "write_text"}
+        )
+    }
+    assert calls == set()

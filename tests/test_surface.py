@@ -90,6 +90,44 @@ def test_a_lazy_module_imports_as_usual_after_the_cli():
     ) == "(0.0, 600000.0, 100000.0)\n"
 
 
+#: Four threads make the first ramsey and fit-curve calls of a fresh
+#: interpreter at once, switching every microsecond, and print each call's
+#: exit code or the name of the exception that escaped main. fit-curve's
+#: three-row curve reaches fitting, which refuses it as a config error.
+_FIRST_CALLS_IN_THREADS = """
+import contextlib, io, sys, threading
+import nvpolar.cli
+
+out = sys.argv[1]
+curve = out + "/curve.csv"
+with open(curve, "w") as fh:
+    fh.write("delta_hz,P\\n-325000.0,-0.89\\n0.0,0.01\\n325000.0,0.89\\n")
+calls = [["ramsey"]] * 2 + [["fit-curve", curve]] * 2
+results = {}
+
+def call(i):
+    try:
+        results[i] = nvpolar.cli.main([*calls[i], "--out", f"{out}/{i}"])
+    except Exception as exc:
+        results[i] = type(exc).__name__
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=call, args=(i,), daemon=True) for i in range(4)]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+print(*(results.get(i, "unfinished") for i in range(4)))
+"""
+
+
+def test_lazy_modules_run_once_when_threads_reach_them_together(tmp_path):
+    """LazyLoader takes no lock; without cli's, some of these calls see a
+    half-run module and raise AttributeError or ImportError out of main."""
+    assert _fresh(_FIRST_CALLS_IN_THREADS, str(tmp_path)) == "0 0 2 2\n"
+
+
 def test_the_tracer_installs_after_a_bare_cli_import():
     """bench/layers.py looks every traced module up in sys.modules, so the
     lazy modules must be there before any command has used them."""
