@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Every data-producing subcommand resolves a parameter set (a named preset or
-a JSON config), runs the simulation, and writes a small artifact directory:
-a metadata sidecar with a content hash, a standalone gnuplot script and,
-last (so a failed write leaves none), a CSV data file. Outputs are
-deterministic; metadata carries no timestamps, so reruns are byte-identical.
+a JSON config), runs the simulation, and hands its files to _write, the one
+writer of the artifact directory: a metadata sidecar with a content hash, a
+standalone gnuplot script and, last (so a failed write leaves none), a CSV
+data file. Outputs are deterministic; metadata carries no timestamps, so
+reruns are byte-identical.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure,
 4 fit did not converge. Errors print a single machine-parseable line to
@@ -157,17 +158,25 @@ def _check_delta(args: argparse.Namespace) -> None:
         raise ConfigError(f"--delta must be finite, got {args.delta}")
 
 
-def _out_dir(command: str, flag: str | None) -> Path:
-    if flag:
-        root = Path(flag)
-    else:
-        env = os.environ.get(OUT_ENV)
-        root = Path(env) / command if env else Path(f"nvpolar-{command}")
+def _write(args: argparse.Namespace, *files) -> Path:
+    """The one writer of every command: its (name, content) files in order,
+    the data file last, into --out, $NVPOLAR_OUT/<command> or
+    ./nvpolar-<command>; returns the directory. A dict goes through
+    write_json, a str as it is, and other content is the file's writer."""
+    env = os.environ.get(OUT_ENV)
+    out = Path(args.out or (Path(env) / args.command if env else f"nvpolar-{args.command}"))
     try:
-        root.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {root}: {exc}") from exc
-    return root
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    for name, content in files:
+        if isinstance(content, dict):
+            ex.write_json(out / name, content)
+        elif isinstance(content, str):
+            (out / name).write_text(content)
+        else:
+            content(out / name)
+    return out
 
 
 def _gnuplot(height: int, body: str) -> str:
@@ -194,15 +203,12 @@ def _plot_map(csv_name: str, xlabel: str, ylabel: str) -> str:
 
 
 def _write_sweep(
-    command: str, args: argparse.Namespace, result: ex.SweepResult, xlabel: str, ylabel: str
+    args: argparse.Namespace, result: ex.SweepResult, xlabel: str, ylabel: str, *first
 ) -> Path:
-    """Write metadata.json, plot.gp (a map if 2-D) and, last, data.csv; return the directory."""
-    out = _out_dir(command, args.out)
-    result.write_metadata(out / "metadata.json")
-    plot = _plot_xy if result.ndim == 1 else _plot_map
-    (out / "plot.gp").write_text(plot("data.csv", xlabel, ylabel))
-    result.write_csv(out / "data.csv")
-    return out
+    """Write the first files, metadata.json, plot.gp (a map if 2-D) and, last, data.csv."""
+    plot = (_plot_xy if result.ndim == 1 else _plot_map)("data.csv", xlabel, ylabel)
+    files = (*first, ("metadata.json", result.write_metadata), ("plot.gp", plot))
+    return _write(args, *files, ("data.csv", result.write_csv))
 
 
 def _hz(delta: float) -> str:
@@ -222,7 +228,7 @@ def _cmd_sweep_detuning(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     deltas = ex.grid(args.min, args.max, args.step)
     result = ex.sweep_detuning(preset, deltas, n_cycles=args.n)
-    out = _write_sweep("sweep-detuning", args, result, "drive detuning (Hz)", "P")
+    out = _write_sweep(args, result, "drive detuning (Hz)", "P")
     at, best = _report_extreme(result)
     print(f"wrote {out} ({len(result.p)} points); peak P = {best:+.4f} at {_hz(at)} Hz")
     return 0
@@ -232,7 +238,7 @@ def _cmd_sweep_n(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     _check_delta(args)
     result = ex.sweep_repetitions(preset, args.n, delta=args.delta)
-    out = _write_sweep("sweep-n", args, result, "completed cycles", "P")
+    out = _write_sweep(args, result, "completed cycles", "P")
     print(
         f"wrote {out} ({len(result.p)} points); "
         f"P({args.n}) = {float(result.p[-1]):+.4f} "
@@ -250,7 +256,7 @@ def _cmd_sweep_field(args: argparse.Namespace) -> int:
         inner_halfwidth=args.inner_halfwidth,
         inner_step=args.inner_step,
     )
-    out = _write_sweep("sweep-field", args, result, "field B_z (G)", "best P")
+    out = _write_sweep(args, result, "field B_z (G)", "best P")
     at, best = _report_extreme(result)
     print(f"wrote {out} ({len(result.p)} points); peak P = {best:+.4f} at {at:.0f} G")
     return 0
@@ -262,10 +268,8 @@ def _cmd_sweep_ani(args: argparse.Namespace) -> int:
     deltas = ex.grid(args.delta_min, args.delta_max, args.delta_step)
     result = ex.sweep_ani_detuning(preset, ani, deltas)
     reduced = ex.max_trace(result)
-    reduced.write_csv(_out_dir("sweep-ani", args.out) / "max.csv")  # before data.csv
-    out = _write_sweep(
-        "sweep-ani", args, result, "transverse coupling (Hz)", "drive detuning (Hz)"
-    )
+    first = ("max.csv", reduced.write_csv)  # before data.csv
+    out = _write_sweep(args, result, "transverse coupling (Hz)", "drive detuning (Hz)", first)
     at, best = _report_extreme(reduced)
     print(
         f"wrote {out} ({result.p.size} points); "
@@ -285,9 +289,7 @@ def _cmd_sweep_field_ani(args: argparse.Namespace) -> int:
         inner_halfwidth=args.inner_halfwidth,
         inner_step=args.inner_step,
     )
-    out = _write_sweep(
-        "sweep-field-ani", args, result, "field B_z (G)", "transverse coupling (Hz)"
-    )
+    out = _write_sweep(args, result, "field B_z (G)", "transverse coupling (Hz)")
     print(f"wrote {out} ({result.p.size} points)")
     return 0
 
@@ -307,8 +309,6 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
     spectral = rm.fit_spectrum(t, s, model.peaks)
     time_fit = rm.fit_time_domain(t, s, model.peaks)
 
-    out = _out_dir("ramsey", args.out)  # data.csv is written last
-    rm.write_spectrum_csv(out / "spectrum.csv", *rm.fft_spectrum(t, s))
     base = {
         "command": "ramsey",
         "schema": "nvpolar-ramsey/1",
@@ -321,30 +321,28 @@ def _cmd_ramsey(args: argparse.Namespace) -> int:
         "dt_s": args.dt,
         "polarization_model": model.polarization(),
     }
-    ex.write_json(out / "metadata.json", base)
-    for name, est in (("fit_spectrum.json", spectral), ("fit_time.json", time_fit)):
-        ex.write_json(
-            out / name,
-            {
-                "schema": "nvpolar-ramsey-fit/1",
-                "p": est.p,
-                "frequency_up_hz": est.frequency_up,
-                "frequency_down_hz": est.frequency_down,
-                "report": est.report.to_dict(),
-            },
-        )
-    (out / "plot.gp").write_text(
-        _gnuplot(
-            900,
-            "set multiplot layout 2,1\n"
-            "set xlabel 'time (ns)'\nset ylabel 'fringe signal'\n"
-            "plot 'data.csv' skip 1 using 1:2 with lines notitle\n"
-            "set xlabel 'frequency (Hz)'\nset ylabel 'magnitude'\n"
-            "plot 'spectrum.csv' skip 1 using 1:2 with lines notitle\n"
-            "unset multiplot\n",
-        )
+    fits = [
+        (name, {"schema": "nvpolar-ramsey-fit/1", "p": est.p, "frequency_up_hz": est.frequency_up,
+                "frequency_down_hz": est.frequency_down, "report": est.report.to_dict()})
+        for name, est in (("fit_spectrum.json", spectral), ("fit_time.json", time_fit))
+    ]
+    plot = _gnuplot(
+        900,
+        "set multiplot layout 2,1\n"
+        "set xlabel 'time (ns)'\nset ylabel 'fringe signal'\n"
+        "plot 'data.csv' skip 1 using 1:2 with lines notitle\n"
+        "set xlabel 'frequency (Hz)'\nset ylabel 'magnitude'\n"
+        "plot 'spectrum.csv' skip 1 using 1:2 with lines notitle\n"
+        "unset multiplot\n",
     )
-    rm.write_signal_csv(out / "data.csv", t, s)
+    out = _write(
+        args,
+        ("spectrum.csv", lambda path: rm.write_spectrum_csv(path, *rm.fft_spectrum(t, s))),
+        ("metadata.json", base),
+        *fits,
+        ("plot.gp", plot),
+        ("data.csv", lambda path: rm.write_signal_csv(path, t, s)),
+    )
     print(
         f"wrote {out}; P(model) = {model.polarization():+.4f}, "
         f"P(spectral fit) = {spectral.p:+.4f}, P(time fit) = {time_fit.p:+.4f}"
@@ -386,30 +384,29 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
     pairs = _read_curve(args.data)
     _run(fitting)
     report = fitting.fit_polarization_curve(pairs, preset, n_cycles=args.n, budget=args.budget)
-    out = _out_dir("fit-curve", args.out)
-    ex.write_json(
-        out / "report.json",
-        {
-            "schema": "nvpolar-fit/1",
-            "preset": preset.to_dict(),
-            "data_file": str(args.data),
-            "n_points": len(pairs),
-            "init": list(fitting.CURVE_FIT_INIT),
-            "report": report.to_dict(),
-        },
-    )
-    f_rel, azz_mag, a_ani = report.params
+    doc = {
+        "schema": "nvpolar-fit/1",
+        "preset": preset.to_dict(),
+        "data_file": str(args.data),
+        "n_points": len(pairs),
+        "init": list(fitting.CURVE_FIT_INIT),
+        "report": report.to_dict(),
+    }
     model_p = fitting.curve_model(preset, report.params, [delta for delta, _ in pairs], args.n)
-    (out / "plot.gp").write_text(
-        _gnuplot(
-            600,
-            "set xlabel 'drive detuning (Hz)'\nset ylabel 'P'\nset grid\n"
-            "plot 'fitted.csv' skip 1 using 1:2 with points pointtype 7 title 'data', \\\n"
-            "     'fitted.csv' skip 1 using 1:3 with lines title 'fit'\n",
-        )
+    plot = _gnuplot(
+        600,
+        "set xlabel 'drive detuning (Hz)'\nset ylabel 'P'\nset grid\n"
+        "plot 'fitted.csv' skip 1 using 1:2 with points pointtype 7 title 'data', \\\n"
+        "     'fitted.csv' skip 1 using 1:3 with lines title 'fit'\n",
     )
     rows = (f"{d!r},{value!r},{float(fit)!r}" for (d, value), fit in zip(pairs, model_p))
-    ex.write_rows(out / "fitted.csv", "delta_hz,P_data,P_fit", rows)
+    out = _write(
+        args,
+        ("report.json", doc),
+        ("plot.gp", plot),
+        ("fitted.csv", lambda path: ex.write_rows(path, "delta_hz,P_data,P_fit", rows)),
+    )
+    f_rel, azz_mag, a_ani = report.params
     print(
         f"wrote {out}; f_rel = {f_rel:+.1f} Hz, |A_zz| = {azz_mag:.1f} Hz, "
         f"A_ani = {a_ani:.1f} Hz ({report.n_evaluations} evaluations)"
@@ -430,21 +427,21 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     _check_delta(args)
     delta = args.delta if args.delta is not None else ex.predicted_resonance(preset)
     times, states = CycleEngine(preset).trajectory(delta, args.sample_ns, args.n)
-    out = _out_dir("trajectory", args.out)
-    ex.write_json(
-        out / "metadata.json",
-        {
-            "command": "trajectory",
-            "schema": "nvpolar-trajectory/1",
-            "preset": preset.to_dict(),
-            "delta_hz": float(delta),
-            "n_cycles": args.n if args.n is not None else preset.n_cycles,
-            "sample_ns": args.sample_ns,
-            "rows": len(times),
-        },
+    doc = {
+        "command": "trajectory",
+        "schema": "nvpolar-trajectory/1",
+        "preset": preset.to_dict(),
+        "delta_hz": float(delta),
+        "n_cycles": args.n if args.n is not None else preset.n_cycles,
+        "sample_ns": args.sample_ns,
+        "rows": len(times),
+    }
+    out = _write(
+        args,
+        ("metadata.json", doc),
+        ("plot.gp", _plot_xy("trajectory.csv", "time (ns)", "P", ycol=74)),
+        ("trajectory.csv", lambda path: ex.write_trajectory_csv(times, states, path)),
     )
-    (out / "plot.gp").write_text(_plot_xy("trajectory.csv", "time (ns)", "P", ycol=74))
-    ex.write_trajectory_csv(times, states, out / "trajectory.csv")
     final = polarization_of_state(states[-1])
     print(f"wrote {out} ({len(times)} rows); final P = {final.p:+.4f}")
     return 0

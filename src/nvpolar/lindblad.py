@@ -385,8 +385,8 @@ class CycleEngine:
     per call (smaller for fewer pairs). maps() has _segment_maps write each
     batch's pulse maps into it, and writes the cycle maps C' there too.
     No method writes to the engine after __init__. buildup() and
-    trajectory() run cell 0; trajectory() samples one sequence at one
-    detuning, with every segment map from _segment_maps.
+    trajectory() carry cell 0 with maps()' cycle map at one detuning;
+    trajectory() steps between read-outs with _segment_maps' maps.
     """
 
     def __init__(self, preset: Preset, systems: Sequence[SystemParams] | None = None) -> None:
@@ -558,22 +558,20 @@ class CycleEngine:
         """Driven-block states along the sequence and its readout tail at one detuning.
 
         Returns the times in ns, t = 0, every multiple of sample_ns and the
-        end, and the (k, 4, 4) states at those times. Every map, of a whole
-        segment or of a step up to a sample time, comes from _segment_maps,
-        once per (segment, step). The state at each cycle's start comes from
-        _carried, the one stepper, with the cycle's map; a cycle that holds a
-        sample time, and the tail, step from it segment by segment. The
-        returned states go through _checked. More than MAX_GRID_POINTS rows
-        is a ConfigError, raised before any propagation.
+        end, and the (k, 4, 4) states at those times, through _checked. The
+        sequence is read as the readout tail, then n_cycles cycles (pulse,
+        rest, tail) from one read-out state to the next. _carried carries
+        those states with maps()' cycle map, so the last row is states()' bit
+        for bit. The first tail, and each cycle that holds a sample time,
+        step from their start through _segment_maps, once per (segment,
+        step). More than MAX_GRID_POINTS rows is a ConfigError, raised first.
         """
         if sample_ns <= 0:
             raise ConfigError("sample_ns must be positive")
-        preset = self._preset
-        n_cycles, tail = preset.cycles(n_cycles), preset.readout_tail()
-        cycle = preset.schedule(delta, n_cycles=1)
-        cycle_ns = duration_ns(cycle)
-        end = n_cycles * cycle_ns + duration_ns(tail)
-        rows = -(-end // sample_ns) + 1  # t = 0, each multiple of sample_ns, the end
+        n_cycles, one = self._preset.cycles(n_cycles), self._preset.schedule(delta, n_cycles=1)
+        tail, cycle = one[:-2], one[-2:] + one[:-2]  # one is (*tail, pulse, rest)
+        tail_ns, cycle_ns = duration_ns(tail), duration_ns(cycle)
+        rows = -(-(tail_ns + n_cycles * cycle_ns) // sample_ns) + 1  # the multiples, the end
         if rows > MAX_GRID_POINTS:
             raise ConfigError(f"trajectory of {rows} rows exceeds {MAX_GRID_POINTS}")
 
@@ -581,30 +579,23 @@ class CycleEngine:
         def segment_map(seg: PulseSegment, ns: int) -> np.ndarray:
             return self._segment_maps(seg.mw_on, seg.laser_on, (ns * 1e-9,), (delta,), [0])[0, 0]
 
-        samples = [(0, _RHO0)]
-
-        def walk(t: int, vec: np.ndarray, segments: Schedule) -> np.ndarray:
-            for seg in segments:
+        def walk(t: int, vec: np.ndarray, segments: Schedule) -> Iterator[tuple]:
+            for seg in segments:  # (t, state) at each multiple of sample_ns in [t, end)
                 remaining = seg.duration_ns
                 while remaining > 0:
+                    if t % sample_ns == 0:
+                        yield t, vec
                     ns = min(sample_ns - t % sample_ns, remaining)
                     vec = segment_map(seg, ns) @ vec
                     t, remaining = t + ns, remaining - ns
-                    if t % sample_ns == 0:
-                        samples.append((t, vec))
-            return vec
 
-        whole = np.eye(len(_K_DIAG), dtype=complex)  # the cycle's map
-        for seg in cycle:
-            if seg.duration_ns:
-                whole = segment_map(seg, seg.duration_ns) @ whole
-        for count, start in enumerate(_carried(whole[None], _RHO0[None], n_cycles)):
-            t, vec = count * cycle_ns, start[0]
-            if count < n_cycles and sample_ns - t % sample_ns <= cycle_ns:
-                walk(t, vec, cycle)
-        vec = walk(t, vec, tail)
-        if samples[-1][0] != end:
-            samples.append((end, vec))
+        samples = [*walk(0, _RHO0, tail)]
+        for count, start in enumerate(_carried(*self.maps([delta]), n_cycles)):
+            t = tail_ns + count * cycle_ns
+            if count == n_cycles:
+                samples.append((t, start[0]))
+            elif -t % sample_ns < cycle_ns:
+                samples += walk(t, start[0], cycle)
         times, vecs = zip(*samples)
         return list(times), _checked(np.array(vecs))
 

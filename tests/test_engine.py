@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from helpers import reference_trajectory, validate_density_matrix
+from helpers import reference_trajectory, rk4_schedule, validate_density_matrix
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 from scipy.optimize import brentq
@@ -471,17 +471,104 @@ def test_sweep_repetitions_matches_reference_per_cycle_count(table_a1):
         assert abs(p - reference_p(table_a1, 2.9e5, n)) <= DP_TOL
 
 
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+def _drawn_preset(name, system, rates, durations, omega):
+    """A bundled preset with the drawn system, rates, durations and drive."""
+    return dataclasses.replace(
+        get_preset(name).with_system(**system),
+        rates=RelaxationRates(**rates),
+        omega=omega,
+        **durations,
+    )
+
+
+def _assert_agrees_with_reference(preset, delta, n_cycles, rk4=False):
+    """P and every entry of the read-out state within DP_TOL of the 6x6
+    reference (or of RK4); trajectory's last row is states()' bit for bit."""
+    engine = CycleEngine(preset)
+    rho = engine.states([delta], n_cycles)[0]
+    schedule = preset.schedule(delta, n_cycles=n_cycles) + preset.readout_tail()
+    prop = SchedulePropagator(preset.system, preset.rates, frame_delta=delta)
+    run = rk4_schedule if rk4 else SchedulePropagator.propagate
+    ref = run(prop, initial_mixed_state(), schedule)
+    assert np.max(np.abs(ref[4:, :])) <= DP_TOL and np.max(np.abs(ref[:, 4:])) <= DP_TOL
+    assert np.max(np.abs(rho - ref[:4, :4])) <= DP_TOL
+    got = engine.polarizations([delta], n_cycles)[0]
+    assert abs(got - polarization_of_state(ref).p) <= DP_TOL
+    assert engine.trajectory(delta, 10**9, n_cycles)[1][-1].tobytes() == rho.tobytes()
+
+
+#: Either no dephasing of an eigenstate or a rate up to 3e5 /s.
+_GAMMA_D = st.one_of(st.just(0.0), st.floats(1e3, 3e5))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
+    name=st.sampled_from(["table-a1-fit", "table-a1-fig4"]),
     delta=st.floats(-1.5e6, 1.5e6),
-    a_zz=st.floats(-9e5, 9e5),
-    a_ani=st.floats(0.0, 4e5),
-    n_cycles=st.integers(0, 8),
+    system=st.fixed_dictionaries(
+        {
+            "a_zz": st.floats(-9e5, 9e5),
+            "a_ani": st.floats(0.0, 4e5),
+            "phi": st.floats(0.0, 2.0 * np.pi),
+            "b_z": st.floats(50.0, 1200.0),
+        }
+    ),
+    rates=st.fixed_dictionaries(
+        {
+            "gamma_gl": st.floats(1e6, 2e7),
+            "n_th": st.floats(0.0, 0.3),
+            "gamma_d": st.tuples(_GAMMA_D, _GAMMA_D, _GAMMA_D, _GAMMA_D),
+            "gamma_n_gl": st.floats(0.0, 2e5),
+        }
+    ),
+    durations=st.fixed_dictionaries(
+        {
+            "chop_reps": st.integers(0, 19),
+            "chop_on_ns": st.integers(1, 60),
+            "chop_off_ns": st.integers(0, 80),
+            "rest_ns": st.integers(0, 200),
+            "t_mw_ns": st.integers(1, 25000),
+        }
+    ),
+    omega=st.floats(0.0, 1e6),
+    n_cycles=st.integers(0, 11),
 )
-def test_engine_agrees_with_reference_property(delta, a_zz, a_ani, n_cycles):
-    preset = get_preset("table-a1-fit").with_system(a_zz=a_zz, a_ani=a_ani)
-    got = CycleEngine(preset).polarizations([delta], n_cycles)[0]
-    assert abs(got - reference_p(preset, delta, n_cycles)) <= DP_TOL
+def test_engine_agrees_with_reference_property(
+    name, delta, system, rates, durations, omega, n_cycles
+):
+    """Both presets with every channel, duration and coupling drawn."""
+    preset = _drawn_preset(name, system, rates, durations, omega)
+    _assert_agrees_with_reference(preset, delta, n_cycles)
+
+
+@pytest.mark.parametrize(
+    "name,system,rates,durations,omega,delta,n_cycles",
+    [
+        (
+            "table-a1-fit",
+            {"a_zz": -6.8e5, "a_ani": 2.2e5, "phi": 0.7, "b_z": 640.0},
+            {"gamma_gl": 8e6, "n_th": 0.1, "gamma_d": (2e5, 0.0, 3e5, 1e5), "gamma_n_gl": 1e5},
+            {"chop_reps": 3, "chop_on_ns": 30, "chop_off_ns": 60, "rest_ns": 100, "t_mw_ns": 1700},
+            2.94e5,
+            3.2e5,
+            1,
+        ),
+        (
+            "table-a1-fig4",
+            {"a_zz": 3.1e5, "a_ani": 9e4, "phi": 2.5, "b_z": 180.0},
+            {"gamma_gl": 1.2e7, "n_th": 0.0, "gamma_d": (0.0,) * 4, "gamma_n_gl": 0.0},
+            {"chop_reps": 2, "chop_on_ns": 45, "chop_off_ns": 0, "rest_ns": 0, "t_mw_ns": 2200},
+            2.5e5,
+            -1.1e5,
+            1,
+        ),
+    ],
+    ids=["fit-dephased", "fig4-unitary"],
+)
+def test_engine_agrees_with_rk4(name, system, rates, durations, omega, delta, n_cycles):
+    """Drawn-space configs against fixed-step RK4, which shares no expm."""
+    preset = _drawn_preset(name, system, rates, durations, omega)
+    _assert_agrees_with_reference(preset, delta, n_cycles, rk4=True)
 
 
 def test_results_do_not_depend_on_the_batch(fig4_preset):
@@ -554,7 +641,7 @@ def test_trajectory_matches_reference(name, rates, sample_ns, n_cycles):
 @pytest.mark.parametrize("rates", [None, DEPHASED], ids=["default", "dephased"])
 def test_trajectory_of_whole_cycles_between_samples_matches_reference(name, rates):
     """With sample_ns at or above a cycle, cycles that hold no sample time
-    take the composed cycle propagator and the others the segment loop."""
+    take maps()' cycle map and the others the segment loop."""
     preset = get_preset(name)
     if rates is not None:
         preset = dataclasses.replace(preset, rates=rates)
@@ -580,9 +667,9 @@ def test_trajectory_of_whole_cycles_between_samples_matches_reference(name, rate
     ids=lambda value: "dephased" if value is DEPHASED else str(value),
 )
 def test_the_trajectory_ends_where_the_batches_do(name, rates, delta):
-    """The trajectory's segment maps and its carried state come from the
-    engine's own map owner and stepper, so its last state is the read-out
-    state of states(), also far off resonance."""
+    """The trajectory carries its read-out states with maps()' cycle map and
+    the engine's one stepper, so its last state is states()' read-out state
+    bit for bit, also far off resonance."""
     preset = get_preset(name)
     if rates is not None:
         preset = dataclasses.replace(preset, rates=rates)
@@ -591,7 +678,7 @@ def test_the_trajectory_ends_where_the_batches_do(name, rates, delta):
     assert times[-1] == 3 * duration_ns(preset.schedule(delta, n_cycles=1)) + duration_ns(
         preset.readout_tail()
     )
-    assert np.max(np.abs(states[-1] - engine.states([delta], 3)[0])) <= 1e-13
+    assert states[-1].tobytes() == engine.states([delta], 3)[0].tobytes()
 
 
 def _trajectory_pulse(engine, delta, monkeypatch):
@@ -712,14 +799,17 @@ def test_carried_state_is_guarded_every_chunk(table_a1, monkeypatch):
 
 
 def test_trajectory_guards_the_carried_state_every_chunk(table_a1, monkeypatch):
-    """Segment maps that lose 2e-13 of trace each (37 segments a cycle)
-    stay inside the 1e-9 bound for CHUNK cycles but not for 3 CHUNK; the
-    guard every CHUNK cycles keeps a 3 CHUNK trajectory inside it."""
+    """A cycle map that loses 1e-11 of trace per cycle, past maps()' own
+    guards, stays inside the 1e-9 bound for CHUNK cycles but not for
+    3 CHUNK; the guard every CHUNK cycles keeps a 3 CHUNK trajectory inside it."""
     engine = CycleEngine(table_a1)
-    segment_maps = engine._segment_maps
-    monkeypatch.setattr(
-        engine, "_segment_maps", lambda *args: segment_maps(*args) * (1.0 - 2e-13)
-    )
+    maps = engine.maps
+
+    def leaky(*batch):
+        cycle, start = maps(*batch)
+        return cycle * (1.0 - 1e-11), start
+
+    monkeypatch.setattr(engine, "maps", leaky)
     n_cycles = 3 * lindblad.CHUNK
     times, states = engine.trajectory(3.2e5, 10**9, n_cycles)
     assert len(times) == len(states) == 2  # t = 0 and the end

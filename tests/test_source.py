@@ -83,3 +83,25 @@ def test_only_the_artifact_owner_and_the_cli_open_files(name):
         )
     }
     assert calls == set()
+
+
+
+def _calls(tree: ast.AST, attrs: set[str]) -> set[ast.Call]:
+    """The calls of a method named in attrs anywhere in a tree."""
+    return {
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in attrs
+    }
+
+
+def test_the_cli_makes_and_writes_its_directory_in_one_writer():
+    """Every .mkdir and .write_text call of cli.py sits inside _write, so
+    each command hands its files to the one writer and no handler writes."""
+    tree, attrs = TREES["cli.py"], {"mkdir", "write_text"}
+    writers = [node for node in tree.body if getattr(node, "name", None) == "_write"]
+    inside = set().union(*(_calls(writer, attrs) for writer in writers))
+    assert sorted(node.lineno for node in _calls(tree, attrs) - inside) == []
+    assert {node.func.attr for node in inside} == attrs
