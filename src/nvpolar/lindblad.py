@@ -17,9 +17,9 @@ against, and the only one with 6x6 states. CycleEngine runs every command:
 the standard sequence over a grid of (cell, drive detuning) pairs at once,
 where the cells are parameter sets that differ only in their SystemParams,
 and the sampled trajectory of one sequence, all on the 4x4 {m_s = 0, +1}
-block that the sequence never leaves (see its docstring).
-Both exponentiate with expm, a NumPy scaling-and-squaring Padé exponential
-that takes one matrix or a stack, so the package needs no SciPy at runtime.
+block that the sequence never leaves (see its docstring). Both exponentiate
+with expm: scaling and squaring in NumPy, with a Padé degree sized to each
+matrix of a stack, so the package needs no SciPy at runtime.
 
 _checked is the one state guard of both paths: it raises NumericalError on
 a drift above 1e-9 and makes a state whose drift is above 1e-12 Hermitian
@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -89,8 +89,10 @@ _K_DIAG = 2j * np.pi * np.subtract.outer(np.diag(_P_PLUS), np.diag(_P_PLUS)).res
 _K_VALUES, _K_INDEX = np.unique(_K_DIAG, return_inverse=True)
 _RHO0 = initial_mixed_state()[np.ix_(DRIVEN_INDICES, DRIVEN_INDICES)].reshape(-1)
 
-#: The row vector that takes a vectorized 4x4 block to its trace.
-_TRACE_ROW = np.eye(len(DRIVEN_INDICES)).reshape(-1)
+#: The block's identity, and as a row the vector that takes a vectorized 4x4
+#: block to its trace; complex, as the maps they meet.
+_EYE = np.eye(len(DRIVEN_INDICES), dtype=complex)
+_TRACE_ROW = _EYE.reshape(-1)
 
 
 def build_channels(
@@ -106,7 +108,7 @@ def build_channels(
     every segment.
     """
     ops: list[np.ndarray] = []
-    needs_states = any(g > 0 for g in rates.gamma_d) or (
+    needs_states = max(rates.gamma_d) > 0 or (
         laser_on and rates.gamma_n_gl > 0
     )
     states = eigen_system(p).states if needs_states else None
@@ -117,14 +119,14 @@ def build_channels(
         for g_idx, e_idx in _OPTICAL_PAIRS:
             if down > 0:
                 op = np.zeros((DIM, DIM), dtype=complex)
-                op[g_idx, e_idx] = np.sqrt(down)
+                op[g_idx, e_idx] = math.sqrt(down)
                 ops.append(op)
             if up > 0:
                 op = np.zeros((DIM, DIM), dtype=complex)
-                op[e_idx, g_idx] = np.sqrt(up)
+                op[e_idx, g_idx] = math.sqrt(up)
                 ops.append(op)
         if rates.gamma_n_gl > 0:
-            amp = np.sqrt(rates.gamma_n_gl)
+            amp = math.sqrt(rates.gamma_n_gl)
             psi1, psi2 = states[:, 0], states[:, 1]
             ops.append(amp * np.outer(psi1, psi2.conj()))
             ops.append(amp * np.outer(psi2, psi1.conj()))
@@ -134,21 +136,23 @@ def build_channels(
     for rate, col in zip(rates.gamma_d, (0, 1, 4, 5)):
         if rate > 0:
             psi = states[:, col]
-            ops.append(np.sqrt(rate) * np.outer(psi, psi.conj()))
+            ops.append(math.sqrt(rate) * np.outer(psi, psi.conj()))
     return ops
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def liouvillian(h: np.ndarray, channels: Iterable[np.ndarray]) -> np.ndarray:
+def liouvillian(h: np.ndarray, channels: Sequence[np.ndarray]) -> np.ndarray:
     """Generator matrix acting on row-major vectorized density matrices.
 
-    Each slice of a (k, n, n) stack of Hamiltonians, each with the slices
-    of (k, n, n) stacks of collapse operators, gives the slice of a
-    (k, n^2, n^2) stack of generators, with the bits of a call on it alone.
+    H_eff kron I + I kron conj(H_eff) + sum L kron conj(L), with H_eff =
+    -2 pi i H - (1/2) sum L+ L: one pass over the channels, each sum taken
+    in list order. Each slice of a (k, n, n) stack of Hamiltonians, with
+    the slices of (k, n, n) stacks of collapse operators, gives the slice of
+    a (k, n^2, n^2) stack of generators, with the bits of a call on it alone.
 
     Args:
         h: Hermitian Hamiltonian in Hz (any dimension n), or a stack.
-        channels: Collapse operators with sqrt(rate) amplitudes, or stacks.
+        channels: Collapse operators with sqrt(rate) amplitudes, each of h's shape.
 
     Raises:
         ValueError: If h, or a slice of the stack, is not Hermitian to
@@ -156,17 +160,13 @@ def liouvillian(h: np.ndarray, channels: Iterable[np.ndarray]) -> np.ndarray:
     """
     h = np.asarray(h, dtype=complex)
     n = h.shape[-1]
-    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-    if np.any(np.abs(h - h.conj().swapaxes(-2, -1)).max(axis=(-2, -1)) > 1e-12 * scale):
+    scale = np.abs(h).max(axis=(-2, -1), initial=1.0, keepdims=True)
+    if (np.abs(h - h.conj().swapaxes(-2, -1)) > 1e-12 * scale).any():
         raise ValueError("Hamiltonian must be Hermitian")
+    ops = np.asarray(channels, dtype=complex).reshape((len(channels),) + h.shape)
+    h_eff = -2j * np.pi * h - 0.5 * (ops.conj().swapaxes(-2, -1) @ ops).sum(axis=0)
     eye = np.eye(n)
-    gen = -1j * 2.0 * np.pi * (_kron(h, eye) - _kron(eye, h.swapaxes(-2, -1)))
-    for op in channels:
-        op = np.asarray(op, dtype=complex)
-        opdag_op = op.conj().swapaxes(-2, -1) @ op
-        gen = gen + _kron(op, op.conj())
-        gen = gen - 0.5 * (_kron(opdag_op, eye) + _kron(eye, opdag_op.swapaxes(-2, -1)))
-    return gen
+    return _kron(h_eff, eye) + _kron(eye, h_eff.conj()) + _kron(ops, ops.conj()).sum(axis=0)
 
 
 def _kron(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -184,83 +184,80 @@ def _kron(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
 # -- matrix exponential ----------------------------------------------------------
 
-#: Higham's theta_13: the largest 1-norm for which the [13/13] Padé
-#: approximant of exp has a backward error below the unit roundoff of double
-#: precision (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3).
-_THETA_13 = 5.371920351148152
+#: Higham's theta_m for the Padé degrees m of expm: the largest 1-norm for which
+#: the [m/m] Padé approximant of exp has a backward error below the unit
+#: roundoff of double precision (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
+_THETAS = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+           9: 2.097847961257068e0, 13: 5.371920351148152e0}
 
-#: Coefficients b_0 .. b_13 of the [13/13] Padé approximant of exp, as rows
-#: (b_2j+1, b_2j): the coefficients of a^2j in U / a and in V.
-_PADE_PAIRS = np.array(
-    (
-        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-        1187353796428800.0, 129060195264000.0, 10559470521600.0,
-        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-        16380.0, 182.0, 1.0,
-    )
-).reshape(-1, 2)[:, ::-1].reshape(7, 2, 1, 1, 1)
+#: The coefficients b_j = (2m - j)! / (j! (m - j)!) of the [m/m] Padé
+#: approximant of exp for each degree m, as rows (b_2j+1, b_2j): the
+#: coefficients of a^2j in U / a and in V, complex like the powers they scale.
+_PADE_PAIRS = {
+    m: np.array([math.perm(2 * m - j, m) // math.factorial(j) for j in range(m + 1)], complex)
+    .reshape(-1, 2)[:, ::-1].reshape(-1, 2, 1, 1, 1)
+    for m in _THETAS
+}
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of one (n, n) matrix or of each slice of a (k, n, n) stack.
 
-    Scaling and squaring with the [13/13] Padé approximant (Higham, SIAM J.
-    Matrix Anal. Appl. 26(4), 2005). Each slice takes its scaling s from its
-    own 1-norm and is squared its own s times, so a slice's result does not
-    depend on the stack it came in: it has the bits of a call on that slice
-    alone. A slice with a non-finite entry comes out all NaN, and one whose
-    squarings overflow comes out non-finite without a warning; the callers'
-    drift checks turn either into a NumericalError.
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005)
+    with a Padé degree sized to each slice: the lowest m in 3, 5, 7, 9, 13
+    with |A|_1 <= theta_m (0.0150, 0.254, 0.950, 2.10, 5.37); above theta_13,
+    [13/13] of A / 2^s, s from the slice's own 1-norm, squared s times. The
+    slices of one (m, s) are evaluated together, each on its own, so a slice
+    has the bits of a call on it alone. A slice with a non-finite entry comes
+    out all NaN, and one whose squarings overflow comes out non-finite
+    without a warning; the callers' drift checks turn either into a
+    NumericalError.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim == 2:
         return expm(a[None])[0]
-    norms = np.abs(a).sum(axis=-2).max(axis=-1).tolist()
-    scalings = [
-        math.ceil(math.log2(norm / _THETA_13)) if _THETA_13 < norm < math.inf else 0
-        for norm in norms
-    ]
-    x = a * np.ldexp(1.0, -np.array(scalings))[:, None, None]
-    bad = [i for i, norm in enumerate(norms) if not math.isfinite(norm)]
-    x[bad] = 0.0
-    x = _pade13(x)
-    for j in range(max(scalings, default=0)):
-        sel = [i for i, s in enumerate(scalings) if s > j]
-        if len(sel) == len(x):
-            x = x @ x
-        else:
-            y = x[sel]
-            x[sel] = y @ y
-    x[bad] = np.nan
+    groups = {}  # (degree m, scaling s) -> its slices; a non-finite slice is in none
+    for i, norm in enumerate(np.abs(a).sum(axis=-2).max(axis=-1).tolist()):
+        if math.isfinite(norm):
+            m = next((m for m, theta in _THETAS.items() if norm <= theta), 13)
+            s = math.ceil(math.log2(norm / _THETAS[13])) if norm > _THETAS[13] else 0
+            groups.setdefault((m, s), []).append(i)
+    x = np.full_like(a, np.nan)
+    for (m, s), sel in groups.items():
+        y = a if len(sel) == len(a) else a[sel]
+        y = _pade(y * 2.0**-s if s else y, m)
+        for _ in range(s):
+            y = y @ y
+        if len(sel) == len(a):
+            return y
+        x[sel] = y
     return x
 
 
-def _pade13(a: np.ndarray) -> np.ndarray:
-    """[13/13] Padé approximant (V - U)^-1 (V + U) of exp, slice by slice.
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """[m/m] Padé approximant (V - U)^-1 (V + U) of exp, slice by slice.
 
     U / a and V are sums of the same even powers of a, so they are
     accumulated side by side, in place, in one array of two rows.
     """
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    wv = _PADE_PAIRS[6] * a6
-    wv += _PADE_PAIRS[5] * a4
-    wv += _PADE_PAIRS[4] * a2
-    wv = a6 @ wv
-    wv += _PADE_PAIRS[3] * a6
-    wv += _PADE_PAIRS[2] * a4
-    wv += _PADE_PAIRS[1] * a2
-    del a2, a4, a6
+    pairs = _PADE_PAIRS[m]
+    powers = [None, a @ a]  # powers[j] is a^2j, up to a^6
+    while len(powers) < min(len(pairs), 4):
+        powers.append(powers[-1] @ powers[1])
+    wv = pairs[len(powers) - 1] * powers[-1]
+    if len(pairs) > 4:  # a^8 .. a^12 as a^6 times a sum of a^2 .. a^6
+        inner = pairs[-1] * powers[len(pairs) - 4]
+        for j in range(len(pairs) - 2, 3, -1):
+            inner += pairs[j] * powers[j - 3]
+        wv = powers[3] @ inner + wv
+    for j in range(len(powers) - 2, 0, -1):
+        wv += pairs[j] * powers[j]
     n = a.shape[-1]
     diagonal = wv.reshape(wv.shape[:-2] + (n * n,))[..., :: n + 1]
-    diagonal += _PADE_PAIRS[0, ..., 0]
+    diagonal += pairs[0, ..., 0]
     u = a @ wv[0]
-    v = wv[1]
-    w = v + u
-    v -= u
-    return np.linalg.solve(v, w)
+    return np.linalg.solve(wv[1] - u, wv[1] + u)
 
 
 class SchedulePropagator:
@@ -393,49 +390,48 @@ class CycleEngine:
         n = len(DRIVEN_INDICES)
         systems = (preset.system,) if systems is None else systems
         # rotating_hamiltonian(system, 0, omega) is its omega = 0 matrix plus
-        # this drive term, so the sum has its bits. The drive acts inside the
-        # block, so h couples across the block's edge wherever h0 does.
+        # the drive term, so the block sums have its bits. The drive acts inside
+        # the block, so h couples across the block's edge wherever h0 does.
         h0 = np.array([rotating_hamiltonian(system, 0.0, 0.0) for system in systems])
-        h = h0 + (preset.omega * DRIVE_SCALE) * spin_operators().s_x_driven
-        if np.any(h[:, :n, n:]) or np.any(h[:, n:, :n]):
+        if h0[:, :n, n:].any() or h0[:, n:, :n].any():
             raise NumericalError("the Hamiltonian couples the driven block to m_s = -1")
-        self._h0, self._h = h0[:, :n, :n].copy(), h[:, :n, :n].copy()
+        self._h0 = h0[:, :n, :n].copy()
+        self._h = self._h0 + (preset.omega * DRIVE_SCALE) * spin_operators().s_x_driven[:n, :n]
         # The rates fix which channels exist, so every cell has the same
-        # list: each channel becomes one (cells, 4, 4) stack, keyed by the
-        # laser gate. The blocks are copies, so no 6x6 stack is kept.
-        self._channels = {}
-        for on in (True, False):
-            cell_ops = [build_channels(preset.rates, system, laser_on=on) for system in systems]
-            ops = [np.array(op) for op in zip(*cell_ops)]
-            if any(np.any(op[:, :n, n:]) or np.any(op[:, n:, :]) for op in ops):
-                raise NumericalError("a collapse operator acts outside the driven block")
-            self._channels[on] = [op[:, :n, :n].copy() for op in ops]
+        # list: each laser gate keys one (channels, cells, 4, 4) array. The
+        # blocks are copies, so no 6x6 stack is kept.
+        gates = [[build_channels(preset.rates, s, laser_on=on) for on in (True, False)]
+                 for s in systems]
+        ops = np.array([on + off for on, off in gates]).reshape(len(systems), -1, DIM, DIM)
+        if np.count_nonzero(ops) != np.count_nonzero(ops[..., :n, :n]):
+            raise NumericalError("a collapse operator acts outside the driven block")
+        blocks, laser_on = ops[:, :, :n, :n].swapaxes(0, 1).copy(), len(gates[0][0])
+        self._channels = {True: blocks[:laser_on], False: blocks[laser_on:]}
         # The 16x16 pulse generators, built only for a laser-off gate with
         # channels; without them every laser-off segment is unitary.
-        self._mw = self._generator(True, False) if self._channels[False] else None
+        self._mw = self._generator(True, False) if len(self._channels[False]) else None
 
         # The tail: a chop on/off pair taken chop_reps times, then the rest.
         # Per step of CHUNK cells, each expm of at most CHUNK slices bounds
         # the set-up's memory as CHUNK bounds a batch's.
-        self._tail_s = duration_ns(preset.readout_tail()) * 1e-9  # validates the train
-        durations = (preset.chop_on_ns, preset.chop_off_ns, preset.rest_ns)
-        on_s, off_s, rest_s = (ns * 1e-9 for ns in durations)
-        tail_rest, tail_rho0 = [], []
+        on_ns, off_ns, rest_ns = preset.chop_on_ns, preset.chop_off_ns, preset.rest_ns
+        self._tail_s = (preset.chop_reps * (on_ns + off_ns) + rest_ns) * 1e-9
+        on_s, off_s, rest_s = on_ns * 1e-9, off_ns * 1e-9, rest_ns * 1e-9
+        self._tail_rest = np.empty((len(systems), 16, 16), complex)
+        self._tail_rho0 = np.empty((len(systems), 16), complex)
         for start in range(0, len(systems), CHUNK):
             cells = slice(start, start + CHUNK)
             [on] = self._segment_maps(False, True, (on_s,), cells=cells)
-            off, rest = self._segment_maps(False, False, (off_s, rest_s), cells=cells)
-            # The readout tail T (chop train, rest). T and R do not depend on
-            # delta, so one trace check each covers every batch; a non-finite
-            # generator fails them.
-            tail = rest @ np.linalg.matrix_power(off @ on, preset.chop_reps)
-            _check_trace("rest", rest)
-            _check_trace("tail", tail)
-            tail_rest.append(tail @ rest)
-            tail_rho0.append(tail @ _RHO0)
-            del on, off, rest, tail  # freed before the next expm
-        self._tail_rest = np.concatenate(tail_rest)
-        self._tail_rho0 = np.concatenate(tail_rho0)
+            maps = self._segment_maps(False, False, (off_s, rest_s), cells=cells)
+            # The readout tail T (chop train, rest) takes the chop-off map's
+            # place. T and R do not depend on delta, so one trace check of
+            # both covers every batch; a non-finite generator fails it.
+            tail, rest = maps
+            np.matmul(rest, np.linalg.matrix_power(tail @ on, preset.chop_reps), out=tail)
+            _check_trace(maps[::-1], "rest", "tail")
+            np.matmul(tail, rest, out=self._tail_rest[cells])
+            np.matmul(tail, _RHO0, out=self._tail_rho0[cells])
+            del on, maps, tail, rest  # freed before the next expm
         self._shift_s = self._tail_s + rest_s
         self._mw_s = preset.t_mw_ns * 1e-9
         self._preset = preset
@@ -444,7 +440,7 @@ class CycleEngine:
         """Block generators at delta = 0 of the segments with these gates, for
         the cells given (all by default; one index gives one 16x16 matrix)."""
         h = self._h if mw_on else self._h0
-        return liouvillian(h[cells], [op[cells] for op in self._channels[laser_on]])
+        return liouvillian(h[cells], self._channels[laser_on][:, cells])
 
     @np.errstate(over="ignore", invalid="ignore")
     def _segment_maps(
@@ -472,11 +468,11 @@ class CycleEngine:
             gen, frame = self._of(self._mw, cells), np.diag(_K_DIAG)
             maps = [expm(gen * t + np.multiply.outer(d * t, frame)) for t in seconds]
             maps = np.stack(maps, out=out)
-            _check_trace("pulse", maps)
+            _check_trace(maps, "pulse")
         else:
             gen = self._generator(False, laser_on, cells)
             maps = np.array([expm(gen * t) for t in seconds])
-        if not mw_on and d.any():
+        if not mw_on and any(deltas):
             np.multiply(self._phases(d, np.asarray(seconds)[:, None])[..., None], maps, out=maps)
         return maps
 
@@ -612,17 +608,18 @@ def _unitary_propagators(h: np.ndarray, seconds, what: str) -> np.ndarray:
         raise NumericalError(f"{what} eigendecomposition failed: {exc}") from None
     phases = np.exp(np.multiply.outer(-2j * np.pi * np.asarray(seconds), levels))
     u = (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-2, -1)
-    worst = float(np.max(np.abs(u.conj().swapaxes(-2, -1) @ u - np.eye(4)), initial=0.0))
+    worst = float(np.abs(u.conj().swapaxes(-2, -1) @ u - _EYE).max(initial=0.0))
     if not worst <= _HERM_DRIFT_FAIL:
         raise NumericalError(f"{what} unitary is off by {worst:.3e}")
     return u
 
 
-def _check_trace(name: str, maps: np.ndarray) -> None:
-    """Raise NumericalError if a map (16, 16), or any of a stack, changes the trace by > 1e-9."""
-    err = float(np.max(np.abs(_TRACE_ROW @ maps - _TRACE_ROW), initial=0.0))
-    if not err <= _HERM_DRIFT_FAIL:
-        raise NumericalError(f"{name} map changes the trace by {err:.3e}")
+def _check_trace(maps: np.ndarray, *names: str) -> None:
+    """Raise NumericalError naming names[i] if a map of maps[i] changes the trace by > 1e-9."""
+    errs = np.abs(_TRACE_ROW @ maps - _TRACE_ROW).reshape(len(names), -1)
+    for name, err in zip(names, errs.max(axis=1, initial=0.0).tolist()):
+        if not err <= _HERM_DRIFT_FAIL:
+            raise NumericalError(f"{name} map changes the trace by {err:.3e}")
 
 
 def _carried(cycle: np.ndarray, vec: np.ndarray, n: int) -> Iterator[np.ndarray]:

@@ -65,6 +65,8 @@ class Preset:
                 object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name)))
         if self.omega < 0:
             raise ConfigError(f"omega must be >= 0, got {self.omega}")
+        if self.chop_reps > 0 and self.chop_on_ns <= 0:
+            raise ConfigError("on_ns must be > 0")
 
     def cycles(self, n_cycles: int | None = None) -> int:
         """n_cycles, or the preset's count if None, checked to lie in 0..MAX_GRID_POINTS."""

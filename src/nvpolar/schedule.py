@@ -58,8 +58,6 @@ def chopped_laser_train(on_ns: int, off_ns: int, reps: int) -> Schedule:
     """reps repetitions of (laser on for on_ns, off for off_ns)."""
     if reps < 0:
         raise ConfigError("reps must be >= 0")
-    if reps > 0 and on_ns <= 0:
-        raise ConfigError("on_ns must be > 0")
     if off_ns < 0:
         raise ConfigError("off_ns must be >= 0")
     pair = []

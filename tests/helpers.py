@@ -42,6 +42,23 @@ def validate_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> None:
         raise NumericalError(f"negative eigenvalue {lowest:.3e}")
 
 
+def liouvillian_reference(h: np.ndarray, channels) -> np.ndarray:
+    """The generator of liouvillian in its three-kron form, channel by channel:
+
+        -i 2 pi (H kron I - I kron H^T)
+        + sum_L ( L kron conj(L) - (1/2) (L+L kron I + I kron (L+L)^T) ),
+
+    with np.kron, for one Hamiltonian and a list of collapse operators."""
+    h = np.asarray(h, dtype=complex)
+    eye = np.eye(h.shape[-1])
+    gen = -1j * 2.0 * np.pi * (np.kron(h, eye) - np.kron(eye, h.T))
+    for op in channels:
+        opdag_op = op.conj().T @ op
+        gen = gen + np.kron(op, op.conj())
+        gen = gen - 0.5 * (np.kron(opdag_op, eye) + np.kron(eye, opdag_op.T))
+    return gen
+
+
 def rk4_propagate(
     generator: np.ndarray, vec: np.ndarray, duration_s: float, dt_s: float = 1e-10
 ) -> np.ndarray:

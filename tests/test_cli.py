@@ -662,6 +662,7 @@ def test_a_negative_or_fractional_schedule_field_exits_2(
         ("n_cycles", True, "n_cycles must be an integer, got True"),
         ("chop_on_ns", "30", "chop_on_ns must be an integer, got '30'"),
         ("t_gl_ns", -1, "t_gl_ns must be >= 0, got -1"),
+        ("chop_on_ns", 0, "on_ns must be > 0"),
     ],
 )
 def test_the_preset_constructor_checks_its_integer_fields(table_a1, field, value, message):
@@ -684,6 +685,16 @@ def test_a_preset_name_that_is_not_a_string_exits_2(tmp_path, capsys, name):
     )
     assert code == 2
     assert err == f"error: config: 'preset' must be a preset name, got {name!r}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [["sweep-detuning"], ["trajectory"]])
+def test_a_chop_train_without_on_time_exits_2(tmp_path, capsys, command):
+    """chop_reps > 0 with chop_on_ns = 0 is refused when the config is read."""
+    path = inline_config(tmp_path, chop_on_ns=0)
+    out_dir = tmp_path / "out"
+    code, out, err = run([*command, "--config", path, "--out", str(out_dir)], capsys)
+    assert (code, out, err) == (2, "", "error: config: on_ns must be > 0\n")
     assert not out_dir.exists()
 
 

@@ -147,6 +147,34 @@ def test_a_401_point_grid_takes_one_expm_slice_and_eight_eighs(table_a1, monkeyp
 
 
 @pytest.mark.parametrize("name", preset_names())
+def test_a_one_cell_set_up_takes_one_degree_7_slice_and_one_eigh(name, monkeypatch):
+    """The set-up's one expm call is of the chop-on slice, whose 1-norm is
+    under theta_7: one [7/7] approximant of the unscaled slice (s = 0).
+    The chop-off and rest maps come from one eigh."""
+    preset = get_preset(name)
+    shapes = _traced_expm(monkeypatch)
+    pades, eighs = [], []
+    pade, eigh = lindblad._pade, np.linalg.eigh
+
+    def traced_pade(a, m):
+        pades.append((a.copy(), m))
+        return pade(a, m)
+
+    def traced_eigh(a):
+        eighs.append(np.shape(a))
+        return eigh(a)
+
+    monkeypatch.setattr(lindblad, "_pade", traced_pade)
+    monkeypatch.setattr(np.linalg, "eigh", traced_eigh)
+    engine = CycleEngine(preset)
+    assert shapes == [(1, 16, 16)] and eighs == [(1, 4, 4)]
+    [(a, m)] = pades
+    chop_on = engine._generator(False, True) * (preset.chop_on_ns * 1e-9)
+    assert m == 7 and a.tobytes() == chop_on.tobytes()
+    assert lindblad._THETAS[5] < np.abs(chop_on).sum(axis=-2).max() <= lindblad._THETAS[7]
+
+
+@pytest.mark.parametrize("name", preset_names())
 def test_phases_are_the_bits_of_exponentiating_every_entry(name):
     """_phases exponentiates K's three values and gathers the 16 columns."""
     engine = CycleEngine(get_preset(name))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from helpers import (
     full_drive_propagate,
+    liouvillian_reference,
     random_density_matrix,
     random_schedule,
     reference_trajectory,
@@ -98,12 +99,45 @@ def test_kron_is_bit_equal_to_numpy_on_liouvillian_operands(name, laser_on):
     channels = build_channels(preset.rates, preset.system, laser_on=laser_on)
     assert len(channels) == (2 if laser_on else 0)
     eye = np.eye(DIM)
-    pairs = [(h, eye), (eye, h.T)]
+    h_eff = -2j * np.pi * h - 0.5 * sum(op.conj().T @ op for op in channels)
+    pairs = [(h, eye), (eye, h.T), (h_eff, eye), (eye, h_eff.conj())]
     for op in channels:
         opdag_op = op.conj().T @ op
         pairs += [(op, op.conj()), (opdag_op, eye), (eye, opdag_op.T)]
     for a, b in pairs:
         assert lindblad._kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
+#: Rates with every optional channel on: thermal re-excitation, laser-driven
+#: nuclear cross-relaxation and dephasing of the four driven eigenstates.
+EVERY_CHANNEL = RelaxationRates(
+    gamma_gl=8e6, n_th=0.1, gamma_d=(2e5, 1e5, 3e5, 1.5e5), gamma_n_gl=1e5
+)
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "every channel"])
+@pytest.mark.parametrize("laser_on", [True, False])
+def test_one_pass_generator_matches_the_three_kron_form(name, laser_on):
+    """liouvillian's one pass over the channels is within 1e-15 max |L| of
+    liouvillian_reference: on the 6x6 generator of a driven segment, and on
+    the engine's block generator, built from its per-cell channel array."""
+    if name == "every channel":
+        preset = dataclasses.replace(get_preset("table-a1-fit"), rates=EVERY_CHANNEL)
+    else:
+        preset = get_preset(name)
+    h = rotating_hamiltonian(preset.system, predicted_resonance(preset), preset.omega * DRIVE_SCALE)
+    channels = build_channels(preset.rates, preset.system, laser_on=laser_on)
+    if name == "every channel":
+        assert len(channels) == (10 if laser_on else 4)
+    else:
+        assert len(channels) == (2 if laser_on else 0)
+    engine = CycleEngine(preset)
+    block = [op[0] for op in engine._channels[laser_on]]
+    for got, want in (
+        (liouvillian(h, channels), liouvillian_reference(h, channels)),
+        (engine._generator(True, laser_on, 0), liouvillian_reference(engine._h[0], block)),
+    ):
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def _generator(rng, n_levels: int, norm: float) -> np.ndarray:
@@ -128,13 +162,21 @@ def test_expm_matches_scipy(n_levels):
         assert err <= 1e-12, (norm, err)
 
 
+def _degree_band_slices(rng) -> np.ndarray:
+    """Generators just under theta_3, theta_5, theta_7 and theta_9, and one
+    above theta_13: the top of each Padé degree's band, and a scaled slice."""
+    norms = [lindblad._THETAS[m] * (1.0 - 1e-6) for m in (3, 5, 7, 9)]
+    return np.stack([_generator(rng, 4, norm) for norm in norms + [1.1 * lindblad._THETAS[13]]])
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_expm_matches_scipy_on_the_slices_the_code_forms(name):
     """Each slice within max(1e-14, 10 |A|_1 u) of SciPy, relative, in the
     1-norm: the engine's chop-on stack, its dephased laser-off and pulse
-    stacks, and SchedulePropagator's 36x36 segments with and without
-    dephasing. The small slices agree to about 2e-16. A slice of large norm
-    is that badly conditioned: fig4's 20 us pulse segment (|A|_1 = 1.8e5)
+    stacks, SchedulePropagator's 36x36 segments with and without
+    dephasing, and a slice at the top of each Padé degree's band. The small
+    slices agree to about 2e-16. A slice of large norm is that badly
+    conditioned: fig4's 20 us pulse segment (|A|_1 = 1.8e5)
     is 1.1e-11 from SciPy, and against a 40-digit mpmath exponential SciPy
     is 1.4e-11 off and expm 1.0e-11."""
     preset = get_preset(name)
@@ -152,6 +194,7 @@ def test_expm_matches_scipy_on_the_slices_the_code_forms(name):
         "dephased rest": laser_off * (preset.rest_ns * 1e-9),
         "dephased pulse": engine._mw * t_mw + frames,
     }
+    stacks["degree bands"] = _degree_band_slices(np.random.default_rng(14))
     for label, config in (("segment", preset), ("dephased segment", dephased)):
         prop = SchedulePropagator(config.system, config.rates)
         segments = {
@@ -174,12 +217,30 @@ def test_expm_matches_scipy_on_the_slices_the_code_forms(name):
             assert err <= max(1e-14, 10.0 * norm1(a) * 2.0**-53), (label, norm1(a), err)
 
 
-def test_expm_stack_is_bit_equal_to_per_slice_calls():
-    """Slices scaled and squared 0 to 8 times, and a zero slice, in one stack."""
+def _traced_pade(monkeypatch):
+    """Patch lindblad._pade to record (degree, slices) of every call; return the list."""
+    calls = []
+    pade = lindblad._pade
+
+    def traced(a, m):
+        calls.append((m, len(a)))
+        return pade(a, m)
+
+    monkeypatch.setattr(lindblad, "_pade", traced)
+    return calls
+
+
+def test_expm_stack_is_bit_equal_to_per_slice_calls(monkeypatch):
+    """Slices of every Padé degree, scaled and squared 0 to 8 times, and a
+    zero slice, in one stack; each (degree, scaling) is one approximant."""
     rng = np.random.default_rng(12)
     norms = [0.0, 1e-3, 0.5, 4.0, 30.0, 1e3, 0.02, 4.5]
-    stack = np.stack([_generator(rng, 4, norm) for norm in norms])
+    stack = np.concatenate(
+        [np.stack([_generator(rng, 4, norm) for norm in norms]), _degree_band_slices(rng)]
+    )
+    calls = _traced_pade(monkeypatch)
     got = lindblad.expm(stack)
+    assert sorted(calls) == [(3, 3), (5, 2), (7, 2), (9, 1), (13, 1), (13, 1), (13, 1), (13, 2)]
     assert np.max(np.abs(got[0] - np.eye(16))) <= 1e-15
     for gen, slice_ in zip(stack, got):
         assert slice_.tobytes() == lindblad.expm(gen).tobytes()
@@ -189,13 +250,20 @@ def test_expm_stack_is_bit_equal_to_per_slice_calls():
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_expm_turns_non_finite_input_into_non_finite_output(bad):
     """An overflowing config reaches expm like this (see test_cli); no raise."""
-    good = _generator(np.random.default_rng(13), 4, 1.0)
+    rng = np.random.default_rng(13)
+    good = _generator(rng, 4, 1.0)
     gen = good.copy()
     gen[3, 5] = bad
-    assert not np.all(np.isfinite(lindblad.expm(gen)))
+    assert np.all(np.isnan(lindblad.expm(gen)))
     got = lindblad.expm(np.stack([gen, good]))
-    assert not np.all(np.isfinite(got[0]))
+    assert np.all(np.isnan(got[0]))
     assert got[1].tobytes() == lindblad.expm(good).tobytes()
+    # A stack that mixes degrees: [3/3], [7/7], the bad slice, scaled [13/13].
+    mixed = np.stack([_generator(rng, 4, 1e-3), _generator(rng, 4, 0.5), gen, good * 30.0])
+    got = lindblad.expm(mixed)
+    assert np.all(np.isnan(got[2]))
+    for i in (0, 1, 3):
+        assert got[i].tobytes() == lindblad.expm(mixed[i]).tobytes()
 
 
 def test_table_rates_give_two_laser_channels():
