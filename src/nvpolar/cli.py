@@ -145,11 +145,15 @@ def _inline_preset(doc: dict) -> Preset:
 
 
 def _resolve_preset(args: argparse.Namespace) -> Preset:
+    """The --preset or --config preset; a command's --n replaces its cycle count."""
     if args.config is not None and args.preset is not None:
         raise ConfigError("pass --preset or --config, not both")
     if args.config is not None:
-        return _load_config(args.config)
-    return get_preset(args.preset or "table-a1-fit")
+        preset = _load_config(args.config)
+    else:
+        preset = get_preset(args.preset or "table-a1-fit")
+    n = getattr(args, "cycles", None)  # the --n of sweep-detuning, fit-curve and trajectory
+    return preset if n is None else dataclasses.replace(preset, n_cycles=n)
 
 
 def _check_delta(args: argparse.Namespace) -> None:
@@ -227,7 +231,7 @@ def _report_extreme(result: ex.SweepResult) -> tuple[float, float]:
 def _cmd_sweep_detuning(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     deltas = ex.grid(args.min, args.max, args.step)
-    result = ex.sweep_detuning(preset, deltas, n_cycles=args.n)
+    result = ex.sweep_detuning(preset, deltas)
     out = _write_sweep(args, result, "drive detuning (Hz)", "P")
     at, best = _report_extreme(result)
     print(f"wrote {out} ({len(result.p)} points); peak P = {best:+.4f} at {_hz(at)} Hz")
@@ -383,7 +387,7 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     pairs = _read_curve(args.data)
     _run(fitting)
-    report = fitting.fit_polarization_curve(pairs, preset, n_cycles=args.n, budget=args.budget)
+    report = fitting.fit_polarization_curve(pairs, preset, budget=args.budget)
     doc = {
         "schema": "nvpolar-fit/1",
         "preset": preset.to_dict(),
@@ -392,7 +396,7 @@ def _cmd_fit_curve(args: argparse.Namespace) -> int:
         "init": list(fitting.CURVE_FIT_INIT),
         "report": report.to_dict(),
     }
-    model_p = fitting.curve_model(preset, report.params, [delta for delta, _ in pairs], args.n)
+    model_p = fitting.curve_model(preset, report.params, [delta for delta, _ in pairs])
     plot = _gnuplot(
         600,
         "set xlabel 'drive detuning (Hz)'\nset ylabel 'P'\nset grid\n"
@@ -426,13 +430,13 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
     _check_delta(args)
     delta = args.delta if args.delta is not None else ex.predicted_resonance(preset)
-    times, states = CycleEngine(preset).trajectory(delta, args.sample_ns, args.n)
+    times, states = CycleEngine(preset).trajectory(delta, args.sample_ns)
     doc = {
         "command": "trajectory",
         "schema": "nvpolar-trajectory/1",
         "preset": preset.to_dict(),
         "delta_hz": float(delta),
-        "n_cycles": args.n if args.n is not None else preset.n_cycles,
+        "n_cycles": preset.n_cycles,
         "sample_ns": args.sample_ns,
         "rows": len(times),
     }
@@ -512,7 +516,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--min", type=float, default=lo, help="lowest detuning (Hz)")
     p.add_argument("--max", type=float, default=hi, help="highest detuning (Hz)")
     p.add_argument("--step", type=float, default=ex.DELTA_STEP, help="grid step (Hz)")
-    p.add_argument("--n", type=int, default=None, help="override cycle count")
+    p.add_argument("--n", type=int, dest="cycles", metavar="N", help="override cycle count")
     p.set_defaults(func=_cmd_sweep_detuning)
 
     p = sub.add_parser(
@@ -594,7 +598,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("data", help="CSV file with (detuning_hz, P) rows")
     p.add_argument("--budget", type=int, default=200, help="max model evaluations")
-    p.add_argument("--n", type=int, default=None, help="override cycle count")
+    p.add_argument("--n", type=int, dest="cycles", metavar="N", help="override cycle count")
     p.set_defaults(func=_cmd_fit_curve)
 
     p = sub.add_parser(
@@ -604,7 +608,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--delta", type=float, default=None, help="drive detuning (Hz)")
     p.add_argument("--sample-ns", type=int, default=10, help="sampling period (ns)")
-    p.add_argument("--n", type=int, default=None, help="override cycle count")
+    p.add_argument("--n", type=int, dest="cycles", metavar="N", help="override cycle count")
     p.set_defaults(func=_cmd_trajectory)
 
     p = sub.add_parser("list-presets", help="show the bundled parameter sets")

@@ -219,20 +219,13 @@ def peak(p: np.ndarray) -> int:
     return int(np.argmax(magnitude >= magnitude.max() - PEAK_TIE))
 
 
-def sequence_polarization(
-    preset: Preset,
-    delta: float,
-    *,
-    n_cycles: int | None = None,
-) -> float:
+def sequence_polarization(preset: Preset, delta: float) -> float:
     """Readout polarization after the full sequence at one drive detuning."""
-    return float(CycleEngine(preset).polarizations([delta], n_cycles)[0])
+    return float(CycleEngine(preset).polarizations([delta])[0])
 
 
 def _evaluate(
-    preset: Preset,
-    jobs: list[tuple[SystemParams, tuple[float, ...]]],
-    n_cycles: int | None,
+    preset: Preset, jobs: list[tuple[SystemParams, tuple[float, ...]]]
 ) -> list[np.ndarray]:
     """Polarization over the detuning grid of every (system, grid) job.
 
@@ -240,13 +233,12 @@ def _evaluate(
     own SystemParams) and evaluates their (cell, detuning) pairs, in job
     order, in one call.
     """
-    n = preset.cycles(n_cycles)
     if not jobs:
         return []
     engine = CycleEngine(preset, [system for system, _ in jobs])
     sizes = [len(deltas) for _, deltas in jobs]
     cells = np.repeat(np.arange(len(jobs)), sizes)
-    p = engine.polarizations(np.concatenate([d for _, d in jobs]), n, cells)
+    p = engine.polarizations(np.concatenate([d for _, d in jobs]), cells)
     return np.split(p, np.cumsum(sizes)[:-1])
 
 
@@ -262,27 +254,19 @@ def predicted_resonance(preset: Preset) -> float:
     return (preset.system.nuclear_zeeman + es.splitting_plus) / 2.0
 
 
-def _base_metadata(preset: Preset, kind: str, n_cycles: int | None = None) -> dict:
-    doc = {"sweep": kind, "preset": preset.to_dict()}
-    if n_cycles is not None:
-        doc["preset"]["n_cycles"] = n_cycles
-    return doc
+def _base_metadata(preset: Preset, kind: str, **extra) -> dict:
+    return {"sweep": kind, "preset": preset.to_dict(), **extra}
 
 
 # -- sweeps -------------------------------------------------------------------
 
 
-def sweep_detuning(
-    preset: Preset,
-    deltas: Sequence[float],
-    *,
-    n_cycles: int | None = None,
-) -> SweepResult:
+def sweep_detuning(preset: Preset, deltas: Sequence[float]) -> SweepResult:
     """Polarization vs drive detuning (the two-lobed response curve)."""
     values = tuple(float(d) for d in deltas)
-    (p,) = _evaluate(preset, [(preset.system, values)], n_cycles)
+    (p,) = _evaluate(preset, [(preset.system, values)])
     axis = SweepAxis("delta", "hz", values)
-    return SweepResult((axis,), p, _base_metadata(preset, "detuning", n_cycles))
+    return SweepResult((axis,), p, _base_metadata(preset, "detuning"))
 
 
 def sweep_repetitions(
@@ -311,9 +295,7 @@ def sweep_repetitions(
     delta = float(delta)
     values = engine.buildup(delta, n_max)
     axis = SweepAxis("n_cycles", "count", tuple(float(n) for n in range(n_max + 1)))
-    meta = _base_metadata(preset, "repetitions")
-    meta["delta_hz"] = delta
-    return SweepResult((axis,), values, meta)
+    return SweepResult((axis,), values, _base_metadata(preset, "repetitions", delta_hz=delta))
 
 
 def _best_in_windows(
@@ -333,11 +315,10 @@ def _best_in_windows(
         (q.system, grid(c - inner_halfwidth, c + inner_halfwidth, inner_step))
         for q, c in zip(cells, centers)
     ]
-    p = np.array([w[peak(w)] for w in _evaluate(preset, jobs, None)])
-    meta = _base_metadata(preset, kind)
-    meta["inner_halfwidth_hz"] = inner_halfwidth
-    meta["inner_step_hz"] = inner_step
-    return p, meta
+    p = np.array([w[peak(w)] for w in _evaluate(preset, jobs)])
+    return p, _base_metadata(
+        preset, kind, inner_halfwidth_hz=inner_halfwidth, inner_step_hz=inner_step
+    )
 
 
 def sweep_field(
@@ -374,7 +355,7 @@ def sweep_ani_detuning(
     _check_pairs(len(ani_values), len(deltas))
     ani, dts = tuple(float(a) for a in ani_values), tuple(float(d) for d in deltas)
     jobs = [(preset.with_system(a_ani=a).system, dts) for a in ani]
-    p = np.array(_evaluate(preset, jobs, None)).reshape(len(ani), len(dts))
+    p = np.array(_evaluate(preset, jobs)).reshape(len(ani), len(dts))
     axes = (SweepAxis("a_ani", "hz", ani), SweepAxis("delta", "hz", dts))
     return SweepResult(axes, p, _base_metadata(preset, "ani-detuning"))
 

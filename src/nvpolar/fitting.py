@@ -287,7 +287,6 @@ def curve_model(
     preset: Preset,
     params: Sequence[float],
     deltas: Sequence[float],
-    n_cycles: int | None = None,
     *,
     engine: Callable[[Preset], CycleEngine] = CycleEngine,
 ) -> np.ndarray:
@@ -302,14 +301,13 @@ def curve_model(
     f_rel, azz_mag, a_ani = (float(v) for v in params)
     sign = -1.0 if preset.system.a_zz < 0 else 1.0
     q = preset.with_system(a_zz=sign * azz_mag, a_ani=a_ani)
-    return engine(q).polarizations(np.asarray(deltas, dtype=float) - f_rel, n_cycles)
+    return engine(q).polarizations(np.asarray(deltas, dtype=float) - f_rel)
 
 
 def fit_polarization_curve(
     data: Sequence[tuple[float, float]],
     preset: Preset,
     *,
-    n_cycles: int | None = None,
     budget: int = 200,
 ) -> FitReport:
     """Recover (f_rel, |A_zz|, A_ani) from a polarization-vs-detuning curve.
@@ -325,19 +323,17 @@ def fit_polarization_curve(
 
     Args:
         data: (delta_hz, P) pairs; at least 10 points.
-        preset: Supplies everything but the fitted couplings.
-        n_cycles: Optional cycle-count override.
+        preset: Supplies everything but the fitted couplings, the cycle count too.
         budget: Maximum forward-model evaluations.
     """
     pairs = [(float(d), float(v)) for d, v in data]
     if len(pairs) < 10:
         raise ConfigError(f"need at least 10 data points, got {len(pairs)}")
-    n_cycles = preset.cycles(n_cycles)
     deltas = np.array([d for d, _ in pairs])
     observed = np.array([v for _, v in pairs])
     engine = functools.lru_cache(maxsize=2)(CycleEngine)
     problem = FitProblem(
-        model=lambda x: curve_model(preset, x, deltas, n_cycles, engine=engine),
+        model=lambda x: curve_model(preset, x, deltas, engine=engine),
         data=observed,
         init=np.array(CURVE_FIT_INIT),
         bounds=CURVE_FIT_BOUNDS,

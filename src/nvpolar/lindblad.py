@@ -263,12 +263,11 @@ def _pade(a: np.ndarray, m: int) -> np.ndarray:
 class SchedulePropagator:
     """Exact segment-wise propagation for one parameter set.
 
-    Holds a cache of segment propagators keyed by the segment controls and
-    duration, so repeated chop and microwave segments are exponentiated once.
-    Segments without microwave still live in the rotating frame of the
-    schedule's drive (frame_delta), which matters for pulse-to-pulse
-    coherence; frame_delta is inferred from the first microwave segment when
-    not given.
+    Caches each segment's propagator by (segment, frame_delta, duration), so
+    repeated chop and microwave segments are exponentiated once. Segments
+    without microwave still live in the rotating frame of the schedule's
+    drive (frame_delta), which matters for pulse-to-pulse coherence;
+    frame_delta is inferred from the first microwave segment when not given.
     """
 
     def __init__(
@@ -278,15 +277,6 @@ class SchedulePropagator:
         self.rates = rates
         self.frame_delta = frame_delta
         self._propagators: dict[tuple, np.ndarray] = {}
-        self._generators: dict[tuple, np.ndarray] = {}
-
-    def _segment_key(self, seg: PulseSegment, frame_delta: float) -> tuple:
-        return (
-            seg.laser_on,
-            seg.mw_on,
-            seg.mw_delta if seg.mw_on else frame_delta,
-            seg.mw_rabi,
-        )
 
     def _resolve_frame(self, schedule: Schedule) -> float:
         if self.frame_delta is not None:
@@ -297,30 +287,21 @@ class SchedulePropagator:
         return 0.0
 
     def segment_generator(self, seg: PulseSegment, frame_delta: float = 0.0) -> np.ndarray:
-        """Constant Liouvillian for one segment (cached)."""
-        key = self._segment_key(seg, frame_delta)
-        gen = self._generators.get(key)
-        if gen is None:
-            delta = seg.mw_delta if seg.mw_on else frame_delta
-            omega = seg.mw_rabi * DRIVE_SCALE if seg.mw_on else 0.0
-            h = rotating_hamiltonian(self.params, delta, omega)
-            channels = build_channels(self.rates, self.params, laser_on=seg.laser_on)
-            gen = liouvillian(h, channels)
-            self._generators[key] = gen
-        return gen
+        """Constant Liouvillian for one segment; a segment without microwave
+        has mw_rabi 0 and runs at frame_delta."""
+        delta = seg.mw_delta if seg.mw_on else frame_delta
+        h = rotating_hamiltonian(self.params, delta, seg.mw_rabi * DRIVE_SCALE)
+        return liouvillian(h, build_channels(self.rates, self.params, laser_on=seg.laser_on))
 
     def segment_propagator(
         self, seg: PulseSegment, frame_delta: float = 0.0, duration_ns: int | None = None
     ) -> np.ndarray:
         """expm(generator * duration) for one segment (cached)."""
-        ns = seg.duration_ns if duration_ns is None else duration_ns
-        key = self._segment_key(seg, frame_delta) + (ns,)
-        prop = self._propagators.get(key)
-        if prop is None:
+        key = (seg, frame_delta, seg.duration_ns if duration_ns is None else duration_ns)
+        if key not in self._propagators:
             gen = self.segment_generator(seg, frame_delta)
-            prop = expm(gen * (ns * 1e-9))
-            self._propagators[key] = prop
-        return prop
+            self._propagators[key] = expm(gen * (key[2] * 1e-9))
+        return self._propagators[key]
 
     def propagate(self, rho: np.ndarray, schedule: Schedule) -> np.ndarray:
         """Final state after the whole schedule."""
@@ -501,12 +482,10 @@ class CycleEngine:
         np.multiply(self._phases(d, self._shift_s)[:, :, None], cycle, out=cycle)
         return cycle, self._phases(d, self._tail_s) * self._of(self._tail_rho0, cells)
 
-    def _batches(
-        self, deltas: Sequence[float], n_cycles: int | None, cells
-    ) -> Iterator[np.ndarray]:
-        """Driven-block states after n_cycles cycles and the tail, (k, 4, 4),
+    def _batches(self, deltas: Sequence[float], cells) -> Iterator[np.ndarray]:
+        """Driven-block states after the preset's N cycles and the tail, (k, 4, 4),
         for each batch of CHUNK (cell, detuning) pairs in turn."""
-        n = self._preset.cycles(n_cycles)
+        n = self._preset.cycles()
         d = np.asarray(deltas, dtype=float)
         work = np.empty((2, min(CHUNK, len(d)), 16, 16), complex)  # the call's one workspace
         for start in range(0, len(d), CHUNK):
@@ -516,22 +495,18 @@ class CycleEngine:
                 pass  # the state after n cycles is the stepper's last
             yield _checked(vec)
 
-    def states(
-        self, deltas: Sequence[float], n_cycles: int | None = None, cells=0
-    ) -> np.ndarray:
-        """Driven-block states after n_cycles cycles and the tail, (n, 4, 4).
+    def states(self, deltas: Sequence[float], cells=0) -> np.ndarray:
+        """Driven-block states after the preset's N cycles and the tail, (n, 4, 4).
 
         cells is the cell index of each detuning, or one index for all.
         """
-        out = list(self._batches(deltas, n_cycles, cells))
+        out = list(self._batches(deltas, cells))
         return np.concatenate(out) if out else np.empty((0, 4, 4), dtype=complex)
 
-    def polarizations(
-        self, deltas: Sequence[float], n_cycles: int | None = None, cells=0
-    ) -> np.ndarray:
+    def polarizations(self, deltas: Sequence[float], cells=0) -> np.ndarray:
         """Readout polarization after the sequence at every (cell, detuning)
         pair, read out batch by batch, so no stack of states is kept."""
-        out = [polarization_of_state(rho).p for rho in self._batches(deltas, n_cycles, cells)]
+        out = [polarization_of_state(rho).p for rho in self._batches(deltas, cells)]
         return np.concatenate(out) if out else np.empty(0)
 
     def buildup(self, delta: float, n_max: int) -> np.ndarray:
@@ -539,8 +514,8 @@ class CycleEngine:
 
         The stepper's states are read out CHUNK at a time, through one
         _checked call per block. Each is the same 16x16 product as in
-        states(), after the same guards of the carried state, so entry n
-        equals polarizations([delta], n) bit for bit.
+        states(), after the same guards of the carried state, so entry n is
+        polarizations([delta]) of an engine on n cycles, bit for bit.
         """
         carried = _carried(*self.maps([delta]), n_max)
         values = []
@@ -548,14 +523,12 @@ class CycleEngine:
             values.append(polarization_of_state(_checked(np.concatenate(block))).p)
         return np.concatenate(values) if values else np.empty(0)
 
-    def trajectory(
-        self, delta: float, sample_ns: int, n_cycles: int | None = None
-    ) -> tuple[list[int], np.ndarray]:
+    def trajectory(self, delta: float, sample_ns: int) -> tuple[list[int], np.ndarray]:
         """Driven-block states along the sequence and its readout tail at one detuning.
 
         Returns the times in ns, t = 0, every multiple of sample_ns and the
         end, and the (k, 4, 4) states at those times, through _checked. The
-        sequence is read as the readout tail, then n_cycles cycles (pulse,
+        sequence is read as the readout tail, then the preset's N cycles (pulse,
         rest, tail) from one read-out state to the next. _carried carries
         those states with maps()' cycle map, so the last row is states()' bit
         for bit. The first tail, and each cycle that holds a sample time,
@@ -564,7 +537,7 @@ class CycleEngine:
         """
         if sample_ns <= 0:
             raise ConfigError("sample_ns must be positive")
-        n_cycles, one = self._preset.cycles(n_cycles), self._preset.schedule(delta, n_cycles=1)
+        n_cycles, one = self._preset.cycles(), self._preset.schedule(delta, n_cycles=1)
         tail, cycle = one[:-2], one[-2:] + one[:-2]  # one is (*tail, pulse, rest)
         tail_ns, cycle_ns = duration_ns(tail), duration_ns(cycle)
         rows = -(-(tail_ns + n_cycles * cycle_ns) // sample_ns) + 1  # the multiples, the end

@@ -70,9 +70,7 @@ class Preset:
 
     def cycles(self, n_cycles: int | None = None) -> int:
         """n_cycles, or the preset's count if None, checked to lie in 0..MAX_GRID_POINTS."""
-        n = self.n_cycles if n_cycles is None else n_cycles
-        if n < 0:
-            raise ConfigError("n_cycles must be >= 0")
+        n = _integer("n_cycles", self.n_cycles if n_cycles is None else n_cycles)
         if n > MAX_GRID_POINTS:
             raise ConfigError(f"{n} cycles exceed {MAX_GRID_POINTS}")
         return n

@@ -55,11 +55,7 @@ def duration_ns(segments: Schedule) -> int:
 
 
 def chopped_laser_train(on_ns: int, off_ns: int, reps: int) -> Schedule:
-    """reps repetitions of (laser on for on_ns, off for off_ns)."""
-    if reps < 0:
-        raise ConfigError("reps must be >= 0")
-    if off_ns < 0:
-        raise ConfigError("off_ns must be >= 0")
+    """reps repetitions of (laser on for on_ns, off for off_ns); Preset keeps both >= 0."""
     pair = []
     if reps > 0:
         pair = [PulseSegment(on_ns, laser_on=True)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -22,6 +23,12 @@ from nvpolar.operators import DIM, spin_operators
 from nvpolar.polarization import POPULATION_FLOOR, polarization_of_state
 from nvpolar.params import RelaxationRates, SystemParams
 from nvpolar.schedule import PulseSegment, Schedule
+
+
+def with_cycles(preset, n_cycles):
+    """The preset with n_cycles as its cycle count, or the preset itself if
+    n_cycles is None: the engine and the sweeps take N from the preset."""
+    return preset if n_cycles is None else dataclasses.replace(preset, n_cycles=n_cycles)
 
 
 def validate_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> None:

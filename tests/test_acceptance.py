@@ -17,6 +17,7 @@ from helpers import (
     random_schedule,
     reference_trajectory,
     rk4_schedule,
+    with_cycles,
 )
 from nvpolar import cli
 from nvpolar import experiments as ex
@@ -259,7 +260,7 @@ def test_criterion_6_state_invariants(table_a1, fig4_preset):
         schedule = preset.schedule(3.2e5, n_cycles=n_cycles) + preset.readout_tail()
         prop = SchedulePropagator(preset.system, preset.rates)
         states = [rho for _, rho in reference_trajectory(prop, initial_mixed_state(), schedule)]
-        states += list(CycleEngine(preset).trajectory(3.2e5, 10, n_cycles)[1])
+        states += list(CycleEngine(with_cycles(preset, n_cycles)).trajectory(3.2e5, 10)[1])
         for rho in states:
             assert abs(np.real(np.trace(rho)) - 1.0) <= 1e-9
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-9

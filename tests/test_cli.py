@@ -179,7 +179,7 @@ def test_sweep_n_zero_cycles(tmp_path, capsys):
 def test_tied_peaks_resolve_to_the_first_point(tmp_path, capsys, monkeypatch):
     """sweep-detuning's summary and sweep-n's default detuning share one rule."""
 
-    def tied(engine, deltas, n_cycles=None, cells=0):
+    def tied(engine, deltas, cells=0):
         d = np.asarray(deltas)
         return np.where(d == -3e5, -0.8, np.where(d == 3e5, 0.8, 0.1))
 
@@ -1050,6 +1050,44 @@ def test_cycle_count_beyond_the_grid_limit_exits_2(tmp_path, capsys, no_propagat
     code, _, err = run([command, *args, "--n", "1000001", "--out", str(out_dir)], capsys)
     assert code == 2
     assert err == "error: config: 1000001 cycles exceed 1000000\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["sweep-detuning", *SMALL_SWEEP, "--n", "3"], "metadata.json"),
+        (["fit-curve", CURVE, "--n", "3"], "report.json"),
+        (["trajectory", "--n", "2", "--sample-ns", "1000"], "metadata.json"),
+    ],
+    ids=["sweep-detuning", "fit-curve", "trajectory"],
+)
+def test_the_artifacts_record_the_cycle_count_that_ran(tmp_path, capsys, curve_file, argv, name):
+    """--n replaces the preset's cycle count, so the preset an artifact
+    records holds the count the command ran, and trajectory's own n_cycles
+    key agrees with it."""
+    out_dir = tmp_path / "out"
+    argv = [curve_file if arg is CURVE else arg for arg in argv]
+    code, _, err = run([*argv, "--out", str(out_dir)], capsys)
+    assert code == 0, err
+    doc = read_artifact(out_dir / name)
+    n = int(argv[argv.index("--n") + 1])
+    assert doc["preset"]["n_cycles"] == n
+    assert doc.get("n_cycles", n) == n
+
+
+@pytest.mark.parametrize("command", ["sweep-detuning", "fit-curve", "trajectory"])
+def test_a_negative_cycle_count_exits_2_as_in_a_config(tmp_path, capsys, curve_file, command):
+    """The preset's own check refuses --n -1, with the line that an inline
+    config's n_cycles of -1 gets, before anything is written."""
+    args = [curve_file] if command == "fit-curve" else []
+    out_dir = tmp_path / "out"
+    code, _, err = run([command, *args, "--n", "-1", "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert err == "error: config: n_cycles must be >= 0, got -1\n"
+    assert not out_dir.exists()
+    config = inline_config(tmp_path, n_cycles=-1)
+    assert run([command, *args, "--config", config, "--out", str(out_dir)], capsys)[::2] == (2, err)
     assert not out_dir.exists()
 
 

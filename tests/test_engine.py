@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from helpers import reference_trajectory, rk4_schedule, validate_density_matrix
+from helpers import reference_trajectory, rk4_schedule, validate_density_matrix, with_cycles
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 from scipy.optimize import brentq
@@ -52,7 +52,7 @@ def test_engine_matches_reference(name, a_ani, n_cycles):
     if a_ani is not None:
         preset = preset.with_system(a_ani=a_ani)
     deltas = [-3.2e5, -1e5, 0.0, 1.7e5, 3.2e5, 4.1e5, 5e6]
-    got = CycleEngine(preset).polarizations(deltas, n_cycles)
+    got = CycleEngine(with_cycles(preset, n_cycles)).polarizations(deltas)
     for delta, p in zip(deltas, got):
         assert abs(p - reference_p(preset, delta, n_cycles)) <= DP_TOL
 
@@ -214,15 +214,15 @@ def test_a_dephased_laser_off_gate_takes_three_expm_slices_per_cell(name, monkey
         base, rates=dataclasses.replace(base.rates, gamma_d=DEPHASED.gamma_d)
     )
     cells = _cells(preset, "b_z", 2)
-    with monkeypatch.context() as patch:
-        shapes = _traced_expm(patch)
-        patch.setattr(np.linalg, "eigh", _eigh_raising)
-        engine = CycleEngine(preset, [q.system for q in cells])
-    assert sum(shape[0] for shape in shapes) == 3 * len(cells)
-    assert max(shape[0] for shape in shapes) <= lindblad.CHUNK
     deltas = [-3.2e5, 0.0, 3.2e5]
     for n_cycles in (0, 6):
-        got = engine.polarizations(deltas * 2, n_cycles, [0, 0, 0, 1, 1, 1])
+        with monkeypatch.context() as patch:
+            shapes = _traced_expm(patch)
+            patch.setattr(np.linalg, "eigh", _eigh_raising)
+            engine = CycleEngine(with_cycles(preset, n_cycles), [q.system for q in cells])
+        assert sum(shape[0] for shape in shapes) == 3 * len(cells)
+        assert max(shape[0] for shape in shapes) <= lindblad.CHUNK
+        got = engine.polarizations(deltas * 2, [0, 0, 0, 1, 1, 1])
         want = [reference_p(q, delta, n_cycles) for q in cells for delta in deltas]
         assert np.max(np.abs(got - want)) <= DP_TOL
 
@@ -370,20 +370,20 @@ def test_a_stacked_engine_equals_per_cell_engines_bit_for_bit(table_a1, monkeypa
         np.linspace(-6e5, 6e5, lindblad.CHUNK + 11 if k % 6 == 0 else 3 + k)
         for k in range(len(cells))
     ]
-    with monkeypatch.context() as patch:
-        shapes = _traced_expm(patch)
-        engine = CycleEngine(preset, [q.system for q in cells])
-    slices = 1 if rates is None else 3  # chop on; or chop on, chop off, rest
-    assert sum(shape[0] for shape in shapes) == slices * len(cells)
-    assert len(shapes) > 1 and max(shape[0] for shape in shapes) <= lindblad.CHUNK
     index = np.repeat(np.arange(len(cells)), [len(g) for g in grids])
     deltas = np.concatenate(grids)
     assert len(deltas) % lindblad.CHUNK != 0
     for n_cycles in (0, 6):
-        want = [CycleEngine(q).states(g, n_cycles) for q, g in zip(cells, grids)]
-        got = engine.states(deltas, n_cycles, index)
+        with monkeypatch.context() as patch:
+            shapes = _traced_expm(patch)
+            engine = CycleEngine(with_cycles(preset, n_cycles), [q.system for q in cells])
+        slices = 1 if rates is None else 3  # chop on; or chop on, chop off, rest
+        assert sum(shape[0] for shape in shapes) == slices * len(cells)
+        assert len(shapes) > 1 and max(shape[0] for shape in shapes) <= lindblad.CHUNK
+        want = [CycleEngine(with_cycles(q, n_cycles)).states(g) for q, g in zip(cells, grids)]
+        got = engine.states(deltas, index)
         assert got.tobytes() == np.concatenate(want).tobytes()
-        p = engine.polarizations(deltas, n_cycles, index)
+        p = engine.polarizations(deltas, index)
         assert p.tobytes() == polarization_of_state(got).p.tobytes()
 
 
@@ -405,7 +405,7 @@ def test_a_fault_in_one_cell_of_a_stack_is_a_numerical_error(table_a1, monkeypat
 
     monkeypatch.setattr(np.linalg, "eigh", skewed)
     with pytest.raises(NumericalError, match="pulse unitary is off by"):
-        engine.polarizations([3.2e5, 3.2e5, 3.2e5], None, [0, 1, 2])
+        engine.polarizations([3.2e5, 3.2e5, 3.2e5], [0, 1, 2])
 
 
 def test_engine_refuses_a_hamiltonian_that_leaves_the_block(table_a1, monkeypatch):
@@ -469,9 +469,9 @@ def test_dephased_pulse_matches_reference(name, n_cycles, monkeypatch):
     """With dephasing the pulse is not unitary: the 16x16 branch, checked."""
     preset = dataclasses.replace(get_preset(name), rates=DEPHASED)
     deltas = [-3.2e5, 0.0, 1.7e5, 3.2e5, 4.1e5]
-    engine = CycleEngine(preset)
+    engine = CycleEngine(with_cycles(preset, n_cycles))
     shapes = _traced_expm(monkeypatch)
-    got = engine.polarizations(deltas, n_cycles)
+    got = engine.polarizations(deltas)
     assert shapes == [(len(deltas), 16, 16)]
     for delta, p in zip(deltas, got):
         assert abs(p - reference_p(preset, delta, n_cycles)) <= DP_TOL
@@ -482,10 +482,11 @@ def test_engine_matches_the_scipy_expm_path(name, monkeypatch):
     """lindblad.expm against scipy's, through the whole engine."""
     preset = get_preset(name)
     deltas = np.linspace(-1e6, 5e6, 61)
-    got = {n: CycleEngine(preset).polarizations(deltas, n) for n in (0, 1, 6, 60)}
+    presets = {n: with_cycles(preset, n) for n in (0, 1, 6, 60)}
+    got = {n: CycleEngine(q).polarizations(deltas) for n, q in presets.items()}
     monkeypatch.setattr(lindblad, "expm", scipy_expm)
     for n, p in got.items():
-        assert np.max(np.abs(p - CycleEngine(preset).polarizations(deltas, n))) <= DP_TOL
+        assert np.max(np.abs(p - CycleEngine(presets[n]).polarizations(deltas))) <= DP_TOL
 
 
 def test_engine_default_cycle_count_is_the_presets(fig4_preset):
@@ -512,17 +513,17 @@ def _drawn_preset(name, system, rates, durations, omega):
 def _assert_agrees_with_reference(preset, delta, n_cycles, rk4=False):
     """P and every entry of the read-out state within DP_TOL of the 6x6
     reference (or of RK4); trajectory's last row is states()' bit for bit."""
-    engine = CycleEngine(preset)
-    rho = engine.states([delta], n_cycles)[0]
+    engine = CycleEngine(with_cycles(preset, n_cycles))
+    rho = engine.states([delta])[0]
     schedule = preset.schedule(delta, n_cycles=n_cycles) + preset.readout_tail()
     prop = SchedulePropagator(preset.system, preset.rates, frame_delta=delta)
     run = rk4_schedule if rk4 else SchedulePropagator.propagate
     ref = run(prop, initial_mixed_state(), schedule)
     assert np.max(np.abs(ref[4:, :])) <= DP_TOL and np.max(np.abs(ref[:, 4:])) <= DP_TOL
     assert np.max(np.abs(rho - ref[:4, :4])) <= DP_TOL
-    got = engine.polarizations([delta], n_cycles)[0]
+    got = engine.polarizations([delta])[0]
     assert abs(got - polarization_of_state(ref).p) <= DP_TOL
-    assert engine.trajectory(delta, 10**9, n_cycles)[1][-1].tobytes() == rho.tobytes()
+    assert engine.trajectory(delta, 10**9)[1][-1].tobytes() == rho.tobytes()
 
 
 #: Either no dephasing of an eigenstate or a rate up to 3e5 /s.
@@ -612,18 +613,18 @@ def test_results_do_not_depend_on_the_batch(fig4_preset):
         assert np.concatenate(parts).tobytes() == whole.tobytes()
     buildup = engine.buildup(deltas[5], 3)
     for n in range(4):
-        assert buildup[n] == engine.polarizations([deltas[5]], n)[0]
+        assert buildup[n] == CycleEngine(with_cycles(fig4_preset, n)).polarizations([deltas[5]])[0]
 
 
 @pytest.mark.parametrize("delta", [2.9e5, -1.23456e5])
 def test_buildup_is_bit_equal_to_per_count_calls(fig4_preset, delta):
-    """Across CHUNK boundaries, each read-out block matches one call per n."""
+    """Across CHUNK boundaries, each read-out block matches one engine per n."""
     n_max = 2 * lindblad.CHUNK + 2
-    engine = CycleEngine(fig4_preset)
-    buildup = engine.buildup(delta, n_max)
+    buildup = CycleEngine(fig4_preset).buildup(delta, n_max)
     assert len(buildup) == n_max + 1
     for n in range(n_max + 1):
-        assert buildup[n] == engine.polarizations([delta], n)[0]
+        engine = CycleEngine(with_cycles(fig4_preset, n))
+        assert buildup[n].tobytes() == engine.polarizations([delta])[0].tobytes()
 
 
 def test_states_match_the_reference_driven_block(table_a1):
@@ -658,7 +659,7 @@ def test_trajectory_matches_reference(name, rates, sample_ns, n_cycles):
     if rates is not None:
         preset = dataclasses.replace(preset, rates=rates)
     delta = 3.2e5
-    got = CycleEngine(preset).trajectory(delta, sample_ns, n_cycles)
+    got = CycleEngine(with_cycles(preset, n_cycles)).trajectory(delta, sample_ns)
     schedule = preset.schedule(delta, n_cycles=n_cycles) + preset.readout_tail()
     prop = SchedulePropagator(preset.system, preset.rates, frame_delta=delta)
     ref = reference_trajectory(prop, initial_mixed_state(), schedule, sample_ns)
@@ -677,9 +678,9 @@ def test_trajectory_of_whole_cycles_between_samples_matches_reference(name, rate
     cycle_ns = duration_ns(preset.schedule(delta, n_cycles=1))
     schedule = preset.schedule(delta, n_cycles=n_cycles) + preset.readout_tail()
     prop = SchedulePropagator(preset.system, preset.rates, frame_delta=delta)
-    engine = CycleEngine(preset)
+    engine = CycleEngine(with_cycles(preset, n_cycles))
     for sample_ns in (cycle_ns, cycle_ns + 7, 3 * cycle_ns - 1):
-        got = engine.trajectory(delta, sample_ns, n_cycles)
+        got = engine.trajectory(delta, sample_ns)
         ref = reference_trajectory(prop, initial_mixed_state(), schedule, sample_ns)
         _assert_matches_reference(got, ref)
 
@@ -701,12 +702,12 @@ def test_the_trajectory_ends_where_the_batches_do(name, rates, delta):
     preset = get_preset(name)
     if rates is not None:
         preset = dataclasses.replace(preset, rates=rates)
-    engine = CycleEngine(preset)
-    times, states = engine.trajectory(delta, 1000, 3)
+    engine = CycleEngine(with_cycles(preset, 3))
+    times, states = engine.trajectory(delta, 1000)
     assert times[-1] == 3 * duration_ns(preset.schedule(delta, n_cycles=1)) + duration_ns(
         preset.readout_tail()
     )
-    assert states[-1].tobytes() == engine.states([delta], 3)[0].tobytes()
+    assert states[-1].tobytes() == engine.states([delta])[0].tobytes()
 
 
 def _trajectory_pulse(engine, delta, monkeypatch):
@@ -722,7 +723,7 @@ def _trajectory_pulse(engine, delta, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(engine, "_segment_maps", recorded)
-        engine.trajectory(delta, 10**9, 1)  # no sample inside the cycle
+        engine.trajectory(delta, 10**9)  # no sample inside a cycle
     [pulse] = pulses
     return pulse.reshape(16, 16)
 
@@ -767,7 +768,7 @@ def test_a_dephased_stack_forms_the_pulses_of_per_cell_engines(table_a1, monkeyp
 def test_the_dephased_trajectory_checks_the_pulse_trace(monkeypatch):
     """A dephased pulse map that loses 1e-6 of the trace, after the set-up:
     the trajectory's pulse steps fail the batches' trace check."""
-    preset = dataclasses.replace(get_preset("table-a1-fit"), rates=DEPHASED)
+    preset = dataclasses.replace(get_preset("table-a1-fit"), rates=DEPHASED, n_cycles=2)
     engine = CycleEngine(preset)
     segment_maps = engine._segment_maps
 
@@ -778,7 +779,7 @@ def test_the_dephased_trajectory_checks_the_pulse_trace(monkeypatch):
             return segment_maps(mw_on, *args)
 
     monkeypatch.setattr(engine, "_segment_maps", leaky_pulse)
-    for run in (lambda: engine.trajectory(3.2e5, 100, 2), lambda: engine.states([3.2e5], 2)):
+    for run in (lambda: engine.trajectory(3.2e5, 100), lambda: engine.states([3.2e5])):
         with pytest.raises(NumericalError, match="pulse map changes the trace by 1.000e-06"):
             run()
 
@@ -811,26 +812,27 @@ def test_carried_state_is_guarded_every_chunk(table_a1, monkeypatch):
     """A cycle map that loses 1e-11 of trace per cycle, past maps()' own
     guards: the carried state's guard keeps 3 CHUNK cycles inside the 1e-9
     bound."""
-    engine = CycleEngine(table_a1)
-    maps = engine.maps
+    maps = CycleEngine.maps
 
-    def leaky(*batch):
-        cycle, start = maps(*batch)
+    def leaky(engine, *batch):
+        cycle, start = maps(engine, *batch)
         return cycle * (1.0 - 1e-11), start
 
-    monkeypatch.setattr(engine, "maps", leaky)
+    monkeypatch.setattr(CycleEngine, "maps", leaky)
     n_max = 3 * lindblad.CHUNK
-    assert np.isfinite(engine.polarizations([3e5], n_max)).all()
-    buildup = engine.buildup(3e5, n_max)
+    engines = [CycleEngine(with_cycles(table_a1, n)) for n in range(n_max + 1)]
+    assert np.isfinite(engines[n_max].polarizations([3e5])).all()
+    buildup = engines[0].buildup(3e5, n_max)
     for n in range(n_max + 1):
-        assert buildup[n] == engine.polarizations([3e5], n)[0]
+        assert buildup[n] == engines[n].polarizations([3e5])[0]
 
 
 def test_trajectory_guards_the_carried_state_every_chunk(table_a1, monkeypatch):
     """A cycle map that loses 1e-11 of trace per cycle, past maps()' own
     guards, stays inside the 1e-9 bound for CHUNK cycles but not for
     3 CHUNK; the guard every CHUNK cycles keeps a 3 CHUNK trajectory inside it."""
-    engine = CycleEngine(table_a1)
+    n_cycles = 3 * lindblad.CHUNK
+    engine = CycleEngine(with_cycles(table_a1, n_cycles))
     maps = engine.maps
 
     def leaky(*batch):
@@ -838,26 +840,25 @@ def test_trajectory_guards_the_carried_state_every_chunk(table_a1, monkeypatch):
         return cycle * (1.0 - 1e-11), start
 
     monkeypatch.setattr(engine, "maps", leaky)
-    n_cycles = 3 * lindblad.CHUNK
-    times, states = engine.trajectory(3.2e5, 10**9, n_cycles)
+    times, states = engine.trajectory(3.2e5, 10**9)
     assert len(times) == len(states) == 2  # t = 0 and the end
     for rho in states:
         assert abs(np.trace(rho) - 1.0) <= 1e-9
     monkeypatch.setattr(lindblad, "CHUNK", n_cycles + 2)
     with pytest.raises(NumericalError, match="propagation drift"):
-        engine.trajectory(3.2e5, 10**9, n_cycles)
+        engine.trajectory(3.2e5, 10**9)
 
 
 @pytest.mark.parametrize("sample_ns", [10, 7, 10**6])
 def test_trajectory_row_bound_counts_the_rows(table_a1, monkeypatch, sample_ns):
     """The row count checked before propagating is the trajectory's length."""
-    engine = CycleEngine(table_a1)
-    rows = len(engine.trajectory(3.2e5, sample_ns, 2)[0])
+    engine = CycleEngine(with_cycles(table_a1, 2))
+    rows = len(engine.trajectory(3.2e5, sample_ns)[0])
     monkeypatch.setattr(lindblad, "MAX_GRID_POINTS", rows)
-    assert len(engine.trajectory(3.2e5, sample_ns, 2)[1]) == rows
+    assert len(engine.trajectory(3.2e5, sample_ns)[1]) == rows
     monkeypatch.setattr(lindblad, "MAX_GRID_POINTS", rows - 1)
     with pytest.raises(ConfigError, match=f"trajectory of {rows} rows"):
-        engine.trajectory(3.2e5, sample_ns, 2)
+        engine.trajectory(3.2e5, sample_ns)
 
 
 def _nan_expm(a):

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import reference_trajectory, rowwise_sweep_csv, rowwise_sweep_metadata
+from helpers import reference_trajectory, rowwise_sweep_csv, rowwise_sweep_metadata, with_cycles
 
 from nvpolar import experiments as ex
 from nvpolar.errors import ConfigError, NumericalError, UndefinedPolarizationError
@@ -37,7 +37,7 @@ def test_polarization_undefined_without_readout_population():
 
 
 def test_polarization_of_a_stack_is_bit_equal_to_per_state_reads(table_a1):
-    states = CycleEngine(table_a1).states(np.linspace(-6e5, 6e5, 9), 3)
+    states = CycleEngine(with_cycles(table_a1, 3)).states(np.linspace(-6e5, 6e5, 9))
     stacked = polarization_of_state(states)
     for field in ("p", "pop_up", "pop_down"):
         single = np.array([getattr(polarization_of_state(rho), field) for rho in states])
@@ -168,7 +168,7 @@ def test_sequence_polarization_reference_value(table_a1):
 
 
 def test_sequence_polarization_trivial_cases(table_a1):
-    assert ex.sequence_polarization(table_a1, 3.2e5, n_cycles=0) == 0.0
+    assert ex.sequence_polarization(with_cycles(table_a1, 0), 3.2e5) == 0.0
     # Far off resonance nothing happens.
     assert abs(ex.sequence_polarization(table_a1, 5e6)) < 0.01
 
@@ -478,5 +478,5 @@ def test_grids_of_unequal_length_give_the_bits_of_one_engine_per_job(table_a1):
     grids = [ex.grid(1e5, 1e5 + (size - 1) * 4e3, 4e3) for size in (150, 5, 97, 31, 64)]
     jobs = [(q.system, g) for q, g in zip(cells, grids)]
     want = [CycleEngine(q).polarizations(g).tobytes() for q, g in zip(cells, grids)]
-    got = ex._evaluate(table_a1, jobs, None)
+    got = ex._evaluate(table_a1, jobs)
     assert [p.tobytes() for p in got] == want

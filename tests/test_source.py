@@ -1,7 +1,7 @@
 """Static checks of the package source with the stdlib ast: every import is
 used, every module-level private name is referenced somewhere in the
-package, so code left behind by a fold cannot stay, and only the artifact
-owner and the CLI open files."""
+package, so code left behind by a fold cannot stay, only the artifact
+owner and the CLI open files, and only the preset takes a cycle count."""
 
 import ast
 from pathlib import Path
@@ -105,3 +105,33 @@ def test_the_cli_makes_and_writes_its_directory_in_one_writer():
     inside = set().union(*(_calls(writer, attrs) for writer in writers))
     assert sorted(node.lineno for node in _calls(tree, attrs) - inside) == []
     assert {node.func.attr for node in inside} == attrs
+
+
+#: The functions that may take a cycle count: the preset resolves and checks
+#: it, and bench's reference path builds a schedule of any count through it.
+CYCLE_COUNT_OWNERS = {"Preset.cycles", "Preset.schedule"}
+
+
+def _functions(tree: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every function and method in a tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.")
+        else:
+            yield from _functions(node, prefix)
+
+
+def test_only_the_preset_takes_a_cycle_count():
+    """The preset is the one carrier of N: no other function or method has
+    a parameter named n_cycles, so no layer can override the preset's count."""
+    found = [
+        f"{name}:{qualname}"
+        for name, tree in TREES.items()
+        for qualname, node in _functions(tree)
+        if qualname not in CYCLE_COUNT_OWNERS
+        and "n_cycles" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    ]
+    assert found == []

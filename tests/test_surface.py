@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import with_cycles
 
 import nvpolar
 import nvpolar.cli  # noqa: F401  (the tracer wraps cli.main)
@@ -188,7 +189,7 @@ def test_bench_reference_path_matches_the_engine(monkeypatch, n_cycles):
     preset = get_preset("table-a1-fit")
     for delta in (-325e3, 325e3):
         ref = workloads.reference_p(preset, delta, n_cycles)
-        got = sequence_polarization(preset, delta, n_cycles=n_cycles)
+        got = sequence_polarization(with_cycles(preset, n_cycles), delta)
         assert abs(ref - got) <= workloads.DP_TOL
 
 
